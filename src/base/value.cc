@@ -14,15 +14,6 @@ int Value::Compare(const Value& other) const {
   return symbol_name().compare(other.symbol_name()) < 0 ? -1 : 1;
 }
 
-size_t Value::Hash() const {
-  // Symbols hash by id (stable within a process); integers by value. The two
-  // kinds are separated with a salt so Int(0) and the first symbol differ.
-  if (kind_ == Kind::kInt) {
-    return std::hash<int64_t>()(int_) * 2;
-  }
-  return std::hash<int32_t>()(sym_) * 2 + 1;
-}
-
 std::string Value::ToString() const {
   if (kind_ == Kind::kInt) return std::to_string(int_);
   return symbol_name();

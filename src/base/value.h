@@ -60,7 +60,14 @@ class Value {
   bool operator>(const Value& other) const { return Compare(other) > 0; }
   bool operator>=(const Value& other) const { return Compare(other) >= 0; }
 
-  size_t Hash() const;
+  // Symbols hash by id (stable within a process); integers by value. The two
+  // kinds are separated with a salt so Int(0) and the first symbol differ.
+  // Inline: every relation insert, dedup lookup and index probe hashes its
+  // values through here.
+  size_t Hash() const {
+    if (kind_ == Kind::kInt) return std::hash<int64_t>()(int_) * 2;
+    return std::hash<int32_t>()(sym_) * 2 + 1;
+  }
   std::string ToString() const;
 
  private:

@@ -343,16 +343,21 @@ Result<CompiledProgram> CompileProgram(const Program& program) {
   return out;
 }
 
-namespace {
-
-inline const Database* SourceDb(RelSource source, const VmContext& ctx) {
-  switch (source) {
-    case RelSource::kEdb: return ctx.edb;
-    case RelSource::kIdbTotal: return ctx.idb_total;
-    case RelSource::kIdbDelta: return ctx.idb_delta;
-  }
-  return nullptr;
+LevelRows ResolveRows(RelSource source, PredId pred, const Database& edb,
+                      const Database& idb, const IdbFrontier& frontier) {
+  LevelRows rows;
+  rows.rel = (source == RelSource::kEdb ? edb : idb).Find(pred);
+  if (rows.rel == nullptr) return rows;
+  rows.hi = rows.rel->size();
+  if (source == RelSource::kEdb) return rows;
+  auto it = frontier.find(pred);
+  if (it == frontier.end()) return rows;
+  rows.hi = it->second.hi;
+  if (source == RelSource::kIdbDelta) rows.lo = it->second.lo;
+  return rows;
 }
+
+namespace {
 
 // One open join level in the generic executor.
 struct Cursor {
@@ -360,7 +365,7 @@ struct Cursor {
   const Value* row_data = nullptr;  // current row
   // Index-probe chain state (is_scan == false):
   int32_t probe_row = -1;
-  const int32_t* next = nullptr;
+  Relation::Matches chain;
   // Scan state (is_scan == true):
   int64_t scan_row = 0;
   int64_t scan_end = 0;
@@ -372,27 +377,23 @@ struct Cursor {
 }  // namespace
 
 bool ResolveRelations(const CompiledRule& rule, VmContext* ctx) {
-  // Pointers into Database's unordered_map are invalidated by rehash on
-  // insert of a *new* predicate, so relations are re-resolved per rule
-  // activation and never cached across iterations.
-  ctx->level_rels->clear();
+  // Re-resolved per rule activation: the frontier windows move every
+  // iteration, and IDB relations appear when their first tuple is derived.
+  ctx->level_rows->clear();
   for (const LevelInfo& lvl : rule.levels) {
-    const Database* db = SourceDb(lvl.source, *ctx);
-    ctx->level_rels->push_back(db == nullptr ? nullptr : db->Find(lvl.pred));
+    ctx->level_rows->push_back(ResolveRows(lvl.source, lvl.pred, *ctx->edb,
+                                           *ctx->idb, *ctx->frontier));
   }
   ctx->neg_rels->clear();
   for (const NegInfo& neg : rule.negs) {
-    const Database* db = SourceDb(neg.source, *ctx);
-    ctx->neg_rels->push_back(db == nullptr ? nullptr : db->Find(neg.pred));
+    const Database* db = neg.source == RelSource::kEdb ? ctx->edb : ctx->idb;
+    ctx->neg_rels->push_back(db->Find(neg.pred));
   }
-  // A missing/empty relation at the FIRST level means zero work — exactly
-  // the interpreter's early return before any counter moves. Deeper levels
-  // must still run (outer probes are observable), so only level 0 prunes.
-  if (!rule.levels.empty()) {
-    const Relation* r0 = (*ctx->level_rels)[0];
-    if (r0 == nullptr || r0->empty()) return false;
-  }
-  return true;
+  ctx->head.Open(ctx->idb, ctx->out, rule.head_pred);
+  // No rows at the FIRST level means zero work — exactly the interpreter's
+  // early return before any counter moves. Deeper levels must still run
+  // (outer probes are observable), so only level 0 prunes.
+  return rule.levels.empty() || !(*ctx->level_rows)[0].empty();
 }
 
 void RunBytecode(const CompiledRule& rule, VmContext* ctx) {
@@ -400,7 +401,7 @@ void RunBytecode(const CompiledRule& rule, VmContext* ctx) {
   const Value* consts = rule.consts.data();
   const ArgSrc* args_pool = rule.args_pool.data();
   Value* regs = ctx->regs->data();
-  const std::vector<const Relation*>& level_rels = *ctx->level_rels;
+  const std::vector<LevelRows>& level_rows = *ctx->level_rows;
   const std::vector<const Relation*>& neg_rels = *ctx->neg_rels;
   RuleProfile* prof = ctx->profile;
 
@@ -443,12 +444,12 @@ void RunBytecode(const CompiledRule& rule, VmContext* ctx) {
       case OpCode::kScanDelta:
       case OpCode::kProbeIndex: {
         const LevelInfo& lvl = rule.levels[in.b];
-        const Relation* rel = level_rels[in.b];
+        const LevelRows& rows = level_rows[in.b];
         Cursor& cur = stack[depth];
-        cur.rel = rel;
+        cur.rel = rows.rel;
         cur.level = in.b;
         cur.row_data = nullptr;
-        if (rel == nullptr || rel->empty()) {
+        if (rows.empty()) {
           // Level cannot match: backtrack (fall through to advance below).
           cur.is_scan = true;
           cur.scan_row = 0;
@@ -457,15 +458,14 @@ void RunBytecode(const CompiledRule& rule, VmContext* ctx) {
           for (int k = 0; k < lvl.key_len; ++k) {
             key[k] = src_value(args_pool[lvl.key_off + k]);
           }
-          Relation::Matches m = rel->Probe(lvl.mask, key);
+          cur.chain = rows.rel->Probe(lvl.mask, key, rows.lo, rows.hi);
           cur.is_scan = false;
-          cur.probe_row = m.row;
-          cur.next = m.next;
+          cur.probe_row = cur.chain.row;
           cur.actions_ip = lvl.probe_ip;
         } else {
           cur.is_scan = true;
-          cur.scan_row = 0;
-          cur.scan_end = rel->size();
+          cur.scan_row = rows.lo;
+          cur.scan_end = rows.hi;
           cur.actions_ip = lvl.scan_ip;
         }
         ++depth;
@@ -526,11 +526,9 @@ void RunBytecode(const CompiledRule& rule, VmContext* ctx) {
         for (int i = 0; i < rule.head_arity; ++i) {
           head[i] = src_value(args_pool[rule.head_off + i]);
         }
-        if (ctx->idb_total->Contains(rule.head_pred, head, rule.head_arity) ||
-            ctx->out_new->Contains(rule.head_pred, head, rule.head_arity)) {
+        if (!ctx->head.Stage(head, rule.head_arity)) {
           ++dups;
         } else {
-          ctx->out_new->Insert(rule.head_pred, head, rule.head_arity);
           ++derived;
           ++*ctx->derived_count;
           if (ctx->max_derived >= 0 &&
@@ -575,11 +573,11 @@ void RunBytecode(const CompiledRule& rule, VmContext* ctx) {
                (!cur.rel->live(cur.probe_row) ||
                 (filter_part &&
                  cur.rel->row_hash(cur.probe_row) % part_count != part_index))) {
-          cur.probe_row = cur.next[cur.probe_row];
+          cur.probe_row = cur.chain.next(cur.probe_row);
         }
         if (cur.probe_row >= 0) {
           cur.row_data = cur.rel->row(cur.probe_row).data();
-          cur.probe_row = cur.next[cur.probe_row];
+          cur.probe_row = cur.chain.next(cur.probe_row);
           have_row = true;
         }
       }

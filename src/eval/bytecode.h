@@ -5,6 +5,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "src/ast/program.h"
@@ -61,7 +62,36 @@ inline constexpr int32_t ConstIdx(ArgSrc s) { return ~s; }
 // Where a level (or negation check) reads its rows from. Resolved at
 // compile time: predicate classification and the delta subgoal are both
 // static properties of the plan, so the executor never tests them per row.
+// Both IDB sources read the one IDB relation of the predicate, through the
+// rows of its IdbFrontier window: kIdbTotal the iteration's snapshot
+// [0, hi), kIdbDelta the previous iteration's derivations [lo, hi).
 enum class RelSource : uint8_t { kEdb, kIdbTotal, kIdbDelta };
+
+// The semi-naive frontier of one IDB relation during an iteration. Derived
+// tuples are appended to the relation in derivation order, so each
+// iteration's new tuples are a contiguous row range: rows [lo, hi) are the
+// previous iteration's (the delta), rows [0, hi) everything derived before
+// this iteration began (the snapshot), and rows from hi on are this
+// iteration's own derivations, which no plan of this iteration reads.
+struct RowWindow {
+  int64_t lo = 0;
+  int64_t hi = 0;
+};
+using IdbFrontier = std::unordered_map<PredId, RowWindow>;
+
+// The rows one join level reads: `rel`'s row ids [lo, hi).
+struct LevelRows {
+  const Relation* rel = nullptr;
+  int64_t lo = 0;
+  int64_t hi = 0;
+  bool empty() const { return rel == nullptr || lo >= hi; }
+};
+
+// Resolves a level's rows: the whole EDB relation for kEdb; the frontier
+// window of `pred`'s IDB relation otherwise (the whole relation when the
+// frontier has no entry: a completed lower stratum).
+LevelRows ResolveRows(RelSource source, PredId pred, const Database& edb,
+                      const Database& idb, const IdbFrontier& frontier);
 
 // One bytecode instruction. Fixed 12-byte layout; wide operands (probe
 // masks, key/argument lists) live in the owning CompiledRule's side tables.
@@ -177,13 +207,49 @@ CompiledRule CompileRulePlan(const RulePlan& plan,
 
 struct RuleProfile;
 
+// Where one plan activation's derived heads go. Serial evaluation derives
+// straight into the IDB (out == idb): one Insert, whose dedup against every
+// row — this iteration's included — is the whole duplicate test. A parallel
+// partition task stages into private scratch instead, so a head is first
+// checked against the IDB; the iteration barrier merges the scratch. Open
+// looks the head relations up once per activation, so an emit does no
+// predicate lookup.
+class HeadSink {
+ public:
+  void Open(const Database* idb, Database* out, PredId pred) {
+    out_ = out;
+    pred_ = pred;
+    rel_ = nullptr;
+    seen_ = out == idb ? nullptr : idb->Find(pred);
+  }
+
+  // Stages vals[0..n); true when it is new (derived), false for a duplicate.
+  bool Stage(const Value* vals, int n) {
+    if (seen_ != nullptr && seen_->Contains(vals, n)) return false;
+    // Created on the first insert, like Database::Insert: an activation
+    // that derives nothing leaves no empty relation behind.
+    if (rel_ == nullptr) rel_ = out_->FindOrCreate(pred_, n);
+    return rel_->Insert(vals, n);
+  }
+
+ private:
+  Database* out_ = nullptr;
+  PredId pred_ = -1;
+  Relation* rel_ = nullptr;         // out's head relation, once created
+  const Relation* seen_ = nullptr;  // the IDB's, when out is scratch
+};
+
 // Runtime context for one compiled-rule activation, shared by the generic
 // executor and the specialized kernels.
 struct VmContext {
   const Database* edb = nullptr;
-  const Database* idb_total = nullptr;
-  const Database* idb_delta = nullptr;  // null outside delta iterations
-  Database* out_new = nullptr;
+  // Every IDB tuple derived so far; levels read it through `frontier`.
+  const Database* idb = nullptr;
+  const IdbFrontier* frontier = nullptr;
+  // Where emitted heads are inserted: the IDB itself in serial evaluation,
+  // a partition task's private scratch in parallel.
+  Database* out = nullptr;
+  HeadSink head;  // opened on `out` by ResolveRelations
   bool use_indexes = true;
   int64_t max_derived = -1;  // -1 = unlimited
   RuleProfile* profile = nullptr;
@@ -201,13 +267,14 @@ struct VmContext {
   // Reusable scratch, owned by the evaluator and sized once per Evaluate
   // (CompiledProgram::max_regs / max_levels).
   std::vector<Value>* regs = nullptr;
-  std::vector<const Relation*>* level_rels = nullptr;
+  std::vector<LevelRows>* level_rows = nullptr;
   std::vector<const Relation*>* neg_rels = nullptr;
 };
 
-// Resolves the relations a plan reads (per level and negation) into the
-// context's scratch vectors. Returns false when a *positive* level resolves
-// to a missing or empty relation — the plan cannot fire and need not run.
+// Resolves the rows a plan reads (per level) and the relations its
+// negations check into the context's scratch vectors, and opens its head
+// sink. Returns false when the *first* level resolves to no rows — the plan
+// cannot fire and need not run.
 bool ResolveRelations(const CompiledRule& rule, VmContext* ctx);
 
 // Executes one compiled rule with the generic bytecode dispatch loop.

@@ -81,12 +81,16 @@ namespace {
 struct Context {
   const Program* program;
   const Database* edb;
-  Database* idb_total;        // all IDB tuples derived so far
-  const Database* idb_delta;  // last iteration's new tuples (may be null)
-  Database* out_new;          // staging area for this iteration's new tuples
+  const Database* idb;          // all IDB tuples derived so far
+  const IdbFrontier* frontier;  // the iteration's row windows over `idb`
+  Database* out;                // where derived heads go
+  HeadSink head;                // opened on `out` by ResolveStepRows
   EvalOptions options;
   RuleProfile* rule_stats;    // profile slot of the rule being evaluated
   std::set<PredId> idb_preds;
+  // Rows each join step of the running plan reads, by step position;
+  // resolved once per activation (ResolveStepRows).
+  std::vector<LevelRows> step_rows;
   int64_t* derived_count;
   bool* overflow;
   // Hash partitioning of the plan's first join step (parallel evaluation);
@@ -95,13 +99,23 @@ struct Context {
   int part_index = 0;
 };
 
-const Relation* RelationFor(const Context& ctx, const RulePlan& plan,
-                            int body_index, PredId pred) {
-  if (ctx.idb_preds.count(pred) == 0) return ctx.edb->Find(pred);
-  if (body_index == plan.delta_subgoal) {
-    return ctx.idb_delta == nullptr ? nullptr : ctx.idb_delta->Find(pred);
+// The interpreter's ResolveRelations: classifies each join step's source
+// (EDB, the delta subgoal's window, or the IDB snapshot), resolves its rows
+// for this activation, and opens the head sink.
+void ResolveStepRows(const RulePlan& plan, Context* ctx) {
+  ctx->step_rows.assign(plan.steps.size(), LevelRows());
+  for (size_t i = 0; i < plan.steps.size(); ++i) {
+    const PlanStep& step = plan.steps[i];
+    if (step.kind != PlanStep::Kind::kJoin) continue;
+    const RelSource source = ctx->idb_preds.count(step.pred) == 0
+                                 ? RelSource::kEdb
+                             : step.index == plan.delta_subgoal
+                                 ? RelSource::kIdbDelta
+                                 : RelSource::kIdbTotal;
+    ctx->step_rows[i] =
+        ResolveRows(source, step.pred, *ctx->edb, *ctx->idb, *ctx->frontier);
   }
-  return ctx.idb_total->Find(pred);
+  ctx->head.Open(ctx->idb, ctx->out, plan.head_pred);
 }
 
 void DeriveHead(const RulePlan& plan, const Bindings& bindings, Context* ctx) {
@@ -109,13 +123,10 @@ void DeriveHead(const RulePlan& plan, const Bindings& bindings, Context* ctx) {
   Value head[Relation::kMaxArity];
   const int n = static_cast<int>(plan.head.size());
   for (int i = 0; i < n; ++i) head[i] = ArgValue(plan.head[i], bindings);
-  PredId pred = plan.head_pred;
-  if (ctx->idb_total->Contains(pred, head, n) ||
-      ctx->out_new->Contains(pred, head, n)) {
+  if (!ctx->head.Stage(head, n)) {
     ++ctx->rule_stats->duplicates;
     return;
   }
-  ctx->out_new->Insert(pred, head, n);
   ++ctx->rule_stats->derived;
   ++*ctx->derived_count;
   if (ctx->options.max_derived >= 0 &&
@@ -147,9 +158,9 @@ void RunSteps(const RulePlan& plan, size_t step_index, Bindings* bindings,
       const int n = static_cast<int>(step.args.size());
       for (int i = 0; i < n; ++i) key[i] = ArgValue(step.args[i], *bindings);
       // Negated IDB predicates live in strictly lower strata, already
-      // completed in idb_total; EDB predicates live in the input database.
+      // completed in the IDB; EDB predicates live in the input database.
       const Relation* rel = ctx->idb_preds.count(step.pred) > 0
-                                ? ctx->idb_total->Find(step.pred)
+                                ? ctx->idb->Find(step.pred)
                                 : ctx->edb->Find(step.pred);
       if (rel == nullptr || !rel->Contains(key, n)) {
         RunSteps(plan, step_index + 1, bindings, ctx);
@@ -157,8 +168,9 @@ void RunSteps(const RulePlan& plan, size_t step_index, Bindings* bindings,
       return;
     }
     case PlanStep::Kind::kJoin: {
-      const Relation* rel = RelationFor(*ctx, plan, step.index, step.pred);
-      if (rel == nullptr || rel->empty()) return;
+      const LevelRows rows = ctx->step_rows[step_index];
+      if (rows.empty()) return;
+      const Relation* rel = rows.rel;
 
       // Gather the probe key (bound positions) straight from the bindings.
       uint64_t mask = 0;
@@ -198,15 +210,15 @@ void RunSteps(const RulePlan& plan, size_t step_index, Bindings* bindings,
       const uint64_t pi = static_cast<uint64_t>(ctx->part_index);
       const bool partitioned = pc > 1 && step_index == 0;
       if (mask != 0 && ctx->options.use_indexes) {
-        Relation::Matches m = rel->Probe(mask, key);
-        for (int32_t r = m.row; r >= 0; r = m.next[r]) {
+        Relation::Matches m = rel->Probe(mask, key, rows.lo, rows.hi);
+        for (int32_t r = m.row; r >= 0; r = m.next(r)) {
           if (!rel->live(r)) continue;
           if (partitioned && rel->row_hash(r) % pc != pi) continue;
           try_row(rel->row(r));
           if (*ctx->overflow) return;
         }
       } else {
-        for (int64_t r = 0, rows = rel->size(); r < rows; ++r) {
+        for (int64_t r = rows.lo; r < rows.hi; ++r) {
           if (!rel->live(r)) continue;
           if (partitioned && rel->row_hash(r) % pc != pi) continue;
           try_row(rel->row(r));
@@ -216,17 +228,6 @@ void RunSteps(const RulePlan& plan, size_t step_index, Bindings* bindings,
       return;
     }
   }
-}
-
-// Merges `src` into `dst`; returns the number of new tuples.
-int64_t MergeInto(const Database& src, Database* dst) {
-  int64_t added = 0;
-  for (const auto& [pred, rel] : src.relations()) {
-    for (TupleRef t : rel.rows()) {
-      if (dst->Insert(pred, t)) ++added;
-    }
-  }
-  return added;
 }
 
 }  // namespace
@@ -275,24 +276,30 @@ Result<Database> Evaluator::Evaluate(const Database& edb) {
   // every rule activation; nothing below allocates per probe or per bind.
   Bindings bindings;
   std::vector<Value> regs;
-  std::vector<const Relation*> level_rels;
+  std::vector<LevelRows> level_rows;
   std::vector<const Relation*> neg_rels;
   if (compile) {
     regs.resize(compiled->max_regs);
-    level_rels.reserve(compiled->max_levels);
+    level_rows.reserve(compiled->max_levels);
   }
   // Per-kernel activation counts, published at finish.
   int64_t kernel_runs[kNumKernels] = {0, 0, 0};
 
+  // Single-insert semi-naive iteration (docs/evaluator.md): every derived
+  // tuple is inserted once, straight into its IDB relation in `total`, and
+  // the frontier's per-predicate row windows say which of those rows are
+  // each iteration's delta and snapshot.
   Database total;
+  IdbFrontier frontier;
   int64_t derived_count = 0;
   bool overflow = false;
 
   Context ctx;
   ctx.program = &program_;
   ctx.edb = &edb;
-  ctx.idb_total = &total;
-  ctx.idb_delta = nullptr;
+  ctx.idb = &total;
+  ctx.frontier = &frontier;
+  ctx.out = &total;
   ctx.options = options_;
   ctx.rule_stats = nullptr;
   ctx.derived_count = &derived_count;
@@ -300,14 +307,15 @@ Result<Database> Evaluator::Evaluate(const Database& edb) {
 
   VmContext vm;
   vm.edb = &edb;
-  vm.idb_total = &total;
-  vm.out_new = nullptr;
+  vm.idb = &total;
+  vm.frontier = &frontier;
+  vm.out = &total;
   vm.use_indexes = options_.use_indexes;
   vm.max_derived = options_.max_derived;
   vm.derived_count = &derived_count;
   vm.overflow = &overflow;
   vm.regs = &regs;
-  vm.level_rels = &level_rels;
+  vm.level_rows = &level_rows;
   vm.neg_rels = &neg_rels;
 
   int num_strata = 0;
@@ -394,9 +402,7 @@ Result<Database> Evaluator::Evaluate(const Database& edb) {
   // iteration's interruption/overflow status.
   auto run_parallel_iteration =
       [&](const std::vector<const CompiledRule*>& crs,
-          const std::vector<const RulePlan*>& iplans,
-          const Database* delta_db, Database* fresh,
-          int stratum) -> Status {
+          const std::vector<const RulePlan*>& iplans, int stratum) -> Status {
     const int64_t iter_t0 = NowNs();
     const int P = options_.threads;
     const size_t nplans = compile ? crs.size() : iplans.size();
@@ -405,21 +411,14 @@ Result<Database> Evaluator::Evaluate(const Database& edb) {
     // are the one lazy mutation Probe performs; doing them here, on the
     // coordinator, keeps the parallel phase free of shared writes.
     if (options_.use_indexes) {
-      auto db_for = [&](RelSource s) -> const Database* {
-        switch (s) {
-          case RelSource::kEdb: return &edb;
-          case RelSource::kIdbTotal: return &total;
-          case RelSource::kIdbDelta: return delta_db;
-        }
-        return nullptr;
+      auto warm = [&](RelSource source, PredId pred, uint64_t mask) {
+        const Relation* rel = (source == RelSource::kEdb ? edb : total).Find(pred);
+        if (rel != nullptr) rel->WarmIndex(mask);
       };
       if (compile) {
         for (const CompiledRule* cr : crs) {
           for (const LevelInfo& lvl : cr->levels) {
-            if (lvl.mask == 0) continue;
-            const Database* db = db_for(lvl.source);
-            const Relation* rel = db == nullptr ? nullptr : db->Find(lvl.pred);
-            if (rel != nullptr) rel->WarmIndex(lvl.mask);
+            if (lvl.mask != 0) warm(lvl.source, lvl.pred, lvl.mask);
           }
         }
       } else {
@@ -439,16 +438,9 @@ Result<Database> Evaluator::Evaluate(const Database& edb) {
               if (a.var >= 0) bound[a.var] = 1;
             }
             if (mask == 0) continue;
-            const Database* db;
-            if (ctx.idb_preds.count(step.pred) == 0) {
-              db = &edb;
-            } else if (step.index == plan->delta_subgoal) {
-              db = delta_db;
-            } else {
-              db = &total;
-            }
-            const Relation* rel = db == nullptr ? nullptr : db->Find(step.pred);
-            if (rel != nullptr) rel->WarmIndex(mask);
+            warm(ctx.idb_preds.count(step.pred) == 0 ? RelSource::kEdb
+                                                     : RelSource::kIdbTotal,
+                 step.pred, mask);
           }
         }
       }
@@ -501,20 +493,20 @@ Result<Database> Evaluator::Evaluate(const Database& edb) {
       t.t0 = NowNs();
       if (compile) {
         std::vector<Value> task_regs(compiled->max_regs);
-        std::vector<const Relation*> task_level_rels;
+        std::vector<LevelRows> task_level_rows;
         std::vector<const Relation*> task_neg_rels;
         VmContext tvm;
         tvm.edb = &edb;
-        tvm.idb_total = &total;
-        tvm.idb_delta = delta_db;
-        tvm.out_new = &t.scratch;
+        tvm.idb = &total;
+        tvm.frontier = &frontier;
+        tvm.out = &t.scratch;
         tvm.use_indexes = options_.use_indexes;
         tvm.max_derived = local_budget;
         tvm.profile = &t.prof;
         tvm.derived_count = &t.derived;
         tvm.overflow = &t.overflow;
         tvm.regs = &task_regs;
-        tvm.level_rels = &task_level_rels;
+        tvm.level_rows = &task_level_rows;
         tvm.neg_rels = &task_neg_rels;
         tvm.part_count = t.parts;
         tvm.part_index = t.part;
@@ -527,9 +519,9 @@ Result<Database> Evaluator::Evaluate(const Database& edb) {
         Context tctx;
         tctx.program = &program_;
         tctx.edb = &edb;
-        tctx.idb_total = &total;
-        tctx.idb_delta = delta_db;
-        tctx.out_new = &t.scratch;
+        tctx.idb = &total;
+        tctx.frontier = &frontier;
+        tctx.out = &t.scratch;
         tctx.options = options_;
         tctx.options.max_derived = local_budget;
         tctx.rule_stats = &t.prof;
@@ -539,6 +531,7 @@ Result<Database> Evaluator::Evaluate(const Database& edb) {
         tctx.part_count = t.parts;
         tctx.part_index = t.part;
         const RulePlan& plan = *iplans[t.plan];
+        ResolveStepRows(plan, &tctx);
         Bindings task_bindings;
         task_bindings.Reset(plan.num_vars);
         RunSteps(plan, 0, &task_bindings, &tctx);
@@ -549,16 +542,17 @@ Result<Database> Evaluator::Evaluate(const Database& edb) {
 
     executor->Run(static_cast<int>(tasks.size()), run_task);
 
-    // Iteration barrier: merge task scratch into the iteration's fresh set
-    // in (plan, partition) order. A tuple derived by several tasks was
-    // counted derived by each; the failed Insert here reclassifies every
-    // loser as a duplicate, restoring the serial per-rule counters exactly
-    // (serially, the loser would have found the tuple in out_new).
+    // Iteration barrier: merge task scratch into the IDB in (plan,
+    // partition) order. A tuple derived by several tasks was counted
+    // derived by each; the failed Insert here reclassifies every loser as a
+    // duplicate, restoring the serial per-rule counters exactly (serially,
+    // the loser would have found the tuple already inserted).
     int64_t min_task_ns = INT64_MAX, max_task_ns = -1;
     for (ParTask& t : tasks) {
       for (const auto& [pred, rel] : t.scratch.relations()) {
+        Relation* dst = total.FindOrCreate(pred, rel.arity());
         for (TupleRef row : rel.rows()) {
-          if (!fresh->Insert(pred, row)) {
+          if (!dst->Insert(row)) {
             --t.prof.derived;
             ++t.prof.duplicates;
           }
@@ -684,6 +678,7 @@ Result<Database> Evaluator::Evaluate(const Database& edb) {
     int64_t before_derived = profile->derived;
     int64_t t0 = timed ? NowNs() : 0;
     bindings.Reset(plan.num_vars);
+    ResolveStepRows(plan, &ctx);
     RunSteps(plan, 0, &bindings, &ctx);
     if (timed) profile->time_ns += NowNs() - t0;
     if (tracing) {
@@ -771,6 +766,30 @@ Result<Database> Evaluator::Evaluate(const Database& edb) {
       }
     }
 
+    // The stratum's head predicates: the relations its iterations derive
+    // into, and so the ones whose frontier windows move.
+    std::vector<PredId> heads;
+    for (int r : stratum_rules) heads.push_back(rules[r].head.pred());
+    std::sort(heads.begin(), heads.end());
+    heads.erase(std::unique(heads.begin(), heads.end()), heads.end());
+    // Closes an iteration: the rows derived since the previous call become
+    // the delta ([lo, hi) = [old hi, size)) and join the snapshot every
+    // later read sees ([0, hi)). Returns how many rows that is — the
+    // iteration's new tuples. The first call opens the stratum with empty
+    // windows.
+    auto advance = [&]() -> int64_t {
+      int64_t added = 0;
+      for (PredId pred : heads) {
+        const Relation* rel = total.Find(pred);
+        RowWindow& w = frontier[pred];
+        w.lo = w.hi;
+        w.hi = rel == nullptr ? 0 : rel->size();
+        added += w.hi - w.lo;
+      }
+      return added;
+    };
+    advance();
+
     if (!options_.semi_naive) {
       // Naive within the stratum: every rule, full relations, every round.
       std::vector<RulePlan> plans;
@@ -788,11 +807,6 @@ Result<Database> Evaluator::Evaluate(const Database& edb) {
         Span iter_span = start_span("eval.iteration");
         iter_span.SetAttr("iteration", iterations);
         int64_t t0 = timed ? NowNs() : 0;
-        Database fresh;
-        ctx.out_new = &fresh;
-        ctx.idb_delta = nullptr;
-        vm.out_new = &fresh;
-        vm.idb_delta = nullptr;
         if (compile) {
           for (const CompiledRule& cr : cst->full) run_compiled(cr);
         } else {
@@ -803,7 +817,7 @@ Result<Database> Evaluator::Evaluate(const Database& edb) {
           finish();
           return s;
         }
-        int64_t added = MergeInto(fresh, &total);
+        int64_t added = advance();
         observe_iteration(&iter_span, t0, added);
         if (added == 0) break;
       }
@@ -811,7 +825,7 @@ Result<Database> Evaluator::Evaluate(const Database& edb) {
     }
 
     // Semi-naive. Iteration 0: rules with no same-stratum IDB subgoal.
-    Database delta;
+    int64_t added = 0;
     {
       if (Status s = interrupted(); !s.ok()) {
         finish();
@@ -821,11 +835,6 @@ Result<Database> Evaluator::Evaluate(const Database& edb) {
       Span iter_span = start_span("eval.iteration");
       iter_span.SetAttr("iteration", iterations);
       int64_t t0 = timed ? NowNs() : 0;
-      Database fresh;
-      ctx.out_new = &fresh;
-      ctx.idb_delta = nullptr;
-      vm.out_new = &fresh;
-      vm.idb_delta = nullptr;
       // Interpret mode builds the iteration-0 plans up front so the
       // parallel runner can see the whole plan set; serial runs them
       // identically, just from the vector.
@@ -845,7 +854,7 @@ Result<Database> Evaluator::Evaluate(const Database& edb) {
         } else {
           for (const RulePlan& plan : iter0_plans) iplans.push_back(&plan);
         }
-        s = run_parallel_iteration(crs, iplans, nullptr, &fresh, stratum);
+        s = run_parallel_iteration(crs, iplans, stratum);
       } else {
         if (compile) {
           for (int i : cst->nonrecursive) run_compiled(cst->full[i]);
@@ -858,9 +867,8 @@ Result<Database> Evaluator::Evaluate(const Database& edb) {
         finish();
         return s;
       }
-      int64_t added = MergeInto(fresh, &total);
+      added = advance();
       observe_iteration(&iter_span, t0, added);
-      delta = std::move(fresh);
     }
 
     // One plan per (rule, same-stratum delta-subgoal occurrence).
@@ -884,7 +892,7 @@ Result<Database> Evaluator::Evaluate(const Database& edb) {
       }
     }
 
-    while (delta.TotalTuples() > 0) {
+    while (added > 0) {
       if (Status s = interrupted(); !s.ok()) {
         finish();
         return s;
@@ -893,15 +901,9 @@ Result<Database> Evaluator::Evaluate(const Database& edb) {
       Span iter_span = start_span("eval.iteration");
       iter_span.SetAttr("iteration", iterations);
       int64_t t0 = timed ? NowNs() : 0;
-      Database fresh;
-      ctx.out_new = &fresh;
-      ctx.idb_delta = &delta;
-      vm.out_new = &fresh;
-      vm.idb_delta = &delta;
       Status s;
       if (parallel_on) {
-        s = run_parallel_iteration(delta_crs, delta_iplans, &delta, &fresh,
-                                   stratum);
+        s = run_parallel_iteration(delta_crs, delta_iplans, stratum);
       } else {
         if (compile) {
           for (const CompiledRule& cr : cst->delta) run_compiled(cr);
@@ -914,9 +916,8 @@ Result<Database> Evaluator::Evaluate(const Database& edb) {
         finish();
         return s;
       }
-      int64_t added = MergeInto(fresh, &total);
+      added = advance();
       observe_iteration(&iter_span, t0, added);
-      delta = std::move(fresh);
     }
   }
   finish();

@@ -48,9 +48,9 @@ KernelId SelectKernel(const CompiledRule& rule) {
 
 namespace {
 
-// Shared emit: materialize the head from registers/constants, dedup against
-// idb_total and the staging database, count. Returns false on overflow
-// (callers stop the activation immediately, like the interpreter unwinds).
+// Shared emit: materialize the head from registers/constants, stage it
+// (HeadSink), count. Returns false on overflow (callers stop the
+// activation immediately, like the interpreter unwinds).
 struct EmitCtx {
   const CompiledRule* rule;
   VmContext* ctx;
@@ -69,12 +69,10 @@ inline bool EmitHead(EmitCtx* e) {
     head[i] = IsConstSrc(s) ? e->consts[ConstIdx(s)] : e->regs[s];
   }
   VmContext* ctx = e->ctx;
-  if (ctx->idb_total->Contains(e->rule->head_pred, head, n) ||
-      ctx->out_new->Contains(e->rule->head_pred, head, n)) {
+  if (!ctx->head.Stage(head, n)) {
     ++e->dups;
     return true;
   }
-  ctx->out_new->Insert(e->rule->head_pred, head, n);
   ++e->derived;
   ++*ctx->derived_count;
   if (ctx->max_derived >= 0 && *ctx->derived_count > ctx->max_derived) {
@@ -88,8 +86,9 @@ inline bool EmitHead(EmitCtx* e) {
 // sourcing (probe vs scan) is decided once, outside the loop.
 void RunScanFilterEmit(const CompiledRule& rule, VmContext* ctx) {
   const LevelInfo& lvl = rule.levels[0];
-  const Relation* rel = (*ctx->level_rels)[0];
-  if (rel == nullptr || rel->empty()) return;
+  const LevelRows& rows = (*ctx->level_rows)[0];
+  if (rows.empty()) return;
+  const Relation* rel = rows.rel;
 
   const Instr* code = rule.code.data();
   const Value* consts = rule.consts.data();
@@ -155,14 +154,14 @@ void RunScanFilterEmit(const CompiledRule& rule, VmContext* ctx) {
       ArgSrc s = args_pool[lvl.key_off + k];
       key[k] = IsConstSrc(s) ? consts[ConstIdx(s)] : regs[s];
     }
-    Relation::Matches m = rel->Probe(lvl.mask, key);
-    for (int32_t r = m.row; r >= 0; r = m.next[r]) {
+    Relation::Matches m = rel->Probe(lvl.mask, key, rows.lo, rows.hi);
+    for (int32_t r = m.row; r >= 0; r = m.next(r)) {
       if (!rel->live(r)) continue;  // tombstones skip before the counter
       if (partitioned && rel->row_hash(r) % pc != pi) continue;
       if (!try_row(rel->row(r).data())) break;
     }
   } else {
-    for (int64_t r = 0, rows = rel->size(); r < rows; ++r) {
+    for (int64_t r = rows.lo; r < rows.hi; ++r) {
       if (!rel->live(r)) continue;
       if (partitioned && rel->row_hash(r) % pc != pi) continue;
       if (!try_row(rel->row(r).data())) break;
@@ -185,9 +184,11 @@ template <int KLen>
 void RunScanProbeEmit(const CompiledRule& rule, VmContext* ctx) {
   const LevelInfo& outer = rule.levels[0];
   const LevelInfo& inner = rule.levels[1];
-  const Relation* outer_rel = (*ctx->level_rels)[0];
-  const Relation* inner_rel = (*ctx->level_rels)[1];
-  if (outer_rel == nullptr || outer_rel->empty()) return;
+  const LevelRows& outer_rows = (*ctx->level_rows)[0];
+  const LevelRows& inner_rows = (*ctx->level_rows)[1];
+  if (outer_rows.empty()) return;
+  const Relation* outer_rel = outer_rows.rel;
+  const Relation* inner_rel = inner_rows.rel;
 
   const Instr* code = rule.code.data();
   const Value* consts = rule.consts.data();
@@ -205,7 +206,7 @@ void RunScanProbeEmit(const CompiledRule& rule, VmContext* ctx) {
       static_cast<int>(inner.scan_ip - 1 - inner.probe_ip);
   const ArgSrc* key_srcs = args_pool + inner.key_off;
   const uint64_t inner_mask = inner.mask;
-  const bool inner_live = inner_rel != nullptr && !inner_rel->empty();
+  const bool inner_live = !inner_rows.empty();
 
   // Partition filter (parallel evaluation): the outer scan is level 0;
   // the inner probe sees every row of its relation.
@@ -214,7 +215,7 @@ void RunScanProbeEmit(const CompiledRule& rule, VmContext* ctx) {
   const bool partitioned = pc > 1;
 
   Value key[KLen];
-  for (int64_t r = 0, rows = outer_rel->size(); r < rows; ++r) {
+  for (int64_t r = outer_rows.lo, end = outer_rows.hi; r < end; ++r) {
     if (!outer_rel->live(r)) continue;  // tombstones skip before the counter
     if (partitioned && outer_rel->row_hash(r) % pc != pi) continue;
     ++probes;  // outer candidate row
@@ -228,8 +229,9 @@ void RunScanProbeEmit(const CompiledRule& rule, VmContext* ctx) {
       ArgSrc s = key_srcs[k];
       key[k] = IsConstSrc(s) ? consts[ConstIdx(s)] : regs[s];
     }
-    Relation::Matches m = inner_rel->Probe(inner_mask, key);
-    for (int32_t ir = m.row; ir >= 0; ir = m.next[ir]) {
+    Relation::Matches m =
+        inner_rel->Probe(inner_mask, key, inner_rows.lo, inner_rows.hi);
+    for (int32_t ir = m.row; ir >= 0; ir = m.next(ir)) {
       if (!inner_rel->live(ir)) continue;
       ++probes;  // inner candidate row
       const Value* irow = inner_rel->row(ir).data();
@@ -238,7 +240,7 @@ void RunScanProbeEmit(const CompiledRule& rule, VmContext* ctx) {
       }
       ops += inner_nloads + 2;
       if (!EmitHead(&emit)) {
-        r = rows;  // overflow: stop the activation
+        r = end;  // overflow: stop the activation
         break;
       }
     }

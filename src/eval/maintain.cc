@@ -338,7 +338,7 @@ void RunMaintSteps(const RulePlan& plan,
 
       if (mask != 0) {
         Relation::Matches m = rel->Probe(mask, key);
-        for (int32_t r = m.row; r >= 0 && !*stop; r = m.next[r]) try_row(r);
+        for (int32_t r = m.row; r >= 0 && !*stop; r = m.next(r)) try_row(r);
       } else {
         for (int64_t r = 0, rows = rel->size(); r < rows && !*stop; ++r) {
           try_row(r);

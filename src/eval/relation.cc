@@ -31,7 +31,7 @@ Relation::Relation(const Relation& other)
       arena_(other.arena_),
       row_hashes_(other.row_hashes_),
       dedup_slots_(other.dedup_slots_),
-      indexes_(other.indexes_),
+      indexes_(CopyIndexes(other.indexes_)),
       versioned_(other.versioned_),
       version_(other.version_),
       added_(other.added_),
@@ -48,7 +48,7 @@ Relation& Relation::operator=(const Relation& other) {
   arena_ = other.arena_;
   row_hashes_ = other.row_hashes_;
   dedup_slots_ = other.dedup_slots_;
-  indexes_ = other.indexes_;
+  indexes_ = CopyIndexes(other.indexes_);
   versioned_ = other.versioned_;
   version_ = other.version_;
   added_ = other.added_;
@@ -56,6 +56,15 @@ Relation& Relation::operator=(const Relation& other) {
   counts_enabled_ = other.counts_enabled_;
   counts_ = other.counts_;
   return *this;
+}
+
+Relation::IndexList Relation::CopyIndexes(const IndexList& other) {
+  IndexList out;
+  out.reserve(other.size());
+  for (const auto& [mask, index] : other) {
+    out.emplace_back(mask, std::make_unique<Index>(*index));
+  }
+  return out;
 }
 
 bool Relation::RowEquals(int32_t row, const Value* vals) const {
@@ -152,7 +161,7 @@ bool Relation::Insert(const Value* vals, int n) {
   }
   if (counts_enabled_) counts_.push_back(0);
   for (auto& [mask, index] : indexes_) {
-    AddRowToIndex(mask, &index, row);
+    AddRowToIndex(mask, index.get(), row);
   }
   return true;
 }
@@ -239,8 +248,9 @@ void Relation::AddRowToIndex(uint64_t mask, Index* index, int32_t row) const {
       return;
     }
     if (index->key_hash[head] == h && MaskedColsEqualRows(head, row, mask)) {
-      // Same key: prepend to the chain (O(1); enumeration order within a
-      // key does not affect evaluation results or counters).
+      // Same key: prepend to the chain (O(1)). Rows arrive in ascending id,
+      // so every chain descends by row id — the order Probe's row windows
+      // rely on.
       index->next[row] = head;
       index->slots[s] = row;
       return;
@@ -250,23 +260,23 @@ void Relation::AddRowToIndex(uint64_t mask, Index* index, int32_t row) const {
 }
 
 const Relation::Index& Relation::FindOrBuildIndex(uint64_t mask) const {
-  auto it = indexes_.find(mask);
-  if (it == indexes_.end()) {
-    it = indexes_.emplace(mask, Index()).first;
-    Index& index = it->second;
-    index.next.reserve(num_rows_);
-    index.key_hash.reserve(num_rows_);
-    for (int32_t row = 0; row < static_cast<int32_t>(num_rows_); ++row) {
-      AddRowToIndex(mask, &index, row);
-    }
+  for (const auto& [m, index] : indexes_) {
+    if (m == mask) return *index;
   }
-  return it->second;
+  Index& index = *indexes_.emplace_back(mask, std::make_unique<Index>()).second;
+  index.next.reserve(num_rows_);
+  index.key_hash.reserve(num_rows_);
+  for (int32_t row = 0; row < static_cast<int32_t>(num_rows_); ++row) {
+    AddRowToIndex(mask, &index, row);
+  }
+  return index;
 }
 
-Relation::Matches Relation::Probe(uint64_t mask, const Value* key) const {
+Relation::Matches Relation::Probe(uint64_t mask, const Value* key,
+                                  int64_t lo, int64_t hi) const {
   const Index* index;
   if (frozen_) {
-    // Shared read-only snapshot: the map mutates on first probe of a mask,
+    // Shared read-only snapshot: the index list grows on first probe of a mask,
     // so the lookup-or-build must serialize. Once built, an Index never
     // changes (frozen relations take no inserts), so chain walks below are
     // lock-free.
@@ -287,7 +297,11 @@ Relation::Matches Relation::Probe(uint64_t mask, const Value* key) const {
     int32_t head = index->slots[s];
     if (head == kEmptySlot) return Matches();
     if (index->key_hash[head] == h && MaskedColsEqualKey(head, mask, key)) {
-      return Matches{head, index->next.data()};
+      // Descending chain: skip rows at or above the window's end.
+      while (head >= hi) head = index->next[head];
+      Matches m{head, &index->next, static_cast<int32_t>(lo)};
+      if (head < lo) m.row = -1;
+      return m;
     }
     s = (s + 1) & m;
   }

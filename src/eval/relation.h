@@ -4,7 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/eval/tuple.h"
@@ -168,18 +168,35 @@ class Relation {
 
   // --- probing ----------------------------------------------------------
 
-  // The chain of rows whose values at the columns of `mask` (bit i =>
-  // column i) equal `key` (the values at the masked columns, in column
-  // order; popcount(mask) of them). Builds the index for `mask` on first
-  // use. Chains may include tombstoned rows; consumers filter with
+  // The chain of rows in [lo, hi) whose values at the columns of `mask`
+  // (bit i => column i) equal `key` (the values at the masked columns, in
+  // column order; popcount(mask) of them). Builds the index for `mask` on
+  // first use. Chains may include tombstoned rows; consumers filter with
   // live()/LiveAt(). Iterate as:
-  //   for (int32_t r = m.row; r >= 0; r = m.next[r]) ... rel.row(r) ...
-  // `next` stays valid until the next Insert/Clear.
+  //   for (int32_t r = m.row; r >= 0; r = m.next(r)) ... rel.row(r) ...
+  //
+  // Chains run in strictly descending row id (rows are prepended as they
+  // are inserted), so a row window costs nothing beyond skipping the rows
+  // at or above `hi` at the chain head: the walk stops at the first row
+  // below `lo`. That is what lets semi-naive evaluation keep each
+  // iteration's delta as a row range of the IDB relation itself
+  // (docs/evaluator.md, "Single-insert semi-naive iteration"). A cursor
+  // stays valid across Insert into the same relation — new rows join
+  // chains at the head, and `next` re-reads the link table — so a rule may
+  // probe the relation it derives into.
+  static constexpr int64_t kAllRows = INT32_MAX;
   struct Matches {
-    int32_t row = -1;           // head of the chain, -1 for no match
-    const int32_t* next = nullptr;  // per-row chain links
+    int32_t row = -1;  // first matching row of the window, -1 for none
+    const std::vector<int32_t>* links = nullptr;  // per-row chain links
+    int32_t lo = 0;    // the window's first row
+    // The next matching row after `r`, or -1 past the end of the window.
+    int32_t next(int32_t r) const {
+      int32_t n = (*links)[r];
+      return n >= lo ? n : -1;
+    }
   };
-  Matches Probe(uint64_t mask, const Value* key) const;
+  Matches Probe(uint64_t mask, const Value* key, int64_t lo = 0,
+                int64_t hi = kAllRows) const;
   Matches Probe(uint64_t mask, const Tuple& key) const {
     return Probe(mask, key.data());
   }
@@ -231,7 +248,13 @@ class Relation {
   std::vector<Value> arena_;        // num_rows_ * arity_ values
   std::vector<uint64_t> row_hashes_;  // per row: whole-row hash
   std::vector<int32_t> dedup_slots_;  // open addressing, pow-2, -1 = empty
-  mutable std::unordered_map<uint64_t, Index> indexes_;
+  // Per-mask indexes in creation order. A relation is probed on a handful
+  // of masks at most, so lookup is a linear scan (no hashing per probe);
+  // each Index is heap-allocated so an open Matches cursor's link table
+  // stays put when another mask's index is created.
+  using IndexList = std::vector<std::pair<uint64_t, std::unique_ptr<Index>>>;
+  static IndexList CopyIndexes(const IndexList& other);
+  mutable IndexList indexes_;
 
   // Versioning (empty/disabled unless EnableVersioning ran).
   bool versioned_ = false;

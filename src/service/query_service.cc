@@ -702,7 +702,7 @@ void QueryService::Process(Job* job) {
 
   // Every request reads the session's frozen shared base snapshot — the
   // per-request EDB copy is gone. Freeze makes concurrent lazy index
-  // builds safe; evaluation writes only to its own IDB/delta relations.
+  // builds safe; evaluation writes only to its own IDB relations.
   const Database& edb = session.SharedEdb();
 
   EvalOptions eval = job->request.eval;

@@ -30,7 +30,7 @@ std::vector<int> MatchRows(const Relation& r, uint64_t mask,
                            const Tuple& key) {
   std::vector<int> rows;
   Relation::Matches m = r.Probe(mask, key);
-  for (int32_t row = m.row; row >= 0; row = m.next[row]) rows.push_back(row);
+  for (int32_t row = m.row; row >= 0; row = m.next(row)) rows.push_back(row);
   return rows;
 }
 
@@ -64,6 +64,66 @@ TEST(RelationTest, IndexMaintainedAcrossInserts) {
   for (int i = 0; i < 1000; ++i) expected += (i % 7 == 2) ? 1 : 0;
   EXPECT_EQ(match.size(), static_cast<size_t>(expected));
   for (int row : match) EXPECT_EQ(r.row(row)[1], Value::Int(2));
+}
+
+// Rows of `r` holding key value `k` in column 1, in the order a windowed
+// probe chain yields them.
+std::vector<int> WindowRows(const Relation& r, int64_t k, int64_t lo,
+                            int64_t hi) {
+  std::vector<int> rows;
+  Value key[1] = {Value::Int(k)};
+  Relation::Matches m = r.Probe(0b10, key, lo, hi);
+  for (int32_t row = m.row; row >= 0; row = m.next(row)) rows.push_back(row);
+  return rows;
+}
+
+TEST(RelationTest, ChainsDescendByRowId) {
+  // Semi-naive windows rely on it: a chain lists its rows newest first,
+  // whether the index was built before or after the rows arrived.
+  Relation r(2);
+  for (int i = 0; i < 50; ++i) r.Insert(Ints({i, i % 3}));
+  r.Probe(0b10, Tuple{Value::Int(0)});  // build the index mid-stream
+  for (int i = 50; i < 300; ++i) r.Insert(Ints({i, i % 3}));
+  for (int64_t k = 0; k < 3; ++k) {
+    std::vector<int> rows = WindowRows(r, k, 0, Relation::kAllRows);
+    ASSERT_EQ(rows.size(), 100u);
+    for (size_t i = 1; i < rows.size(); ++i) EXPECT_GT(rows[i - 1], rows[i]);
+  }
+}
+
+TEST(RelationTest, ProbeWindowYieldsExactlyTheRowsInRange) {
+  Relation r(2);
+  for (int i = 0; i < 40; ++i) r.Insert(Ints({i, i % 4}));
+  for (int64_t lo : {0, 1, 7, 20, 39, 40}) {
+    for (int64_t hi : {0, 1, 8, 21, 33, 40}) {
+      std::vector<int> expected;
+      for (int64_t row = std::min<int64_t>(hi, 40) - 1; row >= lo; --row) {
+        if (row % 4 == 1) expected.push_back(static_cast<int>(row));
+      }
+      EXPECT_EQ(WindowRows(r, 1, lo, hi), expected)
+          << "window [" << lo << ", " << hi << ")";
+    }
+  }
+}
+
+TEST(RelationTest, ProbeCursorSurvivesInsertsIntoTheSameRelation) {
+  // A rule may probe the relation it derives into. Inserts reallocate the
+  // arena and the chain links under an open cursor; the walk must still
+  // visit exactly the rows that matched when it started (new rows join
+  // chains at the head, behind the cursor).
+  Relation r(2);
+  for (int i = 0; i < 8; ++i) r.Insert(Ints({i, 1}));
+  Value key[1] = {Value::Int(1)};
+  Relation::Matches m = r.Probe(0b10, key);
+  std::vector<int> seen;
+  int next_value = 100;
+  for (int32_t row = m.row; row >= 0; row = m.next(row)) {
+    seen.push_back(row);
+    EXPECT_EQ(r.row(row)[1], Value::Int(1));
+    for (int j = 0; j < 500; ++j) r.Insert(Ints({next_value++, j % 2}));
+  }
+  EXPECT_EQ(seen, (std::vector<int>{7, 6, 5, 4, 3, 2, 1, 0}));
+  EXPECT_EQ(WindowRows(r, 1, 0, Relation::kAllRows).size(), 8u + 8 * 250);
 }
 
 TEST(RelationTest, RowsIterateInInsertionOrder) {
@@ -287,6 +347,96 @@ TEST(EvalTest, IndexedMatchesUnindexed) {
   EvalOptions scan;
   scan.use_indexes = false;
   EXPECT_EQ(EvaluateQuery(p, edb).take(), EvaluateQuery(p, edb, scan).take());
+}
+
+TEST(EvalTest, NonlinearClosureProbesTheRelationItDerivesInto) {
+  // Both subgoals read t while every derivation is inserted into t: the
+  // delta plans probe t's own index mid-insert, and the snapshot window
+  // must hide each iteration's derivations from that iteration.
+  std::string source = R"(
+    t(X, Y) :- e(X, Y).
+    t(X, Z) :- t(X, Y), t(Y, Z).
+    ?- t.
+  )";
+  const int n = 120;
+  for (int i = 0; i < n; ++i) {
+    source += "e(" + std::to_string(i) + ", " + std::to_string(i + 1) + ").\n";
+  }
+  for (bool semi_naive : {true, false}) {
+    for (EvalMode mode : {EvalMode::kInterpret, EvalMode::kCompile}) {
+      for (int threads : {1, 2}) {
+        EvalOptions options;
+        options.semi_naive = semi_naive;
+        options.mode = mode;
+        options.threads = threads;
+        std::vector<Tuple> answers = RunQuery(source, options);
+        ASSERT_EQ(answers.size(), static_cast<size_t>((n + 1) * n / 2));
+        EXPECT_EQ(answers.front(), Ints({0, 1}));
+        EXPECT_EQ(answers.back(), Ints({n - 1, n}));
+      }
+    }
+  }
+}
+
+// Work counters are part of the evaluator's contract (benchmarks, EXPLAIN
+// and the equivalence suites compare them), so their absolute values are
+// pinned here: a change to how iterations store or scan their deltas must
+// reproduce these figures exactly, for semi-naive and naive iteration.
+TEST(EvalTest, WorkCountersArePinned) {
+  struct Golden {
+    const char* name;
+    std::string source;
+    size_t answers;
+    const char* semi_naive;
+    const char* naive;
+  };
+  std::string nonlinear =
+      "t(X, Y) :- e(X, Y).\nt(X, Z) :- t(X, Y), t(Y, Z).\n?- t.\n";
+  for (int i = 0; i < 30; ++i) {
+    nonlinear +=
+        "e(" + std::to_string(i) + ", " + std::to_string(i + 1) + ").\n";
+  }
+  std::string stratified =
+      "reach(X, Y) :- e(X, Y).\nreach(X, Y) :- e(X, Z), reach(Z, Y).\n"
+      "node(X) :- e(X, Y).\nnode(Y) :- e(X, Y).\n"
+      "unreach(X, Y) :- node(X), node(Y), !reach(X, Y), X < Y.\n"
+      "?- unreach.\n";
+  for (int i = 0; i < 40; ++i) {
+    stratified += "e(" + std::to_string(i * 7 % 23) + ", " +
+                  std::to_string((i * 11 + 3) % 23) + ").\n";
+  }
+  const Golden goldens[] = {
+      {"figure1",
+       "p(X, Y) :- a(X, Y).\np(X, Y) :- b(X, Y).\n"
+       "p(X, Y) :- a(X, Z), p(Z, Y).\np(X, Y) :- b(X, Z), p(Z, Y).\n?- p.\n"
+       "b(1, 2). b(2, 3). b(3, 4). a(4, 5). a(5, 6). a(6, 7).\n",
+       21,
+       "iterations=7 firings=21 derived=21 duplicates=0 probes=63 "
+       "cmp_checks=0",
+       "iterations=7 firings=112 derived=21 duplicates=91 probes=154 "
+       "cmp_checks=0"},
+      {"nonlinear", nonlinear, 465,
+       "iterations=7 firings=5350 derived=465 duplicates=4885 probes=6280 "
+       "cmp_checks=0",
+       "iterations=7 firings=10255 derived=465 duplicates=9790 probes=11495 "
+       "cmp_checks=0"},
+      {"stratified", stratified, 143,
+       "iterations=14 firings=455 derived=409 duplicates=46 probes=1107 "
+       "cmp_checks=529",
+       "iterations=14 firings=2577 derived=409 duplicates=2168 probes=3671 "
+       "cmp_checks=1058"},
+  };
+  for (const Golden& g : goldens) {
+    for (bool semi_naive : {true, false}) {
+      EvalOptions options;
+      options.semi_naive = semi_naive;
+      EvalStats stats;
+      EXPECT_EQ(RunQuery(g.source, options, &stats).size(), g.answers)
+          << g.name;
+      EXPECT_EQ(stats.ToString(), semi_naive ? g.semi_naive : g.naive)
+          << g.name << (semi_naive ? " semi-naive" : " naive");
+    }
+  }
 }
 
 TEST(EvalTest, BodyOnlyComparisonRule) {
