@@ -22,12 +22,7 @@ namespace sqod {
 // SQOD_EVAL_MODE=interpret|compile in the environment overrides
 // options.mode for every benchmark in the process — the CI bench-smoke job
 // runs the suite under both modes and diffs the reports
-// (scripts/compare_eval_modes.py). SQOD_EVAL_THREADS=N likewise overrides
-// options.threads, so any evaluation bench (E1/E2/E4/...) can be swept
-// across intra-query parallelism without a recompile:
-//   SQOD_EVAL_THREADS=4 ./bench_e2_pushdown ...
-// The work counters are thread-count-invariant by the parallel contract,
-// so a sweep's reports diff clean on everything but wall time.
+// (scripts/compare_eval_modes.py).
 inline std::vector<Tuple> RunAndReport(const Program& program,
                                        const Database& edb,
                                        benchmark::State& state,
@@ -38,10 +33,6 @@ inline std::vector<Tuple> RunAndReport(const Program& program,
     } else if (std::strcmp(mode, "compile") == 0) {
       options.mode = EvalMode::kCompile;
     }
-  }
-  if (const char* threads = std::getenv("SQOD_EVAL_THREADS")) {
-    const int n = std::atoi(threads);
-    if (n >= 1) options.threads = n;
   }
   MetricsRegistry metrics;
   EngineOptions engine_options;

@@ -103,61 +103,6 @@ void BM_E11_ServeBatch(benchmark::State& state) {
   state.counters["lat_max_ns"] = static_cast<double>(execute.max);
 }
 
-// The two-axis sweep of the serving layer's parallelism: request workers
-// (inter-query, range 0) crossed with intra-query eval threads (range 1,
-// ServiceOptions::eval_threads — each request's semi-naive iterations run
-// hash-partitioned on the engine's shared eval pool). On a 1-CPU host both
-// axes are flat; the interesting claim there is the overhead bound, i.e.
-// eval_threads > 1 costs only the partition bookkeeping.
-void BM_E11_ServeBatchEvalThreads(benchmark::State& state) {
-  const int threads = static_cast<int>(state.range(0));
-  const int eval_threads = static_cast<int>(state.range(1));
-  constexpr int kNodes = 192;
-  constexpr int kRequests = 32;
-  const std::string source = MakeFigure1Source(kNodes);
-
-  ServiceOptions options;
-  options.threads = threads;
-  options.eval_threads = eval_threads;
-  QueryService service(options);
-  {
-    Request warm;
-    warm.source = source;
-    Response response = service.Call(std::move(warm));
-    if (!response.status.ok()) {
-      state.SkipWithError(response.status.message().c_str());
-      return;
-    }
-  }
-
-  for (auto _ : state) {
-    std::vector<std::future<Response>> futures;
-    futures.reserve(kRequests);
-    for (int i = 0; i < kRequests; ++i) {
-      Request request;
-      request.source = source;
-      futures.push_back(service.Submit(std::move(request)));
-    }
-    for (std::future<Response>& future : futures) {
-      Response response = future.get();
-      if (!response.status.ok()) {
-        state.SkipWithError(response.status.message().c_str());
-        return;
-      }
-      benchmark::DoNotOptimize(response.answers.size());
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * kRequests);
-  state.counters["threads"] = threads;
-  state.counters["eval_threads"] = eval_threads;
-  state.counters["partition_tasks"] = static_cast<double>(
-      service.metrics().GetCounter("eval/partition_tasks")->value());
-  HistogramSnapshot execute =
-      service.metrics().GetHistogram("service/execute_ns")->Snapshot();
-  state.counters["lat_p50_ns"] = static_cast<double>(execute.p50());
-  state.counters["lat_p99_ns"] = static_cast<double>(execute.p99());
-}
-
 // The baseline a serving layer replaces: every request pays the full cold
 // path — parse the unit, run the optimizer pipeline, evaluate. Contrast
 // with BM_E11_WarmService below, where the session and prepared program are
@@ -243,12 +188,6 @@ BENCHMARK(BM_E11_ServeBatch)
     ->Arg(2)
     ->Arg(4)
     ->Arg(8)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_E11_ServeBatchEvalThreads)
-    ->Args({2, 1})
-    ->Args({2, 2})
-    ->Args({2, 4})
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_E11_ColdSessionBaseline)

@@ -48,8 +48,7 @@ void BM_E9_Classic(benchmark::State& state) {
 
 void BM_E9_P1Only(benchmark::State& state) {
   SqoOptions options;
-  options.build_query_tree = false;
-  options.attach_residues = false;
+  options.disabled_passes = {"tree", "residues"};
   SqoReport report = MustOptimize(MakeGoodPathProgram(),
                                   MakeMonotoneIcs(kThreshold), options);
   Database edb = MakeDb(3);

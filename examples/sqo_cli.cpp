@@ -7,14 +7,14 @@
 // and the observability layer.
 //
 //   usage: sqo_cli [--p1] [--tree] [--dot] [--adornments] [--eval]
-//                  [--eval-mode=interpret|compile] [--eval-threads=N]
+//                  [--eval-mode=interpret|compile]
 //                  [--profile] [--passes]
 //                  [--explain] [--analyze[=FILE]]
 //                  [--facts=FILE] [--apply-delta=FILE]
 //                  [--disable-pass=NAME ...] [--reprepare] [--trace=FILE]
 //                  [--stats-json=FILE] <file|->
 //          sqo_cli --serve-batch [--threads=N] [--requests=R]
-//                  [--eval-threads=N] [--deadline-ms=D] [--max-queue=Q]
+//                  [--deadline-ms=D] [--max-queue=Q]
 //                  [--slow-ms=S] [--metrics-snapshot-ms=M] [--trace=FILE]
 //                  [--stats-json=FILE] <file|->
 //          sqo_cli --list-passes
@@ -32,14 +32,6 @@
 //                   PlanStep tree directly (the pre-bytecode evaluator,
 //                   kept as a runtime fallback). Applies to --eval,
 //                   --analyze, and --serve-batch evaluations
-//     --eval-threads=N  intra-query parallelism: hash-partition each
-//                   semi-naive iteration N ways and run the partition
-//                   tasks concurrently (docs/evaluator.md, "Parallel
-//                   evaluation"). Answers and work counters are identical
-//                   to serial by contract; with --analyze the EXPLAIN
-//                   report gains a "== parallel ==" section. Default 1
-//                   (serial). Applies to --eval, --analyze, and (as the
-//                   service default) --serve-batch
 //     --profile     per-rule profile tables (with --eval, for both the
 //                   original and rewritten program) and a span-tree summary
 //     --passes      print the per-pass report (ran/disabled/skipped, wall
@@ -209,7 +201,6 @@ int main(int argc, char** argv) {
        show_passes = false, reprepare = false, serve_batch = false,
        do_explain = false, do_analyze = false;
   EvalMode eval_mode = EvalMode::kCompile;
-  int eval_threads = 1;
   int threads = 4, requests = 8;
   long long deadline_ms = -1, max_queue = 256, slow_ms = -1,
             metrics_snapshot_ms = -1;
@@ -238,12 +229,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr,
                      "unknown --eval-mode=%s (expected interpret|compile)\n",
                      mode);
-        return 2;
-      }
-    } else if (std::strncmp(argv[i], "--eval-threads=", 15) == 0) {
-      eval_threads = std::atoi(argv[i] + 15);
-      if (eval_threads < 1) {
-        std::fprintf(stderr, "--eval-threads must be >= 1\n");
         return 2;
       }
     } else if (std::strcmp(argv[i], "--profile") == 0) {
@@ -303,7 +288,7 @@ int main(int argc, char** argv) {
   if (path == nullptr) {
     std::fprintf(stderr,
                  "usage: %s [--p1] [--tree] [--dot] [--adornments] [--eval] "
-                 "[--eval-mode=interpret|compile] [--eval-threads=N] "
+                 "[--eval-mode=interpret|compile] "
                  "[--profile] [--passes] [--disable-pass=NAME ...] "
                  "[--reprepare] [--trace=FILE] [--stats-json=FILE] <file|->\n"
                  "       %s --list-passes\n"
@@ -341,7 +326,6 @@ int main(int argc, char** argv) {
     server_options.host = "127.0.0.1";
     server_options.port = 0;
     server_options.service.threads = threads;
-    server_options.service.eval_threads = eval_threads;
     server_options.service.max_queue = static_cast<size_t>(max_queue);
     server_options.service.metrics = &metrics;
     server_options.service.slow_query_ms = slow_ms;
@@ -567,10 +551,7 @@ int main(int argc, char** argv) {
     std::vector<RuleProfile> original_profiles, rewritten_profiles;
     EvalOptions eval_options;
     eval_options.mode = eval_mode;
-    eval_options.threads = eval_threads;
     eval_options.profile_rules = do_profile || do_analyze;
-    ParallelEvalStats parallel_stats;
-    eval_options.parallel_stats = &parallel_stats;
 
     eval_options.metrics_prefix = "eval/original";
     auto original = session
@@ -587,7 +568,6 @@ int main(int argc, char** argv) {
     AttachRuntime(report, rewritten_stats, rewritten_profiles,
                   static_cast<int64_t>(rewritten.size()), execute_ns,
                   &explain);
-    AttachParallel(parallel_stats, &explain);
     std::printf("%% answers: %zu (match: %s)\n", original.size(),
                 original == rewritten ? "yes" : "NO");
     std::printf("%% original:  %s\n%% rewritten: %s\n",

@@ -5,8 +5,7 @@
 // sessions, per-tenant admission quotas, named long-lived sessions with
 // incremental view maintenance, and per-tenant metrics.
 //
-//   usage: sqo_server [--host=H] [--port=N] [--threads=N]
-//                     [--eval-threads=N] [--max-queue=Q]
+//   usage: sqo_server [--host=H] [--port=N] [--threads=N] [--max-queue=Q]
 //                     [--token=NAME:TOKEN[:QUOTA] ...] [--slow-ms=S]
 //                     [--metrics-snapshot-ms=M] [--max-frame-bytes=B]
 //                     [--drain-log=FILE]
@@ -16,10 +15,6 @@
 //                   The resolved port is announced on stdout as
 //                   "listening on port N" once the server is accepting
 //     --threads=N   request worker threads (default 4)
-//     --eval-threads=N  intra-query parallelism: each request's semi-naive
-//                   iterations run as N hash partitions on the engine's
-//                   shared eval pool (default 1 = serial). Distinct from
-//                   --threads, which sizes the request workers
 //     --max-queue=Q admission queue bound (default 256)
 //     --token=NAME:TOKEN[:QUOTA]  register a tenant (repeatable): clients
 //                   presenting TOKEN in their hello run in namespace NAME
@@ -87,12 +82,6 @@ int main(int argc, char** argv) {
       options.port = static_cast<uint16_t>(std::atoi(argv[i] + 7));
     } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
       options.service.threads = std::atoi(argv[i] + 10);
-    } else if (std::strncmp(argv[i], "--eval-threads=", 15) == 0) {
-      options.service.eval_threads = std::atoi(argv[i] + 15);
-      if (options.service.eval_threads < 1) {
-        std::fprintf(stderr, "--eval-threads must be >= 1\n");
-        return 2;
-      }
     } else if (std::strncmp(argv[i], "--max-queue=", 12) == 0) {
       options.service.max_queue =
           static_cast<size_t>(std::atoll(argv[i] + 12));
@@ -117,7 +106,6 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: %s [--host=H] [--port=N] [--threads=N] "
-                   "[--eval-threads=N] "
                    "[--max-queue=Q] [--token=NAME:TOKEN[:QUOTA] ...] "
                    "[--slow-ms=S] [--metrics-snapshot-ms=M] "
                    "[--max-frame-bytes=B] [--drain-log=FILE]\n",

@@ -1,26 +1,8 @@
 #include "src/engine/engine.h"
 
-#include <algorithm>
-#include <thread>
-
-#include "src/eval/executor.h"
-
 namespace sqod {
 
 Engine::Engine(EngineOptions options) : options_(options) {}
-
-Engine::~Engine() = default;
-
-EvalExecutor& Engine::eval_executor(int workers_hint) {
-  std::lock_guard<std::mutex> lock(eval_executor_mu_);
-  if (eval_executor_ == nullptr) {
-    const int hw = static_cast<int>(std::thread::hardware_concurrency());
-    const int workers = std::max({workers_hint, hw - 1, 0});
-    eval_executor_ = std::make_unique<EvalExecutor>(workers);
-    metrics().GetGauge("engine/eval_executor_workers")->Set(workers);
-  }
-  return *eval_executor_;
-}
 
 Result<Session> Engine::Open(std::string_view source) {
   SQOD_ASSIGN_OR_RETURN(ParsedUnit unit, ParseUnit(source));

@@ -1,8 +1,6 @@
 #ifndef SQOD_ENGINE_ENGINE_H_
 #define SQOD_ENGINE_ENGINE_H_
 
-#include <memory>
-#include <mutex>
 #include <string_view>
 #include <vector>
 
@@ -13,8 +11,6 @@
 #include "src/parser/parser.h"
 
 namespace sqod {
-
-class EvalExecutor;
 
 // The single reusable entry point over parser -> pass manager -> evaluator.
 // An Engine holds the process-wide plumbing (metrics registry, tracer);
@@ -38,7 +34,6 @@ struct EngineOptions {
 class Engine {
  public:
   explicit Engine(EngineOptions options = {});
-  ~Engine();  // out of line: EvalExecutor is incomplete here
 
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
@@ -69,26 +64,9 @@ class Engine {
   // does not own a tracer: tracing is opt-in by the embedder).
   Tracer* tracer() { return options_.tracer; }
 
-  // The engine's shared intra-query evaluation executor, created on first
-  // use. All parallel evaluations (EvalOptions::threads > 1) opened through
-  // this engine's sessions run their partition tasks here, so concurrent
-  // requests share one worker set instead of oversubscribing the host.
-  // This pool is deliberately distinct from the serving layer's request
-  // ThreadPool: evaluations hold request-pool threads while they run, so
-  // running their subtasks on that same pool could deadlock once every
-  // request thread waits on subtasks that have no thread left to run on.
-  // EvalExecutor callers drain tasks themselves, so even a 0-worker
-  // executor makes progress.
-  //
-  // Sized at first call: max(workers_hint, hardware_concurrency - 1),
-  // min 0. Later calls return the same executor regardless of hint.
-  EvalExecutor& eval_executor(int workers_hint);
-
  private:
   EngineOptions options_;
   MetricsRegistry owned_metrics_;
-  std::mutex eval_executor_mu_;
-  std::unique_ptr<EvalExecutor> eval_executor_;
 };
 
 }  // namespace sqod

@@ -110,12 +110,6 @@ void AttachRuntime(const SqoReport& sqo, const EvalStats& stats,
   }
 }
 
-void AttachParallel(const ParallelEvalStats& stats, ExplainReport* report) {
-  if (stats.partition_tasks == 0) return;  // serial run: no section
-  report->parallel = true;
-  report->parallel_stats = stats;
-}
-
 void AttachMaintenance(const MaintainStats& totals,
                        const MaintainStats& last_batch, int64_t batches,
                        ExplainReport* report) {
@@ -232,24 +226,6 @@ std::string ExplainReport::ToText() const {
       out += row.kernel;
       out += '\n';
     }
-  }
-
-  if (parallel) {
-    out += "\n== parallel ==\n";
-    out += "threads:           " + std::to_string(parallel_stats.threads) +
-           "\n";
-    out += "parallel iters:    " +
-           std::to_string(parallel_stats.parallel_iterations) + "\n";
-    out += "partition tasks:   " +
-           std::to_string(parallel_stats.partition_tasks) + "\n";
-    out += "skew max:          " +
-           FormatDurationNs(parallel_stats.skew_max_ns) + "\n";
-    out += "partition derived:";
-    for (size_t i = 0; i < parallel_stats.partition_derived.size(); ++i) {
-      out += " p" + std::to_string(i) + "=" +
-             std::to_string(parallel_stats.partition_derived[i]);
-    }
-    out += '\n';
   }
 
   if (maintained) {
@@ -376,23 +352,6 @@ std::string ExplainReport::ToJson() const {
     }
     out += "]}";
   }
-  if (parallel) {
-    out += ",\"parallel\":{";
-    out += "\"threads\":" + std::to_string(parallel_stats.threads);
-    out += ",\"parallel_iterations\":" +
-           std::to_string(parallel_stats.parallel_iterations);
-    out += ",\"partition_tasks\":" +
-           std::to_string(parallel_stats.partition_tasks);
-    out += ",\"skew_max_ns\":" + std::to_string(parallel_stats.skew_max_ns);
-    out += ",\"partition_derived\":[";
-    first = true;
-    for (int64_t derived : parallel_stats.partition_derived) {
-      if (!first) out += ',';
-      first = false;
-      out += std::to_string(derived);
-    }
-    out += "]}";
-  }
   if (maintained) {
     out += ",\"maintenance\":{";
     out += "\"batches\":" + std::to_string(batches);
@@ -451,10 +410,6 @@ std::string ExplainReport::Summary() const {
     out += " v" + std::to_string(maintain.version);
     out += " overdel=" + std::to_string(maintain.over_deleted) + "/" +
            std::to_string(maintain.rederived);
-  }
-  if (parallel) {
-    out += " par(threads=" + std::to_string(parallel_stats.threads) +
-           " tasks=" + std::to_string(parallel_stats.partition_tasks) + ")";
   }
   if (analyzed) {
     out += " iters=" + std::to_string(stats.iterations);

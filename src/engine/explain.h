@@ -87,10 +87,6 @@ struct ExplainReport {
   MaintainStats maintain;       // totals across those batches
   MaintainStats last_batch;     // the most recent batch alone
 
-  // --- parallel side (after AttachParallel; partitioned runs only) ---
-  bool parallel = false;
-  ParallelEvalStats parallel_stats;
-
   // --- runtime side (after AttachRuntime) ---
   bool analyzed = false;
   EvalStats stats;
@@ -124,12 +120,6 @@ ExplainReport BuildExplainReport(const SqoReport& report,
 void AttachRuntime(const SqoReport& sqo, const EvalStats& stats,
                    const std::vector<RuleProfile>& profiles, int64_t answers,
                    int64_t execute_ns, ExplainReport* report);
-
-// Joins a parallel evaluation's partition accounting into `report`: thread
-// count, partitioned iterations and tasks, worst-case partition skew, and
-// the per-partition derivation counts. A serial run's stats (zero partition
-// tasks) leave the report unchanged, so callers may attach unconditionally.
-void AttachParallel(const ParallelEvalStats& stats, ExplainReport* report);
 
 // Joins a materialized view's maintenance history into `report`: per-batch
 // tuples deleted / re-derived, the over-deletion ratio, and how many strata

@@ -84,9 +84,6 @@ std::string Session::Fingerprint(const SqoOptions& options) const {
     fp += '\n';
   }
   fp += "--options--\n";
-  fp += "tree=" + std::to_string(options.build_query_tree) + ";";
-  fp += "residues=" + std::to_string(options.attach_residues) + ";";
-  fp += "fd=" + std::to_string(options.apply_fd_rewriting) + ";";
   fp += "max_apreds=" + std::to_string(options.adorn.max_adorned_preds) + ";";
   fp += "max_arules=" + std::to_string(options.adorn.max_adorned_rules) + ";";
   fp += "max_classes=" + std::to_string(options.tree.max_classes) + ";";
@@ -218,11 +215,6 @@ Result<std::vector<Tuple>> Session::Run(const Program& program,
                                         std::vector<RuleProfile>* profiles) {
   if (options.tracer == nullptr) options.tracer = engine_->tracer();
   if (options.metrics == nullptr) options.metrics = &engine_->metrics();
-  if (options.threads > 1 && options.executor == nullptr) {
-    // Parallel evaluations share the engine's eval pool (never the serving
-    // layer's request pool — see Engine::eval_executor for why).
-    options.executor = &engine_->eval_executor(options.threads - 1);
-  }
   engine_->metrics().GetCounter("engine/executions")->Increment();
   return EvaluateQuery(program, edb, options, stats, profiles);
 }

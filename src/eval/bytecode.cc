@@ -371,7 +371,6 @@ struct Cursor {
   int64_t scan_end = 0;
   bool is_scan = false;
   uint32_t actions_ip = 0;  // probe_ip or scan_ip, chosen when opened
-  int32_t level = -1;
 };
 
 }  // namespace
@@ -389,7 +388,7 @@ bool ResolveRelations(const CompiledRule& rule, VmContext* ctx) {
     const Database* db = neg.source == RelSource::kEdb ? ctx->edb : ctx->idb;
     ctx->neg_rels->push_back(db->Find(neg.pred));
   }
-  ctx->head.Open(ctx->idb, ctx->out, rule.head_pred);
+  ctx->head.Open(ctx->idb, rule.head_pred);
   // No rows at the FIRST level means zero work — exactly the interpreter's
   // early return before any counter moves. Deeper levels must still run
   // (outer probes are observable), so only level 0 prunes.
@@ -422,12 +421,6 @@ void RunBytecode(const CompiledRule& rule, VmContext* ctx) {
   }
   int depth = 0;
 
-  // Hash-partition filter for the first join level (parallel evaluation).
-  // Hoisted: the unpartitioned path pays one register test per row.
-  const uint64_t part_count = static_cast<uint64_t>(ctx->part_count);
-  const uint64_t part_index = static_cast<uint64_t>(ctx->part_index);
-  const bool partitioned = part_count > 1;
-
   Value key[Relation::kMaxArity];
 
   auto src_value = [&](ArgSrc s) -> const Value& {
@@ -447,7 +440,6 @@ void RunBytecode(const CompiledRule& rule, VmContext* ctx) {
         const LevelRows& rows = level_rows[in.b];
         Cursor& cur = stack[depth];
         cur.rel = rows.rel;
-        cur.level = in.b;
         cur.row_data = nullptr;
         if (rows.empty()) {
           // Level cannot match: backtrack (fall through to advance below).
@@ -552,15 +544,10 @@ void RunBytecode(const CompiledRule& rule, VmContext* ctx) {
       }
       Cursor& cur = stack[depth - 1];
       bool have_row = false;
-      // Tombstoned rows — and, at a partitioned level 0, rows of other
-      // partitions — are skipped before the probe counter, matching the
+      // Tombstoned rows are skipped before the probe counter, matching the
       // interpreter and the specialized kernels.
-      const bool filter_part = partitioned && cur.level == 0;
       if (cur.is_scan) {
-        while (cur.scan_row < cur.scan_end &&
-               (!cur.rel->live(cur.scan_row) ||
-                (filter_part &&
-                 cur.rel->row_hash(cur.scan_row) % part_count != part_index))) {
+        while (cur.scan_row < cur.scan_end && !cur.rel->live(cur.scan_row)) {
           ++cur.scan_row;
         }
         if (cur.scan_row < cur.scan_end) {
@@ -569,10 +556,7 @@ void RunBytecode(const CompiledRule& rule, VmContext* ctx) {
           have_row = true;
         }
       } else {
-        while (cur.probe_row >= 0 &&
-               (!cur.rel->live(cur.probe_row) ||
-                (filter_part &&
-                 cur.rel->row_hash(cur.probe_row) % part_count != part_index))) {
+        while (cur.probe_row >= 0 && !cur.rel->live(cur.probe_row)) {
           cur.probe_row = cur.chain.next(cur.probe_row);
         }
         if (cur.probe_row >= 0) {

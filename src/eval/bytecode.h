@@ -207,62 +207,46 @@ CompiledRule CompileRulePlan(const RulePlan& plan,
 
 struct RuleProfile;
 
-// Where one plan activation's derived heads go. Serial evaluation derives
-// straight into the IDB (out == idb): one Insert, whose dedup against every
-// row — this iteration's included — is the whole duplicate test. A parallel
-// partition task stages into private scratch instead, so a head is first
-// checked against the IDB; the iteration barrier merges the scratch. Open
-// looks the head relations up once per activation, so an emit does no
-// predicate lookup.
+// Where one plan activation's derived heads go: straight into the IDB, so
+// one Insert, whose dedup against every row — this iteration's included —
+// is the whole duplicate test. Open looks the head relation up once per
+// activation, so an emit does no predicate lookup.
 class HeadSink {
  public:
-  void Open(const Database* idb, Database* out, PredId pred) {
-    out_ = out;
+  void Open(Database* idb, PredId pred) {
+    idb_ = idb;
     pred_ = pred;
     rel_ = nullptr;
-    seen_ = out == idb ? nullptr : idb->Find(pred);
   }
 
   // Stages vals[0..n); true when it is new (derived), false for a duplicate.
   bool Stage(const Value* vals, int n) {
-    if (seen_ != nullptr && seen_->Contains(vals, n)) return false;
     // Created on the first insert, like Database::Insert: an activation
     // that derives nothing leaves no empty relation behind.
-    if (rel_ == nullptr) rel_ = out_->FindOrCreate(pred_, n);
+    if (rel_ == nullptr) rel_ = idb_->FindOrCreate(pred_, n);
     return rel_->Insert(vals, n);
   }
 
  private:
-  Database* out_ = nullptr;
+  Database* idb_ = nullptr;
   PredId pred_ = -1;
-  Relation* rel_ = nullptr;         // out's head relation, once created
-  const Relation* seen_ = nullptr;  // the IDB's, when out is scratch
+  Relation* rel_ = nullptr;  // the head relation, once created
 };
 
 // Runtime context for one compiled-rule activation, shared by the generic
 // executor and the specialized kernels.
 struct VmContext {
   const Database* edb = nullptr;
-  // Every IDB tuple derived so far; levels read it through `frontier`.
-  const Database* idb = nullptr;
+  // Every IDB tuple derived so far; levels read it through `frontier`, and
+  // emitted heads are inserted into it.
+  Database* idb = nullptr;
   const IdbFrontier* frontier = nullptr;
-  // Where emitted heads are inserted: the IDB itself in serial evaluation,
-  // a partition task's private scratch in parallel.
-  Database* out = nullptr;
-  HeadSink head;  // opened on `out` by ResolveRelations
+  HeadSink head;  // opened on `idb` by ResolveRelations
   bool use_indexes = true;
   int64_t max_derived = -1;  // -1 = unlimited
   RuleProfile* profile = nullptr;
   int64_t* derived_count = nullptr;
   bool* overflow = nullptr;
-
-  // Hash partitioning of the FIRST join level (parallel evaluation): with
-  // part_count = P > 1, only rows whose stored row hash lands in partition
-  // part_index (hash % P) are sourced at level 0; deeper levels see every
-  // row. Rows are filtered before the probe counter (like tombstones), so
-  // work counters sum across partitions to the serial counts.
-  int part_count = 1;
-  int part_index = 0;
 
   // Reusable scratch, owned by the evaluator and sized once per Evaluate
   // (CompiledProgram::max_regs / max_levels).

@@ -1,16 +1,13 @@
 #include "src/eval/evaluator.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <map>
-#include <memory>
 #include <set>
 
 #include "src/base/check.h"
 #include "src/eval/bindings.h"
 #include "src/eval/bytecode.h"
-#include "src/eval/executor.h"
 #include "src/eval/kernel.h"
 #include "src/eval/plan.h"
 #include "src/obs/export.h"
@@ -81,10 +78,9 @@ namespace {
 struct Context {
   const Program* program;
   const Database* edb;
-  const Database* idb;          // all IDB tuples derived so far
+  Database* idb;                // all IDB tuples derived so far
   const IdbFrontier* frontier;  // the iteration's row windows over `idb`
-  Database* out;                // where derived heads go
-  HeadSink head;                // opened on `out` by ResolveStepRows
+  HeadSink head;                // opened on `idb` by ResolveStepRows
   EvalOptions options;
   RuleProfile* rule_stats;    // profile slot of the rule being evaluated
   std::set<PredId> idb_preds;
@@ -93,10 +89,6 @@ struct Context {
   std::vector<LevelRows> step_rows;
   int64_t* derived_count;
   bool* overflow;
-  // Hash partitioning of the plan's first join step (parallel evaluation);
-  // mirrors VmContext::part_count / part_index.
-  int part_count = 1;
-  int part_index = 0;
 };
 
 // The interpreter's ResolveRelations: classifies each join step's source
@@ -115,7 +107,7 @@ void ResolveStepRows(const RulePlan& plan, Context* ctx) {
     ctx->step_rows[i] =
         ResolveRows(source, step.pred, *ctx->edb, *ctx->idb, *ctx->frontier);
   }
-  ctx->head.Open(ctx->idb, ctx->out, plan.head_pred);
+  ctx->head.Open(ctx->idb, plan.head_pred);
 }
 
 void DeriveHead(const RulePlan& plan, const Bindings& bindings, Context* ctx) {
@@ -202,25 +194,17 @@ void RunSteps(const RulePlan& plan, size_t step_index, Bindings* bindings,
 
       // Tombstoned rows (versioned EDBs under incremental maintenance) are
       // skipped before the probe counter, so interpret/compile/kernel
-      // executors stay counter-identical. A partitioned first step
-      // (parallel evaluation; only plans whose step 0 is a join are
-      // partitioned) additionally skips rows hashed to other partitions,
-      // also before the counter.
-      const uint64_t pc = static_cast<uint64_t>(ctx->part_count);
-      const uint64_t pi = static_cast<uint64_t>(ctx->part_index);
-      const bool partitioned = pc > 1 && step_index == 0;
+      // executors stay counter-identical.
       if (mask != 0 && ctx->options.use_indexes) {
         Relation::Matches m = rel->Probe(mask, key, rows.lo, rows.hi);
         for (int32_t r = m.row; r >= 0; r = m.next(r)) {
           if (!rel->live(r)) continue;
-          if (partitioned && rel->row_hash(r) % pc != pi) continue;
           try_row(rel->row(r));
           if (*ctx->overflow) return;
         }
       } else {
         for (int64_t r = rows.lo; r < rows.hi; ++r) {
           if (!rel->live(r)) continue;
-          if (partitioned && rel->row_hash(r) % pc != pi) continue;
           try_row(rel->row(r));
           if (*ctx->overflow) return;
         }
@@ -299,7 +283,6 @@ Result<Database> Evaluator::Evaluate(const Database& edb) {
   ctx.edb = &edb;
   ctx.idb = &total;
   ctx.frontier = &frontier;
-  ctx.out = &total;
   ctx.options = options_;
   ctx.rule_stats = nullptr;
   ctx.derived_count = &derived_count;
@@ -309,7 +292,6 @@ Result<Database> Evaluator::Evaluate(const Database& edb) {
   vm.edb = &edb;
   vm.idb = &total;
   vm.frontier = &frontier;
-  vm.out = &total;
   vm.use_indexes = options_.use_indexes;
   vm.max_derived = options_.max_derived;
   vm.derived_count = &derived_count;
@@ -355,279 +337,13 @@ Result<Database> Evaluator::Evaluate(const Database& edb) {
     return Status::Ok();
   };
 
-  // ---- Parallel evaluation (docs/evaluator.md, "Parallel evaluation") ----
-  // With threads = P > 1, each semi-naive iteration's plans run as
-  // (plan, partition) tasks: a plan whose first instruction opens join
-  // level 0 is hash-partitioned P ways over that level's rows; other plans
-  // (ground comparisons precede their first join) run as one task so no
-  // pre-join work is repeated per partition. Tasks derive into private
-  // scratch databases; the coordinator merges them at the iteration
-  // barrier, keeping every shared index single-writer. threads = 1 and
-  // naive iteration take the serial paths below, untouched.
-  const bool parallel_on = options_.semi_naive && options_.threads > 1;
-  ParallelEvalStats pstats;
-  pstats.threads = std::max(1, options_.threads);
-  std::unique_ptr<EvalExecutor> owned_executor;
-  EvalExecutor* executor = options_.executor;
-  if (parallel_on) {
-    pstats.partition_derived.assign(options_.threads, 0);
-    if (executor == nullptr) {
-      // No shared executor provided (standalone EvaluateQuery): a private
-      // one for this evaluation. threads - 1 workers, because the
-      // coordinating thread executes tasks too.
-      owned_executor = std::make_unique<EvalExecutor>(options_.threads - 1);
-      executor = owned_executor.get();
-    }
-  }
-
-  // One (plan, partition) unit of parallel work, with task-private
-  // derivation scratch and counters. Merged in deterministic (plan,
-  // partition) order at the barrier.
-  struct ParTask {
-    int plan = 0;         // ordinal into the iteration's plan list
-    int parts = 1;        // partition count of this plan (1 = unpartitioned)
-    int part = 0;         // this task's partition index
-    int rule_index = -1;
-    Database scratch;     // head tuples derived by this task
-    RuleProfile prof;     // this task's counters, merged at the barrier
-    int64_t derived = 0;  // task-local derivation count (budget check)
-    bool overflow = false;
-    int kernel = -1;      // KernelId run, -1 = skipped (empty level 0)
-    int64_t t0 = 0, t1 = 0;  // task wall clock (skew, spans)
-  };
-
-  // Runs one semi-naive iteration's plan set in parallel: warm indexes,
-  // fire tasks, merge at the barrier. `crs` lists the compiled plans
-  // (compiled mode) or `iplans` the interpreted ones. Returns the
-  // iteration's interruption/overflow status.
-  auto run_parallel_iteration =
-      [&](const std::vector<const CompiledRule*>& crs,
-          const std::vector<const RulePlan*>& iplans, int stratum) -> Status {
-    const int64_t iter_t0 = NowNs();
-    const int P = options_.threads;
-    const size_t nplans = compile ? crs.size() : iplans.size();
-
-    // Warm every (relation, mask) pair the tasks will probe. Index builds
-    // are the one lazy mutation Probe performs; doing them here, on the
-    // coordinator, keeps the parallel phase free of shared writes.
-    if (options_.use_indexes) {
-      auto warm = [&](RelSource source, PredId pred, uint64_t mask) {
-        const Relation* rel = (source == RelSource::kEdb ? edb : total).Find(pred);
-        if (rel != nullptr) rel->WarmIndex(mask);
-      };
-      if (compile) {
-        for (const CompiledRule* cr : crs) {
-          for (const LevelInfo& lvl : cr->levels) {
-            if (lvl.mask != 0) warm(lvl.source, lvl.pred, lvl.mask);
-          }
-        }
-      } else {
-        // Interpret mode gathers masks at runtime, but boundness at a plan
-        // position is static — re-derive each join's mask with the same
-        // walk CompileRulePlan uses.
-        for (const RulePlan* plan : iplans) {
-          std::vector<uint8_t> bound(plan->num_vars, 0);
-          for (const PlanStep& step : plan->steps) {
-            if (step.kind != PlanStep::Kind::kJoin) continue;
-            uint64_t mask = 0;
-            for (size_t i = 0; i < step.args.size(); ++i) {
-              const ArgRef& a = step.args[i];
-              if (a.var < 0 || bound[a.var] != 0) mask |= uint64_t{1} << i;
-            }
-            for (const ArgRef& a : step.args) {
-              if (a.var >= 0) bound[a.var] = 1;
-            }
-            if (mask == 0) continue;
-            warm(ctx.idb_preds.count(step.pred) == 0 ? RelSource::kEdb
-                                                     : RelSource::kIdbTotal,
-                 step.pred, mask);
-          }
-        }
-      }
-    }
-
-    std::vector<ParTask> tasks;
-    tasks.reserve(nplans * static_cast<size_t>(P));
-    for (size_t j = 0; j < nplans; ++j) {
-      bool partitionable;
-      int rule_index;
-      if (compile) {
-        partitionable =
-            !crs[j]->levels.empty() && crs[j]->levels[0].open_ip == 0;
-        rule_index = crs[j]->rule_index;
-      } else {
-        partitionable = !iplans[j]->steps.empty() &&
-                        iplans[j]->steps[0].kind == PlanStep::Kind::kJoin;
-        rule_index = iplans[j]->rule_index;
-      }
-      const int parts = partitionable ? P : 1;
-      for (int k = 0; k < parts; ++k) {
-        ParTask t;
-        t.plan = static_cast<int>(j);
-        t.parts = parts;
-        t.part = k;
-        t.rule_index = rule_index;
-        tasks.push_back(std::move(t));
-      }
-    }
-
-    // Per-task derivation budget: the remaining global allowance. Task
-    // sums may overshoot max_derived by up to a factor of P before the
-    // barrier check catches it — the guard still fires, just later.
-    const int64_t local_budget =
-        options_.max_derived >= 0
-            ? std::max<int64_t>(0, options_.max_derived - derived_count)
-            : -1;
-
-    std::atomic<bool> stop{false};
-    auto run_task = [&](int ti) {
-      ParTask& t = tasks[ti];
-      // Partition-task boundary: the cancellation/deadline granularity of
-      // parallel runs (the serving layer's admission contract).
-      if (stop.load(std::memory_order_acquire)) return;
-      if ((options_.cancel != nullptr && options_.cancel->cancelled()) ||
-          (options_.deadline_ns >= 0 && NowNs() >= options_.deadline_ns)) {
-        stop.store(true, std::memory_order_release);
-        return;
-      }
-      t.t0 = NowNs();
-      if (compile) {
-        std::vector<Value> task_regs(compiled->max_regs);
-        std::vector<LevelRows> task_level_rows;
-        std::vector<const Relation*> task_neg_rels;
-        VmContext tvm;
-        tvm.edb = &edb;
-        tvm.idb = &total;
-        tvm.frontier = &frontier;
-        tvm.out = &t.scratch;
-        tvm.use_indexes = options_.use_indexes;
-        tvm.max_derived = local_budget;
-        tvm.profile = &t.prof;
-        tvm.derived_count = &t.derived;
-        tvm.overflow = &t.overflow;
-        tvm.regs = &task_regs;
-        tvm.level_rows = &task_level_rows;
-        tvm.neg_rels = &task_neg_rels;
-        tvm.part_count = t.parts;
-        tvm.part_index = t.part;
-        const CompiledRule& cr = *crs[t.plan];
-        if (ResolveRelations(cr, &tvm)) {
-          t.kernel =
-              static_cast<int>(RunCompiled(cr, &tvm, options_.use_kernels));
-        }
-      } else {
-        Context tctx;
-        tctx.program = &program_;
-        tctx.edb = &edb;
-        tctx.idb = &total;
-        tctx.frontier = &frontier;
-        tctx.out = &t.scratch;
-        tctx.options = options_;
-        tctx.options.max_derived = local_budget;
-        tctx.rule_stats = &t.prof;
-        tctx.idb_preds = ctx.idb_preds;
-        tctx.derived_count = &t.derived;
-        tctx.overflow = &t.overflow;
-        tctx.part_count = t.parts;
-        tctx.part_index = t.part;
-        const RulePlan& plan = *iplans[t.plan];
-        ResolveStepRows(plan, &tctx);
-        Bindings task_bindings;
-        task_bindings.Reset(plan.num_vars);
-        RunSteps(plan, 0, &task_bindings, &tctx);
-      }
-      if (t.overflow) stop.store(true, std::memory_order_release);
-      t.t1 = NowNs();
-    };
-
-    executor->Run(static_cast<int>(tasks.size()), run_task);
-
-    // Iteration barrier: merge task scratch into the IDB in (plan,
-    // partition) order. A tuple derived by several tasks was counted
-    // derived by each; the failed Insert here reclassifies every loser as a
-    // duplicate, restoring the serial per-rule counters exactly (serially,
-    // the loser would have found the tuple already inserted).
-    int64_t min_task_ns = INT64_MAX, max_task_ns = -1;
-    for (ParTask& t : tasks) {
-      for (const auto& [pred, rel] : t.scratch.relations()) {
-        Relation* dst = total.FindOrCreate(pred, rel.arity());
-        for (TupleRef row : rel.rows()) {
-          if (!dst->Insert(row)) {
-            --t.prof.derived;
-            ++t.prof.duplicates;
-          }
-        }
-      }
-      RuleProfile& prof = profiles_[t.rule_index];
-      prof.firings += t.prof.firings;
-      prof.derived += t.prof.derived;
-      prof.duplicates += t.prof.duplicates;
-      prof.probes += t.prof.probes;
-      prof.cmp_checks += t.prof.cmp_checks;
-      prof.ops += t.prof.ops;
-      if (timed && t.t1 > 0) prof.time_ns += t.t1 - t.t0;
-      derived_count += t.prof.derived;
-      if (t.kernel >= 0) ++kernel_runs[t.kernel];
-      if (t.overflow) overflow = true;
-      if (t.parts > 1) {
-        pstats.partition_derived[t.part] += t.prof.derived;
-        if (t.t1 > 0) {
-          min_task_ns = std::min(min_task_ns, t.t1 - t.t0);
-          max_task_ns = std::max(max_task_ns, t.t1 - t.t0);
-        }
-      }
-    }
-    if (options_.max_derived >= 0 && derived_count > options_.max_derived) {
-      overflow = true;
-    }
-    pstats.partition_tasks += static_cast<int64_t>(tasks.size());
-    ++pstats.parallel_iterations;
-    if (max_task_ns >= 0) {
-      pstats.skew_max_ns =
-          std::max(pstats.skew_max_ns, max_task_ns - min_task_ns);
-    }
-    if (options_.metrics != nullptr) {
-      options_.metrics
-          ->GetHistogram(options_.metrics_prefix + "/stratum/" +
-                         std::to_string(stratum) + "/parallel_iteration_ns")
-          ->Record(NowNs() - iter_t0);
-    }
-
-    // The Tracer is single-threaded by contract, so tasks never touch it;
-    // the coordinator emits the per-partition spans post hoc with the
-    // timestamps the tasks observed.
-    if (tracing) {
-      for (const ParTask& t : tasks) {
-        if (t.t1 == 0) continue;  // stopped at the task boundary: no span
-        Span span = tracer->StartSpanAt("eval.partition", t.t0);
-        span.SetAttr("rule", t.rule_index);
-        span.SetAttr("partition", t.part);
-        span.SetAttr("partitions", t.parts);
-        span.SetAttr("derived", t.prof.derived);
-        span.SetAttr("probes", t.prof.probes);
-        span.EndAt(t.t1);
-      }
-    }
-
-    if (Status s = interrupted(); !s.ok()) return s;
-    return fail_if_overflow();
-  };
-
   // Publishes counters and (when attached) registry metrics before any
   // return path, so stats are valid even on overflow errors.
   auto finish = [&] {
     stats_ = EvalStats::FromProfiles(iterations, profiles_);
-    if (options_.parallel_stats != nullptr) *options_.parallel_stats = pstats;
     if (options_.metrics == nullptr) return;
     MetricsRegistry* m = options_.metrics;
     const std::string& p = options_.metrics_prefix;
-    if (pstats.partition_tasks > 0) {
-      m->GetCounter(p + "/partitions")->Add(pstats.threads);
-      m->GetCounter(p + "/partition_tasks")->Add(pstats.partition_tasks);
-      m->GetCounter(p + "/parallel_iterations")
-          ->Add(pstats.parallel_iterations);
-      m->GetCounter(p + "/partition_skew_max_ns")->Add(pstats.skew_max_ns);
-    }
     m->GetCounter(p + "/iterations")->Add(stats_.iterations);
     m->GetCounter(p + "/rule_firings")->Add(stats_.rule_firings);
     m->GetCounter(p + "/tuples_derived")->Add(stats_.tuples_derived);
@@ -835,34 +551,15 @@ Result<Database> Evaluator::Evaluate(const Database& edb) {
       Span iter_span = start_span("eval.iteration");
       iter_span.SetAttr("iteration", iterations);
       int64_t t0 = timed ? NowNs() : 0;
-      // Interpret mode builds the iteration-0 plans up front so the
-      // parallel runner can see the whole plan set; serial runs them
-      // identically, just from the vector.
-      std::vector<RulePlan> iter0_plans;
-      if (!compile) {
+      if (compile) {
+        for (int i : cst->nonrecursive) run_compiled(cst->full[i]);
+      } else {
         for (int r : stratum_rules) {
           if (recursive_subgoals.count(r) > 0) continue;
-          iter0_plans.push_back(BuildPlan(rules[r], r, -1, &scratch));
+          run_plan(BuildPlan(rules[r], r, -1, &scratch));
         }
       }
-      Status s;
-      if (parallel_on) {
-        std::vector<const CompiledRule*> crs;
-        std::vector<const RulePlan*> iplans;
-        if (compile) {
-          for (int i : cst->nonrecursive) crs.push_back(&cst->full[i]);
-        } else {
-          for (const RulePlan& plan : iter0_plans) iplans.push_back(&plan);
-        }
-        s = run_parallel_iteration(crs, iplans, stratum);
-      } else {
-        if (compile) {
-          for (int i : cst->nonrecursive) run_compiled(cst->full[i]);
-        } else {
-          for (const RulePlan& plan : iter0_plans) run_plan(plan);
-        }
-        s = fail_if_overflow();
-      }
+      Status s = fail_if_overflow();
       if (!s.ok()) {
         finish();
         return s;
@@ -880,17 +577,6 @@ Result<Database> Evaluator::Evaluate(const Database& edb) {
         }
       }
     }
-    // The delta plan set is iteration-invariant; collect it once for the
-    // parallel runner.
-    std::vector<const CompiledRule*> delta_crs;
-    std::vector<const RulePlan*> delta_iplans;
-    if (parallel_on) {
-      if (compile) {
-        for (const CompiledRule& cr : cst->delta) delta_crs.push_back(&cr);
-      } else {
-        for (const RulePlan& plan : delta_plans) delta_iplans.push_back(&plan);
-      }
-    }
 
     while (added > 0) {
       if (Status s = interrupted(); !s.ok()) {
@@ -901,17 +587,12 @@ Result<Database> Evaluator::Evaluate(const Database& edb) {
       Span iter_span = start_span("eval.iteration");
       iter_span.SetAttr("iteration", iterations);
       int64_t t0 = timed ? NowNs() : 0;
-      Status s;
-      if (parallel_on) {
-        s = run_parallel_iteration(delta_crs, delta_iplans, stratum);
+      if (compile) {
+        for (const CompiledRule& cr : cst->delta) run_compiled(cr);
       } else {
-        if (compile) {
-          for (const CompiledRule& cr : cst->delta) run_compiled(cr);
-        } else {
-          for (const RulePlan& plan : delta_plans) run_plan(plan);
-        }
-        s = fail_if_overflow();
+        for (const RulePlan& plan : delta_plans) run_plan(plan);
       }
+      Status s = fail_if_overflow();
       if (!s.ok()) {
         finish();
         return s;

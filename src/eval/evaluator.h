@@ -15,24 +15,6 @@
 namespace sqod {
 
 struct CompiledProgram;
-class EvalExecutor;
-
-// Work accounting for one parallel evaluation (EvalOptions::threads > 1),
-// filled through EvalOptions::parallel_stats. Answers and the EvalStats /
-// RuleProfile counters are thread-count-invariant by contract (the
-// equivalence suite pins this); these fields describe the parallel
-// machinery itself.
-struct ParallelEvalStats {
-  int threads = 1;                 // partitions per partitionable plan
-  int64_t parallel_iterations = 0; // fixpoint iterations run partitioned
-  int64_t partition_tasks = 0;     // (plan, partition) tasks fired
-  // Max over iterations of (slowest - fastest) partition-task wall time:
-  // the skew the hash partitioning failed to balance away.
-  int64_t skew_max_ns = 0;
-  // Tuples derived per partition index, summed across iterations and
-  // plans (EXPLAIN's "== parallel ==" per-partition row counts).
-  std::vector<int64_t> partition_derived;
-};
 
 // How rule bodies are executed (see docs/evaluator.md, "Compiled
 // bytecode"): kCompile lowers each plan to flat register bytecode with
@@ -62,30 +44,12 @@ struct EvalOptions {
   int64_t max_derived = -1;
 
   // Cooperative interruption, checked once per fixpoint iteration (the
-  // serving layer's cancellation granularity) and, when threads > 1, at
-  // every partition-task boundary. When `cancel` fires, evaluation unwinds
-  // with kCancelled; when `deadline_ns` (an absolute NowNs() timestamp,
-  // -1 = none) passes, with kDeadlineExceeded. Stats and profiles remain
-  // valid for the work done up to the interruption.
+  // serving layer's cancellation granularity). When `cancel` fires,
+  // evaluation unwinds with kCancelled; when `deadline_ns` (an absolute
+  // NowNs() timestamp, -1 = none) passes, with kDeadlineExceeded. Stats and
+  // profiles remain valid for the work done up to the interruption.
   const CancelToken* cancel = nullptr;
   int64_t deadline_ns = -1;
-
-  // Intra-query parallelism (docs/evaluator.md, "Parallel evaluation").
-  // With threads = P > 1, semi-naive iterations hash-partition each plan's
-  // first join level P ways and run the (plan, partition) tasks
-  // concurrently, merging per-task scratch at the iteration barrier.
-  // Answers and work counters are identical to threads = 1 by contract
-  // (except RuleProfile::ops and the kernel-activation metrics, which
-  // scale with the task count). threads = 1 takes the serial code path
-  // untouched. Naive (semi_naive = false) evaluation is always serial.
-  int threads = 1;
-  // The executor partition tasks run on. Null with threads > 1 = the
-  // evaluator spins up a private executor for this evaluation; the engine
-  // normally passes its shared one (Engine::eval_executor) so concurrent
-  // requests share workers instead of oversubscribing.
-  EvalExecutor* executor = nullptr;
-  // When set, receives the parallel-machinery accounting for this run.
-  ParallelEvalStats* parallel_stats = nullptr;
 
   // Observability hooks, all optional and off by default.
   //

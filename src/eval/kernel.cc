@@ -139,13 +139,6 @@ void RunScanFilterEmit(const CompiledRule& rule, VmContext* ctx) {
     return EmitHead(&emit);
   };
 
-  // Partition filter for parallel evaluation: level 0 is this kernel's
-  // only level, so it is always the partitioned one. Skips happen before
-  // the probe counter, like tombstones.
-  const uint64_t pc = static_cast<uint64_t>(ctx->part_count);
-  const uint64_t pi = static_cast<uint64_t>(ctx->part_index);
-  const bool partitioned = pc > 1;
-
   if (probe) {
     // A single-level probe key is necessarily constant (no register is
     // bound before the first level).
@@ -157,13 +150,11 @@ void RunScanFilterEmit(const CompiledRule& rule, VmContext* ctx) {
     Relation::Matches m = rel->Probe(lvl.mask, key, rows.lo, rows.hi);
     for (int32_t r = m.row; r >= 0; r = m.next(r)) {
       if (!rel->live(r)) continue;  // tombstones skip before the counter
-      if (partitioned && rel->row_hash(r) % pc != pi) continue;
       if (!try_row(rel->row(r).data())) break;
     }
   } else {
     for (int64_t r = rows.lo; r < rows.hi; ++r) {
       if (!rel->live(r)) continue;
-      if (partitioned && rel->row_hash(r) % pc != pi) continue;
       if (!try_row(rel->row(r).data())) break;
     }
   }
@@ -208,16 +199,9 @@ void RunScanProbeEmit(const CompiledRule& rule, VmContext* ctx) {
   const uint64_t inner_mask = inner.mask;
   const bool inner_live = !inner_rows.empty();
 
-  // Partition filter (parallel evaluation): the outer scan is level 0;
-  // the inner probe sees every row of its relation.
-  const uint64_t pc = static_cast<uint64_t>(ctx->part_count);
-  const uint64_t pi = static_cast<uint64_t>(ctx->part_index);
-  const bool partitioned = pc > 1;
-
   Value key[KLen];
   for (int64_t r = outer_rows.lo, end = outer_rows.hi; r < end; ++r) {
     if (!outer_rel->live(r)) continue;  // tombstones skip before the counter
-    if (partitioned && outer_rel->row_hash(r) % pc != pi) continue;
     ++probes;  // outer candidate row
     const Value* row = outer_rel->row(r).data();
     for (int i = 0; i < outer_nloads; ++i) {

@@ -307,15 +307,6 @@ Relation::Matches Relation::Probe(uint64_t mask, const Value* key,
   }
 }
 
-void Relation::WarmIndex(uint64_t mask) const {
-  if (frozen_) {
-    std::lock_guard<std::mutex> lock(*index_mu_);
-    FindOrBuildIndex(mask);
-  } else {
-    FindOrBuildIndex(mask);
-  }
-}
-
 void Relation::Freeze() {
   if (frozen_) return;
   frozen_ = true;

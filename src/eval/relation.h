@@ -135,11 +135,6 @@ class Relation {
   // a tuple is unique: a revived tuple reuses its tombstoned row.
   int32_t FindRow(const Value* vals, int n) const;
 
-  // The whole-row hash of row i, as computed at insert. Stable for the
-  // row's lifetime (rows never move), so `row_hash(i) % P` is a consistent
-  // partition assignment — the parallel evaluator's bucketing function.
-  uint64_t row_hash(int64_t i) const { return row_hashes_[i]; }
-
   // --- versioning -------------------------------------------------------
 
   // Stamps all existing rows added = base_version / never deleted and
@@ -200,13 +195,6 @@ class Relation {
   Matches Probe(uint64_t mask, const Tuple& key) const {
     return Probe(mask, key.data());
   }
-
-  // Builds the index for `mask` if it does not exist yet. The parallel
-  // evaluator warms every (relation, mask) pair an iteration's tasks will
-  // probe BEFORE firing them: once an index exists, concurrent Probe calls
-  // are pure reads, so warmed relations need no per-probe locking even
-  // when unfrozen (the single-writer index invariant, docs/evaluator.md).
-  void WarmIndex(uint64_t mask) const;
 
   // Marks the relation immutable and makes Probe safe to call from any
   // number of threads concurrently (first-probe index builds serialize on

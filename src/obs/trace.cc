@@ -46,14 +46,6 @@ void Span::End() {
   }
 }
 
-void Span::EndAt(int64_t end_ns) {
-  if (tracer_ != nullptr) {
-    tracer_->CloseSpanAt(handle_, end_ns);
-    tracer_ = nullptr;
-    handle_ = -1;
-  }
-}
-
 Span Tracer::StartSpan(std::string_view name) {
   return StartSpanAt(name, NowNs());
 }
@@ -80,9 +72,8 @@ std::vector<SpanRecord> Tracer::TakeSpans() {
   return out;
 }
 
-void Tracer::CloseSpan(int handle) { CloseSpanAt(handle, NowNs()); }
-
-void Tracer::CloseSpanAt(int handle, int64_t now) {
+void Tracer::CloseSpan(int handle) {
+  const int64_t now = NowNs();
   SQOD_CHECK(handle >= 0 && handle < static_cast<int>(open_.size()));
   SQOD_CHECK_MSG(!closed_[handle], "span closed twice");
   // Spans closing out of stack order (a moved Span outliving its lexical

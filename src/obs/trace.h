@@ -46,12 +46,6 @@ class Span {
   // Closes the span now. Idempotent.
   void End();
 
-  // Closes the span with an explicit end timestamp (NowNs() scale), for
-  // post-hoc spans whose interval was measured elsewhere — e.g. parallel
-  // partition tasks, whose timing the coordinator replays into the
-  // single-threaded tracer after the iteration barrier. Idempotent.
-  void EndAt(int64_t end_ns);
-
   bool active() const { return tracer_ != nullptr; }
 
  private:
@@ -97,7 +91,6 @@ class Tracer {
   friend class Span;
 
   void CloseSpan(int handle);
-  void CloseSpanAt(int handle, int64_t end_ns);
   void SetAttr(int handle, std::string_view key, int64_t value);
 
   bool enabled_ = false;

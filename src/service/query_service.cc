@@ -712,15 +712,6 @@ void QueryService::Process(Job* job) {
     eval.deadline_ns = job->deadline_ns;
   }
   if (eval.tracer == nullptr) eval.tracer = &tracer;
-  // Service-level default intra-query parallelism; a request that set its
-  // own thread count keeps it.
-  if (eval.threads <= 1 && options_.eval_threads > 1) {
-    eval.threads = options_.eval_threads;
-  }
-  ParallelEvalStats parallel_stats;
-  if (job->request.want_explain && eval.parallel_stats == nullptr) {
-    eval.parallel_stats = &parallel_stats;
-  }
   // Per-rule profiles feed the slow-query log's EXPLAIN summary and the
   // traced response; untraced fast-path requests skip the clock reads.
   const bool want_profiles = slow_armed || job->request.trace ||
@@ -753,9 +744,6 @@ void QueryService::Process(Job* job) {
     AttachRuntime(prepared_program->report, response.stats, profiles,
                   static_cast<int64_t>(response.answers.size()),
                   response.execute_ns, &explain);
-    if (eval.parallel_stats != nullptr) {
-      AttachParallel(*eval.parallel_stats, &explain);
-    }
     response.explain_json = explain.ToJson();
   }
   finish(Status::Ok());

@@ -69,13 +69,6 @@ namespace sqod {
 struct ServiceOptions {
   // Worker threads executing requests.
   int threads = 4;
-  // Default intra-query parallelism (EvalOptions::threads) applied to
-  // requests that leave Request::eval.threads at 1; a request that sets its
-  // own value keeps it. Partition tasks run on the engine's shared eval
-  // executor (Engine::eval_executor), never on the request workers above —
-  // mixing them could deadlock once every worker waits on subtasks with no
-  // thread left to run them. 1 = serial evaluation (the default).
-  int eval_threads = 1;
   // Admission limit: maximum requests waiting for a worker (running
   // requests don't count). 0 = unbounded.
   size_t max_queue = 256;

@@ -19,8 +19,8 @@ Result<bool> QuerySatisfiable(const Program& program,
                               const std::vector<Constraint>& ics,
                               const SqoOptions& options) {
   SqoOptions opts = options;
-  opts.build_query_tree = true;
-  opts.attach_residues = false;
+  std::erase(opts.disabled_passes, "tree");
+  opts.disabled_passes.push_back("residues");
   SQOD_ASSIGN_OR_RETURN(SqoReport report,
                         PassManager(opts).Run(program, ics));
   return report.query_satisfiable;
@@ -33,8 +33,8 @@ Result<bool> QueryReachableAtom(const Program& program,
   // Reachability is decided on the query tree itself, so run the pipeline
   // up to the tree pass and inspect the surviving classes.
   SqoOptions opts = options;
-  opts.build_query_tree = true;
-  opts.attach_residues = false;
+  std::erase(opts.disabled_passes, "tree");
+  opts.disabled_passes.push_back("residues");
   opts.disabled_passes.push_back("prune");
   PassManager manager(opts);
   PassContext ctx;

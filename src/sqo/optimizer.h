@@ -27,15 +27,6 @@ namespace sqod {
 // and no rule chain guaranteed empty by the ICs is ever evaluated.
 
 struct SqoOptions {
-  // Stop after the bottom-up phase and return P1 as the rewriting.
-  // Equivalent to disabling the "tree" pass.
-  bool build_query_tree = true;
-  // Attach expressible residue negations to the rewritten rules.
-  // Equivalent to disabling the "residues" pass.
-  bool attach_residues = true;
-  // Apply FD-based join elimination (ICs of the Theorem 5.5 shape) before
-  // the main pipeline. Equivalent to disabling the "fd_rewrite" pass.
-  bool apply_fd_rewriting = true;
   AdornOptions adorn;
   QueryTreeOptions tree;
   int max_local_rewrite_rules = 100000;
@@ -55,11 +46,14 @@ struct SqoOptions {
   // turns this on when a --dump-* flag asks for the text.
   bool capture_dumps = false;
 
-  // Pass-pipeline configuration: names of passes to skip, on top of the
-  // legacy flags above (see PassManager::PassNames for the vocabulary).
-  // Unknown names are an error at Run time. Disabling a pass other passes
-  // depend on degrades gracefully: e.g. with "adorn" disabled the tree pass
-  // is structurally skipped and the normalized program is the rewriting.
+  // Pass-pipeline configuration: names of passes to skip (see
+  // PassManager::PassNames for the vocabulary). Unknown names are an error
+  // at Run time. Disabling "tree" stops after the bottom-up phase and
+  // returns P1 as the rewriting; "residues" leaves residue negations off
+  // the rewritten rules; "fd_rewrite" skips the FD-based join elimination
+  // (ICs of the Theorem 5.5 shape). Disabling a pass other passes depend
+  // on degrades gracefully: e.g. with "adorn" disabled the tree pass is
+  // structurally skipped and the normalized program is the rewriting.
   std::vector<std::string> disabled_passes;
 
   // Observability hooks, optional and off by default. With an enabled

@@ -285,9 +285,6 @@ const std::vector<std::string>& PassManager::PassNames() {
 }
 
 bool PassManager::IsDisabled(const std::string& name) const {
-  if (name == "fd_rewrite" && !options_.apply_fd_rewriting) return true;
-  if (name == "tree" && !options_.build_query_tree) return true;
-  if (name == "residues" && !options_.attach_residues) return true;
   const std::vector<std::string>& disabled = options_.disabled_passes;
   return std::find(disabled.begin(), disabled.end(), name) != disabled.end();
 }

@@ -78,7 +78,7 @@ class Pass {
 class PassManager {
  public:
   // Builds the standard pipeline. `options` carries both the per-phase
-  // knobs and the pipeline configuration (disabled_passes + legacy flags).
+  // knobs and the pipeline configuration (disabled_passes).
   explicit PassManager(SqoOptions options = {});
   ~PassManager();
 
@@ -88,9 +88,7 @@ class PassManager {
   // Canonical pass names, in pipeline order.
   static const std::vector<std::string>& PassNames();
 
-  // True if `name` is switched off, either via options.disabled_passes or
-  // via the legacy SqoOptions flags (build_query_tree, attach_residues,
-  // apply_fd_rewriting).
+  // True if `name` is listed in options.disabled_passes.
   bool IsDisabled(const std::string& name) const;
 
   // Runs the pipeline over `program`/`ics` and returns the report. Emits

@@ -79,27 +79,22 @@ TEST(EngineTest, PrepareCacheKeysOnOptions) {
 
   const PreparedProgram* full = session.Prepare().value();
   SqoOptions no_residues;
-  no_residues.attach_residues = false;
+  no_residues.disabled_passes.push_back("residues");
   const PreparedProgram* bare = session.Prepare(no_residues).value();
   EXPECT_NE(full, bare);
   EXPECT_NE(full->cache_key, bare->cache_key);
   EXPECT_EQ(Misses(engine), 2);
   EXPECT_EQ(session.cache_size(), 2u);
 
-  // Disabling the residues pass by name lands on the same semantics but is
-  // a distinct fingerprint — a separate cache entry, not a collision.
-  SqoOptions by_name;
-  by_name.disabled_passes.push_back("residues");
-  const PreparedProgram* by_name_prepared = session.Prepare(by_name).value();
-  EXPECT_NE(by_name_prepared, bare);
-  EXPECT_EQ(by_name_prepared->report.rewritten.rules().size(),
-            bare->report.rewritten.rules().size());
-  EXPECT_EQ(by_name_prepared->report.surviving_classes,
-            bare->report.surviving_classes);
-
-  // Re-preparing each distinct configuration hits its own entry.
+  // Option sets that run the same pipeline share one entry: the
+  // fingerprint canonicalizes disabled_passes (sorted, deduplicated).
+  SqoOptions same_pipeline;
+  same_pipeline.disabled_passes = {"residues", "residues"};
+  EXPECT_EQ(session.Prepare(same_pipeline).value(), bare);
   EXPECT_EQ(session.Prepare(no_residues).value(), bare);
-  EXPECT_EQ(Hits(engine), 1);
+  EXPECT_EQ(Hits(engine), 2);
+  EXPECT_EQ(Misses(engine), 2);
+  EXPECT_EQ(session.cache_size(), 2u);
 }
 
 TEST(EngineTest, ExecuteMatchesOriginalOnConsistentDatabase) {

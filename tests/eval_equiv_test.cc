@@ -11,15 +11,6 @@
 // Coverage: the Figure 1 worked example, the GoodPath and ColoredClosure
 // workload families, stratified IDB negation with comparisons, and a
 // randomized program/EDB fuzz sweep.
-//
-// The parallel contract rides the same helper: every semi-naive
-// configuration also runs with threads = 2 and 4 (hash-partitioned
-// iterations, EvalOptions::threads) and must match the serial run on
-// answers, aggregate stats, and per-rule counters — partitioning changes
-// who finds a tuple first, and the barrier merge must reclassify the
-// losers so the counters don't notice. These suites run under TSan in CI
-// (the EvalEquiv regex), which also makes them a data-race check on the
-// partition tasks.
 
 #include <gtest/gtest.h>
 
@@ -30,7 +21,6 @@
 #include <vector>
 
 #include "src/eval/evaluator.h"
-#include "src/eval/executor.h"
 #include "src/parser/parser.h"
 #include "src/workload/graphs.h"
 #include "src/workload/programs.h"
@@ -60,8 +50,7 @@ constexpr ExecMode kExecModes[] = {
 };
 
 // Per-rule counter signature, excluding the two fields the contract leaves
-// free: ops (scales with parallel task count; 0 in interpret mode) and
-// time_ns (wall clock).
+// free: ops (0 in interpret mode) and time_ns (wall clock).
 std::string ProfileSignature(const std::vector<RuleProfile>& profiles) {
   std::ostringstream out;
   for (const RuleProfile& p : profiles) {
@@ -73,13 +62,12 @@ std::string ProfileSignature(const std::vector<RuleProfile>& profiles) {
 }
 
 // Runs `program` against `edb` under all configurations
-// (semi_naive x use_indexes x execution mode x threads, parallel being
-// semi-naive only) and asserts:
+// (semi_naive x use_indexes x execution mode) and asserts:
 //  * answers identical everywhere, and
-//  * EvalStats and per-rule counters identical across execution modes AND
-//    thread counts within one (semi_naive, use_indexes) point (iteration
-//    strategy and index usage legitimately change the counters; the
-//    execution mode and partitioning must not).
+//  * EvalStats and per-rule counters identical across execution modes
+//    within one (semi_naive, use_indexes) point (iteration strategy and
+//    index usage legitimately change the counters; the execution mode must
+//    not).
 void ExpectAllConfigurationsAgree(const Program& program, const Database& edb,
                                   const std::string& label) {
   std::vector<Tuple> reference;
@@ -89,41 +77,36 @@ void ExpectAllConfigurationsAgree(const Program& program, const Database& edb,
       std::string reference_stats;
       std::string reference_profiles;
       for (const ExecMode& exec : kExecModes) {
-        for (int threads : {1, 2, 4}) {
-          // Naive iteration is always serial; one run covers it.
-          if (!semi_naive && threads != 1) continue;
-          EvalOptions options;
-          options.semi_naive = semi_naive;
-          options.use_indexes = use_indexes;
-          options.mode = exec.mode;
-          options.use_kernels = exec.use_kernels;
-          options.threads = threads;
-          EvalStats stats;
-          std::vector<RuleProfile> profiles;
-          Result<std::vector<Tuple>> result =
-              EvaluateQuery(program, edb, options, &stats, &profiles);
-          std::string config = std::string(" [") + exec.name +
-                               " semi_naive=" + (semi_naive ? "1" : "0") +
-                               " use_indexes=" + (use_indexes ? "1" : "0") +
-                               " threads=" + std::to_string(threads) + "]";
-          ASSERT_TRUE(result.ok())
-              << label << config << ": " << result.status().message();
-          std::vector<Tuple> answers = result.take();
-          if (!have_reference) {
-            reference = answers;
-            have_reference = true;
-          }
-          ASSERT_EQ(reference, answers)
-              << label << config << " diverged on answers";
-          if (reference_stats.empty()) {
-            reference_stats = stats.ToString();
-            reference_profiles = ProfileSignature(profiles);
-          } else {
-            ASSERT_EQ(reference_stats, stats.ToString())
-                << label << config << " diverged on counters";
-            ASSERT_EQ(reference_profiles, ProfileSignature(profiles))
-                << label << config << " diverged on per-rule counters";
-          }
+        EvalOptions options;
+        options.semi_naive = semi_naive;
+        options.use_indexes = use_indexes;
+        options.mode = exec.mode;
+        options.use_kernels = exec.use_kernels;
+        EvalStats stats;
+        std::vector<RuleProfile> profiles;
+        Result<std::vector<Tuple>> result =
+            EvaluateQuery(program, edb, options, &stats, &profiles);
+        std::string config = std::string(" [") + exec.name +
+                             " semi_naive=" + (semi_naive ? "1" : "0") +
+                             " use_indexes=" + (use_indexes ? "1" : "0") +
+                             "]";
+        ASSERT_TRUE(result.ok())
+            << label << config << ": " << result.status().message();
+        std::vector<Tuple> answers = result.take();
+        if (!have_reference) {
+          reference = answers;
+          have_reference = true;
+        }
+        ASSERT_EQ(reference, answers)
+            << label << config << " diverged on answers";
+        if (reference_stats.empty()) {
+          reference_stats = stats.ToString();
+          reference_profiles = ProfileSignature(profiles);
+        } else {
+          ASSERT_EQ(reference_stats, stats.ToString())
+              << label << config << " diverged on counters";
+          ASSERT_EQ(reference_profiles, ProfileSignature(profiles))
+              << label << config << " diverged on per-rule counters";
         }
       }
     }
@@ -301,127 +284,6 @@ std::string MakeRandomUnit(FuzzRng* rng) {
   }
   src += "?- p" + std::to_string(num_idb - 1) + ".\n";
   return src;
-}
-
-// Parallel-machinery accounting: a partitioned run reports its task and
-// iteration counts, and the per-partition derivation counts sum to at most
-// the total derived (unpartitioned single-task plans are not attributed to
-// a partition).
-TEST(EvalEquivParallelTest, ParallelStatsReported) {
-  Rng rng(20260808);
-  GoodPathConfig config;
-  config.nodes = 100;
-  config.edges = 350;
-  config.num_start = 6;
-  config.num_end = 6;
-  config.threshold = 25;
-  Database edb = MakeGoodPathWorkload(config, &rng);
-  Program program = MakeGoodPathProgram();
-
-  EvalOptions serial;
-  EvalStats serial_stats;
-  Result<std::vector<Tuple>> serial_result =
-      EvaluateQuery(program, edb, serial, &serial_stats);
-  ASSERT_TRUE(serial_result.ok());
-
-  EvalOptions par;
-  par.threads = 4;
-  ParallelEvalStats pstats;
-  par.parallel_stats = &pstats;
-  EvalStats par_stats;
-  Result<std::vector<Tuple>> par_result =
-      EvaluateQuery(program, edb, par, &par_stats);
-  ASSERT_TRUE(par_result.ok());
-
-  EXPECT_EQ(serial_result.value(), par_result.value());
-  EXPECT_EQ(serial_stats.ToString(), par_stats.ToString());
-  EXPECT_EQ(pstats.threads, 4);
-  EXPECT_GT(pstats.parallel_iterations, 0);
-  EXPECT_GT(pstats.partition_tasks, 0);
-  ASSERT_EQ(pstats.partition_derived.size(), 4u);
-  int64_t partitioned_derived = 0;
-  for (int64_t d : pstats.partition_derived) {
-    EXPECT_GE(d, 0);
-    partitioned_derived += d;
-  }
-  EXPECT_LE(partitioned_derived, par_stats.tuples_derived);
-}
-
-// A serial run never touches the parallel machinery: threads = 1 reports
-// zero partition tasks through the same stats hook.
-TEST(EvalEquivParallelTest, SerialRunReportsNoPartitionTasks) {
-  Rng rng(20260808);
-  GoodPathConfig config;
-  config.nodes = 40;
-  config.edges = 120;
-  config.threshold = 10;
-  Database edb = MakeGoodPathWorkload(config, &rng);
-  EvalOptions options;
-  ParallelEvalStats pstats;
-  options.parallel_stats = &pstats;
-  Result<std::vector<Tuple>> result =
-      EvaluateQuery(MakeGoodPathProgram(), edb, options);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(pstats.partition_tasks, 0);
-  EXPECT_EQ(pstats.parallel_iterations, 0);
-}
-
-// One shared executor serving many evaluations in sequence (the engine's
-// deployment shape: Engine::eval_executor outlives every request) keeps
-// producing serial-identical answers.
-TEST(EvalEquivParallelTest, SharedExecutorAcrossEvaluations) {
-  Rng rng(20260808);
-  ColoredClosure workload = MakeColoredClosure(/*colors=*/2, /*num_ics=*/1,
-                                               &rng);
-  Database edb = MakeColoredEdges(/*colors=*/2, /*nodes=*/50, /*edges=*/160,
-                                  workload.ics, &rng);
-  EvalStats serial_stats;
-  Result<std::vector<Tuple>> serial =
-      EvaluateQuery(workload.program, edb, {}, &serial_stats);
-  ASSERT_TRUE(serial.ok());
-
-  EvalExecutor executor(3);
-  for (int round = 0; round < 4; ++round) {
-    EvalOptions options;
-    options.threads = 4;
-    options.executor = &executor;
-    EvalStats stats;
-    Result<std::vector<Tuple>> result =
-        EvaluateQuery(workload.program, edb, options, &stats);
-    ASSERT_TRUE(result.ok()) << result.status().message();
-    EXPECT_EQ(serial.value(), result.value()) << "round " << round;
-    EXPECT_EQ(serial_stats.ToString(), stats.ToString()) << "round " << round;
-  }
-}
-
-// More partitions than any relation has rows: most tasks find nothing,
-// answers and counters still match serial exactly.
-TEST(EvalEquivParallelTest, MorePartitionsThanRows) {
-  Result<ParsedUnit> parsed = ParseUnit(R"(
-    path(X, Y) :- e(X, Y).
-    path(X, Z) :- path(X, Y), e(Y, Z).
-    ?- path.
-  )");
-  ASSERT_TRUE(parsed.ok());
-  Database edb;
-  const PredId e = InternPred("e");
-  edb.Insert(e, {Value::Int(1), Value::Int(2)});
-  edb.Insert(e, {Value::Int(2), Value::Int(3)});
-  edb.Insert(e, {Value::Int(3), Value::Int(4)});
-
-  EvalStats serial_stats;
-  Result<std::vector<Tuple>> serial =
-      EvaluateQuery(parsed.value().program, edb, {}, &serial_stats);
-  ASSERT_TRUE(serial.ok());
-
-  EvalOptions options;
-  options.threads = 16;
-  EvalStats stats;
-  Result<std::vector<Tuple>> result =
-      EvaluateQuery(parsed.value().program, edb, options, &stats);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(serial.value(), result.value());
-  EXPECT_EQ(serial_stats.ToString(), stats.ToString());
 }
 
 TEST(EvalEquivFuzzTest, AllConfigurationsAgree) {

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <set>
+#include <thread>
 
+#include "src/base/cancel.h"
 #include "src/eval/evaluator.h"
 #include "src/parser/parser.h"
 #include "src/workload/graphs.h"
@@ -305,6 +308,67 @@ TEST(EvalTest, MaxDerivedGuard) {
   EXPECT_FALSE(evaluator.Evaluate(edb).ok());
 }
 
+// The left-linear closure over the chain 0 -> 1 -> ... -> length: one new
+// path length per iteration, so long chains run many iterations.
+Program MakePathProgram() {
+  return ParseProgram(R"(
+    path(X, Y) :- e(X, Y).
+    path(X, Z) :- path(X, Y), e(Y, Z).
+    ?- path.
+  )").take();
+}
+
+Database MakeChainEdb(int length) {
+  Database edb;
+  const PredId e = InternPred("e");
+  for (int i = 0; i < length; ++i) {
+    edb.Insert(e, {Value::Int(i), Value::Int(i + 1)});
+  }
+  return edb;
+}
+
+TEST(EvalTest, PreCancelledTokenReturnsCancelled) {
+  CancelToken cancel;
+  cancel.Cancel();
+  EvalOptions options;
+  options.cancel = &cancel;
+  EXPECT_EQ(EvaluateQuery(MakePathProgram(), MakeChainEdb(200), options)
+                .status()
+                .code(),
+            StatusCode::kCancelled);
+}
+
+TEST(EvalTest, ExpiredDeadlineReturnsDeadlineExceeded) {
+  EvalOptions options;
+  options.deadline_ns = NowNs() - 1;
+  EXPECT_EQ(EvaluateQuery(MakePathProgram(), MakeChainEdb(200), options)
+                .status()
+                .code(),
+            StatusCode::kDeadlineExceeded);
+}
+
+// A cancel fired from another thread mid-run lands as kCancelled, or the
+// run completes first on a fast machine; both are legal outcomes of the
+// cooperative contract. What may not happen is a hang or a crash.
+TEST(EvalTest, CancelFromAnotherThreadStopsOrCompletes) {
+  const Program program = MakePathProgram();
+  const Database edb = MakeChainEdb(600);
+  CancelToken cancel;
+  EvalOptions options;
+  options.cancel = &cancel;
+  std::thread canceller([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    cancel.Cancel();
+  });
+  Result<std::vector<Tuple>> result = EvaluateQuery(program, edb, options);
+  canceller.join();
+  if (result.ok()) {
+    EXPECT_EQ(result.value().size(), 600u * 601u / 2u);
+  } else {
+    EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
+  }
+}
+
 TEST(EvalTest, StatsCountWork) {
   EvalStats stats;
   RunQuery(R"(
@@ -364,16 +428,13 @@ TEST(EvalTest, NonlinearClosureProbesTheRelationItDerivesInto) {
   }
   for (bool semi_naive : {true, false}) {
     for (EvalMode mode : {EvalMode::kInterpret, EvalMode::kCompile}) {
-      for (int threads : {1, 2}) {
-        EvalOptions options;
-        options.semi_naive = semi_naive;
-        options.mode = mode;
-        options.threads = threads;
-        std::vector<Tuple> answers = RunQuery(source, options);
-        ASSERT_EQ(answers.size(), static_cast<size_t>((n + 1) * n / 2));
-        EXPECT_EQ(answers.front(), Ints({0, 1}));
-        EXPECT_EQ(answers.back(), Ints({n - 1, n}));
-      }
+      EvalOptions options;
+      options.semi_naive = semi_naive;
+      options.mode = mode;
+      std::vector<Tuple> answers = RunQuery(source, options);
+      ASSERT_EQ(answers.size(), static_cast<size_t>((n + 1) * n / 2));
+      EXPECT_EQ(answers.front(), Ints({0, 1}));
+      EXPECT_EQ(answers.back(), Ints({n - 1, n}));
     }
   }
 }

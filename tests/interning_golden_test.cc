@@ -132,8 +132,7 @@ TEST(InterningGoldenTest, AblationsUnaffectedByMemoization) {
     ExpectSameOutcome(p, ics, options);
   }
   SqoOptions p1_only;
-  p1_only.build_query_tree = false;
-  p1_only.attach_residues = false;
+  p1_only.disabled_passes = {"tree", "residues"};
   ExpectSameOutcome(p, ics, p1_only);
 }
 

@@ -95,7 +95,7 @@ TEST(OptimizerTest, Figure1RewrittenProgram) {
 
 TEST(OptimizerTest, P1ModeSkipsTree) {
   SqoOptions options;
-  options.build_query_tree = false;
+  options.disabled_passes.push_back("tree");
   SqoReport report =
       OptimizeProgram(MakeAbClosureProgram(), {MakeAbIc()}, options).take();
   EXPECT_EQ(report.tree_classes, 0);

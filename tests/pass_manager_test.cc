@@ -78,20 +78,14 @@ TEST(PassManagerTest, ReportsOnePassRunPerPass) {
   }
 }
 
-TEST(PassManagerTest, DisablingTreeMatchesLegacyFlag) {
+TEST(PassManagerTest, DisablingTreeBuildsNoQueryTree) {
   Program p = MakeAbClosureProgram();
   std::vector<Constraint> ics{MakeAbIc()};
-
-  SqoOptions legacy;
-  legacy.build_query_tree = false;
-  SqoReport via_flag = OptimizeProgram(p, ics, legacy).take();
 
   SqoOptions by_name;
   by_name.disabled_passes.push_back("tree");
   SqoReport via_name = PassManager(by_name).Run(p, ics).take();
 
-  EXPECT_EQ(Canon(via_flag.rewritten.ToString()),
-            Canon(via_name.rewritten.ToString()));
   EXPECT_EQ(via_name.tree_classes, 0);
 
   const PassRunInfo* tree_info = nullptr;
@@ -103,21 +97,7 @@ TEST(PassManagerTest, DisablingTreeMatchesLegacyFlag) {
   EXPECT_FALSE(tree_info->ran());
 }
 
-TEST(PassManagerTest, DisablingResiduesMatchesLegacyFlag) {
-  Program p = MakeGoodPathProgram();
-  std::vector<Constraint> ics = MakeMonotoneIcs(100);
-
-  SqoOptions legacy;
-  legacy.attach_residues = false;
-  SqoOptions by_name;
-  by_name.disabled_passes.push_back("residues");
-
-  EXPECT_EQ(
-      Canon(OptimizeProgram(p, ics, legacy).value().rewritten.ToString()),
-      Canon(PassManager(by_name).Run(p, ics).value().rewritten.ToString()));
-}
-
-TEST(PassManagerTest, DisablingFdRewriteMatchesLegacyFlag) {
+TEST(PassManagerTest, DisablingFdRewriteKeepsTheJoin) {
   // An FD-shaped IC plus a joining rule: with fd_rewrite the join
   // collapses, without it the program keeps both atoms.
   Program p = ParseProgram(R"(
@@ -128,16 +108,11 @@ TEST(PassManagerTest, DisablingFdRewriteMatchesLegacyFlag) {
       ParseConstraint(":- e(X, Y1, Z1), e(X, Y2, Z2), Z1 != Z2.").take();
   std::vector<Constraint> ics{fd};
 
-  SqoOptions legacy;
-  legacy.apply_fd_rewriting = false;
   SqoOptions by_name;
   by_name.disabled_passes.push_back("fd_rewrite");
 
   SqoReport with_fd = OptimizeProgram(p, ics).take();
-  SqoReport flag_off = OptimizeProgram(p, ics, legacy).take();
   SqoReport name_off = PassManager(by_name).Run(p, ics).take();
-  EXPECT_EQ(Canon(flag_off.rewritten.ToString()),
-            Canon(name_off.rewritten.ToString()));
   EXPECT_NE(Canon(with_fd.normalized.ToString()),
             Canon(name_off.normalized.ToString()));
 }
@@ -183,11 +158,9 @@ TEST(PassManagerTest, UnknownDisabledPassIsInvalidArgument) {
   EXPECT_NE(report.status().message().find("typo"), std::string::npos);
 }
 
-TEST(PassManagerTest, IsDisabledReflectsLegacyFlags) {
+TEST(PassManagerTest, IsDisabledReflectsDisabledPasses) {
   SqoOptions options;
-  options.build_query_tree = false;
-  options.apply_fd_rewriting = false;
-  options.disabled_passes.push_back("prune");
+  options.disabled_passes = {"tree", "fd_rewrite", "prune"};
   PassManager manager(options);
   EXPECT_TRUE(manager.IsDisabled("tree"));
   EXPECT_TRUE(manager.IsDisabled("fd_rewrite"));

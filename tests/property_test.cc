@@ -49,8 +49,7 @@ TEST_P(PipelineEquivalence, P1AgreesWithFullPipeline) {
   Rng rng(param.seed * 31 + 7);
   ColoredClosure cc = MakeColoredClosure(param.colors, param.num_ics, &rng);
   SqoOptions p1_only;
-  p1_only.build_query_tree = false;
-  p1_only.attach_residues = false;
+  p1_only.disabled_passes = {"tree", "residues"};
   Result<SqoReport> p1 = OptimizeProgram(cc.program, cc.ics, p1_only);
   Result<SqoReport> full = OptimizeProgram(cc.program, cc.ics);
   ASSERT_TRUE(p1.ok());
