@@ -3,6 +3,7 @@
 
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "src/base/value.h"
 
@@ -62,16 +63,48 @@ struct TermHash {
   size_t operator()(const Term& t) const { return t.Hash(); }
 };
 
-// Generates globally fresh variables. Suffix counters are process-wide and
-// per base name, so generation stays O(1) no matter how many fresh names
-// the process has already made (single-threaded, like the rest of the
-// library).
+// Generates fresh variables, named "<base>#<n>".
+//
+// Invariant: only FreshVarGen emits variable names containing '#'. The
+// parser cannot produce them (a variable is [A-Z_][A-Za-z0-9_@']*), and
+// hand-built placeholders use other markers (adorn's "P$<i>"). So a '#'
+// name in an optimizer run's input was emitted by an earlier run.
+//
+// Inside a FreshNameScope (one optimizer run on this thread) names are
+// run-scoped: each base's suffixes restart at 0, and "<base>#<n>" is handed
+// out unless the scope reserved it (the run's input uses it). Every name a
+// run hands out is therefore apart from its input and from every other name
+// of the run. Runs whose inputs reuse variable names reuse the same fresh
+// names, so for such traffic the process-wide interner stops growing; the
+// base is the renamed variable's own name, so an input with new variable
+// names still interns new "<base>#<n>" names, a few per variable. Terms
+// from two runs must not meet in one rule unless a later run takes both as
+// input, which reserves them.
+//
+// Outside any scope a fresh name is one never interned process-wide; the
+// per-base suffix counters are shared by all threads under a mutex.
 class FreshVarGen {
  public:
   // Returns a fresh variable named "_G#<n>".
   Term Next();
   // Returns a fresh variable whose name hints at `base` ("<base>#<n>").
   Term NextLike(std::string_view base);
+};
+
+// Opens the calling thread's fresh-name scope for one optimizer run, or
+// joins the scope already open on the thread: a nested run shares the outer
+// run's counters and reservations, so the names of both stay apart. The
+// scope closes when its outermost FreshNameScope is destroyed.
+class FreshNameScope {
+ public:
+  FreshNameScope();
+  ~FreshNameScope();
+  FreshNameScope(const FreshNameScope&) = delete;
+  FreshNameScope& operator=(const FreshNameScope&) = delete;
+
+  // Marks `vars` (variables of the run's input) as taken: the scope never
+  // hands them out.
+  void Reserve(const std::vector<VarId>& vars);
 };
 
 }  // namespace sqod

@@ -199,6 +199,11 @@ size_t Session::cache_size() const {
   return cache_->entries.size();
 }
 
+bool Session::has_views() const {
+  std::lock_guard<std::mutex> lock(views_->mu);
+  return !views_->views.empty();
+}
+
 void Session::ClearCache() {
   {
     // Views pin PreparedPrograms, so they go first.

@@ -144,6 +144,11 @@ class Session {
   // Number of distinct prepared programs cached (in-flight ones included).
   size_t cache_size() const;
 
+  // True once any materialized view exists. A view's delta state cannot be
+  // rebuilt from the unit's source, so the serving layer never evicts a
+  // session that holds one.
+  bool has_views() const;
+
   // Drops all cached prepared programs (invalidates Prepare pointers).
   void ClearCache();
 

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <limits>
 #include <utility>
+#include <vector>
 
 #include "src/engine/explain.h"
 #include "src/obs/export.h"
@@ -338,11 +339,25 @@ std::shared_ptr<QueryService::SessionEntry> QueryService::GetSession(
   key.push_back('\x1f');
   key.append(source);
   std::shared_ptr<SessionEntry> entry;
+  // Evicted entries are destroyed after the lock is released, so tearing
+  // down a large session does not stall every other request's lookup.
+  std::vector<std::shared_ptr<SessionEntry>> evicted;
   {
     std::lock_guard<std::mutex> lock(sessions_mu_);
-    std::shared_ptr<SessionEntry>& slot = sessions_[key];
-    if (slot == nullptr) slot = std::make_shared<SessionEntry>();
-    entry = slot;
+    auto [it, inserted] = sessions_.try_emplace(std::move(key));
+    if (inserted) {
+      it->second = std::make_shared<SessionEntry>();
+      lru_.push_front(&*it);
+      it->second->lru_pos = lru_.begin();
+      it->second->in_lru = true;
+    } else if (it->second->in_lru) {
+      lru_.splice(lru_.begin(), lru_, it->second->lru_pos);
+    }
+    entry = it->second;
+    // `entry` is held, so the walk cannot evict the session just touched.
+    EvictIdleSessionsLocked(&evicted);
+    metrics().GetGauge("service/sessions_live")
+        ->Set(static_cast<int64_t>(sessions_.size()));
   }
   // Parse single-flight, outside the map lock: concurrent first requests
   // for the same source block here instead of serializing all sources.
@@ -355,6 +370,29 @@ std::shared_ptr<QueryService::SessionEntry> QueryService::GetSession(
     }
   });
   return entry;
+}
+
+void QueryService::EvictIdleSessionsLocked(
+    std::vector<std::shared_ptr<SessionEntry>>* evicted) {
+  auto it = lru_.end();
+  while (lru_.size() > kSessionCacheCapacity && it != lru_.begin()) {
+    --it;
+    SessionMap::value_type* node = *it;
+    SessionEntry& entry = *node->second;
+    // A use count of 1 is the map's own reference: no request holds the
+    // entry, and none can take it while sessions_mu_ is held, so no parse,
+    // prepare or delta is under way on it.
+    if (node->second.use_count() > 1) continue;
+    it = lru_.erase(it);
+    if (entry.session != nullptr && entry.session->has_views()) {
+      entry.in_lru = false;  // retained for good
+      continue;
+    }
+    auto map_it = sessions_.find(node->first);
+    evicted->push_back(std::move(map_it->second));
+    sessions_.erase(map_it);
+    metrics().GetCounter("service/sessions_evicted")->Increment();
+  }
 }
 
 void QueryService::ProcessDelta(DeltaJob* job) {

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <functional>
 #include <future>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -50,6 +51,15 @@ namespace sqod {
 //   service/slow_queries                          over slow_query_ms
 //   service/queue_wait_ns, service/prepare_ns, service/execute_ns
 //                                                 latency histograms
+//   service/sessions_evicted                      idle sessions dropped
+//   service/sessions_live                         sessions held (gauge)
+//
+// Session retention: parsed sessions are kept in LRU order, and past
+// kSessionCacheCapacity the least recently used idle one is evicted (its
+// source re-parses and re-prepares on its next request, with the same
+// answers). A session is idle when no request holds it; one that holds a
+// materialized view is never evicted, because its delta state cannot be
+// rebuilt from source.
 //
 // Request-scoped tracing: every submitted request gets a TraceContext (a
 // process-unique trace id plus a per-request Tracer). With Request::trace
@@ -106,7 +116,9 @@ Result<int64_t> DeadlineNsFromMs(int64_t deadline_ms, int64_t now_ns);
 struct Request {
   // A full datalog unit: rules, ICs, optional facts, query declaration.
   // Requests with byte-identical sources share one parsed session (and
-  // therefore one prepared-program cache).
+  // therefore one prepared-program cache) while it is retained; an evicted
+  // session (QueryService::kSessionCacheCapacity) is parsed and prepared
+  // again on its source's next request.
   std::string source;
   // Tenant namespace. Sessions are deduplicated per (tenant, source), so
   // tenants never share Engine session state even for byte-identical
@@ -223,6 +235,13 @@ struct DeltaResponse {
 
 class QueryService {
  public:
+  // Parsed sessions kept for reuse; past it the least recently used idle
+  // one is evicted. A session seen holding a materialized view is retained
+  // for good and stops counting; a session some request holds is skipped,
+  // so the count may exceed the capacity by the requests in flight. Bounds
+  // the memory a stream of distinct programs can pin.
+  static constexpr size_t kSessionCacheCapacity = 256;
+
   explicit QueryService(ServiceOptions options = {});
   ~QueryService();  // implies Shutdown()
 
@@ -275,11 +294,20 @@ class QueryService {
   EventLog& event_log() { return event_log_; }
 
  private:
+  struct SessionEntry;
+  using SessionMap =
+      std::unordered_map<std::string, std::shared_ptr<SessionEntry>>;
+  using LruList = std::list<SessionMap::value_type*>;
+
   // A parsed-session slot, created single-flight per distinct source text.
   struct SessionEntry {
     std::once_flag once;
     Status status;  // parse/validation error when session == nullptr
     std::unique_ptr<Session> session;
+    // The entry's place in lru_, guarded by sessions_mu_; in_lru turns
+    // false for good once the entry is seen holding a view.
+    LruList::iterator lru_pos;
+    bool in_lru = false;
   };
 
   struct Job {
@@ -308,9 +336,16 @@ class QueryService {
     Span root_span;
   };
 
-  // Session lookup key: tenant-qualified source text.
+  // Session lookup key: tenant-qualified source text. Marks the entry most
+  // recently used and evicts idle ones past the capacity.
   std::shared_ptr<SessionEntry> GetSession(const std::string& tenant,
                                            const std::string& source);
+  // Walks lru_ from the least recently used end while it holds more than
+  // kSessionCacheCapacity entries: moves idle view-free entries out of the
+  // map into `evicted` (the caller destroys them after unlocking), unlinks
+  // view holders for good, skips in-flight ones. Caller holds sessions_mu_.
+  void EvictIdleSessionsLocked(
+      std::vector<std::shared_ptr<SessionEntry>>* evicted);
   // Builds the job (trace context, deadline validation, admission spans)
   // and hands it to the pool; delivers the rejection inline on failure.
   void SubmitJob(std::shared_ptr<Job> job);
@@ -328,7 +363,10 @@ class QueryService {
   ServiceOptions options_;
   Engine engine_;
   std::mutex sessions_mu_;
-  std::unordered_map<std::string, std::shared_ptr<SessionEntry>> sessions_;
+  SessionMap sessions_;
+  // Entries that may be evicted, most recently used first. Map nodes are
+  // address-stable, so the list points at them directly.
+  LruList lru_;
   EventLog event_log_;
   std::atomic<uint64_t> next_request_id_{1};
 

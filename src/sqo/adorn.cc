@@ -131,19 +131,19 @@ std::vector<Comparison> ComputeHeadSummary(
 }  // namespace
 
 Term SummaryPlaceholder(int i) {
-  // Hot enough that re-interning "P#<i>" each call shows up in profiles;
+  // Hot enough that re-interning "P$<i>" each call shows up in profiles;
   // the first few placeholders cover every realistic arity. Thread-safe via
   // magic-static initialization; read-only afterwards.
   constexpr int kCached = 16;
   static const std::array<Term, kCached>& cache = *[] {
     auto* c = new std::array<Term, kCached>();
     for (int i = 0; i < kCached; ++i) {
-      (*c)[i] = Term::Var("P#" + std::to_string(i));
+      (*c)[i] = Term::Var("P$" + std::to_string(i));
     }
     return c;
   }();
   if (i >= 0 && i < kCached) return cache[i];
-  return Term::Var("P#" + std::to_string(i));
+  return Term::Var("P$" + std::to_string(i));
 }
 
 size_t AdornmentEngine::ApredKeyHash::operator()(const ApredKey& k) const {

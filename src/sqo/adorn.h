@@ -20,7 +20,7 @@ namespace sqod {
 // An adorned IDB predicate p^A: the original predicate plus the adornment
 // (set of triplets guaranteed for every derivation of a p^A fact) and the
 // *order summary* — the conjunction of order atoms over the head argument
-// positions (placeholder variables P#0, P#1, ...) that holds for every fact
+// positions (placeholder variables P$0, P$1, ...) that holds for every fact
 // derivable through this adorned predicate. The summary is the [LMSS93]
 // order-propagation that the paper assumes as preprocessing, incorporated
 // into the bottom-up phase as the proof of Theorem 5.1 suggests: a rule
@@ -36,7 +36,9 @@ struct AdornedPred {
   SummaryId summary_id = -1;
 };
 
-// The placeholder variable for head argument position `i` in summaries.
+// The placeholder variable for head argument position `i` in summaries,
+// named "P$<i>": no parsed variable contains '$', and no FreshVarGen name
+// does either, so a run-scoped fresh name can never alias a placeholder.
 Term SummaryPlaceholder(int i);
 
 // An adorned rule of the program P1 built by the bottom-up phase.

@@ -36,6 +36,13 @@ Result<bool> QueryReachableAtom(const Program& program,
   std::erase(opts.disabled_passes, "tree");
   opts.disabled_passes.push_back("residues");
   opts.disabled_passes.push_back("prune");
+  // One fresh-name scope over the run and the renamings below, which draw
+  // names apart from the run's terms and from `atom`.
+  FreshNameScope fresh_names;
+  ReserveInputVariables(program, ics, &fresh_names);
+  std::vector<VarId> atom_vars;
+  atom.CollectVars(&atom_vars);
+  fresh_names.Reserve(atom_vars);
   PassManager manager(opts);
   PassContext ctx;
   SQOD_RETURN_IF_ERROR(manager.RunInto(program, ics, &ctx));

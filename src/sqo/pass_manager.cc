@@ -258,6 +258,13 @@ void RecordPipelineGauges(PassContext& ctx, const SqoOptions& options) {
 
 }  // namespace
 
+void ReserveInputVariables(const Program& program,
+                           const std::vector<Constraint>& ics,
+                           FreshNameScope* scope) {
+  for (const Rule& rule : program.rules()) scope->Reserve(rule.Vars());
+  for (const Constraint& ic : ics) scope->Reserve(ic.Vars());
+}
+
 bool Pass::Applicable(const PassContext&) const { return true; }
 
 const Program* Pass::Current(const PassContext& ctx) const {
@@ -312,6 +319,11 @@ Status PassManager::RunInto(const Program& program,
                                      ")");
     }
   }
+
+  // Fresh names are run-scoped (term.h): the run reuses the names every
+  // earlier run drew, apart from its own input's variables.
+  FreshNameScope fresh_names;
+  ReserveInputVariables(program, ics, &fresh_names);
 
   ctx->input = &program;
   ctx->input_ics = &ics;

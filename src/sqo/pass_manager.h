@@ -75,6 +75,12 @@ class Pass {
   virtual const Program* Current(const PassContext& ctx) const;
 };
 
+// Reserves every variable of an optimizer run's input in `scope`, so the
+// run's fresh names stay apart from it.
+void ReserveInputVariables(const Program& program,
+                           const std::vector<Constraint>& ics,
+                           FreshNameScope* scope);
+
 class PassManager {
  public:
   // Builds the standard pipeline. `options` carries both the per-phase
@@ -100,7 +106,9 @@ class PassManager {
 
   // Same, but leaves the full pipeline context (adornment engine, query
   // tree) accessible to the caller. `ctx` must outlive any use of the
-  // returned references.
+  // returned references. The run's fresh names are scoped to this call
+  // (FreshNameScope); a caller that renames the context's terms afterwards
+  // opens its own scope around the call.
   Status RunInto(const Program& program, const std::vector<Constraint>& ics,
                  PassContext* ctx);
 

@@ -201,10 +201,10 @@ Program ApplyClassicSqo(const Program& program,
   Program out;
   out.SetQuery(program.query());
 
-  // Rename each IC apart once. Fresh names are globally new (FreshVarGen
-  // probes the process-wide interner), so one renaming is apart from every
-  // rule — and a stable renamed IC is what lets the match memo hit across
-  // rules.
+  // Rename each IC apart once. A fresh name is apart from every rule here:
+  // inside an optimizer run it avoids the run's input and every name the run
+  // drew before (FreshNameScope); outside one it was never interned. A
+  // stable renamed IC is what lets the match memo hit across rules.
   FreshVarGen gen;
   std::vector<Constraint> renamed_ics;
   renamed_ics.reserve(ics.size());

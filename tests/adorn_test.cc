@@ -3,6 +3,7 @@
 #include <set>
 
 #include "src/cq/ic_check.h"
+#include "src/engine/engine.h"
 #include "src/eval/evaluator.h"
 #include "src/parser/parser.h"
 #include "src/sqo/adorn.h"
@@ -150,7 +151,7 @@ TEST(AdornTest, SafetyValveTriggers) {
 
 TEST(AdornTest, OrderSummariesPropagateThreshold) {
   // The Section 3 pipeline: the adorned path predicate reached from
-  // goodPath must carry the summary 100 <= P#0 (and monotonicity P#0 < P#1).
+  // goodPath must carry the summary 100 <= P$0 (and monotonicity P$0 < P$1).
   Program p = MakeGoodPathProgram();
   std::vector<Constraint> ics = MakeMonotoneIcs(100);
   LocalAtomInfo info = AnalyzeLocalAtoms(ics).take();
@@ -169,6 +170,46 @@ TEST(AdornTest, OrderSummariesPropagateThreshold) {
     }
   }
   EXPECT_TRUE(found_thresholded_path);
+}
+
+TEST(AdornTest, VariablesNamedPStayApartFromSummaryPlaceholders) {
+  // Renaming a variable P apart yields P#<n>, and an optimizer run's fresh
+  // names restart at P#0; the summary placeholders are P$<i>, so the two
+  // never alias. The Section 3 program written over P/Q/R must keep the
+  // threshold on both path rules and answer like the original.
+  Engine engine;
+  Session session = engine.Open(R"(
+    path(P, Q) :- step(P, Q).
+    path(P, Q) :- step(P, R), path(R, Q).
+    goodPath(P, Q) :- startPoint(P), path(P, Q), endPoint(Q).
+    :- startPoint(P), step(P, Q), P < 100.
+    :- step(P, Q), P >= Q.
+    ?- goodPath.
+  )").take();
+  const PreparedProgram* prepared = session.Prepare().value();
+  int thresholded_path_rules = 0;
+  for (const Rule& r : prepared->program().rules()) {
+    if (PredName(r.head.pred()).rfind("path", 0) != 0) continue;
+    for (const Comparison& c : r.comparisons) {
+      if (c.lhs == Term::Int(100) || c.rhs == Term::Int(100)) {
+        ++thresholded_path_rules;
+        break;
+      }
+    }
+  }
+  EXPECT_EQ(thresholded_path_rules, 2);
+
+  GoodPathConfig config;
+  config.nodes = 300;
+  config.edges = 1200;
+  Rng rng(3);
+  for (int trial = 0; trial < 3; ++trial) {
+    Database edb = MakeGoodPathWorkload(config, &rng);
+    std::vector<Tuple> expected = session.ExecuteOriginal(edb).take();
+    EXPECT_FALSE(expected.empty());
+    EXPECT_EQ(session.Execute(*prepared, edb).take(), expected)
+        << "trial " << trial;
+  }
 }
 
 TEST(AdornTest, InconsistentSummaryCombinationDropped) {

@@ -31,6 +31,31 @@ TEST(TermTest, FreshVarsAreFresh) {
   EXPECT_TRUE(a.is_var());
 }
 
+TEST(TermTest, ScopedFreshNamesRestartAndSkipReservedNames) {
+  FreshVarGen gen;
+  {
+    FreshNameScope scope;
+    scope.Reserve({V("Sc#0").var(), V("Sc#2").var()});
+    EXPECT_EQ(gen.NextLike("Sc").ToString(), "Sc#1");
+    {
+      // A nested scope joins the open one: its names continue the count.
+      FreshNameScope nested;
+      EXPECT_EQ(gen.NextLike("Sc").ToString(), "Sc#3");
+    }
+    EXPECT_EQ(gen.NextLike("Sc").ToString(), "Sc#4");
+  }
+  {
+    // The next run starts over, with no reservations left behind.
+    FreshNameScope scope;
+    EXPECT_EQ(gen.NextLike("Sc").ToString(), "Sc#0");
+  }
+  // Outside any scope, fresh means never interned anywhere.
+  const int before = GlobalStrings().size();
+  Term outside = gen.NextLike("Sc");
+  EXPECT_EQ(GlobalStrings().size(), before + 1);
+  EXPECT_NE(outside.ToString(), "Sc#0");
+}
+
 TEST(AtomTest, CollectVarsInOrderWithoutDuplicates) {
   Atom a("p", {V("X"), V("Y"), V("X"), Term::Int(1)});
   std::vector<VarId> vars;

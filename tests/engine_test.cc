@@ -215,6 +215,46 @@ TEST(EngineTest, SessionsAreIndependent) {
   EXPECT_EQ(Misses(engine), 2);
 }
 
+TEST(EngineTest, DistinctProgramsKeepTheInternerBounded) {
+  // Fresh names are scoped to one optimizer run, so a stream of distinct
+  // programs reuses them instead of interning new ones per run.
+  Engine engine;
+  Rng rng(7);
+  const int before = GlobalStrings().size();
+  for (int i = 0; i < 500; ++i) {
+    ColoredClosure cc = MakeColoredClosure(3, 1 + i % 4, &rng);
+    std::vector<Atom> facts{
+        Atom("e0", {Term::Int(i), Term::Int(i + 1)})};
+    Session session =
+        engine.Open(cc.program, cc.ics, std::move(facts)).take();
+    ASSERT_TRUE(session.Prepare().ok()) << "program " << i;
+  }
+  EXPECT_EQ(PipelineRuns(engine), 500);
+  EXPECT_LT(GlobalStrings().size() - before, 2000);
+}
+
+TEST(EngineTest, ReoptimizingARewrittenProgramKeepsItsAnswers) {
+  // A rewritten program's variables carry fresh '#' names; optimizing it
+  // again must draw names apart from them (the run reserves its input's
+  // variables) and still answer like the original.
+  Engine engine;
+  Rng rng(11);
+  ColoredClosure cc = MakeColoredClosure(3, 3, &rng);
+  Session original = engine.Open(cc.program, cc.ics).take();
+  const Program& rewritten = original.Prepare().value()->program();
+  ASSERT_NE(rewritten.ToString().find('#'), std::string::npos);
+
+  Session again = engine.Open(rewritten, cc.ics).take();
+  const PreparedProgram* reoptimized = again.Prepare().value();
+  for (int trial = 0; trial < 3; ++trial) {
+    Database edb = MakeColoredEdges(3, 40, 90, cc.ics, &rng);
+    std::vector<Tuple> expected = original.ExecuteOriginal(edb).take();
+    EXPECT_FALSE(expected.empty());
+    EXPECT_EQ(again.Execute(*reoptimized, edb).take(), expected)
+        << "trial " << trial;
+  }
+}
+
 TEST(EngineTest, PrepareReportsCacheHitToCaller) {
   Engine engine;
   Session session = engine.Open(kFigure1).take();

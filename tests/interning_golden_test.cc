@@ -4,9 +4,10 @@
 // the worked example, the E4 scaling families, and the E9 ablation
 // workload, including runs with passes disabled.
 //
-// Fresh variables are drawn from a process-global generator, so two runs in
-// the same process produce alpha-equivalent rather than textually equal
-// programs; rules are compared after a canonical per-rule renaming.
+// Fresh variable names are run-scoped, so the two runs currently draw the
+// same names; rules are still compared after a canonical per-rule renaming,
+// which holds the memo tables to producing the same rules, not to drawing
+// names in the same order.
 
 #include <gtest/gtest.h>
 

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <set>
+#include <thread>
+#include <vector>
+
 #include "src/eval/evaluator.h"
 #include "src/parser/parser.h"
 #include "src/sqo/optimizer.h"
@@ -212,6 +216,56 @@ TEST(OptimizerTest, DumpsAreOffByDefault) {
   EXPECT_TRUE(report.adornment_dump.empty());
   EXPECT_TRUE(report.tree_dump.empty());
   EXPECT_TRUE(report.tree_dot.empty());
+}
+
+TEST(OptimizerTest, RepeatedRunsDrawTheSameFreshNames) {
+  // Fresh names are scoped to one run, so optimizing the same input twice
+  // yields textually equal rewritings (not merely alpha-equivalent ones).
+  Program p = MakeAbClosureProgram();
+  SqoReport first = OptimizeProgram(p, {MakeAbIc()}).take();
+  SqoReport second = OptimizeProgram(p, {MakeAbIc()}).take();
+  EXPECT_EQ(first.rewritten.ToString(), second.rewritten.ToString());
+}
+
+TEST(FreshVarGenConcurrencyTest, ConcurrentRunsOnDistinctPrograms) {
+  // Service workers optimize concurrently: each run draws run-scoped fresh
+  // names on its own thread, while code outside any run draws from the
+  // process-wide counters. Every rewriting must stay equivalent to its
+  // original, and the process-wide names must never repeat.
+  constexpr int kThreads = 4;
+  constexpr int kPrograms = 6;
+  constexpr int kNamesPerProgram = 40;
+  std::vector<int> failures(kThreads, 0);
+  std::vector<std::vector<Term>> global_names(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&failures, &global_names, t] {
+      Rng rng(100 + t);
+      FreshVarGen gen;
+      for (int i = 0; i < kPrograms; ++i) {
+        ColoredClosure cc = MakeColoredClosure(3, 1 + (t + i) % 4, &rng);
+        Result<SqoReport> report = OptimizeProgram(cc.program, cc.ics);
+        Database edb = MakeColoredEdges(3, 30, 60, cc.ics, &rng);
+        if (!report.ok() ||
+            EvaluateQuery(cc.program, edb).take() !=
+                EvaluateQuery(report.value().rewritten, edb).take()) {
+          ++failures[t];
+        }
+        for (int k = 0; k < kNamesPerProgram; ++k) {
+          global_names[t].push_back(gen.NextLike("G"));
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  std::set<VarId> distinct;
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(failures[t], 0) << "thread " << t;
+    for (const Term& name : global_names[t]) distinct.insert(name.var());
+  }
+  EXPECT_EQ(distinct.size(),
+            static_cast<size_t>(kThreads * kPrograms * kNamesPerProgram));
 }
 
 }  // namespace

@@ -713,5 +713,149 @@ TEST(ServiceTest, ConcurrentSubmitAndApplyDeltaKeepViewsConsistent) {
   service.Shutdown();
 }
 
+// ------------------------------------------------------ session retention
+
+int64_t SessionsOpened(QueryService& service) {
+  return ServiceCounter(service, "engine/sessions_opened");
+}
+
+// Calls `source` and expects success. With one worker thread a request's
+// session is released before the next request's lookup, so the eviction
+// walks below see every earlier entry idle.
+Response CallOk(QueryService& service, const std::string& source) {
+  Request request;
+  request.source = source;
+  Response response = service.Call(std::move(request));
+  EXPECT_TRUE(response.status.ok()) << response.status.message();
+  return response;
+}
+
+// A cheap unit whose text differs for each `i`, so each opens its own
+// session.
+std::string ColdSource(int i) {
+  return MakeChainSource(2) + "% cold unit " + std::to_string(i) + "\n";
+}
+
+constexpr int kCapacity =
+    static_cast<int>(QueryService::kSessionCacheCapacity);
+
+TEST(ServiceTest, SessionsAreEvictedInLruOrder) {
+  ServiceOptions options;
+  options.threads = 1;
+  QueryService service(options);
+  std::vector<std::string> s;
+  for (int i = 0; i <= kCapacity; ++i) s.push_back(ColdSource(i));
+
+  for (int i = 0; i < kCapacity; ++i) CallOk(service, s[i]);
+  CallOk(service, s[0]);  // touch: s[1] is now least recently used
+  EXPECT_EQ(SessionsOpened(service), kCapacity);
+  EXPECT_EQ(ServiceCounter(service, "service/sessions_evicted"), 0);
+  CallOk(service, s[kCapacity]);  // over capacity: evicts s[1]
+  EXPECT_EQ(SessionsOpened(service), kCapacity + 1);
+  EXPECT_EQ(ServiceCounter(service, "service/sessions_evicted"), 1);
+  EXPECT_EQ(service.metrics().GetGauge("service/sessions_live")->value(),
+            kCapacity);
+
+  CallOk(service, s[0]);
+  CallOk(service, s[2]);
+  EXPECT_EQ(SessionsOpened(service), kCapacity + 1);  // both retained
+  CallOk(service, s[1]);  // re-opened; evicts s[3], now the oldest
+  EXPECT_EQ(SessionsOpened(service), kCapacity + 2);
+  CallOk(service, s[4]);
+  EXPECT_EQ(SessionsOpened(service), kCapacity + 2);  // retained
+  CallOk(service, s[3]);  // re-opened; evicts s[5]
+  EXPECT_EQ(SessionsOpened(service), kCapacity + 3);
+  EXPECT_EQ(ServiceCounter(service, "service/sessions_evicted"), 3);
+}
+
+TEST(ServiceTest, ViewHoldingSessionsSurviveEviction) {
+  // A view's delta state cannot be rebuilt from source: its session must
+  // outlive any number of cold programs, and its versions keep counting.
+  constexpr int kBaseChain = 5;
+  ServiceOptions options;
+  options.threads = 1;
+  QueryService service(options);
+  const std::string source = MakeChainSource(kBaseChain);
+
+  auto extend = [&](int version) {
+    DeltaRequest request;
+    request.source = source;
+    const int from = kBaseChain + version - 1;
+    request.delta.inserts.push_back(
+        ParseAtomText("step(" + std::to_string(from) + ", " +
+                      std::to_string(from + 1) + ")")
+            .take());
+    DeltaResponse response = service.CallApplyDelta(std::move(request));
+    ASSERT_TRUE(response.status.ok()) << response.status.message();
+    EXPECT_EQ(response.snapshot_version, version);
+  };
+  extend(1);
+  for (int i = 0; i < kCapacity + 100; ++i) CallOk(service, ColdSource(i));
+  // The view holder left the LRU list instead of being evicted, so exactly
+  // the 100 cold units past the capacity went.
+  EXPECT_EQ(ServiceCounter(service, "service/sessions_evicted"), 100);
+  extend(2);  // a rebuilt view would restart at version 1
+
+  Request read;
+  read.source = source;
+  read.materialized = true;
+  Response response = service.Call(std::move(read));
+  ASSERT_TRUE(response.status.ok()) << response.status.message();
+  EXPECT_EQ(response.snapshot_version, 2);
+  EXPECT_EQ(response.answers, ChainClosure(kBaseChain + 2));
+  EXPECT_EQ(SessionsOpened(service), kCapacity + 101);
+}
+
+TEST(ServiceTest, InFlightSessionIsNotEvicted) {
+  ServiceOptions options;
+  options.threads = 2;
+  QueryService service(options);
+
+  // A long evaluation holds its session until cancelled; its chain is far
+  // too long to finish while the cold requests below run.
+  const std::string slow_source = MakeChainSource(5000);
+  auto cancel = std::make_shared<CancelToken>();
+  Request slow;
+  slow.source = slow_source;
+  slow.cancel = cancel;
+  slow.deadline_ms = 60'000;
+  std::future<Response> slow_response = service.Submit(std::move(slow));
+  while (SessionsOpened(service) < 1) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  // The slow session is the least recently used from the moment the list
+  // fills, but only idle entries may go: each cold request past the
+  // capacity evicts the oldest cold one instead.
+  for (int i = 0; i <= kCapacity; ++i) CallOk(service, ColdSource(i));
+  EXPECT_EQ(ServiceCounter(service, "service/sessions_evicted"), 2);
+  cancel->Cancel();
+  EXPECT_EQ(slow_response.get().status.code(), StatusCode::kCancelled);
+
+  // The slow source's session survived: asking again opens nothing.
+  const int64_t opened = SessionsOpened(service);
+  Request again;
+  again.source = slow_source;
+  again.load_only = true;
+  ASSERT_TRUE(service.Call(std::move(again)).status.ok());
+  EXPECT_EQ(SessionsOpened(service), opened);
+}
+
+TEST(ServiceTest, EvictedSourceAnswersIdentically) {
+  ServiceOptions options;
+  options.threads = 1;
+  QueryService service(options);
+
+  Response first = CallOk(service, kFigure1);
+  // Past the capacity: the Figure 1 session is the oldest and goes.
+  for (int i = 0; i < kCapacity; ++i) CallOk(service, ColdSource(i));
+  EXPECT_EQ(ServiceCounter(service, "service/sessions_evicted"), 1);
+  Response again = CallOk(service, kFigure1);
+  EXPECT_EQ(again.answers, first.answers);
+  EXPECT_FALSE(again.prepare_cache_hit);  // re-parsed and re-prepared
+  EXPECT_EQ(SessionsOpened(service), kCapacity + 2);
+  EXPECT_EQ(ServiceCounter(service, "engine/pipeline_runs"), kCapacity + 2);
+}
+
 }  // namespace
 }  // namespace sqod
