@@ -3,7 +3,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <cstdlib>
 #include <cstring>
 
 #include "src/base/check.h"
@@ -18,22 +17,10 @@ namespace sqod {
 // counters on `state`, and returns the query answers (to keep the optimizer
 // honest). Counters are sourced from the engine's MetricsRegistry, so they
 // match the CLI's --stats-json output key for key.
-//
-// SQOD_EVAL_MODE=interpret|compile in the environment overrides
-// options.mode for every benchmark in the process — the CI bench-smoke job
-// runs the suite under both modes and diffs the reports
-// (scripts/compare_eval_modes.py).
 inline std::vector<Tuple> RunAndReport(const Program& program,
                                        const Database& edb,
                                        benchmark::State& state,
                                        EvalOptions options = {}) {
-  if (const char* mode = std::getenv("SQOD_EVAL_MODE")) {
-    if (std::strcmp(mode, "interpret") == 0) {
-      options.mode = EvalMode::kInterpret;
-    } else if (std::strcmp(mode, "compile") == 0) {
-      options.mode = EvalMode::kCompile;
-    }
-  }
   MetricsRegistry metrics;
   EngineOptions engine_options;
   engine_options.metrics = &metrics;
@@ -52,12 +39,10 @@ inline std::vector<Tuple> RunAndReport(const Program& program,
   state.counters["duplicates"] = counter("eval/duplicate_derivations");
   state.counters["probes"] = counter("eval/join_probes");
   state.counters["answers"] = static_cast<double>(answers.value().size());
-  if (options.mode == EvalMode::kCompile) {
-    // Plan-lowering cost and executed bytecode ops, per iteration like the
-    // other counters (zero in interpret mode, so only reported here).
-    state.counters["compile_ns"] = counter("eval/compile_ns");
-    state.counters["bytecode_ops"] = counter("eval/bytecode_ops");
-  }
+  // Plan-lowering cost and executed bytecode ops, per iteration like the
+  // other counters.
+  state.counters["compile_ns"] = counter("eval/compile_ns");
+  state.counters["bytecode_ops"] = counter("eval/bytecode_ops");
   return answers.take();
 }
 

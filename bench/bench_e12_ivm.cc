@@ -27,8 +27,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <cstdlib>
-#include <cstring>
 #include <set>
 #include <string>
 #include <utility>
@@ -182,14 +180,6 @@ void RunChurn(benchmark::State& state, const IvmWorkload& w,
   ApplyDeltaOptions options;
   options.force_recompute = force_recompute;
   options.recompute_fraction = 1e9;  // pair stays pure: no silent fallback
-  if (const char* mode = std::getenv("SQOD_EVAL_MODE")) {
-    if (std::strcmp(mode, "interpret") == 0) {
-      options.eval.mode = EvalMode::kInterpret;
-    } else if (std::strcmp(mode, "compile") == 0) {
-      options.eval.mode = EvalMode::kCompile;
-    }
-  }
-
   Evaluator evaluator(w.program, options.eval);
   Result<Database> idb = evaluator.Evaluate(ms.edb);
   SQOD_CHECK_MSG(idb.ok(), idb.status().message().c_str());

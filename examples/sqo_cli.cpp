@@ -7,7 +7,6 @@
 // and the observability layer.
 //
 //   usage: sqo_cli [--p1] [--tree] [--dot] [--adornments] [--eval]
-//                  [--eval-mode=interpret|compile]
 //                  [--profile] [--passes]
 //                  [--explain] [--analyze[=FILE]]
 //                  [--facts=FILE] [--apply-delta=FILE]
@@ -26,12 +25,6 @@
 //     --adornments  print the adorned predicates and their triplets
 //     --eval        if the unit contains facts, evaluate both programs and
 //                   report answers + work counters
-//     --eval-mode=MODE  plan execution strategy: `compile` (default) lowers
-//                   each rule plan to register bytecode with specialized
-//                   join kernels at Prepare time; `interpret` walks the
-//                   PlanStep tree directly (the pre-bytecode evaluator,
-//                   kept as a runtime fallback). Applies to --eval,
-//                   --analyze, and --serve-batch evaluations
 //     --profile     per-rule profile tables (with --eval, for both the
 //                   original and rewritten program) and a span-tree summary
 //     --passes      print the per-pass report (ran/disabled/skipped, wall
@@ -200,7 +193,6 @@ int main(int argc, char** argv) {
        show_adornments = false, do_eval = false, do_profile = false,
        show_passes = false, reprepare = false, serve_batch = false,
        do_explain = false, do_analyze = false;
-  EvalMode eval_mode = EvalMode::kCompile;
   int threads = 4, requests = 8;
   long long deadline_ms = -1, max_queue = 256, slow_ms = -1,
             metrics_snapshot_ms = -1;
@@ -219,18 +211,6 @@ int main(int argc, char** argv) {
       show_adornments = true;
     } else if (std::strcmp(argv[i], "--eval") == 0) {
       do_eval = true;
-    } else if (std::strncmp(argv[i], "--eval-mode=", 12) == 0) {
-      const char* mode = argv[i] + 12;
-      if (std::strcmp(mode, "interpret") == 0) {
-        eval_mode = EvalMode::kInterpret;
-      } else if (std::strcmp(mode, "compile") == 0) {
-        eval_mode = EvalMode::kCompile;
-      } else {
-        std::fprintf(stderr,
-                     "unknown --eval-mode=%s (expected interpret|compile)\n",
-                     mode);
-        return 2;
-      }
     } else if (std::strcmp(argv[i], "--profile") == 0) {
       do_profile = true;
     } else if (std::strcmp(argv[i], "--passes") == 0) {
@@ -288,7 +268,6 @@ int main(int argc, char** argv) {
   if (path == nullptr) {
     std::fprintf(stderr,
                  "usage: %s [--p1] [--tree] [--dot] [--adornments] [--eval] "
-                 "[--eval-mode=interpret|compile] "
                  "[--profile] [--passes] [--disable-pass=NAME ...] "
                  "[--reprepare] [--trace=FILE] [--stats-json=FILE] <file|->\n"
                  "       %s --list-passes\n"
@@ -351,8 +330,6 @@ int main(int argc, char** argv) {
     QueryParams params;
     params.source = source;
     params.deadline_ms = deadline_ms;
-    params.eval_mode =
-        eval_mode == EvalMode::kInterpret ? "interpret" : "compile";
     params.disabled_passes = disabled_passes;
     // With --trace, every request collects its own span tree; the trees
     // merge below into one Chrome trace, one lane per request.
@@ -550,7 +527,6 @@ int main(int argc, char** argv) {
     EvalStats original_stats, rewritten_stats;
     std::vector<RuleProfile> original_profiles, rewritten_profiles;
     EvalOptions eval_options;
-    eval_options.mode = eval_mode;
     eval_options.profile_rules = do_profile || do_analyze;
 
     eval_options.metrics_prefix = "eval/original";
@@ -589,10 +565,7 @@ int main(int argc, char** argv) {
     // Incremental-view replay: pin the prepared program to a materialized
     // view, apply each batch, and referee the maintained answers against a
     // from-scratch recompute of the same EDB.
-    MaterializeOptions materialize;
-    materialize.eval.mode = eval_mode;
-    Result<MaterializedView*> made =
-        session.Materialize(*prepared.value(), materialize);
+    Result<MaterializedView*> made = session.Materialize(*prepared.value());
     if (!made.ok()) {
       std::fprintf(stderr, "materialize error [%s]: %s\n",
                    StatusCodeName(made.status().code()),
@@ -601,7 +574,6 @@ int main(int argc, char** argv) {
     }
     MaterializedView* view = made.value();
     EvalOptions eval_options;
-    eval_options.mode = eval_mode;
     int64_t maintain_total_ns = 0, recompute_total_ns = 0;
     bool all_match = true;
     int batch_no = 0;

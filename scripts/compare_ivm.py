@@ -32,8 +32,9 @@ _NAME_RE = re.compile(r"^BM_E12_(Maintain|Recompute)(\w+)/(\d+)/(\d+)$")
 
 
 def load_benchmarks(path):
-    """Returns {name: real_time_ns}, min over repetitions (see
-    compare_eval_modes.py for why min-of-N)."""
+    """Returns {name: real_time_ns}, min over repetitions: noise on a
+    shared runner only ever adds time, so the fastest repetition is the
+    least disturbed one."""
     try:
         with open(path) as f:
             report = json.load(f)

@@ -229,7 +229,7 @@ Result<std::vector<Tuple>> Session::Execute(
     EvalStats* stats, std::vector<RuleProfile>* profiles) {
   // Thread the Prepare-time compiled artifact into the evaluation (unless
   // the caller pinned its own), so warm executions skip plan lowering.
-  if (options.mode == EvalMode::kCompile && options.compiled == nullptr) {
+  if (options.compiled == nullptr) {
     options.compiled = prepared.compiled.get();
   }
   return Run(prepared.program(), edb, std::move(options), stats, profiles);

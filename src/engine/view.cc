@@ -45,7 +45,7 @@ Result<std::unique_ptr<MaterializedView>> MaterializedView::Create(
   view->state_.version = 0;
 
   EvalOptions eval = options.eval;
-  if (eval.mode == EvalMode::kCompile && eval.compiled == nullptr) {
+  if (eval.compiled == nullptr) {
     eval.compiled = prepared.compiled.get();
   }
   Evaluator evaluator(prepared.program(), eval);
@@ -84,8 +84,7 @@ Result<MaintainStats> MaterializedView::ApplyDelta(const FactDelta& delta) {
   std::unique_lock<std::shared_mutex> lock(mu_);
   ApplyDeltaOptions options;
   options.eval = options_.eval;
-  if (options.eval.mode == EvalMode::kCompile &&
-      options.eval.compiled == nullptr) {
+  if (options.eval.compiled == nullptr) {
     options.eval.compiled = prepared_->compiled.get();
   }
   options.recompute_fraction = options_.recompute_fraction;

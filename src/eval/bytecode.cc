@@ -143,6 +143,11 @@ CompiledRule CompileRulePlan(const RulePlan& plan,
   // is capped at Relation::kMaxArity and plans are compiled in bulk at
   // Prepare, so per-level heap churn would dominate the lowering cost.
   std::vector<uint8_t> reg_bound(plan.num_vars, 0);
+  if (plan.head_bound) {
+    for (const ArgRef& a : plan.head) {
+      if (a.var >= 0) reg_bound[a.var] = 1;
+    }
+  }
 
   for (const PlanStep& step : plan.steps) {
     switch (step.kind) {
@@ -158,6 +163,7 @@ CompiledRule CompileRulePlan(const RulePlan& plan,
       case PlanStep::Kind::kNegation: {
         NegInfo neg;
         neg.pred = step.pred;
+        neg.body_index = step.index;
         neg.source = idb_preds.count(step.pred) > 0 ? RelSource::kIdbTotal
                                                     : RelSource::kEdb;
         neg.arity = static_cast<int>(step.args.size());
@@ -186,12 +192,12 @@ CompiledRule CompileRulePlan(const RulePlan& plan,
         }
         lvl.arity = static_cast<int>(step.args.size());
 
-        // The probe mask: constants plus registers bound by EARLIER levels.
-        // This is exactly the mask the interpreter gathers dynamically —
-        // boundness at a plan position does not depend on the data, and a
-        // variable first bound by this atom is unbound for masking purposes
-        // even when it repeats within the atom (the repeat becomes an
-        // unmasked register compare against the freshly loaded column).
+        // The probe mask: constants plus registers bound by EARLIER levels
+        // (or seeded head registers). Boundness at a plan position does not
+        // depend on the data, and a variable first bound by this atom is
+        // unbound for masking purposes even when it repeats within the atom
+        // (the repeat becomes an unmasked register compare against the
+        // freshly loaded column).
         uint64_t first_load = 0;
         int32_t atom_loads[Relation::kMaxArity];
         int num_atom_loads = 0;
@@ -343,243 +349,39 @@ Result<CompiledProgram> CompileProgram(const Program& program) {
   return out;
 }
 
-LevelRows ResolveRows(RelSource source, PredId pred, const Database& edb,
-                      const Database& idb, const IdbFrontier& frontier) {
-  LevelRows rows;
-  rows.rel = (source == RelSource::kEdb ? edb : idb).Find(pred);
-  if (rows.rel == nullptr) return rows;
-  rows.hi = rows.rel->size();
-  if (source == RelSource::kEdb) return rows;
-  auto it = frontier.find(pred);
-  if (it == frontier.end()) return rows;
-  rows.hi = it->second.hi;
-  if (source == RelSource::kIdbDelta) rows.lo = it->second.lo;
-  return rows;
-}
-
-namespace {
-
-// One open join level in the generic executor.
-struct Cursor {
-  const Relation* rel = nullptr;
-  const Value* row_data = nullptr;  // current row
-  // Index-probe chain state (is_scan == false):
-  int32_t probe_row = -1;
-  Relation::Matches chain;
-  // Scan state (is_scan == true):
-  int64_t scan_row = 0;
-  int64_t scan_end = 0;
-  bool is_scan = false;
-  uint32_t actions_ip = 0;  // probe_ip or scan_ip, chosen when opened
-};
-
-}  // namespace
-
-bool ResolveRelations(const CompiledRule& rule, VmContext* ctx) {
+bool ResolveRelations(const CompiledRule& rule, const Database& edb,
+                      const Database& idb, const IdbFrontier& frontier,
+                      VmContext* ctx) {
   // Re-resolved per rule activation: the frontier windows move every
   // iteration, and IDB relations appear when their first tuple is derived.
-  ctx->level_rows->clear();
+  // A level reads the whole EDB relation, or the frontier window of its IDB
+  // relation (the whole relation when the frontier has no entry: a
+  // completed lower stratum).
+  ctx->levels.clear();
   for (const LevelInfo& lvl : rule.levels) {
-    ctx->level_rows->push_back(ResolveRows(lvl.source, lvl.pred, *ctx->edb,
-                                           *ctx->idb, *ctx->frontier));
+    LevelRows rows;
+    rows.rel = (lvl.source == RelSource::kEdb ? edb : idb).Find(lvl.pred);
+    if (rows.rel != nullptr) {
+      rows.hi = rows.rel->size();
+      auto it = lvl.source == RelSource::kEdb ? frontier.end()
+                                              : frontier.find(lvl.pred);
+      if (it != frontier.end()) {
+        rows.hi = it->second.hi;
+        if (lvl.source == RelSource::kIdbDelta) rows.lo = it->second.lo;
+      }
+    }
+    ctx->levels.push_back(rows);
   }
-  ctx->neg_rels->clear();
+  ctx->negs.clear();
   for (const NegInfo& neg : rule.negs) {
-    const Database* db = neg.source == RelSource::kEdb ? ctx->edb : ctx->idb;
-    ctx->neg_rels->push_back(db->Find(neg.pred));
+    LevelRows rows;
+    rows.rel = (neg.source == RelSource::kEdb ? edb : idb).Find(neg.pred);
+    ctx->negs.push_back(rows);
   }
-  ctx->head.Open(ctx->idb, rule.head_pred);
-  // No rows at the FIRST level means zero work — exactly the interpreter's
-  // early return before any counter moves. Deeper levels must still run
-  // (outer probes are observable), so only level 0 prunes.
-  return rule.levels.empty() || !(*ctx->level_rows)[0].empty();
-}
-
-void RunBytecode(const CompiledRule& rule, VmContext* ctx) {
-  const Instr* code = rule.code.data();
-  const Value* consts = rule.consts.data();
-  const ArgSrc* args_pool = rule.args_pool.data();
-  Value* regs = ctx->regs->data();
-  const std::vector<LevelRows>& level_rows = *ctx->level_rows;
-  const std::vector<const Relation*>& neg_rels = *ctx->neg_rels;
-  RuleProfile* prof = ctx->profile;
-
-  // Local accumulators, flushed once on exit: the dispatch loop touches no
-  // profile memory per instruction.
-  int64_t ops = 0, probes = 0, cmps = 0;
-  int64_t firings = 0, dups = 0, derived = 0;
-
-  // The cursor stack: one entry per open join level, innermost on top.
-  // Realistic rules have a handful of levels; the heap path covers the rest.
-  constexpr int kInlineLevels = 16;
-  Cursor inline_stack[kInlineLevels];
-  std::vector<Cursor> heap_stack;
-  Cursor* stack = inline_stack;
-  if (rule.levels.size() > kInlineLevels) {
-    heap_stack.resize(rule.levels.size());
-    stack = heap_stack.data();
-  }
-  int depth = 0;
-
-  Value key[Relation::kMaxArity];
-
-  auto src_value = [&](ArgSrc s) -> const Value& {
-    return IsConstSrc(s) ? consts[ConstIdx(s)] : regs[s];
-  };
-
-  uint32_t ip = 0;
-  bool done = false;
-  while (!done) {
-    const Instr& in = code[ip];
-    ++ops;
-    switch (in.op) {
-      case OpCode::kScanFull:
-      case OpCode::kScanDelta:
-      case OpCode::kProbeIndex: {
-        const LevelInfo& lvl = rule.levels[in.b];
-        const LevelRows& rows = level_rows[in.b];
-        Cursor& cur = stack[depth];
-        cur.rel = rows.rel;
-        cur.row_data = nullptr;
-        if (rows.empty()) {
-          // Level cannot match: backtrack (fall through to advance below).
-          cur.is_scan = true;
-          cur.scan_row = 0;
-          cur.scan_end = 0;
-        } else if (in.op == OpCode::kProbeIndex && ctx->use_indexes) {
-          for (int k = 0; k < lvl.key_len; ++k) {
-            key[k] = src_value(args_pool[lvl.key_off + k]);
-          }
-          cur.chain = rows.rel->Probe(lvl.mask, key, rows.lo, rows.hi);
-          cur.is_scan = false;
-          cur.probe_row = cur.chain.row;
-          cur.actions_ip = lvl.probe_ip;
-        } else {
-          cur.is_scan = true;
-          cur.scan_row = rows.lo;
-          cur.scan_end = rows.hi;
-          cur.actions_ip = lvl.scan_ip;
-        }
-        ++depth;
-        // Fetch the first row (or backtrack if none) via the shared
-        // advance path below.
-        break;
-      }
-      case OpCode::kLoadCol: {
-        regs[in.b] = stack[depth - 1].row_data[in.a];
-        ++ip;
-        continue;
-      }
-      case OpCode::kCheckCol: {
-        if (stack[depth - 1].row_data[in.a] == regs[in.b]) {
-          ++ip;
-          continue;
-        }
-        break;  // row rejected: advance
-      }
-      case OpCode::kCheckConst: {
-        if (stack[depth - 1].row_data[in.a] == consts[in.b]) {
-          ++ip;
-          continue;
-        }
-        break;
-      }
-      case OpCode::kJump: {
-        ip = static_cast<uint32_t>(in.b);
-        continue;
-      }
-      case OpCode::kFilterCmp: {
-        ++cmps;
-        if (EvalCmp(src_value(in.b), static_cast<CmpOp>(in.a), src_value(in.c))) {
-          ++ip;
-          continue;
-        }
-        break;
-      }
-      case OpCode::kCheckNeg: {
-        const NegInfo& neg = rule.negs[in.b];
-        const Relation* rel = neg_rels[in.b];
-        bool present = false;
-        if (rel != nullptr) {
-          for (int k = 0; k < neg.args_len; ++k) {
-            key[k] = src_value(args_pool[neg.args_off + k]);
-          }
-          present = rel->Contains(key, neg.args_len);
-        }
-        if (!present) {
-          ++ip;
-          continue;
-        }
-        break;
-      }
-      case OpCode::kEmitHead: {
-        ++firings;
-        Value head[Relation::kMaxArity];
-        for (int i = 0; i < rule.head_arity; ++i) {
-          head[i] = src_value(args_pool[rule.head_off + i]);
-        }
-        if (!ctx->head.Stage(head, rule.head_arity)) {
-          ++dups;
-        } else {
-          ++derived;
-          ++*ctx->derived_count;
-          if (ctx->max_derived >= 0 &&
-              *ctx->derived_count > ctx->max_derived) {
-            *ctx->overflow = true;
-            done = true;
-            break;
-          }
-        }
-        break;  // complete match consumed: advance the innermost cursor
-      }
-    }
-    if (done) break;
-
-    // Advance: fetch the next row of the innermost cursor; pop exhausted
-    // cursors; an empty stack means the activation is complete.
-    for (;;) {
-      if (depth == 0) {
-        done = true;
-        break;
-      }
-      Cursor& cur = stack[depth - 1];
-      bool have_row = false;
-      // Tombstoned rows are skipped before the probe counter, matching the
-      // interpreter and the specialized kernels.
-      if (cur.is_scan) {
-        while (cur.scan_row < cur.scan_end && !cur.rel->live(cur.scan_row)) {
-          ++cur.scan_row;
-        }
-        if (cur.scan_row < cur.scan_end) {
-          cur.row_data = cur.rel->row(cur.scan_row).data();
-          ++cur.scan_row;
-          have_row = true;
-        }
-      } else {
-        while (cur.probe_row >= 0 && !cur.rel->live(cur.probe_row)) {
-          cur.probe_row = cur.chain.next(cur.probe_row);
-        }
-        if (cur.probe_row >= 0) {
-          cur.row_data = cur.rel->row(cur.probe_row).data();
-          cur.probe_row = cur.chain.next(cur.probe_row);
-          have_row = true;
-        }
-      }
-      if (have_row) {
-        ++probes;  // one candidate row examined, like the interpreter
-        ip = cur.actions_ip;
-        break;
-      }
-      --depth;  // exhausted: backtrack to the enclosing level
-    }
-  }
-
-  prof->probes += probes;
-  prof->cmp_checks += cmps;
-  prof->firings += firings;
-  prof->duplicates += dups;
-  prof->derived += derived;
-  prof->ops += ops;
+  // No rows at the FIRST level means zero work: no counter moves. Deeper
+  // levels must still run (outer probes are observable), so only level 0
+  // prunes.
+  return rule.levels.empty() || !ctx->levels[0].empty();
 }
 
 }  // namespace sqod

@@ -11,6 +11,7 @@
 #include "src/ast/program.h"
 #include "src/base/status.h"
 #include "src/eval/database.h"
+#include "src/eval/evaluator.h"
 #include "src/eval/plan.h"
 
 namespace sqod {
@@ -24,8 +25,10 @@ namespace sqod {
 // pre-resolved sources, and EMIT_HEAD materializes the head. The executor
 // is a tight dispatch loop with an explicit cursor stack — no per-tuple
 // Kind switches over plan objects, no dynamic boundness tests, no binding
-// trail. Specialized kernels (src/eval/kernel.h) bypass even the dispatch
-// loop for the dominant shapes.
+// trail. The same loop runs evaluation and incremental maintenance; only
+// its row resolution (LevelRows) and emit target (the sink) differ.
+// Specialized kernels (src/eval/kernel.h) bypass even the dispatch loop for
+// the evaluator's dominant shapes.
 
 enum class OpCode : uint8_t {
   // Join-level openers; `b` indexes CompiledRule::levels. The opcode
@@ -65,6 +68,8 @@ inline constexpr int32_t ConstIdx(ArgSrc s) { return ~s; }
 // Both IDB sources read the one IDB relation of the predicate, through the
 // rows of its IdbFrontier window: kIdbTotal the iteration's snapshot
 // [0, hi), kIdbDelta the previous iteration's derivations [lo, hi).
+// Evaluation resolves rows from it (ResolveRelations); maintenance resolves
+// each level and negation from its body position instead.
 enum class RelSource : uint8_t { kEdb, kIdbTotal, kIdbDelta };
 
 // The semi-naive frontier of one IDB relation during an iteration. Derived
@@ -79,19 +84,20 @@ struct RowWindow {
 };
 using IdbFrontier = std::unordered_map<PredId, RowWindow>;
 
-// The rows one join level reads: `rel`'s row ids [lo, hi).
+// The rows one join level (or negation check) reads: `rel`'s row ids
+// [lo, hi) that are visible at `as_of`. as_of < 0 reads the current live
+// set (live(r)); as_of = v reads snapshot v (LiveAt(r, v)), the old state
+// incremental maintenance joins against. Negations use rel and as_of only.
 struct LevelRows {
   const Relation* rel = nullptr;
   int64_t lo = 0;
   int64_t hi = 0;
+  int64_t as_of = -1;
   bool empty() const { return rel == nullptr || lo >= hi; }
+  bool visible(int64_t r) const {
+    return as_of < 0 ? rel->live(r) : rel->LiveAt(r, as_of);
+  }
 };
-
-// Resolves a level's rows: the whole EDB relation for kEdb; the frontier
-// window of `pred`'s IDB relation otherwise (the whole relation when the
-// frontier has no entry: a completed lower stratum).
-LevelRows ResolveRows(RelSource source, PredId pred, const Database& edb,
-                      const Database& idb, const IdbFrontier& frontier);
 
 // One bytecode instruction. Fixed 12-byte layout; wide operands (probe
 // masks, key/argument lists) live in the owning CompiledRule's side tables.
@@ -105,7 +111,7 @@ struct Instr {
 // Static description of one join level (one positive subgoal).
 struct LevelInfo {
   PredId pred = -1;
-  int body_index = -1;  // into rule.body, for display
+  int body_index = -1;  // into rule.body
   RelSource source = RelSource::kEdb;
   int arity = 0;
   uint64_t mask = 0;      // bound columns (compile-time constant)
@@ -120,6 +126,7 @@ struct LevelInfo {
 // Static description of one negation check.
 struct NegInfo {
   PredId pred = -1;
+  int body_index = -1;  // into rule.body
   RelSource source = RelSource::kEdb;  // kEdb or kIdbTotal
   int arity = 0;
   uint32_t args_off = 0;  // ArgSrc run in args_pool
@@ -200,71 +207,260 @@ struct CompiledProgram {
 // one artifact serves naive and semi-naive iteration, probes and scans.
 Result<CompiledProgram> CompileProgram(const Program& program);
 
-// Lowers one plan. `strata`/`stratum` identify the rule's stratum so
-// same-stratum IDB subgoals resolve to delta/total correctly.
+// Lowers one plan. `idb_preds` classifies each level's and negation's
+// source; a plan built with `head_bound` lowers with the head registers
+// already loaded, so the caller must seed them before running it.
 CompiledRule CompileRulePlan(const RulePlan& plan,
                              const std::set<PredId>& idb_preds);
 
-struct RuleProfile;
-
-// Where one plan activation's derived heads go: straight into the IDB, so
-// one Insert, whose dedup against every row — this iteration's included —
-// is the whole duplicate test. Open looks the head relation up once per
-// activation, so an emit does no predicate lookup.
+// Where one evaluator activation's derived heads go: straight into the
+// IDB, so one Insert, whose dedup against every row — this iteration's
+// included — is the whole duplicate test. The head relation is looked up
+// once per activation, so an emit does no predicate lookup. The sink keeps
+// no counters: an activation derives exactly the rows it appends to the
+// head relation. Returns false (stop the activation) once that relation
+// holds more than `row_limit` rows — the evaluation's derivation budget.
 class HeadSink {
  public:
-  void Open(Database* idb, PredId pred) {
-    idb_ = idb;
-    pred_ = pred;
-    rel_ = nullptr;
-  }
+  HeadSink(Database* idb, PredId pred, int64_t row_limit)
+      : idb_(idb), pred_(pred), row_limit_(row_limit) {}
 
-  // Stages vals[0..n); true when it is new (derived), false for a duplicate.
-  bool Stage(const Value* vals, int n) {
+  bool operator()(const Value* vals, int n) {
     // Created on the first insert, like Database::Insert: an activation
     // that derives nothing leaves no empty relation behind.
     if (rel_ == nullptr) rel_ = idb_->FindOrCreate(pred_, n);
-    return rel_->Insert(vals, n);
+    return !rel_->Insert(vals, n) || rel_->size() <= row_limit_;
   }
 
  private:
-  Database* idb_ = nullptr;
-  PredId pred_ = -1;
+  Database* idb_;
+  PredId pred_;
+  int64_t row_limit_;
   Relation* rel_ = nullptr;  // the head relation, once created
 };
 
-// Runtime context for one compiled-rule activation, shared by the generic
-// executor and the specialized kernels.
+// Runtime state of one compiled-rule activation, shared by the generic
+// executor and the specialized kernels. Owned by the caller and reused
+// across activations, so nothing below allocates per activation.
 struct VmContext {
-  const Database* edb = nullptr;
-  // Every IDB tuple derived so far; levels read it through `frontier`, and
-  // emitted heads are inserted into it.
-  Database* idb = nullptr;
-  const IdbFrontier* frontier = nullptr;
-  HeadSink head;  // opened on `idb` by ResolveRelations
   bool use_indexes = true;
-  int64_t max_derived = -1;  // -1 = unlimited
+  // Receives probes, cmp_checks, firings and ops; null leaves them
+  // uncounted.
   RuleProfile* profile = nullptr;
-  int64_t* derived_count = nullptr;
-  bool* overflow = nullptr;
-
-  // Reusable scratch, owned by the evaluator and sized once per Evaluate
-  // (CompiledProgram::max_regs / max_levels).
-  std::vector<Value>* regs = nullptr;
-  std::vector<LevelRows>* level_rows = nullptr;
-  std::vector<const Relation*>* neg_rels = nullptr;
+  std::vector<Value> regs;         // sized to the rule's num_regs or more
+  std::vector<LevelRows> levels;   // per join level, CompiledRule::levels
+  std::vector<LevelRows> negs;     // per negation, CompiledRule::negs
 };
 
-// Resolves the rows a plan reads (per level) and the relations its
-// negations check into the context's scratch vectors, and opens its head
-// sink. Returns false when the *first* level resolves to no rows — the plan
-// cannot fire and need not run.
-bool ResolveRelations(const CompiledRule& rule, VmContext* ctx);
+// The evaluator's resolution: fills ctx->levels and ctx->negs for one
+// activation from the EDB, the IDB derived so far and the iteration's
+// frontier windows. Returns false when the *first* level resolves to no
+// rows — the plan cannot fire and need not run.
+bool ResolveRelations(const CompiledRule& rule, const Database& edb,
+                      const Database& idb, const IdbFrontier& frontier,
+                      VmContext* ctx);
 
-// Executes one compiled rule with the generic bytecode dispatch loop.
-// Counter semantics match the interpreter exactly (docs/evaluator.md).
-// Callers must have run ResolveRelations first.
-void RunBytecode(const CompiledRule& rule, VmContext* ctx);
+namespace vm_internal {
+
+// One open join level in the generic executor.
+struct Cursor {
+  LevelRows rows;
+  const Value* row_data = nullptr;  // current row
+  // Index-probe chain state (is_scan == false):
+  int32_t probe_row = -1;
+  Relation::Matches chain;
+  // Scan state (is_scan == true):
+  int64_t scan_row = 0;
+  bool is_scan = false;
+  uint32_t actions_ip = 0;  // probe_ip or scan_ip, chosen when opened
+};
+
+}  // namespace vm_internal
+
+// Executes one compiled rule with the generic bytecode dispatch loop — the
+// one join executor (the kernels in src/eval/kernel.h specialize it for
+// the evaluator). Every complete body match materializes the head and calls
+// `sink(head, arity)`; a sink returning false ends the activation. Rows are
+// read through ctx->levels / ctx->negs, which the caller resolved for this
+// activation, with registers the caller may have pre-seeded (head-bound
+// plans). Counter semantics: docs/evaluator.md.
+template <typename Sink>
+void RunBytecode(const CompiledRule& rule, VmContext* ctx, Sink&& sink) {
+  using vm_internal::Cursor;
+  const Instr* code = rule.code.data();
+  const Value* consts = rule.consts.data();
+  const ArgSrc* args_pool = rule.args_pool.data();
+  Value* regs = ctx->regs.data();
+  const LevelRows* level_rows = ctx->levels.data();
+  const LevelRows* neg_rows = ctx->negs.data();
+
+  // Local accumulators, flushed once on exit: the dispatch loop touches no
+  // profile memory per instruction.
+  int64_t ops = 0, probes = 0, cmps = 0, firings = 0;
+
+  // The cursor stack: one entry per open join level, innermost on top.
+  // Realistic rules have a handful of levels; the heap path covers the rest.
+  constexpr int kInlineLevels = 16;
+  Cursor inline_stack[kInlineLevels];
+  std::vector<Cursor> heap_stack;
+  Cursor* stack = inline_stack;
+  if (rule.levels.size() > kInlineLevels) {
+    heap_stack.resize(rule.levels.size());
+    stack = heap_stack.data();
+  }
+  int depth = 0;
+
+  Value key[Relation::kMaxArity];
+
+  auto src_value = [&](ArgSrc s) -> const Value& {
+    return IsConstSrc(s) ? consts[ConstIdx(s)] : regs[s];
+  };
+
+  uint32_t ip = 0;
+  bool done = false;
+  while (!done) {
+    const Instr& in = code[ip];
+    ++ops;
+    switch (in.op) {
+      case OpCode::kScanFull:
+      case OpCode::kScanDelta:
+      case OpCode::kProbeIndex: {
+        const LevelInfo& lvl = rule.levels[in.b];
+        Cursor& cur = stack[depth];
+        cur.rows = level_rows[in.b];
+        cur.row_data = nullptr;
+        if (cur.rows.empty()) {
+          // Level cannot match: backtrack (fall through to advance below).
+          cur.is_scan = true;
+          cur.scan_row = cur.rows.hi;
+        } else if (in.op == OpCode::kProbeIndex && ctx->use_indexes) {
+          for (int k = 0; k < lvl.key_len; ++k) {
+            key[k] = src_value(args_pool[lvl.key_off + k]);
+          }
+          cur.chain = cur.rows.rel->Probe(lvl.mask, key, cur.rows.lo,
+                                          cur.rows.hi);
+          cur.is_scan = false;
+          cur.probe_row = cur.chain.row;
+          cur.actions_ip = lvl.probe_ip;
+        } else {
+          cur.is_scan = true;
+          cur.scan_row = cur.rows.lo;
+          cur.actions_ip = lvl.scan_ip;
+        }
+        ++depth;
+        // Fetch the first row (or backtrack if none) via the shared
+        // advance path below.
+        break;
+      }
+      case OpCode::kLoadCol: {
+        regs[in.b] = stack[depth - 1].row_data[in.a];
+        ++ip;
+        continue;
+      }
+      case OpCode::kCheckCol: {
+        if (stack[depth - 1].row_data[in.a] == regs[in.b]) {
+          ++ip;
+          continue;
+        }
+        break;  // row rejected: advance
+      }
+      case OpCode::kCheckConst: {
+        if (stack[depth - 1].row_data[in.a] == consts[in.b]) {
+          ++ip;
+          continue;
+        }
+        break;
+      }
+      case OpCode::kJump: {
+        ip = static_cast<uint32_t>(in.b);
+        continue;
+      }
+      case OpCode::kFilterCmp: {
+        ++cmps;
+        if (EvalCmp(src_value(in.b), static_cast<CmpOp>(in.a),
+                    src_value(in.c))) {
+          ++ip;
+          continue;
+        }
+        break;
+      }
+      case OpCode::kCheckNeg: {
+        const NegInfo& neg = rule.negs[in.b];
+        const LevelRows& rows = neg_rows[in.b];
+        bool present = false;
+        if (rows.rel != nullptr) {
+          for (int k = 0; k < neg.args_len; ++k) {
+            key[k] = src_value(args_pool[neg.args_off + k]);
+          }
+          const int32_t r = rows.rel->FindRow(key, neg.args_len);
+          present = r >= 0 && rows.visible(r);
+        }
+        if (!present) {
+          ++ip;
+          continue;
+        }
+        break;
+      }
+      case OpCode::kEmitHead: {
+        ++firings;
+        Value head[Relation::kMaxArity];
+        for (int i = 0; i < rule.head_arity; ++i) {
+          head[i] = src_value(args_pool[rule.head_off + i]);
+        }
+        if (!sink(static_cast<const Value*>(head), rule.head_arity)) {
+          done = true;
+        }
+        break;  // complete match consumed: advance the innermost cursor
+      }
+    }
+    if (done) break;
+
+    // Advance: fetch the next visible row of the innermost cursor; pop
+    // exhausted cursors; an empty stack means the activation is complete.
+    for (;;) {
+      if (depth == 0) {
+        done = true;
+        break;
+      }
+      Cursor& cur = stack[depth - 1];
+      bool have_row = false;
+      // Invisible rows (tombstoned, or outside the `as_of` snapshot) are
+      // skipped before the probe counter, matching the kernels.
+      if (cur.is_scan) {
+        while (cur.scan_row < cur.rows.hi && !cur.rows.visible(cur.scan_row)) {
+          ++cur.scan_row;
+        }
+        if (cur.scan_row < cur.rows.hi) {
+          cur.row_data = cur.rows.rel->row(cur.scan_row).data();
+          ++cur.scan_row;
+          have_row = true;
+        }
+      } else {
+        while (cur.probe_row >= 0 && !cur.rows.visible(cur.probe_row)) {
+          cur.probe_row = cur.chain.next(cur.probe_row);
+        }
+        if (cur.probe_row >= 0) {
+          cur.row_data = cur.rows.rel->row(cur.probe_row).data();
+          cur.probe_row = cur.chain.next(cur.probe_row);
+          have_row = true;
+        }
+      }
+      if (have_row) {
+        ++probes;  // one candidate row examined
+        ip = cur.actions_ip;
+        break;
+      }
+      --depth;  // exhausted: backtrack to the enclosing level
+    }
+  }
+
+  if (RuleProfile* prof = ctx->profile) {
+    prof->probes += probes;
+    prof->cmp_checks += cmps;
+    prof->firings += firings;
+    prof->ops += ops;
+  }
+}
 
 }  // namespace sqod
 

@@ -16,28 +16,16 @@ namespace sqod {
 
 struct CompiledProgram;
 
-// How rule bodies are executed (see docs/evaluator.md, "Compiled
-// bytecode"): kCompile lowers each plan to flat register bytecode with
-// specialized kernels once and runs the compiled form; kInterpret walks the
-// PlanStep objects per tuple (the reference implementation, preserved as a
-// runtime fallback and equivalence oracle).
-enum class EvalMode { kInterpret, kCompile };
-
 struct EvalOptions {
   // Semi-naive (delta-driven) iteration vs naive re-evaluation.
   bool semi_naive = true;
   // Use hash indexes for bound-column probes; otherwise scan.
   bool use_indexes = true;
-  // Plan execution strategy. Both modes produce identical answers and
-  // identical work counters; compiled is the fast path and the default.
-  EvalMode mode = EvalMode::kCompile;
-  // In compiled mode, use the per-rule specialized kernels; off = always
-  // the generic bytecode dispatch loop (for debugging/benchmarks).
-  bool use_kernels = true;
-  // In compiled mode, a pre-compiled artifact to execute (as cached by
-  // PreparedProgram). Must have been built by CompileProgram from the same
-  // program being evaluated. Null = compile on the fly (the evaluator then
-  // reports the lowering cost under eval/compile_ns).
+  // A pre-compiled artifact to execute (as cached by PreparedProgram; see
+  // docs/evaluator.md, "Compiled bytecode"). Must have been built by
+  // CompileProgram from the same program being evaluated. Null = compile
+  // on the fly (the evaluator then reports the lowering cost under
+  // eval/compile_ns).
   const CompiledProgram* compiled = nullptr;
   // Abort with an error when more than this many IDB tuples are derived
   // (guards against runaway programs in tests). -1 = unlimited.
@@ -78,7 +66,7 @@ struct RuleProfile {
   int64_t probes = 0;
   int64_t cmp_checks = 0;
   // Executed bytecode ops (generic loop) or inner-loop steps (specialized
-  // kernels); 0 in interpret mode. Surfaced by EXPLAIN ANALYZE.
+  // kernels). Surfaced by EXPLAIN ANALYZE.
   int64_t ops = 0;
   int64_t time_ns = 0;
 

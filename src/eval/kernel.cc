@@ -48,55 +48,36 @@ KernelId SelectKernel(const CompiledRule& rule) {
 
 namespace {
 
-// Shared emit: materialize the head from registers/constants, stage it
-// (HeadSink), count. Returns false on overflow (callers stop the
-// activation immediately, like the interpreter unwinds).
-struct EmitCtx {
-  const CompiledRule* rule;
-  VmContext* ctx;
-  const Value* consts;
-  const ArgSrc* head_args;
-  const Value* regs;
-  int64_t firings = 0, dups = 0, derived = 0;
-};
-
-inline bool EmitHead(EmitCtx* e) {
-  ++e->firings;
+// Materializes the head from registers/constants and emits it into the
+// sink. Returns false when the sink stops the activation.
+inline bool EmitHead(const CompiledRule& rule, const Value* consts,
+                     const Value* regs, HeadSink* sink, int64_t* firings) {
+  ++*firings;
   Value head[Relation::kMaxArity];
-  const int n = e->rule->head_arity;
+  const int n = rule.head_arity;
+  const ArgSrc* head_args = rule.args_pool.data() + rule.head_off;
   for (int i = 0; i < n; ++i) {
-    ArgSrc s = e->head_args[i];
-    head[i] = IsConstSrc(s) ? e->consts[ConstIdx(s)] : e->regs[s];
+    ArgSrc s = head_args[i];
+    head[i] = IsConstSrc(s) ? consts[ConstIdx(s)] : regs[s];
   }
-  VmContext* ctx = e->ctx;
-  if (!ctx->head.Stage(head, n)) {
-    ++e->dups;
-    return true;
-  }
-  ++e->derived;
-  ++*ctx->derived_count;
-  if (ctx->max_derived >= 0 && *ctx->derived_count > ctx->max_derived) {
-    *ctx->overflow = true;
-    return false;
-  }
-  return true;
+  return (*sink)(head, n);
 }
 
 // scan_filter_emit: one level, optional comparison filters, emit. Row
 // sourcing (probe vs scan) is decided once, outside the loop.
-void RunScanFilterEmit(const CompiledRule& rule, VmContext* ctx) {
+void RunScanFilterEmit(const CompiledRule& rule, VmContext* ctx,
+                       HeadSink* sink) {
   const LevelInfo& lvl = rule.levels[0];
-  const LevelRows& rows = (*ctx->level_rows)[0];
+  const LevelRows& rows = ctx->levels[0];
   if (rows.empty()) return;
   const Relation* rel = rows.rel;
 
   const Instr* code = rule.code.data();
   const Value* consts = rule.consts.data();
   const ArgSrc* args_pool = rule.args_pool.data();
-  Value* regs = ctx->regs->data();
+  Value* regs = ctx->regs.data();
 
-  EmitCtx emit{&rule, ctx, consts, args_pool + rule.head_off, regs};
-  int64_t probes = 0, cmps = 0, ops = 0;
+  int64_t probes = 0, cmps = 0, ops = 0, firings = 0;
 
   const bool probe = lvl.mask != 0 && ctx->use_indexes;
   const uint32_t actions_begin = probe ? lvl.probe_ip : lvl.scan_ip;
@@ -106,7 +87,7 @@ void RunScanFilterEmit(const CompiledRule& rule, VmContext* ctx) {
   const uint32_t post_begin = lvl.post_ip;
   const uint32_t post_end = static_cast<uint32_t>(rule.code.size()) - 1;
 
-  auto try_row = [&](const Value* row) -> bool {  // false = overflow
+  auto try_row = [&](const Value* row) -> bool {  // false = stop
     ++probes;
     for (uint32_t ip = actions_begin; ip < actions_end; ++ip) {
       const Instr& in = code[ip];
@@ -136,7 +117,7 @@ void RunScanFilterEmit(const CompiledRule& rule, VmContext* ctx) {
       }
     }
     ++ops;
-    return EmitHead(&emit);
+    return EmitHead(rule, consts, regs, sink, &firings);
   };
 
   if (probe) {
@@ -162,9 +143,7 @@ void RunScanFilterEmit(const CompiledRule& rule, VmContext* ctx) {
   RuleProfile* prof = ctx->profile;
   prof->probes += probes;
   prof->cmp_checks += cmps;
-  prof->firings += emit.firings;
-  prof->duplicates += emit.dups;
-  prof->derived += emit.derived;
+  prof->firings += firings;
   prof->ops += ops + 1;  // + the level opener
 }
 
@@ -172,11 +151,12 @@ void RunScanFilterEmit(const CompiledRule& rule, VmContext* ctx) {
 // fully-bound key, emit per match. Both levels are load-only, so the inner
 // loop is branch-minimal: load, probe, chain-walk, load, emit.
 template <int KLen>
-void RunScanProbeEmit(const CompiledRule& rule, VmContext* ctx) {
+void RunScanProbeEmit(const CompiledRule& rule, VmContext* ctx,
+                      HeadSink* sink) {
   const LevelInfo& outer = rule.levels[0];
   const LevelInfo& inner = rule.levels[1];
-  const LevelRows& outer_rows = (*ctx->level_rows)[0];
-  const LevelRows& inner_rows = (*ctx->level_rows)[1];
+  const LevelRows& outer_rows = ctx->levels[0];
+  const LevelRows& inner_rows = ctx->levels[1];
   if (outer_rows.empty()) return;
   const Relation* outer_rel = outer_rows.rel;
   const Relation* inner_rel = inner_rows.rel;
@@ -184,10 +164,9 @@ void RunScanProbeEmit(const CompiledRule& rule, VmContext* ctx) {
   const Instr* code = rule.code.data();
   const Value* consts = rule.consts.data();
   const ArgSrc* args_pool = rule.args_pool.data();
-  Value* regs = ctx->regs->data();
+  Value* regs = ctx->regs.data();
 
-  EmitCtx emit{&rule, ctx, consts, args_pool + rule.head_off, regs};
-  int64_t probes = 0, ops = 0;
+  int64_t probes = 0, ops = 0, firings = 0;
 
   // Pre-resolved action/key descriptors, hoisted out of both loops.
   const Instr* outer_loads = code + outer.scan_ip;
@@ -223,8 +202,8 @@ void RunScanProbeEmit(const CompiledRule& rule, VmContext* ctx) {
         regs[inner_loads[i].b] = irow[inner_loads[i].a];
       }
       ops += inner_nloads + 2;
-      if (!EmitHead(&emit)) {
-        r = end;  // overflow: stop the activation
+      if (!EmitHead(rule, consts, regs, sink, &firings)) {
+        r = end;  // the sink stopped the activation
         break;
       }
     }
@@ -232,42 +211,33 @@ void RunScanProbeEmit(const CompiledRule& rule, VmContext* ctx) {
 
   RuleProfile* prof = ctx->profile;
   prof->probes += probes;
-  prof->firings += emit.firings;
-  prof->duplicates += emit.dups;
-  prof->derived += emit.derived;
+  prof->firings += firings;
   prof->ops += ops + 2;  // + the two level openers
 }
 
 }  // namespace
 
 KernelId RunCompiled(const CompiledRule& rule, VmContext* ctx,
-                     bool use_kernels) {
-  KernelId kernel = use_kernels ? rule.kernel : KernelId::kGeneric;
-  // scan_probe_emit relies on the inner index; without runtime indexes the
-  // generic loop's scan path keeps semantics (and counters) right.
-  if (kernel == KernelId::kScanProbeEmit && !ctx->use_indexes) {
-    kernel = KernelId::kGeneric;
-  }
-  switch (kernel) {
+                     HeadSink* sink) {
+  switch (rule.kernel) {
     case KernelId::kGeneric:
-      RunBytecode(rule, ctx);
-      return KernelId::kGeneric;
+      break;
     case KernelId::kScanFilterEmit:
-      RunScanFilterEmit(rule, ctx);
+      RunScanFilterEmit(rule, ctx, sink);
       return KernelId::kScanFilterEmit;
     case KernelId::kScanProbeEmit:
+      // scan_probe_emit relies on the inner index; without runtime indexes
+      // the generic loop's scan path keeps semantics (and counters) right.
+      if (!ctx->use_indexes) break;
       switch (rule.levels[1].key_len) {
-        case 1: RunScanProbeEmit<1>(rule, ctx); break;
-        case 2: RunScanProbeEmit<2>(rule, ctx); break;
-        case 3: RunScanProbeEmit<3>(rule, ctx); break;
-        case 4: RunScanProbeEmit<4>(rule, ctx); break;
-        default:
-          RunBytecode(rule, ctx);
-          return KernelId::kGeneric;
+        case 1: RunScanProbeEmit<1>(rule, ctx, sink); return rule.kernel;
+        case 2: RunScanProbeEmit<2>(rule, ctx, sink); return rule.kernel;
+        case 3: RunScanProbeEmit<3>(rule, ctx, sink); return rule.kernel;
+        case 4: RunScanProbeEmit<4>(rule, ctx, sink); return rule.kernel;
       }
-      return KernelId::kScanProbeEmit;
+      break;
   }
-  RunBytecode(rule, ctx);
+  RunBytecode(rule, ctx, *sink);
   return KernelId::kGeneric;
 }
 

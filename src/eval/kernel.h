@@ -5,10 +5,11 @@
 
 namespace sqod {
 
-// Specialized join kernels layered over the bytecode executor. The compiler
-// (CompileRulePlan) calls SelectKernel once per plan; the evaluator calls
-// RunCompiled per activation, which dispatches to the matching kernel or
-// falls back to the generic dispatch loop.
+// Specialized join kernels layered over the bytecode executor, for the
+// evaluator only (incremental maintenance runs the generic loop). The
+// compiler (CompileRulePlan) calls SelectKernel once per plan; the evaluator
+// calls RunCompiled per activation, which dispatches to the matching kernel
+// or falls back to the generic dispatch loop.
 //
 // Selection rules (compile time, on the lowered plan):
 //   scan_filter_emit  — exactly one join level and no negations: iterate the
@@ -28,21 +29,22 @@ namespace sqod {
 //                       back to generic when they are off.
 //   generic           — everything else: the bytecode dispatch loop.
 //
-// All kernels preserve the interpreter's counter semantics exactly
+// All kernels preserve the generic loop's counter semantics exactly
 // (probes per candidate row, cmp_checks per comparison, firings per
 // complete match, duplicates/derived at emit); only RuleProfile::ops is
 // kernel-defined (executed inner-loop steps rather than dispatched ops).
+// EvalTest.KernelsMatchTheGenericLoop holds them to that.
 
 // Picks the kernel for a lowered plan. Pure function of the plan.
 KernelId SelectKernel(const CompiledRule& rule);
 
 // Runs one activation through the selected kernel (or the generic loop when
-// `use_kernels` is off, the plan selected kGeneric, or the kernel's runtime
-// requirements — e.g. indexes — are not met). Returns the kernel that
+// the plan selected kGeneric or the kernel's runtime requirements — e.g.
+// indexes — are not met), emitting into `sink`. Returns the kernel that
 // actually ran, for the eval/kernel_* activation counters. Callers must
 // have run ResolveRelations first.
 KernelId RunCompiled(const CompiledRule& rule, VmContext* ctx,
-                     bool use_kernels);
+                     HeadSink* sink);
 
 }  // namespace sqod
 

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "src/base/check.h"
-#include "src/eval/bindings.h"
 #include "src/obs/trace.h"
 
 namespace sqod {
@@ -197,6 +196,11 @@ Result<MaintenancePlan> BuildMaintenancePlan(const Program& program) {
   const std::vector<Rule>& rules = program.rules();
   plan.rules.resize(rules.size());
   PlanScratch scratch;
+  auto lower = [&](const RulePlan& rp) {
+    CompiledRule cr = CompileRulePlan(rp, plan.idb_preds);
+    plan.max_regs = std::max(plan.max_regs, cr.num_regs);
+    return cr;
+  };
   for (int r = 0; r < static_cast<int>(rules.size()); ++r) {
     const Rule& rule = rules[r];
     const int stratum = plan.stratum_of.at(rule.head.pred());
@@ -224,147 +228,71 @@ Result<MaintenancePlan> BuildMaintenancePlan(const Program& program) {
         // flip the literal positive so BuildPlan can open the body there.
         Rule flipped = rule;
         flipped.body[i].negated = false;
-        rm.delta_plans.push_back(BuildPlan(flipped, r, i, &scratch));
+        rm.delta_plans.push_back(lower(BuildPlan(flipped, r, i, &scratch)));
       } else {
-        rm.delta_plans.push_back(BuildPlan(rule, r, i, &scratch));
+        rm.delta_plans.push_back(lower(BuildPlan(rule, r, i, &scratch)));
       }
     }
-    rm.support_plan = BuildPlan(rule, r, -1, &scratch, /*head_bound=*/true);
-    rm.init_plan = BuildPlan(rule, r, -1, &scratch);
+    rm.support_plan =
+        lower(BuildPlan(rule, r, -1, &scratch, /*head_bound=*/true));
+    rm.init_plan = lower(BuildPlan(rule, r, -1, &scratch));
   }
   return plan;
 }
 
 namespace {
 
-// Which rows of a relation a plan position sees: the current live set, the
-// previous snapshot, or everything (delta relations are plain and finite).
-struct MaintSource {
-  const Relation* rel = nullptr;
-  enum class View { kLive, kOld, kAll } view = View::kLive;
-};
-
-inline bool RowVisible(const MaintSource& src, int64_t r, int64_t old_v) {
-  switch (src.view) {
-    case MaintSource::View::kLive: return src.rel->live(r);
-    case MaintSource::View::kOld: return src.rel->LiveAt(r, old_v);
-    case MaintSource::View::kAll: return true;
-  }
-  return false;
-}
-
-// Recursive join over the plan steps against per-position sources, calling
-// sink(head_vals, n) per complete body match. A sink sets *stop to end the
-// enumeration early (support checks need one witness, not all of them).
-template <typename Sink>
-void RunMaintSteps(const RulePlan& plan,
-                   const std::vector<MaintSource>& sources, int64_t old_v,
-                   size_t step_index, Bindings* bindings, bool* stop,
-                   Sink&& sink) {
-  if (*stop) return;
-  if (step_index == plan.steps.size()) {
-    Value head[Relation::kMaxArity];
-    const int n = static_cast<int>(plan.head.size());
-    for (int i = 0; i < n; ++i) head[i] = ArgValue(plan.head[i], *bindings);
-    sink(head, n);
-    return;
-  }
-  const PlanStep& step = plan.steps[step_index];
-  switch (step.kind) {
-    case PlanStep::Kind::kComparison: {
-      if (EvalCmp(ArgValue(step.lhs, *bindings), step.op,
-                  ArgValue(step.rhs, *bindings))) {
-        RunMaintSteps(plan, sources, old_v, step_index + 1, bindings, stop,
-                      sink);
-      }
-      return;
-    }
-    case PlanStep::Kind::kNegation: {
-      Value key[Relation::kMaxArity];
-      const int n = static_cast<int>(step.args.size());
-      for (int i = 0; i < n; ++i) key[i] = ArgValue(step.args[i], *bindings);
-      const MaintSource& src = sources[step.index];
-      bool present = false;
-      if (src.rel != nullptr) {
-        if (src.view == MaintSource::View::kOld) {
-          int32_t r = src.rel->FindRow(key, n);
-          present = r >= 0 && src.rel->LiveAt(r, old_v);
-        } else {
-          present = src.rel->Contains(key, n);
-        }
-      }
-      if (!present) {
-        RunMaintSteps(plan, sources, old_v, step_index + 1, bindings, stop,
-                      sink);
-      }
-      return;
-    }
-    case PlanStep::Kind::kJoin: {
-      const MaintSource& src = sources[step.index];
-      const Relation* rel = src.rel;
-      if (rel == nullptr || rel->empty()) return;
-
-      uint64_t mask = 0;
-      Value key[Relation::kMaxArity];
-      int klen = 0;
-      const int n = static_cast<int>(step.args.size());
-      for (int i = 0; i < n; ++i) {
-        const ArgRef& a = step.args[i];
-        if (a.var < 0) {
-          mask |= uint64_t{1} << i;
-          key[klen++] = a.const_val;
-        } else if (bindings->IsBound(a.var)) {
-          mask |= uint64_t{1} << i;
-          key[klen++] = bindings->Get(a.var);
-        }
-      }
-
-      auto try_row = [&](int64_t r) {
-        if (!RowVisible(src, r, old_v)) return;
-        TupleRef row = rel->row(r);
-        size_t mark = bindings->Mark();
-        bool ok = true;
-        for (int i = 0; i < n && ok; ++i) {
-          const ArgRef& a = step.args[i];
-          ok = a.var < 0 ? a.const_val == row[i]
-                         : bindings->Bind(a.var, row[i]);
-        }
-        if (ok) {
-          RunMaintSteps(plan, sources, old_v, step_index + 1, bindings, stop,
-                        sink);
-        }
-        bindings->Restore(mark);
-      };
-
-      if (mask != 0) {
-        Relation::Matches m = rel->Probe(mask, key);
-        for (int32_t r = m.row; r >= 0 && !*stop; r = m.next(r)) try_row(r);
-      } else {
-        for (int64_t r = 0, rows = rel->size(); r < rows && !*stop; ++r) {
-          try_row(r);
-        }
-      }
-      return;
-    }
-  }
-}
-
 // Shared context for one ApplyDeltaToState call.
 struct MaintCtx {
-  const Program* program;
   const MaintenancePlan* plan;
   MaterializedState* state;
   int64_t old_v = 0;        // previous snapshot version (V - 1)
   Database dplus;           // net insertions so far, EDB + completed strata
   Database dminus;          // net deletions so far
-  Bindings bindings;
+  VmContext vm;             // always probes indexes; counts nothing
   MaintainStats* stats = nullptr;
 
-  const Relation* Rel(PredId p) const {
-    return plan->idb_preds.count(p) > 0 ? state->idb.Find(p)
-                                        : state->edb.Find(p);
+  MaintCtx(const MaintenancePlan* plan, MaterializedState* state)
+      : plan(plan), state(state) {
+    vm.regs.resize(plan->max_regs);
+  }
+
+  // Predicate `pred`'s relation in the materialized state, read at
+  // `as_of` (-1 = live, else a snapshot version).
+  LevelRows Rows(PredId pred, int64_t as_of) const {
+    return RowsOf(plan->idb_preds.count(pred) > 0 ? state->idb.Find(pred)
+                                                  : state->edb.Find(pred),
+                  as_of);
+  }
+  static LevelRows RowsOf(const Relation* rel, int64_t as_of) {
+    LevelRows rows;
+    rows.rel = rel;
+    rows.hi = rel == nullptr ? 0 : rel->size();
+    rows.as_of = as_of;
+    return rows;
   }
 };
+
+// Runs one compiled maintenance plan on the VM. `rows_at(j)` resolves the
+// rows body position j reads, for join levels and negations alike;
+// `sink(vals, n)` receives each derived head and returns false to end the
+// enumeration early (support checks need one witness, not all of them).
+// Registers the plan reads before loading them (a head-bound plan's head)
+// must already be seeded in ctx->vm.regs.
+template <typename RowsAt, typename Sink>
+void RunMaintPlan(MaintCtx* ctx, const CompiledRule& cr, RowsAt&& rows_at,
+                  Sink&& sink) {
+  VmContext& vm = ctx->vm;
+  vm.levels.clear();
+  for (const LevelInfo& lvl : cr.levels) {
+    vm.levels.push_back(rows_at(lvl.body_index));
+  }
+  vm.negs.clear();
+  for (const NegInfo& neg : cr.negs) {
+    vm.negs.push_back(rows_at(neg.body_index));
+  }
+  RunBytecode(cr, &vm, sink);
+}
 
 // How the non-delta positions of a delta plan read the state. Counting uses
 // the telescoping discipline (new before the delta position, old after), so
@@ -372,60 +300,51 @@ struct MaintCtx {
 // consistent snapshot (old while over-deleting, new while re-inserting).
 enum class OthersView { kTelescope, kAllOld, kAllLive };
 
+// Runs delta plan i of `rm` with `delta_rel` (a plain, unversioned change
+// set) at body position i. Every sink here consumes the whole enumeration.
 template <typename Sink>
 void RunDeltaPlan(MaintCtx* ctx, const MaintenancePlan::RuleMaint& rm, int i,
                   const Relation* delta_rel, OthersView others, Sink&& sink) {
   if (delta_rel == nullptr || delta_rel->empty()) return;
-  const RulePlan& plan = rm.delta_plans[i];
-  const int nbody = static_cast<int>(rm.body_pred.size());
-  std::vector<MaintSource> sources(nbody);
-  for (int j = 0; j < nbody; ++j) {
-    if (j == i) {
-      sources[j] = {delta_rel, MaintSource::View::kAll};
-      continue;
-    }
-    MaintSource::View view = MaintSource::View::kLive;
-    switch (others) {
-      case OthersView::kTelescope:
-        view = j < i ? MaintSource::View::kLive : MaintSource::View::kOld;
-        break;
-      case OthersView::kAllOld: view = MaintSource::View::kOld; break;
-      case OthersView::kAllLive: view = MaintSource::View::kLive; break;
-    }
-    sources[j] = {ctx->Rel(rm.body_pred[j]), view};
-  }
-  bool stop = false;
-  ctx->bindings.Reset(plan.num_vars);
-  RunMaintSteps(plan, sources, ctx->old_v, 0, &ctx->bindings, &stop, sink);
+  auto rows_at = [&](int j) {
+    if (j == i) return MaintCtx::RowsOf(delta_rel, -1);
+    const bool old = others == OthersView::kAllOld ||
+                     (others == OthersView::kTelescope && j > i);
+    return ctx->Rows(rm.body_pred[j], old ? ctx->old_v : -1);
+  };
+  RunMaintPlan(ctx, rm.delta_plans[i], rows_at,
+               [&](const Value* vals, int n) {
+                 sink(vals, n);
+                 return true;
+               });
 }
 
 // True when `t` has at least one full-body derivation of `rm`'s rule in the
-// current live state. The support plan's head slots are seeded from `t`.
+// current live state. The support plan's head registers are seeded from `t`.
 bool HasSupport(MaintCtx* ctx, const MaintenancePlan::RuleMaint& rm,
                 const Value* t, int n) {
-  const RulePlan& plan = rm.support_plan;
-  if (static_cast<int>(plan.head.size()) != n) return false;
-  ctx->bindings.Reset(plan.num_vars);
+  const CompiledRule& plan = rm.support_plan;
+  if (plan.head_arity != n) return false;
+  // Seed every head register, then check every head position against the
+  // seeded values: a constant that differs, or a repeated head variable
+  // whose values conflict, rules the tuple out.
+  Value* regs = ctx->vm.regs.data();
+  const ArgSrc* head = plan.args_pool.data() + plan.head_off;
   for (int i = 0; i < n; ++i) {
-    const ArgRef& a = plan.head[i];
-    if (a.var < 0) {
-      if (a.const_val != t[i]) return false;
-    } else if (!ctx->bindings.Bind(a.var, t[i])) {
-      return false;  // repeated head variable with conflicting values
-    }
+    if (!IsConstSrc(head[i])) regs[head[i]] = t[i];
   }
-  const int nbody = static_cast<int>(rm.body_pred.size());
-  std::vector<MaintSource> sources(nbody);
-  for (int j = 0; j < nbody; ++j) {
-    sources[j] = {ctx->Rel(rm.body_pred[j]), MaintSource::View::kLive};
+  for (int i = 0; i < n; ++i) {
+    const Value& v = IsConstSrc(head[i]) ? plan.consts[ConstIdx(head[i])]
+                                         : regs[head[i]];
+    if (v != t[i]) return false;
   }
   bool found = false;
-  bool stop = false;
-  RunMaintSteps(plan, sources, ctx->old_v, 0, &ctx->bindings, &stop,
-                [&](const Value*, int) {
-                  found = true;
-                  stop = true;
-                });
+  RunMaintPlan(
+      ctx, plan, [&](int j) { return ctx->Rows(rm.body_pred[j], -1); },
+      [&](const Value*, int) {
+        found = true;
+        return false;
+      });
   return found;
 }
 
@@ -799,10 +718,7 @@ Status RecomputeState(const Program& program, const MaintenancePlan& plan,
 void InitializeDerivationCounts(const Program& program,
                                 const MaintenancePlan& plan,
                                 MaterializedState* state) {
-  MaintCtx ctx;
-  ctx.program = &program;
-  ctx.plan = &plan;
-  ctx.state = state;
+  MaintCtx ctx(&plan, state);
   ctx.old_v = state->version;
 
   for (const MaintenancePlan::Stratum& st : plan.strata) {
@@ -815,24 +731,18 @@ void InitializeDerivationCounts(const Program& program,
     }
     for (int r : st.rules) {
       const MaintenancePlan::RuleMaint& rm = plan.rules[r];
-      const RulePlan& ip = rm.init_plan;
-      const int nbody = static_cast<int>(rm.body_pred.size());
-      std::vector<MaintSource> sources(nbody);
-      for (int j = 0; j < nbody; ++j) {
-        sources[j] = {ctx.Rel(rm.body_pred[j]), MaintSource::View::kLive};
-      }
-      Relation* rel = state->idb.FindOrCreate(
-          ip.head_pred, static_cast<int>(ip.head.size()));
-      bool stop = false;
-      ctx.bindings.Reset(ip.num_vars);
-      RunMaintSteps(ip, sources, ctx.old_v, 0, &ctx.bindings, &stop,
-                    [&](const Value* vals, int n) {
-                      int32_t row = rel->FindRow(vals, n);
-                      SQOD_CHECK_MSG(row >= 0 && rel->live(row),
-                                     "count init found a derivation for a "
-                                     "tuple missing from the fixpoint");
-                      rel->add_count(row, 1);
-                    });
+      const CompiledRule& ip = rm.init_plan;
+      Relation* rel = state->idb.FindOrCreate(ip.head_pred, ip.head_arity);
+      RunMaintPlan(
+          &ctx, ip, [&](int j) { return ctx.Rows(rm.body_pred[j], -1); },
+          [&](const Value* vals, int n) {
+            int32_t row = rel->FindRow(vals, n);
+            SQOD_CHECK_MSG(row >= 0 && rel->live(row),
+                           "count init found a derivation for a "
+                           "tuple missing from the fixpoint");
+            rel->add_count(row, 1);
+            return true;
+          });
     }
   }
 }
@@ -846,10 +756,7 @@ Result<MaintainStats> ApplyDeltaToState(const Program& program,
   MaintainStats stats;
   stats.version = state->version;
 
-  MaintCtx ctx;
-  ctx.program = &program;
-  ctx.plan = &plan;
-  ctx.state = state;
+  MaintCtx ctx(&plan, state);
   ctx.stats = &stats;
 
   SQOD_RETURN_IF_ERROR(

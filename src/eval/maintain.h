@@ -9,9 +9,9 @@
 
 #include "src/ast/program.h"
 #include "src/base/status.h"
+#include "src/eval/bytecode.h"
 #include "src/eval/database.h"
 #include "src/eval/evaluator.h"
-#include "src/eval/plan.h"
 
 namespace sqod {
 
@@ -37,7 +37,9 @@ namespace sqod {
 //
 // Old and new states coexist in one versioned Database: applying batch
 // version V stamps every transition with V, so "old" is LiveAt(row, V-1)
-// and "new" is live(row). No relation is copied.
+// and "new" is live(row). No relation is copied. Every maintenance join
+// runs on the bytecode VM (RunBytecode), each level reading its relation
+// at the snapshot its LevelRows::as_of names.
 
 // A batch of EDB fact changes. Deletes apply before inserts: a tuple
 // present in both stays present and counts as unchanged. Deleting an
@@ -82,8 +84,9 @@ struct MaintainStats {
 };
 
 // The static maintenance plan for one program: stratification, per-rule
-// delta/support/init plans, and the predicate indexes used to skip
-// untouched strata. Built once per materialized view; immutable afterwards.
+// delta/support/init plans lowered to bytecode, and the predicate indexes
+// used to skip untouched strata. Built once per materialized view;
+// immutable afterwards.
 struct MaintenancePlan {
   // Per program rule, plans for every way a delta can enter its body.
   struct RuleMaint {
@@ -91,14 +94,14 @@ struct MaintenancePlan {
     // Parallel to rule.body. delta_plans[i] evaluates the body with the
     // delta at position i (a negated literal is flipped positive there: the
     // delta of "not B" is a scan over the finite change to B).
-    std::vector<RulePlan> delta_plans;
+    std::vector<CompiledRule> delta_plans;
     std::vector<uint8_t> negated;   // rule.body[i].negated
     std::vector<PredId> body_pred;  // rule.body[i].atom.pred()
-    // Full-body plan ordered as if the head were bound; DRed support
-    // checks seed it with a candidate tuple.
-    RulePlan support_plan;
+    // Full-body plan compiled with the head registers bound; DRed support
+    // checks seed them from a candidate tuple.
+    CompiledRule support_plan;
     // Full-body plan for count initialization (counting strata only).
-    RulePlan init_plan;
+    CompiledRule init_plan;
   };
 
   struct Stratum {
@@ -112,6 +115,7 @@ struct MaintenancePlan {
   std::vector<RuleMaint> rules;     // indexed by program rule index
   std::set<PredId> idb_preds;
   std::map<PredId, int> stratum_of;  // IDB pred -> stratum index
+  int max_regs = 0;  // max CompiledRule::num_regs, for the register file
 };
 
 Result<MaintenancePlan> BuildMaintenancePlan(const Program& program);

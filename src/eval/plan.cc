@@ -12,6 +12,7 @@ RulePlan BuildPlan(const Rule& rule, int rule_index, int first,
   RulePlan plan;
   plan.rule_index = rule_index;
   plan.delta_subgoal = first;
+  plan.head_bound = head_bound;
 
   PlanScratch local;
   PlanScratch& s = scratch != nullptr ? *scratch : local;

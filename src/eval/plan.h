@@ -10,12 +10,11 @@
 
 namespace sqod {
 
-// The rule-plan layer shared by the interpreting evaluator
-// (src/eval/evaluator.cc) and the bytecode compiler (src/eval/bytecode.cc):
-// BuildPlan picks the body evaluation order for one (rule, delta-subgoal)
-// combination and pre-resolves every argument, producing a RulePlan that
-// downstream consumers either interpret step by step or lower further into
-// flat register bytecode.
+// The rule-plan layer in front of the bytecode compiler
+// (src/eval/bytecode.cc): BuildPlan picks the body evaluation order for one
+// (rule, delta-subgoal) combination and pre-resolves every argument,
+// producing a RulePlan that CompileRulePlan lowers into flat register
+// bytecode. Nothing executes a RulePlan directly.
 
 // A compiled atom argument: either an inline constant (var < 0) or a
 // rule-local variable slot.
@@ -48,6 +47,9 @@ struct RulePlan {
   PredId head_pred = -1;
   std::vector<ArgRef> head;
   std::vector<PlanStep> steps;
+  // Ordered as if every head variable were bound on entry (BuildPlan's
+  // `head_bound`); the compiler then treats the head registers as loaded.
+  bool head_bound = false;
 };
 
 // Reusable scratch for BuildPlan. One instance amortizes the per-call
@@ -67,7 +69,7 @@ struct PlanScratch {
 // `scratch` (optional) carries reusable buffers across calls.
 //
 // `head_bound` orders the body as if every head variable were already
-// bound (the caller pre-binds plan.head's slots before running the steps).
+// bound (the caller seeds plan.head's registers before running the plan).
 // Used by the maintenance layer's DRed support checks, which ask "is this
 // specific head tuple still derivable" — with the head seeded, the greedy
 // most-bound order starts from atoms sharing head variables instead of a

@@ -338,13 +338,6 @@ bool Server::HandleMessage(Connection* conn, const ClientMessage& msg) {
       // unless the client opts in.
       request.materialized =
           !msg.query.session.empty() || msg.query.materialized;
-      if (msg.query.eval_mode == "interpret") {
-        request.eval.mode = EvalMode::kInterpret;
-        request.materialize.eval.mode = EvalMode::kInterpret;
-      } else if (msg.query.eval_mode == "compile") {
-        request.eval.mode = EvalMode::kCompile;
-        request.materialize.eval.mode = EvalMode::kCompile;
-      }
       const uint64_t conn_id = conn->id;
       const uint64_t id = msg.id;
       const MsgType type = msg.type;

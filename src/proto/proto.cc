@@ -269,10 +269,6 @@ Status DecodeStatus(const JsonValue& payload) {
   return Status::Error(code.value(), GetStringOr(payload, "error", ""));
 }
 
-const char* EvalModeName(EvalMode mode) {
-  return mode == EvalMode::kInterpret ? "interpret" : "compile";
-}
-
 }  // namespace
 
 // ------------------------------------------------------------------ frames
@@ -471,11 +467,6 @@ std::string EncodeQuery(uint64_t id, const QueryParams& params) {
   AppendBool(params.trace, &out);
   out.append(",\"explain\":");
   AppendBool(params.explain, &out);
-  if (!params.eval_mode.empty()) {
-    out.push_back(',');
-    AppendKey("eval_mode", &out);
-    AppendQuoted(params.eval_mode, &out);
-  }
   if (!params.disabled_passes.empty()) {
     out.push_back(',');
     AppendKey("disabled_passes", &out);
@@ -598,9 +589,6 @@ std::string EncodeQueryResponse(uint64_t id, MsgType type,
   AppendBool(response.prepare_cache_hit, &out);
   out.append(",\"passes_ran\":");
   AppendWireInt64(response.passes_ran, &out);
-  out.push_back(',');
-  AppendKey("eval_mode", &out);
-  AppendQuoted(EvalModeName(response.eval_mode), &out);
   out.append(",\"queue_wait_ns\":");
   AppendWireInt64(response.queue_wait_ns, &out);
   out.append(",\"prepare_ns\":");
@@ -711,13 +699,6 @@ Result<ClientMessage> DecodeClientMessage(std::string_view payload) {
       msg.query.materialized = GetBoolOr(root, "materialized", false);
       msg.query.trace = GetBoolOr(root, "trace", false);
       msg.query.explain = GetBoolOr(root, "explain", false);
-      msg.query.eval_mode = GetStringOr(root, "eval_mode", "");
-      if (!msg.query.eval_mode.empty() &&
-          msg.query.eval_mode != "interpret" &&
-          msg.query.eval_mode != "compile") {
-        return Status::InvalidArgument("unknown eval_mode '" +
-                                       msg.query.eval_mode + "'");
-      }
       const JsonValue* passes = root.Find("disabled_passes");
       if (passes != nullptr) {
         if (!passes->is_array()) return MissingField("disabled_passes");
@@ -813,9 +794,6 @@ Result<ServerMessage> DecodeServerMessage(std::string_view payload) {
       r.optimized = GetBoolOr(root, "optimized", false);
       r.prepare_cache_hit = GetBoolOr(root, "prepare_cache_hit", false);
       r.passes_ran = static_cast<int>(GetInt64Or(root, "passes_ran", 0));
-      r.eval_mode = GetStringOr(root, "eval_mode", "compile") == "interpret"
-                        ? EvalMode::kInterpret
-                        : EvalMode::kCompile;
       r.queue_wait_ns = GetInt64Or(root, "queue_wait_ns", 0);
       r.prepare_ns = GetInt64Or(root, "prepare_ns", 0);
       r.execute_ns = GetInt64Or(root, "execute_ns", 0);

@@ -125,8 +125,6 @@ struct QueryParams {
   bool materialized = false;
   bool trace = false;
   bool explain = false;
-  // "" = server default, else "interpret" | "compile".
-  std::string eval_mode;
   // Optimizer passes to switch off (names from PassManager::PassNames;
   // unknown names are a prepare-time error). Part of the server-side
   // prepared-program fingerprint.

@@ -725,7 +725,6 @@ void QueryService::Process(Job* job) {
                       static_cast<int64_t>(response.answers.size()));
     view_span.End();
     response.served_from_view = true;
-    response.eval_mode = job->request.materialize.eval.mode;
     response.optimized = true;
     if (job->request.want_explain) {
       ExplainReport explain = BuildExplainReport(
@@ -774,7 +773,6 @@ void QueryService::Process(Job* job) {
   }
   response.answers = std::move(answers).value();
   response.optimized = !fallback;
-  response.eval_mode = eval.mode;
   response.snapshot_version = 0;  // the immutable base snapshot
   if (job->request.want_explain && prepared_program != nullptr) {
     ExplainReport explain = BuildExplainReport(

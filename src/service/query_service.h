@@ -187,9 +187,6 @@ struct Response {
   // How the answers were produced: true when they were copied from the
   // warm materialized view without running the evaluator.
   bool served_from_view = false;
-  // The evaluation mode that actually ran (for view-served answers, the
-  // mode the view was materialized/maintained with).
-  EvalMode eval_mode = EvalMode::kCompile;
   // EXPLAIN/ANALYZE report (ExplainReport::ToJson) when the request set
   // want_explain and reached execution; empty otherwise.
   std::string explain_json;

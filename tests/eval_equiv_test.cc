@@ -1,12 +1,9 @@
-// Equivalence suite: every engine configuration must produce identical
-// sorted query answers — semi-naive vs naive iteration, indexes on vs off,
-// and (the compiled-bytecode contract) interpreted PlanSteps vs generic
-// bytecode dispatch vs specialized join kernels. Within one
-// (semi_naive, use_indexes) point the three execution modes must also agree
-// on the work counters exactly: the bytecode compiler pins probes,
-// cmp_checks, firings, derived and duplicates to the interpreter's
-// semantics, so any divergence in masking, probe chains, or early pruning
-// shows up here as a stats mismatch, not just an answer mismatch.
+// Equivalence suite: every evaluator configuration (semi-naive vs naive
+// iteration, indexes on vs off) must produce exactly the answers of the
+// independent reference evaluator (tests/reference_eval.h), which shares no
+// code with the engine. Within one iteration strategy, index usage must not
+// move any work counter but probes either: it changes only how many
+// candidate rows the joins examine.
 //
 // Coverage: the Figure 1 worked example, the GoodPath and ColoredClosure
 // workload families, stratified IDB negation with comparisons, and a
@@ -24,6 +21,7 @@
 #include "src/parser/parser.h"
 #include "src/workload/graphs.h"
 #include "src/workload/programs.h"
+#include "tests/reference_eval.h"
 
 namespace sqod {
 namespace {
@@ -34,80 +32,43 @@ int RandInt(FuzzRng* rng, int lo, int hi) {  // inclusive
   return lo + static_cast<int>((*rng)() % (hi - lo + 1));
 }
 
-// The three plan-execution strategies under test. Interpret is the
-// reference; compile runs the generic bytecode loop; kernels adds the
-// per-rule specialized kernels on top of compile.
-struct ExecMode {
-  EvalMode mode;
-  bool use_kernels;
-  const char* name;
-};
-
-constexpr ExecMode kExecModes[] = {
-    {EvalMode::kInterpret, false, "interpret"},
-    {EvalMode::kCompile, false, "compile-generic"},
-    {EvalMode::kCompile, true, "compile-kernels"},
-};
-
-// Per-rule counter signature, excluding the two fields the contract leaves
-// free: ops (0 in interpret mode) and time_ns (wall clock).
-std::string ProfileSignature(const std::vector<RuleProfile>& profiles) {
-  std::ostringstream out;
-  for (const RuleProfile& p : profiles) {
-    out << "rule=" << p.rule_index << " firings=" << p.firings
-        << " derived=" << p.derived << " dups=" << p.duplicates
-        << " probes=" << p.probes << " cmps=" << p.cmp_checks << "\n";
-  }
-  return out.str();
-}
-
 // Runs `program` against `edb` under all configurations
-// (semi_naive x use_indexes x execution mode) and asserts:
-//  * answers identical everywhere, and
-//  * EvalStats and per-rule counters identical across execution modes
-//    within one (semi_naive, use_indexes) point (iteration strategy and
-//    index usage legitimately change the counters; the execution mode must
-//    not).
+// (semi_naive x use_indexes) and asserts:
+//  * answers equal the reference evaluator's everywhere, and
+//  * every work counter but probes identical across use_indexes within one
+//    iteration strategy (probes legitimately differ: a scan examines rows
+//    an index probe skips, and rejects them before any later counter).
 void ExpectAllConfigurationsAgree(const Program& program, const Database& edb,
                                   const std::string& label) {
-  std::vector<Tuple> reference;
-  bool have_reference = false;
+  const std::vector<Tuple> reference = ReferenceQuery(program, edb);
   for (bool semi_naive : {true, false}) {
+    std::string reference_work;
     for (bool use_indexes : {true, false}) {
-      std::string reference_stats;
-      std::string reference_profiles;
-      for (const ExecMode& exec : kExecModes) {
-        EvalOptions options;
-        options.semi_naive = semi_naive;
-        options.use_indexes = use_indexes;
-        options.mode = exec.mode;
-        options.use_kernels = exec.use_kernels;
-        EvalStats stats;
-        std::vector<RuleProfile> profiles;
-        Result<std::vector<Tuple>> result =
-            EvaluateQuery(program, edb, options, &stats, &profiles);
-        std::string config = std::string(" [") + exec.name +
-                             " semi_naive=" + (semi_naive ? "1" : "0") +
-                             " use_indexes=" + (use_indexes ? "1" : "0") +
-                             "]";
-        ASSERT_TRUE(result.ok())
-            << label << config << ": " << result.status().message();
-        std::vector<Tuple> answers = result.take();
-        if (!have_reference) {
-          reference = answers;
-          have_reference = true;
-        }
-        ASSERT_EQ(reference, answers)
-            << label << config << " diverged on answers";
-        if (reference_stats.empty()) {
-          reference_stats = stats.ToString();
-          reference_profiles = ProfileSignature(profiles);
-        } else {
-          ASSERT_EQ(reference_stats, stats.ToString())
-              << label << config << " diverged on counters";
-          ASSERT_EQ(reference_profiles, ProfileSignature(profiles))
-              << label << config << " diverged on per-rule counters";
-        }
+      EvalOptions options;
+      options.semi_naive = semi_naive;
+      options.use_indexes = use_indexes;
+      EvalStats stats;
+      Result<std::vector<Tuple>> result =
+          EvaluateQuery(program, edb, options, &stats);
+      std::string config = std::string(" [semi_naive=") +
+                           (semi_naive ? "1" : "0") +
+                           " use_indexes=" + (use_indexes ? "1" : "0") + "]";
+      ASSERT_TRUE(result.ok())
+          << label << config << ": " << result.status().message();
+      ASSERT_EQ(reference, result.value())
+          << label << config << " diverged from the reference evaluator";
+      std::string work = "iterations=" + std::to_string(stats.iterations) +
+                         " firings=" + std::to_string(stats.rule_firings) +
+                         " derived=" + std::to_string(stats.tuples_derived) +
+                         " duplicates=" +
+                         std::to_string(stats.duplicate_derivations) +
+                         " cmp_checks=" +
+                         std::to_string(stats.comparison_checks);
+      if (reference_work.empty()) {
+        reference_work = work;
+      } else {
+        ASSERT_EQ(reference_work, work)
+            << label << config << " diverged on counters";
       }
     }
   }
@@ -187,8 +148,7 @@ TEST(EvalEquivTest, StratifiedNegationFourWayEquivalence) {
 
 // Repeated variables inside one subgoal (e(X, X)) and inter-atom repeats:
 // the compiler must not mask a column on a variable the same atom is the
-// first to bind — that was an interpreter/bytecode divergence caught
-// during development, pinned here.
+// first to bind, or the answers diverge from the reference evaluator.
 TEST(EvalEquivTest, RepeatedVariableFourWayEquivalence) {
   Result<ParsedUnit> parsed = ParseUnit(R"(
     loop(X) :- e(X, X).

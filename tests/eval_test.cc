@@ -6,9 +6,12 @@
 #include <thread>
 
 #include "src/base/cancel.h"
+#include "src/eval/bytecode.h"
 #include "src/eval/evaluator.h"
+#include "src/eval/kernel.h"
 #include "src/parser/parser.h"
 #include "src/workload/graphs.h"
+#include "src/workload/programs.h"
 
 namespace sqod {
 namespace {
@@ -427,15 +430,12 @@ TEST(EvalTest, NonlinearClosureProbesTheRelationItDerivesInto) {
     source += "e(" + std::to_string(i) + ", " + std::to_string(i + 1) + ").\n";
   }
   for (bool semi_naive : {true, false}) {
-    for (EvalMode mode : {EvalMode::kInterpret, EvalMode::kCompile}) {
-      EvalOptions options;
-      options.semi_naive = semi_naive;
-      options.mode = mode;
-      std::vector<Tuple> answers = RunQuery(source, options);
-      ASSERT_EQ(answers.size(), static_cast<size_t>((n + 1) * n / 2));
-      EXPECT_EQ(answers.front(), Ints({0, 1}));
-      EXPECT_EQ(answers.back(), Ints({n - 1, n}));
-    }
+    EvalOptions options;
+    options.semi_naive = semi_naive;
+    std::vector<Tuple> answers = RunQuery(source, options);
+    ASSERT_EQ(answers.size(), static_cast<size_t>((n + 1) * n / 2));
+    EXPECT_EQ(answers.front(), Ints({0, 1}));
+    EXPECT_EQ(answers.back(), Ints({n - 1, n}));
   }
 }
 
@@ -497,6 +497,114 @@ TEST(EvalTest, WorkCountersArePinned) {
       EXPECT_EQ(stats.ToString(), semi_naive ? g.semi_naive : g.naive)
           << g.name << (semi_naive ? " semi-naive" : " naive");
     }
+  }
+}
+
+// The specialized kernels must be indistinguishable from the generic loop
+// they shortcut. Every kernel-selected plan runs twice, through RunCompiled
+// and through RunBytecode, each against its own copy of one mid-evaluation
+// state: every IDB relation holds the first half of its fixpoint rows, and
+// the frontier's delta window is the second quarter. Derived rows (in
+// insertion order) and every counter but ops must match.
+TEST(EvalTest, KernelsMatchTheGenericLoop) {
+  struct Case {
+    const char* name;
+    Program program;
+    Database edb;
+  };
+  std::vector<Case> cases;
+  {
+    ParsedUnit unit = ParseUnit(
+        "p(X, Y) :- a(X, Y).\np(X, Y) :- b(X, Y).\n"
+        "p(X, Y) :- a(X, Z), p(Z, Y).\np(X, Y) :- b(X, Z), p(Z, Y).\n?- p.\n"
+        "b(1, 2). b(2, 3). b(3, 4). a(4, 5). a(5, 6). a(6, 7).\n").take();
+    Database edb;
+    for (const Atom& fact : unit.facts) edb.InsertAtom(fact);
+    cases.push_back({"figure1", unit.program, std::move(edb)});
+  }
+  {
+    Rng rng(20260808);
+    GoodPathConfig config;
+    config.nodes = 60;
+    config.edges = 200;
+    config.num_start = 6;
+    config.num_end = 6;
+    config.threshold = 20;
+    cases.push_back({"goodpath", MakeGoodPathProgram(),
+                     MakeGoodPathWorkload(config, &rng)});
+  }
+  {
+    Rng rng(20260808);
+    ColoredClosure cc = MakeColoredClosure(3, 2, &rng);
+    Database edb = MakeColoredEdges(3, 40, 120, cc.ics, &rng);
+    cases.push_back({"colored_closure", cc.program, std::move(edb)});
+  }
+
+  for (const Case& c : cases) {
+    CompiledProgram compiled = CompileProgram(c.program).take();
+    Database fixpoint = Evaluator(c.program).Evaluate(c.edb).take();
+    Database half;
+    IdbFrontier frontier;
+    for (const auto& [pred, rel] : fixpoint.relations()) {
+      const int64_t n = rel.size() / 2;
+      for (int64_t r = 0; r < n; ++r) half.Insert(pred, rel.row(r));
+      frontier[pred] = RowWindow{n / 2, n};
+    }
+    int kernel_plans = 0;
+    int64_t total_probes = 0, total_derived = 0;
+    for (const CompiledProgram::Stratum& st : compiled.strata) {
+      std::vector<const CompiledRule*> plans;
+      for (const CompiledRule& cr : st.full) plans.push_back(&cr);
+      for (const CompiledRule& cr : st.delta) plans.push_back(&cr);
+      for (const CompiledRule* cr : plans) {
+        if (cr->kernel == KernelId::kGeneric) continue;
+        ++kernel_plans;
+        for (bool use_indexes : {true, false}) {
+          // run(true) through RunCompiled, run(false) through RunBytecode.
+          auto run = [&](bool kernels, RuleProfile* profile) {
+            Database idb = half;
+            VmContext vm;
+            vm.use_indexes = use_indexes;
+            vm.profile = profile;
+            vm.regs.resize(cr->num_regs);
+            HeadSink sink(&idb, cr->head_pred, INT64_MAX);
+            if (ResolveRelations(*cr, c.edb, idb, frontier, &vm)) {
+              if (kernels) {
+                RunCompiled(*cr, &vm, &sink);
+              } else {
+                RunBytecode(*cr, &vm, sink);
+              }
+            }
+            std::vector<Tuple> rows;
+            if (const Relation* rel = idb.Find(cr->head_pred)) {
+              for (TupleRef t : rel->rows()) rows.push_back(t.Materialize());
+            }
+            const Relation* before = half.Find(cr->head_pred);
+            profile->derived = static_cast<int64_t>(rows.size()) -
+                               (before == nullptr ? 0 : before->size());
+            return rows;
+          };
+          RuleProfile kernel, generic;
+          const std::string label = std::string(c.name) + " rule " +
+                                    std::to_string(cr->rule_index) +
+                                    " delta=" +
+                                    std::to_string(cr->delta_subgoal) +
+                                    " indexes=" + (use_indexes ? "1" : "0");
+          // An activation derives exactly the rows it appends, so equal
+          // rows and equal firings also mean equal duplicates.
+          EXPECT_EQ(run(true, &kernel), run(false, &generic)) << label;
+          EXPECT_EQ(kernel.firings, generic.firings) << label;
+          EXPECT_EQ(kernel.derived, generic.derived) << label;
+          EXPECT_EQ(kernel.probes, generic.probes) << label;
+          EXPECT_EQ(kernel.cmp_checks, generic.cmp_checks) << label;
+          total_probes += kernel.probes;
+          total_derived += kernel.derived;
+        }
+      }
+    }
+    EXPECT_GT(kernel_plans, 0) << c.name;
+    EXPECT_GT(total_probes, 0) << c.name;
+    EXPECT_GT(total_derived, 0) << c.name;
   }
 }
 

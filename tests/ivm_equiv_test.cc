@@ -1,8 +1,8 @@
 // Incremental-view-maintenance equivalence suite: after every ApplyDelta
-// batch, the maintained IDB must equal a from-scratch fixpoint over the same
-// EDB — per predicate, not just for the query — across execution modes
-// (interpret / compile-generic / compile-kernels) and against both the
-// incremental path (counting + DRed) and the recompute fallback.
+// batch, the maintained IDB must equal the independent reference
+// evaluator's fixpoint over the same EDB (tests/reference_eval.h) — per
+// predicate, not just for the query — for both the incremental path
+// (counting + DRed) and the recompute fallback.
 //
 // Coverage: recursive transitive closure under random churn (DRed),
 // non-recursive multi-join rules with repeated predicates (counting's
@@ -28,6 +28,7 @@
 #include "src/parser/parser.h"
 #include "src/service/query_service.h"
 #include "src/workload/graphs.h"
+#include "tests/reference_eval.h"
 
 namespace sqod {
 namespace {
@@ -67,7 +68,7 @@ std::string Render(const std::map<PredId, std::vector<Tuple>>& tuples) {
 }
 
 // The oracle: mirror of the view's EDB as a plain database, re-evaluated
-// from scratch after every batch.
+// from scratch by the reference evaluator after every batch.
 void ApplyToOracle(const FactDelta& delta, Database* edb) {
   for (const Atom& a : delta.deletes) {
     bool in_inserts = false;
@@ -77,26 +78,13 @@ void ApplyToOracle(const FactDelta& delta, Database* edb) {
   for (const Atom& a : delta.inserts) edb->InsertAtom(a);
 }
 
-struct ExecMode {
-  EvalMode mode;
-  bool use_kernels;
-  const char* name;
-};
-
-constexpr ExecMode kExecModes[] = {
-    {EvalMode::kInterpret, false, "interpret"},
-    {EvalMode::kCompile, false, "compile-generic"},
-    {EvalMode::kCompile, true, "compile-kernels"},
-};
-
 // One incremental state driven through a delta script, checked against a
-// from-scratch oracle fixpoint (in every execution mode) after each batch.
+// from-scratch reference fixpoint after each batch.
 class IvmHarness {
  public:
   // `recompute_fraction` > 1e8 never falls back; 0 always does.
   void Init(const std::string& rules, const Database& initial_edb,
-            const ExecMode& exec, double recompute_fraction,
-            bool force_recompute = false) {
+            double recompute_fraction, bool force_recompute = false) {
     Result<Program> program = ParseProgram(rules);
     ASSERT_TRUE(program.ok()) << program.status().message();
     program_ = std::move(program).value();
@@ -105,8 +93,6 @@ class IvmHarness {
     ASSERT_TRUE(plan.ok()) << plan.status().message();
     plan_ = std::move(plan).value();
 
-    options_.eval.mode = exec.mode;
-    options_.eval.use_kernels = exec.use_kernels;
     options_.recompute_fraction = recompute_fraction;
     options_.force_recompute = force_recompute;
 
@@ -138,19 +124,14 @@ class IvmHarness {
     std::map<PredId, std::vector<Tuple>> maintained = LiveTuples(state_.idb);
     ASSERT_EQ(LiveTuples(state_.edb), LiveTuples(oracle_edb_))
         << label << ": maintained EDB diverged from the oracle";
-    for (const ExecMode& exec : kExecModes) {
-      EvalOptions eval;
-      eval.mode = exec.mode;
-      eval.use_kernels = exec.use_kernels;
-      Evaluator evaluator(program_, eval);
-      Result<Database> fresh = evaluator.Evaluate(oracle_edb_);
-      ASSERT_TRUE(fresh.ok()) << label << ": " << fresh.status().message();
-      ASSERT_EQ(maintained, LiveTuples(fresh.value()))
-          << label << " [" << exec.name
-          << "]: incremental != recompute\nmaintained:\n"
-          << Render(maintained) << "fresh:\n"
-          << Render(LiveTuples(fresh.value()));
+    std::map<PredId, std::vector<Tuple>> reference;
+    for (auto& [pred, tuples] : ReferenceEvaluate(program_, oracle_edb_)) {
+      reference[pred].assign(tuples.begin(), tuples.end());
     }
+    ASSERT_EQ(maintained, reference)
+        << label << ": maintained != reference\nmaintained:\n"
+        << Render(maintained) << "reference:\n"
+        << Render(reference);
   }
 
   const MaintainStats& last_stats() const { return last_stats_; }
@@ -202,19 +183,16 @@ constexpr const char* kTcRules = R"(
 )";
 
 TEST(IvmEquivTest, TransitiveClosureRandomChurn) {
-  for (const ExecMode& exec : kExecModes) {
-    FuzzRng rng(0xc0ffee);
-    Database edb = MakeRandomGraph(24, 60, &rng);
-    IvmHarness harness;
-    ASSERT_NO_FATAL_FAILURE(harness.Init(kTcRules, edb, exec, 1e9));
-    for (int batch = 0; batch < 24; ++batch) {
-      FactDelta delta = RandomEdgeBatch(&rng, harness.state().edb, "edge", 24,
-                                        1 + batch % 3, 1 + batch % 4);
-      ASSERT_NO_FATAL_FAILURE(harness.ApplyAndCheck(
-          delta, std::string(exec.name) + " tc batch " +
-                     std::to_string(batch)));
-      EXPECT_FALSE(harness.last_stats().recomputed);
-    }
+  FuzzRng rng(0xc0ffee);
+  Database edb = MakeRandomGraph(24, 60, &rng);
+  IvmHarness harness;
+  ASSERT_NO_FATAL_FAILURE(harness.Init(kTcRules, edb, 1e9));
+  for (int batch = 0; batch < 24; ++batch) {
+    FactDelta delta = RandomEdgeBatch(&rng, harness.state().edb, "edge", 24,
+                                      1 + batch % 3, 1 + batch % 4);
+    ASSERT_NO_FATAL_FAILURE(
+        harness.ApplyAndCheck(delta, "tc batch " + std::to_string(batch)));
+    EXPECT_FALSE(harness.last_stats().recomputed);
   }
 }
 
@@ -228,7 +206,7 @@ TEST(IvmEquivTest, CyclicGraphDeletionsRederive) {
   }
   edb.InsertAtom(Fact2("edge", 0, 4));  // chord
   ASSERT_NO_FATAL_FAILURE(
-      harness.Init(kTcRules, edb, kExecModes[0], 1e9));
+      harness.Init(kTcRules, edb, 1e9));
 
   FactDelta drop_cycle_edge;
   drop_cycle_edge.deletes.push_back(Fact2("edge", 2, 3));
@@ -251,33 +229,30 @@ constexpr const char* kJoinRules = R"(
 )";
 
 TEST(IvmEquivTest, CountingMultiJoinWithRepeatedPredicates) {
-  for (const ExecMode& exec : kExecModes) {
-    FuzzRng rng(0xbead);
-    Database edb;
-    for (int i = 0; i < 40; ++i) {
-      edb.InsertAtom(Fact2("a", rng() % 12, rng() % 12));
-      edb.InsertAtom(Fact2("b", rng() % 12, rng() % 12));
-      if (i % 3 == 0) edb.InsertAtom(Fact1("c", rng() % 12));
+  FuzzRng rng(0xbead);
+  Database edb;
+  for (int i = 0; i < 40; ++i) {
+    edb.InsertAtom(Fact2("a", rng() % 12, rng() % 12));
+    edb.InsertAtom(Fact2("b", rng() % 12, rng() % 12));
+    if (i % 3 == 0) edb.InsertAtom(Fact1("c", rng() % 12));
+  }
+  IvmHarness harness;
+  ASSERT_NO_FATAL_FAILURE(harness.Init(kJoinRules, edb, 1e9));
+  const char* preds[] = {"a", "b"};
+  for (int batch = 0; batch < 20; ++batch) {
+    FactDelta delta = RandomEdgeBatch(&rng, harness.state().edb,
+                                      preds[batch % 2], 12, 2, 2);
+    if (batch % 4 == 0) {
+      delta.inserts.push_back(Fact1("c", rng() % 12));
     }
-    IvmHarness harness;
-    ASSERT_NO_FATAL_FAILURE(harness.Init(kJoinRules, edb, exec, 1e9));
-    const char* preds[] = {"a", "b"};
-    for (int batch = 0; batch < 20; ++batch) {
-      FactDelta delta = RandomEdgeBatch(&rng, harness.state().edb,
-                                        preds[batch % 2], 12, 2, 2);
-      if (batch % 4 == 0) {
-        delta.inserts.push_back(Fact1("c", rng() % 12));
-      }
-      if (batch % 5 == 0) {
-        delta.deletes.push_back(Fact1("c", rng() % 12));
-      }
-      ASSERT_NO_FATAL_FAILURE(harness.ApplyAndCheck(
-          delta, std::string(exec.name) + " join batch " +
-                     std::to_string(batch)));
-      EXPECT_FALSE(harness.last_stats().recomputed);
-      EXPECT_EQ(harness.last_stats().over_deleted, 0)
-          << "non-recursive program must never enter DRed";
+    if (batch % 5 == 0) {
+      delta.deletes.push_back(Fact1("c", rng() % 12));
     }
+    ASSERT_NO_FATAL_FAILURE(
+        harness.ApplyAndCheck(delta, "join batch " + std::to_string(batch)));
+    EXPECT_FALSE(harness.last_stats().recomputed);
+    EXPECT_EQ(harness.last_stats().over_deleted, 0)
+        << "non-recursive program must never enter DRed";
   }
 }
 
@@ -292,7 +267,7 @@ TEST(IvmEquivTest, ComparisonAtomsUnderChurn) {
   Database edb = MakeRandomGraph(16, 40, &rng);
   IvmHarness harness;
   ASSERT_NO_FATAL_FAILURE(
-      harness.Init(kComparisonRules, edb, kExecModes[2], 1e9));
+      harness.Init(kComparisonRules, edb, 1e9));
   for (int batch = 0; batch < 16; ++batch) {
     FactDelta delta =
         RandomEdgeBatch(&rng, harness.state().edb, "edge", 16, 2, 2);
@@ -320,7 +295,7 @@ TEST(IvmEquivTest, StratifiedNegationOverChangingEdb) {
   edb.InsertAtom(Fact1("source", 0));
   IvmHarness harness;
   ASSERT_NO_FATAL_FAILURE(
-      harness.Init(kNegationRules, edb, kExecModes[0], 1e9));
+      harness.Init(kNegationRules, edb, 1e9));
   for (int batch = 0; batch < 20; ++batch) {
     FactDelta delta =
         RandomEdgeBatch(&rng, harness.state().edb, "edge", 16, 1, 2);
@@ -332,6 +307,65 @@ TEST(IvmEquivTest, StratifiedNegationOverChangingEdb) {
   }
 }
 
+// A negated EDB predicate changing in the same batch as the positive one:
+// the counting delta joins read the negation at the old snapshot after the
+// delta position and at the live one before it, so a row added or
+// tombstoned by this or an earlier batch must be seen at the right version.
+constexpr const char* kNegatedEdbRules = R"(
+  ok(X, Y) :- edge(X, Y), !blocked(X).
+  ?- ok.
+)";
+
+TEST(IvmEquivTest, NegatedEdbPredicateUnderChurn) {
+  FuzzRng rng(0xb10c);
+  Database edb = MakeRandomGraph(12, 30, &rng);
+  edb.InsertAtom(Fact1("blocked", 1));
+  edb.InsertAtom(Fact1("blocked", 2));
+  IvmHarness harness;
+  ASSERT_NO_FATAL_FAILURE(harness.Init(kNegatedEdbRules, edb, 1e9));
+
+  FactDelta block_and_add;  // the new edge's source is blocked at once
+  block_and_add.inserts.push_back(Fact1("blocked", 5));
+  block_and_add.inserts.push_back(Fact2("edge", 5, 11));
+  ASSERT_NO_FATAL_FAILURE(harness.ApplyAndCheck(block_and_add, "block+add"));
+  FactDelta unblock;  // then unblocked: tombstoned, no longer blocking
+  unblock.deletes.push_back(Fact1("blocked", 5));
+  ASSERT_NO_FATAL_FAILURE(harness.ApplyAndCheck(unblock, "unblock"));
+  FactDelta add_after;
+  add_after.inserts.push_back(Fact2("edge", 5, 10));
+  ASSERT_NO_FATAL_FAILURE(harness.ApplyAndCheck(add_after, "add after"));
+
+  for (int batch = 0; batch < 20; ++batch) {
+    FactDelta delta =
+        RandomEdgeBatch(&rng, harness.state().edb, "edge", 12, 2, 2);
+    if (batch % 2 == 0) delta.inserts.push_back(Fact1("blocked", rng() % 12));
+    if (batch % 3 == 0) delta.deletes.push_back(Fact1("blocked", rng() % 12));
+    ASSERT_NO_FATAL_FAILURE(harness.ApplyAndCheck(
+        delta, "negated edb batch " + std::to_string(batch)));
+  }
+}
+
+// A DRed support check seeds the head registers from the candidate tuple.
+// p(1, 2) has no derivation through p(X, X): seeding X from both positions
+// must reject it, not rescue it through p(2, 2)'s support.
+TEST(IvmEquivTest, RepeatedHeadVariableSupportCheck) {
+  constexpr const char* kRules = R"(
+    p(X, Y) :- edge(X, Y).
+    p(X, X) :- mark(X), p(X, Z).
+    ?- p.
+  )";
+  Database edb;
+  edb.InsertAtom(Fact2("edge", 1, 2));
+  edb.InsertAtom(Fact2("edge", 2, 3));
+  edb.InsertAtom(Fact1("mark", 2));
+  IvmHarness harness;
+  ASSERT_NO_FATAL_FAILURE(harness.Init(kRules, edb, 1e9));
+  FactDelta drop;
+  drop.deletes.push_back(Fact2("edge", 1, 2));
+  ASSERT_NO_FATAL_FAILURE(harness.ApplyAndCheck(drop, "drop edge(1, 2)"));
+  EXPECT_GT(harness.last_stats().over_deleted, 0);
+}
+
 // --- degenerate batches and error atomicity -------------------------------
 
 TEST(IvmEquivTest, DegenerateBatchesDoNotAdvanceTheVersion) {
@@ -339,7 +373,7 @@ TEST(IvmEquivTest, DegenerateBatchesDoNotAdvanceTheVersion) {
   edb.InsertAtom(Fact2("edge", 1, 2));
   edb.InsertAtom(Fact2("edge", 2, 3));
   IvmHarness harness;
-  ASSERT_NO_FATAL_FAILURE(harness.Init(kTcRules, edb, kExecModes[0], 1e9));
+  ASSERT_NO_FATAL_FAILURE(harness.Init(kTcRules, edb, 1e9));
 
   FactDelta empty;
   ASSERT_NO_FATAL_FAILURE(harness.ApplyAndCheck(empty, "empty batch"));
@@ -373,7 +407,7 @@ TEST(IvmEquivTest, InvalidBatchesLeaveTheStateUntouched) {
   Database edb;
   edb.InsertAtom(Fact2("edge", 1, 2));
   IvmHarness harness;
-  ASSERT_NO_FATAL_FAILURE(harness.Init(kTcRules, edb, kExecModes[0], 1e9));
+  ASSERT_NO_FATAL_FAILURE(harness.Init(kTcRules, edb, 1e9));
 
   Result<Program> program = ParseProgram(kTcRules);
   ASSERT_TRUE(program.ok());
@@ -410,21 +444,18 @@ TEST(IvmEquivTest, InvalidBatchesLeaveTheStateUntouched) {
 // --- recompute fallback ---------------------------------------------------
 
 TEST(IvmEquivTest, ForcedRecomputeMatchesIncremental) {
-  for (const ExecMode& exec : kExecModes) {
-    FuzzRng rng(0xabba);
-    Database edb = MakeRandomGraph(20, 50, &rng);
-    IvmHarness harness;
-    ASSERT_NO_FATAL_FAILURE(
-        harness.Init(kTcRules, edb, exec, 1e9, /*force_recompute=*/true));
-    for (int batch = 0; batch < 8; ++batch) {
-      FactDelta delta =
-          RandomEdgeBatch(&rng, harness.state().edb, "edge", 20, 2, 2);
-      ASSERT_NO_FATAL_FAILURE(harness.ApplyAndCheck(
-          delta, std::string(exec.name) + " recompute batch " +
-                     std::to_string(batch)));
-      if (harness.state().version > 0) {
-        EXPECT_TRUE(harness.last_stats().recomputed);
-      }
+  FuzzRng rng(0xabba);
+  Database edb = MakeRandomGraph(20, 50, &rng);
+  IvmHarness harness;
+  ASSERT_NO_FATAL_FAILURE(
+      harness.Init(kTcRules, edb, 1e9, /*force_recompute=*/true));
+  for (int batch = 0; batch < 8; ++batch) {
+    FactDelta delta =
+        RandomEdgeBatch(&rng, harness.state().edb, "edge", 20, 2, 2);
+    ASSERT_NO_FATAL_FAILURE(harness.ApplyAndCheck(
+        delta, "recompute batch " + std::to_string(batch)));
+    if (harness.state().version > 0) {
+      EXPECT_TRUE(harness.last_stats().recomputed);
     }
   }
 }
@@ -434,7 +465,7 @@ TEST(IvmEquivTest, LargeBatchTriggersTheRecomputeFallback) {
   Database edb = MakeRandomGraph(20, 40, &rng);
   IvmHarness harness;
   ASSERT_NO_FATAL_FAILURE(
-      harness.Init(kTcRules, edb, kExecModes[2], /*recompute_fraction=*/0.25));
+      harness.Init(kTcRules, edb, /*recompute_fraction=*/0.25));
 
   FactDelta small;
   small.inserts.push_back(Fact2("edge", 1, 19));
@@ -458,7 +489,7 @@ TEST(IvmEquivTest, LargeBatchTriggersTheRecomputeFallback) {
 TEST(IvmEquivTest, GrowFromEmptyEdb) {
   Database empty;
   IvmHarness harness;
-  ASSERT_NO_FATAL_FAILURE(harness.Init(kTcRules, empty, kExecModes[2], 1e9));
+  ASSERT_NO_FATAL_FAILURE(harness.Init(kTcRules, empty, 1e9));
   FuzzRng rng(0x5eed);
   for (int batch = 0; batch < 10; ++batch) {
     FactDelta delta;
@@ -570,7 +601,6 @@ TEST(IvmEquivServiceTest, ApplyDeltaAdvancesTheServedSnapshot) {
   EXPECT_FALSE(r2.served_from_view);
   EXPECT_EQ(r2.snapshot_version, 0);
   EXPECT_EQ(r2.answers.size(), 6u);
-  EXPECT_EQ(r2.eval_mode, EvalMode::kCompile);
 
   // Rejected IDB writes surface as kInvalidArgument, not a crash.
   DeltaRequest bad;

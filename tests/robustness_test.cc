@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include "src/chase/chase.h"
+#include "src/engine/engine.h"
 #include "src/eval/evaluator.h"
 #include "src/parser/parser.h"
+#include "src/service/query_service.h"
 #include "src/sqo/optimizer.h"
 #include "src/workload/programs.h"
 
@@ -150,6 +152,62 @@ TEST(RobustnessTest, SelfJoinHeavyRule) {
   Result<SqoReport> report = OptimizeProgram(p, {ic});
   ASSERT_TRUE(report.ok()) << report.status().message();
   EXPECT_TRUE(report.value().query_satisfiable);
+}
+
+// "pred(X0, ..., Xn-1)", or with the constants 0..n-1 for a fact.
+std::string WideAtom(const char* pred, int arity, bool vars) {
+  std::string out = std::string(pred) + "(";
+  for (int i = 0; i < arity; ++i) {
+    if (i > 0) out += ", ";
+    out += (vars ? "X" : "") + std::to_string(i);
+  }
+  return out + ")";
+}
+
+// A unit with an atom wider than Relation::kMaxArity must come back as
+// kInvalidArgument from Engine::Open and from the service, and the service
+// must go on answering valid requests.
+void ExpectWideUnitRejected(const std::string& source) {
+  Engine engine;
+  Result<Session> opened = engine.Open(source);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), StatusCode::kInvalidArgument)
+      << opened.status().message();
+
+  ServiceOptions options;
+  options.threads = 1;
+  QueryService service(options);
+  Request wide;
+  wide.source = source;
+  Response rejected = service.Call(wide);
+  EXPECT_EQ(rejected.status.code(), StatusCode::kInvalidArgument)
+      << rejected.status.message();
+
+  Request valid;
+  valid.source = "p(X) :- e(X).\ne(1). e(2).\n?- p.\n";
+  Response answered = service.Call(valid);
+  ASSERT_TRUE(answered.status.ok()) << answered.status.message();
+  EXPECT_EQ(answered.answers.size(), 2u);
+}
+
+TEST(RobustnessTest, RuleAboveMaxArityIsRejected) {
+  const int arity = Relation::kMaxArity + 1;
+  ExpectWideUnitRejected(WideAtom("p", arity, true) + " :- " +
+                         WideAtom("e", arity, true) + ".\n?- p.\n");
+  // The limit itself is fine.
+  Engine engine;
+  const int max = Relation::kMaxArity;
+  EXPECT_TRUE(engine
+                  .Open(WideAtom("p", max, true) + " :- " +
+                        WideAtom("e", max, true) + ".\n" +
+                        WideAtom("e", max, false) + ".\n?- p.\n")
+                  .ok());
+}
+
+TEST(RobustnessTest, FactAboveMaxArityIsRejected) {
+  ExpectWideUnitRejected("p(X) :- e(X).\n" +
+                         WideAtom("w", Relation::kMaxArity + 1, false) +
+                         ".\n?- p.\n");
 }
 
 }  // namespace
