@@ -8,7 +8,8 @@
 // the latency counters are the server-side end-to-end distribution
 // (tenant/default/latency_ns), where transport queueing shows up as a
 // p99/max gap. BM_E13_SerialWire isolates the per-request wire overhead
-// (compare against BM_E11_WarmService, the same warm path without TCP);
+// under protocol versions 1 and 2 (compare against BM_E11_WarmService, the
+// same warm path without TCP);
 // BM_E13_DeltaStream measures streamed view maintenance over the wire.
 
 #include <benchmark/benchmark.h>
@@ -141,12 +142,17 @@ void BM_E13_MultiConnection(benchmark::State& state) {
 }
 
 // One connection, strictly serial round trips: the wire protocol's
-// per-request overhead on the warm path. BM_E11_WarmService is the same
-// request without the network; the delta is framing + TCP + poll-thread
-// dispatch + callback delivery.
+// per-request overhead on the warm path, per protocol version (1 = JSON
+// answers, 2 = binary answer blocks). BM_E11_WarmService is the same
+// request without the network; the delta is answer encode/decode +
+// framing + TCP + poll-thread dispatch + callback delivery.
 void BM_E13_SerialWire(benchmark::State& state) {
   const int nodes = static_cast<int>(state.range(0));
+  const int version = static_cast<int>(state.range(1));
   const std::string source = MakeFigure1Source(nodes);
+  // The Figure-1 chain's closure: every ordered pair of distinct nodes.
+  const size_t expected_answers =
+      static_cast<size_t>(nodes) * static_cast<size_t>(nodes - 1) / 2;
   ServerOptions options;
   options.service.threads = 1;
   Server server(std::move(options));
@@ -156,8 +162,9 @@ void BM_E13_SerialWire(benchmark::State& state) {
   }
   ClientOptions client_options;
   client_options.port = server.port();
+  client_options.max_version = version;
   Result<Client> connected = Client::Connect(client_options);
-  if (!connected.ok()) {
+  if (!connected.ok() || connected.value().hello().version != version) {
     state.SkipWithError("connect failed");
     return;
   }
@@ -170,13 +177,18 @@ void BM_E13_SerialWire(benchmark::State& state) {
   }
   for (auto _ : state) {
     Result<Response> response = client.Query(params);
-    if (!response.ok() || !response.value().status.ok()) {
+    if (!response.ok() || !response.value().status.ok() ||
+        response.value().answers.size() != expected_answers) {
       state.SkipWithError("request failed");
       return;
     }
-    benchmark::DoNotOptimize(response.value().answers.size());
+    benchmark::DoNotOptimize(response.value().answers.data());
   }
   state.SetItemsProcessed(state.iterations());
+  state.counters["version"] = version;
+  HistogramSnapshot bytes =
+      server.metrics().GetHistogram("net/reply_bytes")->Snapshot();
+  state.counters["reply_bytes"] = static_cast<double>(bytes.max);
   ReportServerTails(server, state);
   client.Close();
   server.Stop();
@@ -244,9 +256,7 @@ BENCHMARK(BM_E13_MultiConnection)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_E13_SerialWire)
-    ->Arg(16)
-    ->Arg(64)
-    ->Arg(128)
+    ->ArgsProduct({{16, 128}, {1, 2}})
     ->UseRealTime()
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_E13_DeltaStream)->UseRealTime()->Unit(benchmark::kMicrosecond);

@@ -1,22 +1,11 @@
 #include "src/engine/view.h"
 
-#include <algorithm>
 #include <memory>
 #include <utility>
 
 namespace sqod {
 
 namespace {
-
-void SortTuples(std::vector<Tuple>* out) {
-  std::sort(out->begin(), out->end(), [](const Tuple& a, const Tuple& b) {
-    for (size_t i = 0; i < a.size() && i < b.size(); ++i) {
-      int c = a[i].Compare(b[i]);
-      if (c != 0) return c < 0;
-    }
-    return a.size() < b.size();
-  });
-}
 
 Database CopyLive(const Database& db) {
   Database out;
@@ -64,20 +53,13 @@ int64_t MaterializedView::version() const {
 }
 
 std::vector<Tuple> MaterializedView::Answers(int64_t* version) const {
-  std::vector<Tuple> out;
-  {
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    if (version != nullptr) *version = state_.version;
-    const PredId query = program().query();
-    const Relation* rel = state_.idb.Find(query);
-    if (rel == nullptr) rel = state_.edb.Find(query);  // EDB-only query
-    if (rel != nullptr) {
-      out.reserve(rel->live_size());
-      for (TupleRef t : rel->rows()) out.push_back(t.Materialize());
-    }
-  }
-  SortTuples(&out);
-  return out;
+  std::shared_lock<std::shared_mutex> lock(mu_);
+  if (version != nullptr) *version = state_.version;
+  const PredId query = program().query();
+  const Relation* rel = state_.idb.Find(query);
+  if (rel == nullptr) rel = state_.edb.Find(query);  // EDB-only query
+  if (rel == nullptr) return {};
+  return SortedLiveTuples(*rel);
 }
 
 Result<MaintainStats> MaterializedView::ApplyDelta(const FactDelta& delta) {

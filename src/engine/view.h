@@ -21,8 +21,9 @@ namespace sqod {
 //  * ApplyDelta takes the exclusive lock: batches serialize with each other
 //    and with readers. Readers never observe a half-applied batch — they
 //    see snapshot V or V+1, nothing in between.
-//  * A reader holds the lock only while copying answers out; returned
-//    tuples are snapshots, safe to use lock-free afterwards.
+//  * A reader holds the lock only while ordering and copying answers out
+//    (SortedLiveTuples); returned tuples are snapshots, safe to use
+//    lock-free afterwards.
 class MaterializedView {
  public:
   MaterializedView(const MaterializedView&) = delete;

@@ -366,20 +366,9 @@ Result<std::vector<Tuple>> EvaluateQuery(const Program& program,
   if (stats != nullptr) *stats = evaluator.stats();
   if (profiles != nullptr) *profiles = evaluator.rule_profiles();
   if (!idb.ok()) return idb.status();
-  std::vector<Tuple> out;
   const Relation* rel = idb.value().Find(program.query());
-  if (rel != nullptr) {
-    out.reserve(rel->size());
-    for (TupleRef t : rel->rows()) out.push_back(t.Materialize());
-  }
-  std::sort(out.begin(), out.end(), [](const Tuple& a, const Tuple& b) {
-    for (size_t i = 0; i < a.size() && i < b.size(); ++i) {
-      int c = a[i].Compare(b[i]);
-      if (c != 0) return c < 0;
-    }
-    return a.size() < b.size();
-  });
-  return out;
+  if (rel == nullptr) return std::vector<Tuple>();
+  return SortedLiveTuples(*rel);
 }
 
 }  // namespace sqod

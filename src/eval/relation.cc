@@ -1,5 +1,6 @@
 #include "src/eval/relation.h"
 
+#include <algorithm>
 #include <bit>
 
 #include "src/base/check.h"
@@ -326,6 +327,71 @@ void Relation::Clear() {
   added_.clear();
   deleted_.clear();
   counts_.clear();
+}
+
+namespace {
+
+// Stable LSD radix sort of `ids` by the integer rows they address. Column
+// by column from the last, so the first column decides last; within a
+// column only the bytes that vary across its [min, max] range get a pass.
+void RadixSortRows(const Relation& rel, std::vector<int32_t>* ids) {
+  std::vector<int32_t> tmp(ids->size());
+  for (int c = rel.arity() - 1; c >= 0; --c) {
+    int64_t lo = INT64_MAX;
+    int64_t hi = INT64_MIN;
+    for (int32_t r : *ids) {
+      const int64_t v = rel.row(r)[c].as_int();
+      lo = std::min(lo, v);
+      hi = std::max(hi, v);
+    }
+    // Offsets from the minimum in unsigned arithmetic: exact for any
+    // int64 range, and order-preserving.
+    const uint64_t range =
+        static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo);
+    for (int shift = 0; shift < 64 && (range >> shift) != 0; shift += 8) {
+      size_t counts[257] = {};
+      auto digit = [&](int32_t r) {
+        const uint64_t key = static_cast<uint64_t>(rel.row(r)[c].as_int()) -
+                             static_cast<uint64_t>(lo);
+        return static_cast<size_t>((key >> shift) & 0xff);
+      };
+      for (int32_t r : *ids) ++counts[digit(r) + 1];
+      for (int d = 0; d < 256; ++d) counts[d + 1] += counts[d];
+      for (int32_t r : *ids) tmp[counts[digit(r)]++] = r;
+      ids->swap(tmp);
+    }
+  }
+}
+
+}  // namespace
+
+std::vector<Tuple> SortedLiveTuples(const Relation& rel) {
+  const int arity = rel.arity();
+  std::vector<int32_t> ids;
+  ids.reserve(static_cast<size_t>(rel.live_size()));
+  bool all_int = true;
+  for (int64_t r = 0; r < rel.size(); ++r) {
+    if (!rel.live(r)) continue;
+    ids.push_back(static_cast<int32_t>(r));
+    for (const Value& v : rel.row(r)) all_int = all_int && v.is_int();
+  }
+  if (all_int) {
+    RadixSortRows(rel, &ids);
+  } else {
+    std::sort(ids.begin(), ids.end(), [&rel, arity](int32_t a, int32_t b) {
+      const TupleRef x = rel.row(a);
+      const TupleRef y = rel.row(b);
+      for (int i = 0; i < arity; ++i) {
+        const int c = x[i].Compare(y[i]);
+        if (c != 0) return c < 0;
+      }
+      return false;
+    });
+  }
+  std::vector<Tuple> out;
+  out.reserve(ids.size());
+  for (int32_t r : ids) out.push_back(rel.row(r).Materialize());
+  return out;
 }
 
 }  // namespace sqod

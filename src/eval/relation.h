@@ -260,6 +260,15 @@ class Relation {
   std::unique_ptr<std::mutex> index_mu_;
 };
 
+// The live rows of `rel` as owning tuples, in lexicographic Value::Compare
+// order: the order every query answer is served in, by the evaluator and
+// by materialized views alike. The row ids are sorted first, then each
+// row is copied exactly once, already in place. When every live value is an
+// integer the ids are LSD radix-sorted column by column (one 8-bit pass
+// per significant byte of the column's value range); otherwise they are
+// comparison-sorted with Value::Compare.
+std::vector<Tuple> SortedLiveTuples(const Relation& rel);
+
 }  // namespace sqod
 
 #endif  // SQOD_EVAL_RELATION_H_

@@ -21,6 +21,14 @@ Result<Client> Client::Connect(const ClientOptions& options) {
     return Status::Internal("hello reply mismatch");
   }
   if (!reply.status.ok()) return reply.status;
+  if (reply.hello.version < options.min_version ||
+      reply.hello.version > options.max_version) {
+    return Status::Unsupported(
+        "server chose protocol version " +
+        std::to_string(reply.hello.version) + " outside the requested [" +
+        std::to_string(options.min_version) + ", " +
+        std::to_string(options.max_version) + "]");
+  }
   client.hello_ = reply.hello;
   return client;
 }

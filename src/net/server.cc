@@ -13,6 +13,7 @@
 #include <utility>
 
 #include "src/obs/export.h"
+#include "src/obs/trace.h"
 #include "src/parser/parser.h"
 
 namespace sqod {
@@ -139,6 +140,17 @@ void Server::QueueReply(uint64_t conn_id, Tenant* tenant, std::string frame) {
   WakePoll(kWakeReply);
 }
 
+void Server::EncodeAndQueueReply(uint64_t conn_id, Tenant* tenant,
+                                 const std::function<std::string()>& encode) {
+  const int64_t start = NowNs();
+  std::string frame = EncodeFrame(encode());
+  MetricsRegistry& metrics = this->metrics();
+  metrics.GetHistogram("net/encode_reply_ns")->Record(NowNs() - start);
+  metrics.GetHistogram("net/reply_bytes")
+      ->Record(static_cast<int64_t>(frame.size()));
+  QueueReply(conn_id, tenant, std::move(frame));
+}
+
 void Server::ApplyPendingReplies() {
   std::vector<PendingReply> replies;
   {
@@ -241,6 +253,7 @@ bool Server::HandleMessage(Connection* conn, const ClientMessage& msg) {
       return true;
     }
     conn->tenant = tenant;
+    conn->version = version;
     metrics.GetCounter("tenant/" + tenant->config.name + "/connections")
         ->Increment();
     HelloResult result;
@@ -303,9 +316,9 @@ bool Server::HandleMessage(Connection* conn, const ClientMessage& msg) {
       const uint64_t id = msg.id;
       service_.Submit(std::move(request),
                       [this, conn_id, tenant, id](Response response) {
-                        QueueReply(conn_id, tenant,
-                                   EncodeFrame(EncodeLoadProgramResponse(
-                                       id, response)));
+                        EncodeAndQueueReply(conn_id, tenant, [&] {
+                          return EncodeLoadProgramResponse(id, response);
+                        });
                       });
       return true;
     }
@@ -341,12 +354,14 @@ bool Server::HandleMessage(Connection* conn, const ClientMessage& msg) {
       const uint64_t conn_id = conn->id;
       const uint64_t id = msg.id;
       const MsgType type = msg.type;
-      service_.Submit(std::move(request),
-                      [this, conn_id, tenant, id, type](Response response) {
-                        QueueReply(conn_id, tenant,
-                                   EncodeFrame(EncodeQueryResponse(
-                                       id, type, response)));
-                      });
+      const int version = conn->version;
+      service_.Submit(
+          std::move(request),
+          [this, conn_id, tenant, id, type, version](Response response) {
+            EncodeAndQueueReply(conn_id, tenant, [&] {
+              return EncodeQueryResponse(id, type, response, version);
+            });
+          });
       return true;
     }
 
@@ -392,8 +407,9 @@ bool Server::HandleMessage(Connection* conn, const ClientMessage& msg) {
       service_.ApplyDelta(
           std::move(request),
           [this, conn_id, tenant, id](DeltaResponse response) {
-            QueueReply(conn_id, tenant,
-                       EncodeFrame(EncodeApplyDeltaResponse(id, response)));
+            EncodeAndQueueReply(conn_id, tenant, [&] {
+              return EncodeApplyDeltaResponse(id, response);
+            });
           });
       return true;
     }
@@ -444,7 +460,9 @@ bool Server::HandleReadable(Connection* conn) {
     }
     if (!next.value()) break;
     metrics().GetCounter("net/frames_in")->Increment();
+    const int64_t start = NowNs();
     Result<ClientMessage> msg = DecodeClientMessage(payload);
+    metrics().GetHistogram("net/decode_request_ns")->Record(NowNs() - start);
     if (!msg.ok()) {
       metrics().GetCounter("net/protocol_errors")->Increment();
       conn->out.append(EncodeFrame(

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -123,6 +124,7 @@ class Server {
     std::string out;       // encoded frames awaiting write
     size_t out_pos = 0;    // written prefix of `out`
     Tenant* tenant = nullptr;  // set by a successful hello
+    int version = 0;           // negotiated by that hello
     int inflight = 0;      // dispatched, reply not yet queued
     bool closing = false;  // close once `out` flushes
 
@@ -149,6 +151,10 @@ class Server {
   // conn->out. Returns false to close the connection.
   bool HandleMessage(Connection* conn, const ClientMessage& msg);
   void QueueReply(uint64_t conn_id, Tenant* tenant, std::string frame);
+  // Worker-side completion: encodes and frames a reply, records
+  // net/encode_reply_ns and net/reply_bytes, then queues it.
+  void EncodeAndQueueReply(uint64_t conn_id, Tenant* tenant,
+                           const std::function<std::string()>& encode);
   void WakePoll(char byte);
   void CloseConnection(uint64_t conn_id);
   void FlushDrainLog();

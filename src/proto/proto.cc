@@ -1,9 +1,13 @@
 #include "src/proto/proto.h"
 
+#include <climits>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <unordered_map>
 
+#include "src/base/check.h"
+#include "src/eval/relation.h"
 #include "src/obs/context.h"
 
 namespace sqod {
@@ -240,6 +244,113 @@ MaintainStats DecodeMaintainStats(const JsonValue& payload) {
   return stats;
 }
 
+// A hello version bound: absent means `fallback`; present, it must be an
+// integer in [1, INT32_MAX] (an unchecked narrowing would read 2^32 + 2
+// as 2).
+Result<int> GetVersionOr(const JsonValue& obj, const std::string& key,
+                         int fallback) {
+  const JsonValue* v = obj.Find(key);
+  if (v == nullptr) return fallback;
+  Result<int64_t> parsed = WireInt64(*v);
+  if (!parsed.ok() || parsed.value() < 1 || parsed.value() > INT32_MAX) {
+    return Status::InvalidArgument("hello field '" + key +
+                                   "' must be an integer in [1, " +
+                                   std::to_string(INT32_MAX) + "]");
+  }
+  return static_cast<int>(parsed.value());
+}
+
+// ---- answer-block primitives (see the header's block layout).
+
+constexpr uint8_t kColumnInt = 0;
+constexpr uint8_t kColumnSymbol = 1;
+constexpr uint8_t kColumnMixed = 2;
+constexpr size_t kBlockPrefixBytes = 5;  // 0x00 | u32be block length
+constexpr int kMaxVarintBytes = 10;
+
+void AppendVarint(uint64_t v, std::string* out) {
+  while (v >= 0x80) {
+    out->push_back(static_cast<char>((v & 0x7f) | 0x80));
+    v >>= 7;
+  }
+  out->push_back(static_cast<char>(v));
+}
+
+uint64_t ZigZag(int64_t v) {
+  return (static_cast<uint64_t>(v) << 1) ^ static_cast<uint64_t>(v >> 63);
+}
+
+int64_t UnZigZag(uint64_t u) {
+  return static_cast<int64_t>((u >> 1) ^ (~(u & 1) + 1));
+}
+
+void PutU32(size_t pos, uint32_t n, std::string* out) {
+  (*out)[pos] = static_cast<char>((n >> 24) & 0xff);
+  (*out)[pos + 1] = static_cast<char>((n >> 16) & 0xff);
+  (*out)[pos + 2] = static_cast<char>((n >> 8) & 0xff);
+  (*out)[pos + 3] = static_cast<char>(n & 0xff);
+}
+
+uint32_t GetU32(const char* p) {
+  const unsigned char* h = reinterpret_cast<const unsigned char*>(p);
+  return (uint32_t{h[0]} << 24) | (uint32_t{h[1]} << 16) |
+         (uint32_t{h[2]} << 8) | uint32_t{h[3]};
+}
+
+Status BadBlock(const std::string& what) {
+  return Status::InvalidArgument("malformed answer block: " + what);
+}
+
+// A bounds-checked cursor over an untrusted block.
+class BlockReader {
+ public:
+  explicit BlockReader(std::string_view bytes) : bytes_(bytes) {}
+
+  size_t remaining() const { return bytes_.size() - pos_; }
+
+  Result<uint8_t> Byte() {
+    if (remaining() == 0) return BadBlock("truncated");
+    return static_cast<uint8_t>(bytes_[pos_++]);
+  }
+
+  Result<uint64_t> Varint() {
+    uint64_t v = 0;
+    for (int i = 0; i < kMaxVarintBytes; ++i) {
+      if (remaining() == 0) return BadBlock("truncated varint");
+      const uint8_t b = static_cast<uint8_t>(bytes_[pos_++]);
+      // The tenth byte holds bit 63 alone.
+      if (i == kMaxVarintBytes - 1 && b > 1) {
+        return BadBlock("varint overflows 64 bits");
+      }
+      v |= static_cast<uint64_t>(b & 0x7f) << (7 * i);
+      if ((b & 0x80) == 0) return v;
+    }
+    return BadBlock("varint longer than 10 bytes");
+  }
+
+  // A count of items of at least one byte each: it must fit in what is
+  // left.
+  Result<size_t> Count(const char* what) {
+    SQOD_ASSIGN_OR_RETURN(uint64_t n, Varint());
+    if (n > remaining()) {
+      return BadBlock(std::string(what) + " " + std::to_string(n) +
+                      " exceeds the " + std::to_string(remaining()) +
+                      " bytes left");
+    }
+    return static_cast<size_t>(n);
+  }
+
+  std::string_view Take(size_t n) {
+    std::string_view out = bytes_.substr(pos_, n);
+    pos_ += n;
+    return out;
+  }
+
+ private:
+  std::string_view bytes_;
+  size_t pos_ = 0;
+};
+
 // Envelope opener: {"type":"<t>","id":N  — callers append the rest.
 std::string OpenEnvelope(MsgType type, uint64_t id) {
   std::string out = "{\"type\":\"";
@@ -276,11 +387,8 @@ Status DecodeStatus(const JsonValue& payload) {
 std::string EncodeFrame(std::string_view payload) {
   std::string frame;
   frame.reserve(kFrameHeaderBytes + payload.size());
-  const uint32_t n = static_cast<uint32_t>(payload.size());
-  frame.push_back(static_cast<char>((n >> 24) & 0xff));
-  frame.push_back(static_cast<char>((n >> 16) & 0xff));
-  frame.push_back(static_cast<char>((n >> 8) & 0xff));
-  frame.push_back(static_cast<char>(n & 0xff));
+  frame.append(kFrameHeaderBytes, '\0');
+  PutU32(0, static_cast<uint32_t>(payload.size()), &frame);
   frame.append(payload);
   return frame;
 }
@@ -295,10 +403,7 @@ Result<bool> FrameReader::Next(std::string* payload) {
     }
     return false;
   }
-  const unsigned char* h =
-      reinterpret_cast<const unsigned char*>(buf_.data() + pos_);
-  const size_t n = (size_t{h[0]} << 24) | (size_t{h[1]} << 16) |
-                   (size_t{h[2]} << 8) | size_t{h[3]};
+  const size_t n = GetU32(buf_.data() + pos_);
   if (n < 2) {
     return Status::InvalidArgument("malformed frame: payload of " +
                                    std::to_string(n) + " byte(s)");
@@ -335,7 +440,9 @@ void AppendWireInt64(int64_t value, std::string* out) {
 Result<int64_t> WireInt64(const JsonValue& value) {
   if (value.is_number()) {
     const double d = value.number;
-    if (std::nearbyint(d) != d) {
+    // The range test also rejects NaN and the infinities; casting a double
+    // outside int64's range is undefined.
+    if (std::nearbyint(d) != d || !(d >= -0x1p63 && d < 0x1p63)) {
       return Status::InvalidArgument("expected an integer, got " +
                                      std::to_string(d));
     }
@@ -555,27 +662,37 @@ std::string EncodeLoadProgramResponse(uint64_t id, const Response& response) {
 }
 
 std::string EncodeQueryResponse(uint64_t id, MsgType type,
-                                const Response& response) {
-  std::string out = OpenEnvelope(type, id);
+                                const Response& response, int version) {
+  const bool block =
+      version >= kProtoVersionAnswerBlock && response.status.ok();
+  std::string out;
+  if (block) {
+    out.append(kBlockPrefixBytes, '\0');
+    AppendAnswerBlock(response.answers, &out);
+    PutU32(1, static_cast<uint32_t>(out.size() - kBlockPrefixBytes), &out);
+  }
+  out.append(OpenEnvelope(type, id));
   AppendStatus(response.status, &out);
   out.push_back(',');
   AppendKey("trace_id", &out);
   AppendQuoted(TraceIdHex(response.trace_id), &out);
   if (response.status.ok()) {
-    out.push_back(',');
-    AppendKey("answers", &out);
-    out.push_back('[');
-    for (size_t i = 0; i < response.answers.size(); ++i) {
-      if (i > 0) out.push_back(',');
+    if (!block) {
+      out.push_back(',');
+      AppendKey("answers", &out);
       out.push_back('[');
-      const Tuple& tuple = response.answers[i];
-      for (size_t j = 0; j < tuple.size(); ++j) {
-        if (j > 0) out.push_back(',');
-        AppendWireValue(tuple[j], &out);
+      for (size_t i = 0; i < response.answers.size(); ++i) {
+        if (i > 0) out.push_back(',');
+        out.push_back('[');
+        const Tuple& tuple = response.answers[i];
+        for (size_t j = 0; j < tuple.size(); ++j) {
+          if (j > 0) out.push_back(',');
+          AppendWireValue(tuple[j], &out);
+        }
+        out.push_back(']');
       }
       out.push_back(']');
     }
-    out.push_back(']');
     out.push_back(',');
     AppendEvalStats(response.stats, &out);
   }
@@ -677,10 +794,12 @@ Result<ClientMessage> DecodeClientMessage(std::string_view payload) {
   switch (msg.type) {
     case MsgType::kHello: {
       msg.hello.token = GetStringOr(root, "token", "");
-      msg.hello.min_version = static_cast<int>(
-          GetInt64Or(root, "min_version", kProtoVersionMin));
-      msg.hello.max_version = static_cast<int>(
-          GetInt64Or(root, "max_version", msg.hello.min_version));
+      SQOD_ASSIGN_OR_RETURN(
+          msg.hello.min_version,
+          GetVersionOr(root, "min_version", kProtoVersionMin));
+      SQOD_ASSIGN_OR_RETURN(
+          msg.hello.max_version,
+          GetVersionOr(root, "max_version", msg.hello.min_version));
       break;
     }
     case MsgType::kLoadProgram: {
@@ -743,6 +862,22 @@ Result<ClientMessage> DecodeClientMessage(std::string_view payload) {
 }
 
 Result<ServerMessage> DecodeServerMessage(std::string_view payload) {
+  const bool has_block = !payload.empty() && payload[0] == '\0';
+  std::vector<Tuple> block_answers;
+  if (has_block) {
+    if (payload.size() < kBlockPrefixBytes) {
+      return BadBlock("truncated length prefix");
+    }
+    const size_t n = GetU32(payload.data() + 1);
+    if (n > payload.size() - kBlockPrefixBytes) {
+      return BadBlock("length " + std::to_string(n) + " overruns the " +
+                      std::to_string(payload.size()) + "-byte payload");
+    }
+    SQOD_ASSIGN_OR_RETURN(block_answers,
+                          DecodeAnswerBlock(payload.substr(
+                              kBlockPrefixBytes, n)));
+    payload.remove_prefix(kBlockPrefixBytes + n);
+  }
   SQOD_ASSIGN_OR_RETURN(JsonValue root, ParseJson(payload));
   if (!root.is_object()) {
     return Status::InvalidArgument("response payload is not a JSON object");
@@ -753,6 +888,11 @@ Result<ServerMessage> DecodeServerMessage(std::string_view payload) {
   SQOD_ASSIGN_OR_RETURN(int64_t id, GetInt64(root, "id"));
   msg.id = static_cast<uint64_t>(id);
   msg.status = DecodeStatus(root);
+  if (has_block && msg.type != MsgType::kQuery &&
+      msg.type != MsgType::kExplain) {
+    return BadBlock(std::string("answers on a '") + MsgTypeName(msg.type) +
+                    "' reply");
+  }
 
   switch (msg.type) {
     case MsgType::kHello: {
@@ -773,7 +913,9 @@ Result<ServerMessage> DecodeServerMessage(std::string_view payload) {
       r.status = msg.status;
       r.trace_id = TraceIdFromHex(GetStringOr(root, "trace_id", ""));
       const JsonValue* answers = root.Find("answers");
-      if (answers != nullptr && answers->is_array()) {
+      if (has_block) {
+        r.answers = std::move(block_answers);
+      } else if (answers != nullptr && answers->is_array()) {
         r.answers.reserve(answers->array.size());
         for (const JsonValue& row : answers->array) {
           if (!row.is_array()) {
@@ -822,6 +964,127 @@ Result<ServerMessage> DecodeServerMessage(std::string_view payload) {
       break;
   }
   return msg;
+}
+
+// ----------------------------------------------------------- answer blocks
+
+void AppendAnswerBlock(const std::vector<Tuple>& answers, std::string* out) {
+  const size_t arity = answers.empty() ? 0 : answers[0].size();
+  AppendVarint(arity, out);
+  AppendVarint(answers.size(), out);
+
+  // Per-reply symbol table, in first-appearance order.
+  std::unordered_map<SymbolId, uint64_t> symbol_index;
+  std::vector<SymbolId> symbols;
+  std::vector<uint8_t> kinds(arity, 0);  // bit 0: saw an int, bit 1: symbol
+  for (const Tuple& tuple : answers) {
+    SQOD_CHECK_MSG(tuple.size() == arity, "answer tuples differ in arity");
+    for (size_t c = 0; c < arity; ++c) {
+      const Value& v = tuple[c];
+      if (v.is_int()) {
+        kinds[c] |= 1;
+      } else {
+        kinds[c] |= 2;
+        if (symbol_index.emplace(v.symbol_id(), symbols.size()).second) {
+          symbols.push_back(v.symbol_id());
+        }
+      }
+    }
+  }
+  AppendVarint(symbols.size(), out);
+  for (SymbolId id : symbols) {
+    const std::string& name = GlobalStrings().Name(id);
+    AppendVarint(name.size(), out);
+    out->append(name);
+  }
+
+  for (size_t c = 0; c < arity; ++c) {
+    const uint8_t kind = kinds[c] == 2   ? kColumnSymbol
+                         : kinds[c] == 3 ? kColumnMixed
+                                         : kColumnInt;
+    out->push_back(static_cast<char>(kind));
+    uint64_t prev = 0;  // delta base of column 0
+    for (const Tuple& tuple : answers) {
+      const Value& v = tuple[c];
+      if (kind == kColumnMixed) {
+        out->push_back(static_cast<char>(v.is_int() ? kColumnInt
+                                                    : kColumnSymbol));
+      }
+      if (!v.is_int()) {
+        AppendVarint(symbol_index[v.symbol_id()], out);
+      } else if (kind == kColumnInt && c == 0) {
+        const uint64_t bits = static_cast<uint64_t>(v.as_int());
+        AppendVarint(ZigZag(static_cast<int64_t>(bits - prev)), out);
+        prev = bits;
+      } else {
+        AppendVarint(ZigZag(v.as_int()), out);
+      }
+    }
+  }
+}
+
+Result<std::vector<Tuple>> DecodeAnswerBlock(std::string_view block) {
+  BlockReader in(block);
+  SQOD_ASSIGN_OR_RETURN(uint64_t arity, in.Varint());
+  if (arity > static_cast<uint64_t>(Relation::kMaxArity)) {
+    return BadBlock("arity " + std::to_string(arity) + " exceeds " +
+                    std::to_string(Relation::kMaxArity));
+  }
+  SQOD_ASSIGN_OR_RETURN(uint64_t rows, in.Varint());
+  if (arity == 0 && rows > 1) {
+    return BadBlock("a 0-ary answer set holds at most one row");
+  }
+  // Each symbol takes at least its length byte.
+  SQOD_ASSIGN_OR_RETURN(size_t num_symbols, in.Count("symbol count"));
+  std::vector<Value> symbols;
+  symbols.reserve(num_symbols);
+  for (size_t i = 0; i < num_symbols; ++i) {
+    SQOD_ASSIGN_OR_RETURN(size_t len, in.Count("symbol length"));
+    symbols.push_back(Value::Symbol(in.Take(len)));
+  }
+  // Each column takes its kind byte, and each value at least one byte.
+  if (arity > 0 &&
+      (arity > in.remaining() || rows > (in.remaining() - arity) / arity)) {
+    return BadBlock(std::to_string(rows) + " rows of arity " +
+                    std::to_string(arity) + " exceed the " +
+                    std::to_string(in.remaining()) + " bytes left");
+  }
+
+  std::vector<Tuple> answers(rows, Tuple(arity));
+  for (size_t c = 0; c < arity; ++c) {
+    SQOD_ASSIGN_OR_RETURN(uint8_t kind, in.Byte());
+    if (kind > kColumnMixed) {
+      return BadBlock("unknown column kind " + std::to_string(kind));
+    }
+    uint64_t prev = 0;
+    for (Tuple& tuple : answers) {
+      uint8_t tag = kind;
+      if (kind == kColumnMixed) {
+        SQOD_ASSIGN_OR_RETURN(tag, in.Byte());
+        if (tag > kColumnSymbol) {
+          return BadBlock("unknown value tag " + std::to_string(tag));
+        }
+      }
+      SQOD_ASSIGN_OR_RETURN(uint64_t raw, in.Varint());
+      if (tag == kColumnSymbol) {
+        if (raw >= symbols.size()) {
+          return BadBlock("symbol index " + std::to_string(raw) +
+                          " outside a table of " +
+                          std::to_string(symbols.size()));
+        }
+        tuple[c] = symbols[raw];
+      } else if (kind == kColumnInt && c == 0) {
+        prev += static_cast<uint64_t>(UnZigZag(raw));
+        tuple[c] = Value::Int(static_cast<int64_t>(prev));
+      } else {
+        tuple[c] = Value::Int(UnZigZag(raw));
+      }
+    }
+  }
+  if (in.remaining() != 0) {
+    return BadBlock(std::to_string(in.remaining()) + " trailing bytes");
+  }
+  return answers;
 }
 
 }  // namespace sqod

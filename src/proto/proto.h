@@ -17,6 +17,11 @@ namespace sqod {
 //
 // Frame format:
 //   uint32 (big endian) payload length | payload bytes (UTF-8 JSON)
+// Version 2 changes one payload: a successful query/explain reply carries
+// its answers as a binary column block ahead of the JSON object,
+//   0x00 | uint32 (big endian) block length | block | JSON object
+// (see "Answer blocks" below). Every other payload starts with '{', so a
+// decoder tells the two apart from the first byte.
 // A frame's payload must be at least 2 bytes ("{}") and at most
 // max_frame_bytes; anything else is a protocol error and the peer closes
 // the connection. FrameReader is the incremental decoder both sides use.
@@ -44,7 +49,9 @@ namespace sqod {
 // the slow-query log's rendering.
 
 inline constexpr int kProtoVersionMin = 1;
-inline constexpr int kProtoVersionMax = 1;
+inline constexpr int kProtoVersionMax = 2;
+// The first version whose query/explain replies carry answer blocks.
+inline constexpr int kProtoVersionAnswerBlock = 2;
 inline constexpr size_t kFrameHeaderBytes = 4;
 inline constexpr size_t kDefaultMaxFrameBytes = 4u << 20;  // 4 MiB
 
@@ -179,9 +186,12 @@ std::string EncodeClose(uint64_t id);
 
 std::string EncodeHelloResponse(uint64_t id, const HelloResult& result);
 std::string EncodeLoadProgramResponse(uint64_t id, const Response& response);
-// `type` is kQuery or kExplain (the echo tag).
+// `type` is kQuery or kExplain (the echo tag). `version` is the
+// connection's negotiated protocol version: from kProtoVersionAnswerBlock
+// on, the answers travel as a binary block, below it as a JSON array.
 std::string EncodeQueryResponse(uint64_t id, MsgType type,
-                                const Response& response);
+                                const Response& response,
+                                int version = kProtoVersionMax);
 std::string EncodeApplyDeltaResponse(uint64_t id,
                                      const DeltaResponse& response);
 // `metrics_json` must be a complete JSON object (ExportMetricsJson output);
@@ -200,8 +210,27 @@ std::string EncodeErrorResponse(uint64_t id, MsgType type,
 // types, and missing/mis-typed fields are kInvalidArgument.
 Result<ClientMessage> DecodeClientMessage(std::string_view payload);
 
-// Decodes one response payload (client side).
+// Decodes one response payload (client side), JSON or answer-block
+// prefixed; any malformed byte is kInvalidArgument.
 Result<ServerMessage> DecodeServerMessage(std::string_view payload);
+
+// ----------------------------------------------------------- answer blocks
+// A version-2 answer set, column-major (docs/protocol.md, "Version 2"):
+//   varint arity | varint rows | varint symbols | symbols x (varint
+//   length | bytes) | arity x column
+// where a column is one kind byte and `rows` values: 0 = integers as
+// zigzag varints (column 0 delta-coded against the previous row, modulo
+// 2^64), 1 = symbols as table indices, 2 = mixed, each value a tag byte
+// (0 int, 1 symbol) then its varint. Varints are LEB128, at most 10 bytes.
+
+// Appends the block for `answers`; every tuple must have the same arity.
+void AppendAnswerBlock(const std::vector<Tuple>& answers, std::string* out);
+
+// Decodes a block that must span all of `block`. The block is untrusted:
+// lengths and counts are checked against the bytes left before anything
+// is allocated, arity is capped at Relation::kMaxArity, and a 0-ary block
+// holds at most one row. Any violation is kInvalidArgument.
+Result<std::vector<Tuple>> DecodeAnswerBlock(std::string_view block);
 
 // ------------------------------------------------------------ wire helpers
 // Exposed for tests and for code that splices custom fields.

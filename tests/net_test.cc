@@ -1,6 +1,7 @@
 // Tests for the network front-end: an in-process Server driven over real
 // loopback TCP by the client library. Covers the hello handshake (auth,
-// version negotiation), multi-tenant isolation and quotas, named sessions
+// version negotiation and the encoding each version gets), the wire layer
+// timers, multi-tenant isolation and quotas, named sessions
 // with monotonic snapshot versions under delta batches, pipelining, and
 // graceful drain.
 
@@ -13,6 +14,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/base/value.h"
@@ -139,6 +141,176 @@ TEST(NetTest, RequestBeforeHelloClosesConnection) {
     got = r.value();
   } while (got > 0);
   EXPECT_EQ(got, 0);
+  server.Stop();
+}
+
+// A raw protocol connection: payloads go out as given and come back
+// undecoded, so a test sees exactly which encoding the server chose.
+struct RawConnection {
+  UniqueFd fd;
+  FrameReader reader;
+
+  static RawConnection Open(uint16_t port) {
+    RawConnection conn;
+    Result<UniqueFd> fd = ConnectTcp("127.0.0.1", port);
+    if (fd.ok()) conn.fd = std::move(fd).value();
+    return conn;
+  }
+
+  bool Send(const std::string& payload) {
+    const std::string frame = EncodeFrame(payload);
+    return WriteAll(fd.get(), frame.data(), frame.size()).ok();
+  }
+
+  // The next payload, or "" once the server has closed.
+  std::string Next() {
+    char buf[16 * 1024];
+    std::string payload;
+    while (true) {
+      Result<bool> next = reader.Next(&payload);
+      if (!next.ok()) return "";
+      if (next.value()) return payload;
+      Result<int64_t> got = ReadSome(fd.get(), buf, sizeof(buf));
+      if (!got.ok() || got.value() == 0) return "";
+      if (got.value() > 0) reader.Append(buf, static_cast<size_t>(got.value()));
+    }
+  }
+
+  // Sends `payload` and returns its reply.
+  std::string Call(const std::string& payload) {
+    return Send(payload) ? Next() : "";
+  }
+};
+
+std::string RawHello(int min_version, int max_version) {
+  HelloParams hello;
+  hello.min_version = min_version;
+  hello.max_version = max_version;
+  return EncodeHello(1, hello);
+}
+
+TEST(NetTest, HelloWithVersionBeyondInt32IsRefused) {
+  Server server(ServerOptions{});
+  ASSERT_TRUE(server.Start().ok());
+  RawConnection conn = RawConnection::Open(server.port());
+  ASSERT_TRUE(conn.fd.valid());
+  // 2^32 + 2: an unchecked narrowing would negotiate version 2.
+  const std::string reply = conn.Call(
+      R"({"type":"hello","id":1,"min_version":1,"max_version":4294967298})");
+  Result<ServerMessage> decoded = DecodeServerMessage(reply);
+  ASSERT_TRUE(decoded.ok()) << reply;
+  // ASSERT: an accepted hello leaves the connection open, and Next()
+  // below would block.
+  ASSERT_EQ(decoded.value().status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(conn.Next(), "") << "the server must close after refusing";
+  EXPECT_EQ(server.metrics().GetCounter("net/protocol_errors")->value(), 1);
+  server.Stop();
+}
+
+TEST(NetTest, DefaultClientNegotiatesVersion2AndV1ClientGetsJsonAnswers) {
+  Server server(ServerOptions{});
+  ASSERT_TRUE(server.Start().ok());
+  const std::vector<Tuple> expected = {T(1, 2), T(1, 3), T(2, 3)};
+  QueryParams params;
+  params.source = kChain;
+  for (int max_version : {1, 2}) {
+    SCOPED_TRACE("max_version " + std::to_string(max_version));
+    ClientOptions options;
+    options.port = server.port();
+    options.max_version = max_version;
+    Result<Client> client = Client::Connect(options);
+    ASSERT_TRUE(client.ok());
+    EXPECT_EQ(client.value().hello().version, max_version);
+    Result<Response> response = client.value().Query(params);
+    ASSERT_TRUE(response.ok());
+    EXPECT_EQ(response.value().answers, expected);
+  }
+  EXPECT_EQ(ClientOptions{}.max_version, 2);
+
+  // On the wire: v1 answers are the JSON array, and the whole payload is
+  // what the version-1 encoder makes of the decoded reply; v2 leads with
+  // the block.
+  for (int version : {1, 2}) {
+    SCOPED_TRACE("version " + std::to_string(version));
+    RawConnection conn = RawConnection::Open(server.port());
+    Result<ServerMessage> hello =
+        DecodeServerMessage(conn.Call(RawHello(1, version)));
+    ASSERT_TRUE(hello.ok());
+    EXPECT_EQ(hello.value().hello.version, version);
+    const std::string reply = conn.Call(EncodeQuery(2, params));
+    ASSERT_FALSE(reply.empty());
+    Result<ServerMessage> decoded = DecodeServerMessage(reply);
+    ASSERT_TRUE(decoded.ok());
+    EXPECT_EQ(decoded.value().query.answers, expected);
+    if (version == 1) {
+      EXPECT_EQ(reply[0], '{');
+      EXPECT_NE(reply.find(R"("answers":[[1,2],[1,3],[2,3]])"),
+                std::string::npos)
+          << reply;
+      EXPECT_EQ(EncodeQueryResponse(2, MsgType::kQuery,
+                                    decoded.value().query, 1),
+                reply);
+    } else {
+      EXPECT_EQ(reply[0], '\0');
+      EXPECT_EQ(reply.find("\"answers\""), std::string::npos);
+    }
+  }
+  server.Stop();
+}
+
+TEST(NetTest, V1ConnectionNeverReceivesBinaryPayload) {
+  Server server(ServerOptions{});
+  ASSERT_TRUE(server.Start().ok());
+  RawConnection conn = RawConnection::Open(server.port());
+  ASSERT_TRUE(conn.fd.valid());
+  std::vector<std::string> replies;
+  replies.push_back(conn.Call(RawHello(1, 1)));
+  LoadProgramParams load;
+  load.session = "chain";
+  load.source = kChain;
+  replies.push_back(conn.Call(EncodeLoadProgram(2, load)));
+  QueryParams by_session;
+  by_session.session = "chain";
+  replies.push_back(conn.Call(EncodeQuery(3, by_session)));
+  replies.push_back(conn.Call(EncodeExplain(4, "chain")));
+  ApplyDeltaParams delta;
+  delta.session = "chain";
+  delta.inserts = {"step(3, 4)"};
+  replies.push_back(conn.Call(EncodeApplyDelta(5, delta)));
+  replies.push_back(conn.Call(EncodeQuery(6, by_session)));
+  QueryParams broken;
+  broken.source = "p(X) :- .";
+  replies.push_back(conn.Call(EncodeQuery(7, broken)));
+  replies.push_back(conn.Call(EncodeMetricsRequest(8)));
+  replies.push_back(conn.Call(EncodeClose(9)));
+  for (size_t i = 0; i < replies.size(); ++i) {
+    ASSERT_FALSE(replies[i].empty()) << "reply " << i;
+    EXPECT_EQ(replies[i][0], '{') << "reply " << i;
+    EXPECT_TRUE(DecodeServerMessage(replies[i]).ok()) << "reply " << i;
+  }
+  Result<ServerMessage> after_delta = DecodeServerMessage(replies[5]);
+  ASSERT_TRUE(after_delta.ok());
+  EXPECT_EQ(after_delta.value().query.answers.size(), 6u);
+  server.Stop();
+}
+
+TEST(NetTest, WireLayerTimersRecordAQuery) {
+  Server server(ServerOptions{});
+  ASSERT_TRUE(server.Start().ok());
+  Result<Client> client = ConnectAs(server, "");
+  ASSERT_TRUE(client.ok());
+  QueryParams params;
+  params.source = kChain;
+  ASSERT_TRUE(client.value().Query(params).ok());
+  MetricsRegistry& metrics = server.metrics();
+  // The hello and the query are decoded on the poll thread.
+  EXPECT_EQ(metrics.GetHistogram("net/decode_request_ns")->count(), 2);
+  // Only the query's reply is encoded by a worker.
+  EXPECT_EQ(metrics.GetHistogram("net/encode_reply_ns")->count(), 1);
+  HistogramSnapshot bytes =
+      metrics.GetHistogram("net/reply_bytes")->Snapshot();
+  EXPECT_EQ(bytes.count, 1);
+  EXPECT_GT(bytes.sum, static_cast<int64_t>(kFrameHeaderBytes));
   server.Stop();
 }
 

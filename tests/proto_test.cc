@@ -1,15 +1,19 @@
 // Tests for the sqo_server wire protocol: frame encode/decode over
 // arbitrary stream fragmentation, oversize/malformed-frame rejection,
-// request/response schema round trips, protocol-version fields, and the
-// int64 encodings that survive the minimal JSON parser's double storage.
+// request/response schema round trips, protocol-version fields, the
+// int64 encodings that survive the minimal JSON parser's double storage,
+// and version 2's binary answer blocks (round trips and every decoder
+// limit).
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/base/value.h"
+#include "src/eval/relation.h"
 #include "src/obs/json.h"
 #include "src/proto/proto.h"
 
@@ -232,25 +236,28 @@ TEST(ProtoTest, QueryResponseRoundTripsAnswersAndTelemetry) {
   response.stats.tuples_derived = 42;
   response.explain_json = R"({"analyzed": true})";
 
-  Result<ServerMessage> decoded = DecodeServerMessage(
-      EncodeQueryResponse(11, MsgType::kQuery, response));
-  ASSERT_TRUE(decoded.ok());
-  const Response& r = decoded.value().query;
-  EXPECT_EQ(decoded.value().id, 11u);
-  EXPECT_TRUE(r.status.ok());
-  EXPECT_EQ(r.answers, response.answers);
-  EXPECT_TRUE(r.optimized);
-  EXPECT_EQ(r.queue_wait_ns, 1000);
-  EXPECT_EQ(r.prepare_ns, 2000);
-  EXPECT_EQ(r.execute_ns, 3000);
-  EXPECT_EQ(r.trace_id, 0xdeadbeefcafe0123ull);
-  EXPECT_TRUE(r.prepare_cache_hit);
-  EXPECT_EQ(r.passes_ran, 8);
-  EXPECT_EQ(r.snapshot_version, 4);
-  EXPECT_TRUE(r.served_from_view);
-  EXPECT_EQ(r.stats.iterations, 6);
-  EXPECT_EQ(r.stats.tuples_derived, 42);
-  EXPECT_EQ(r.explain_json, R"({"analyzed": true})");
+  for (int version : {1, 2}) {
+    SCOPED_TRACE("version " + std::to_string(version));
+    Result<ServerMessage> decoded = DecodeServerMessage(
+        EncodeQueryResponse(11, MsgType::kQuery, response, version));
+    ASSERT_TRUE(decoded.ok());
+    const Response& r = decoded.value().query;
+    EXPECT_EQ(decoded.value().id, 11u);
+    EXPECT_TRUE(r.status.ok());
+    EXPECT_EQ(r.answers, response.answers);
+    EXPECT_TRUE(r.optimized);
+    EXPECT_EQ(r.queue_wait_ns, 1000);
+    EXPECT_EQ(r.prepare_ns, 2000);
+    EXPECT_EQ(r.execute_ns, 3000);
+    EXPECT_EQ(r.trace_id, 0xdeadbeefcafe0123ull);
+    EXPECT_TRUE(r.prepare_cache_hit);
+    EXPECT_EQ(r.passes_ran, 8);
+    EXPECT_EQ(r.snapshot_version, 4);
+    EXPECT_TRUE(r.served_from_view);
+    EXPECT_EQ(r.stats.iterations, 6);
+    EXPECT_EQ(r.stats.tuples_derived, 42);
+    EXPECT_EQ(r.explain_json, R"({"analyzed": true})");
+  }
 }
 
 TEST(ProtoTest, ErrorResponseCarriesCodeAndMessage) {
@@ -352,6 +359,201 @@ TEST(ProtoTest, WireValueRoundTripsIntsAndSymbols) {
     Result<Value> back = WireValue(parsed.value());
     ASSERT_TRUE(back.ok()) << out;
     EXPECT_EQ(back.value(), value) << out;
+  }
+}
+
+TEST(ProtoTest, HelloRejectsVersionsOutsideInt32) {
+  // 4294967298 = 2^32 + 2 would narrow to 2 without the range check.
+  for (const char* payload : {
+           R"({"type":"hello","id":1,"max_version":4294967298})",
+           R"({"type":"hello","id":1,"min_version":4294967297})",
+           R"({"type":"hello","id":1,"min_version":0,"max_version":2})",
+           R"({"type":"hello","id":1,"min_version":-1,"max_version":2})",
+           R"({"type":"hello","id":1,"min_version":1,"max_version":2.5})",
+           R"({"type":"hello","id":1,"min_version":1,"max_version":1e300})",
+           R"({"type":"hello","id":1,"min_version":1,"max_version":"two"})",
+       }) {
+    Result<ClientMessage> decoded = DecodeClientMessage(payload);
+    ASSERT_FALSE(decoded.ok()) << payload;
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument)
+        << payload;
+  }
+  Result<ClientMessage> widest = DecodeClientMessage(
+      R"({"type":"hello","id":1,"min_version":1,"max_version":2147483647})");
+  ASSERT_TRUE(widest.ok());
+  EXPECT_EQ(widest.value().hello.max_version, INT32_MAX);
+}
+
+// ------------------------------------------------------ v2 answer blocks
+
+Response AnswersResponse(std::vector<Tuple> answers) {
+  Response response;
+  response.status = Status::Ok();
+  response.answers = std::move(answers);
+  response.snapshot_version = 3;
+  response.stats.iterations = 2;
+  return response;
+}
+
+// Encodes `answers` under both versions; both must decode to them, v2 as
+// a block-prefixed payload and v1 as plain JSON.
+void ExpectAnswersRoundTrip(const std::vector<Tuple>& answers) {
+  const Response response = AnswersResponse(answers);
+  for (int version : {1, 2}) {
+    SCOPED_TRACE("version " + std::to_string(version));
+    const std::string payload =
+        EncodeQueryResponse(9, MsgType::kQuery, response, version);
+    ASSERT_FALSE(payload.empty());
+    EXPECT_EQ(payload[0] == '\0', version == 2);
+    EXPECT_EQ(payload.find("\"answers\"") != std::string::npos, version == 1);
+    Result<ServerMessage> decoded = DecodeServerMessage(payload);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().message();
+    EXPECT_EQ(decoded.value().query.answers, answers);
+    EXPECT_EQ(decoded.value().query.snapshot_version, 3);
+    EXPECT_EQ(decoded.value().query.stats.iterations, 2);
+  }
+}
+
+TEST(ProtoTest, AnswerBlockRoundTripsInt64Extremes) {
+  ExpectAnswersRoundTrip({{Value::Int(INT64_MIN), Value::Int(INT64_MAX)},
+                          {Value::Int(-1), Value::Int(0)},
+                          {Value::Int(0), Value::Int(INT64_MIN)},
+                          {Value::Int(INT64_MAX), Value::Int(-7)}});
+  // Column 0 delta-codes modulo 2^64, so an unsorted column survives too.
+  ExpectAnswersRoundTrip({{Value::Int(INT64_MAX)},
+                          {Value::Int(INT64_MIN)},
+                          {Value::Int(5)},
+                          {Value::Int(-5)}});
+}
+
+TEST(ProtoTest, AnswerBlockRoundTripsQuotedAndUtf8Symbols) {
+  ExpectAnswersRoundTrip(
+      {{Value::Symbol("with \"quotes\""), Value::Symbol("back\\slash")},
+       {Value::Symbol("caf\xc3\xa9"),
+        Value::Symbol("\xe6\x9d\xb1\xe4\xba\xac")},
+       {Value::Symbol(""), Value::Symbol("line\nbreak")},
+       {Value::Symbol("caf\xc3\xa9"), Value::Symbol("with \"quotes\"")}});
+}
+
+TEST(ProtoTest, AnswerBlockRoundTripsMixedColumns) {
+  ExpectAnswersRoundTrip(
+      {{Value::Int(1), Value::Symbol("a"), Value::Int(-3)},
+       {Value::Int(2), Value::Int(40), Value::Symbol("a")},
+       {Value::Symbol("z"), Value::Symbol("b"), Value::Int(INT64_MIN)}});
+}
+
+TEST(ProtoTest, AnswerBlockRoundTripsEmptyAndZeroAryAnswers) {
+  ExpectAnswersRoundTrip({});
+  ExpectAnswersRoundTrip({Tuple{}});
+}
+
+TEST(ProtoTest, AnswerBlockStoresEachSymbolOnce) {
+  std::vector<Tuple> answers;
+  for (int i = 0; i < 100; ++i) {
+    answers.push_back({Value::Int(i), Value::Symbol("a-rather-long-symbol")});
+  }
+  std::string block;
+  AppendAnswerBlock(answers, &block);
+  EXPECT_EQ(block.find("a-rather-long-symbol"),
+            block.rfind("a-rather-long-symbol"));
+  // 100 delta-coded ints and 100 one-byte indices, plus a small header.
+  EXPECT_LT(block.size(), 260u);
+}
+
+TEST(ProtoTest, ErrorQueryReplyStaysJsonUnderV2) {
+  Response response;
+  response.status = Status::DeadlineExceeded("too slow");
+  const std::string payload =
+      EncodeQueryResponse(3, MsgType::kQuery, response, 2);
+  ASSERT_FALSE(payload.empty());
+  EXPECT_EQ(payload[0], '{');
+  Result<ServerMessage> decoded = DecodeServerMessage(payload);
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(decoded.value().status.code(), StatusCode::kDeadlineExceeded);
+}
+
+std::string Varint(uint64_t v) {
+  std::string out;
+  while (v >= 0x80) {
+    out.push_back(static_cast<char>((v & 0x7f) | 0x80));
+    v >>= 7;
+  }
+  out.push_back(static_cast<char>(v));
+  return out;
+}
+
+TEST(ProtoTest, AnswerBlockDecoderRejectsMalformedBlocks) {
+  const std::string ten_byte_varint =
+      "\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01";
+  // A valid 1 x 1 block: arity 1, one row, no symbols, int column, 5.
+  const std::string valid = Varint(1) + Varint(1) + Varint(0) +
+                            std::string(1, '\0') + Varint(10);
+  ASSERT_TRUE(DecodeAnswerBlock(valid).ok());
+  ASSERT_TRUE(DecodeAnswerBlock(Varint(1) + Varint(1) + Varint(0) +
+                                std::string(1, '\0') + ten_byte_varint)
+                  .ok());
+  const std::vector<std::pair<const char*, std::string>> cases = {
+      {"empty", ""},
+      {"arity over the cap", Varint(Relation::kMaxArity + 1) + Varint(0) +
+                                 Varint(0)},
+      {"0-ary with two rows", Varint(0) + Varint(2) + Varint(0)},
+      {"rows x arity beyond the bytes",
+       Varint(2) + Varint(1000) + Varint(0) + std::string(8, '\0')},
+      {"rows overflow", Varint(64) + Varint(UINT64_MAX / 32) + Varint(0) +
+                            std::string(64, '\0')},
+      {"symbol count beyond the bytes", Varint(1) + Varint(1) + Varint(50)},
+      {"symbol length beyond the bytes",
+       Varint(1) + Varint(1) + Varint(1) + Varint(200) + "abc"},
+      {"symbol index outside the table",
+       Varint(1) + Varint(1) + Varint(1) + Varint(1) + "a" +
+           std::string(1, '\1') + Varint(1)},
+      {"varint longer than 10 bytes",
+       Varint(1) + Varint(1) + Varint(0) + std::string(1, '\0') +
+           "\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01"},
+      {"varint overflowing 64 bits",
+       Varint(1) + Varint(1) + Varint(0) + std::string(1, '\0') +
+           "\xff\xff\xff\xff\xff\xff\xff\xff\xff\x02"},
+      {"truncated varint",
+       Varint(1) + Varint(1) + Varint(0) + std::string(1, '\0') + "\x80"},
+      {"unknown column kind",
+       Varint(1) + Varint(1) + Varint(0) + std::string(1, '\7') + Varint(1)},
+      {"unknown mixed tag", Varint(1) + Varint(1) + Varint(0) +
+                                std::string(1, '\2') + "\x05" + Varint(1)},
+      {"trailing bytes", valid + "x"},
+  };
+  for (const auto& [what, block] : cases) {
+    Result<std::vector<Tuple>> decoded = DecodeAnswerBlock(block);
+    ASSERT_FALSE(decoded.ok()) << what;
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument) << what;
+  }
+}
+
+TEST(ProtoTest, BlockPrefixIsCheckedAgainstThePayload) {
+  const std::string json = R"({"type":"query","id":1,"code":"OK"})";
+  std::string block;
+  AppendAnswerBlock({{Value::Int(1)}}, &block);
+  auto prefixed = [&](uint32_t n, const std::string& body) {
+    std::string out(1, '\0');
+    for (int shift : {24, 16, 8, 0}) {
+      out.push_back(static_cast<char>((n >> shift) & 0xff));
+    }
+    return out + body;
+  };
+  ASSERT_TRUE(DecodeServerMessage(
+                  prefixed(static_cast<uint32_t>(block.size()), block + json))
+                  .ok());
+  for (const std::string& payload :
+       {std::string(3, '\0'),
+        prefixed(static_cast<uint32_t>(block.size() + json.size() + 1),
+                 block + json),
+        prefixed(0xffffffffu, block + json),
+        prefixed(static_cast<uint32_t>(block.size()), block),
+        // A block on a reply type that carries no answers.
+        prefixed(static_cast<uint32_t>(block.size()),
+                 block + R"({"type":"metrics","id":1,"code":"OK"})")}) {
+    Result<ServerMessage> decoded = DecodeServerMessage(payload);
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
   }
 }
 
