@@ -63,7 +63,6 @@ const MatchDelta& AtomMatchMemo::Match(AtomId pattern, AtomId target) {
     ++memo_hits_;
     return it->second;
   }
-  ++memo_misses_;
   return match_memo_.emplace(key, ComputeMatchDelta(atoms_[pattern],
                                                     atoms_[target]))
       .first->second;

@@ -43,7 +43,7 @@ class AtomMatchMemo {
   // The atom for a previously interned id (stable reference).
   const Atom& atom(AtomId id) const { return atoms_[id]; }
 
-  // The memoized match of pattern into target (both previously interned).
+  // The cached match of pattern into target (both previously interned).
   // The reference is stable until the memo is cleared.
   const MatchDelta& Match(AtomId pattern, AtomId target);
 
@@ -53,7 +53,6 @@ class AtomMatchMemo {
   int64_t intern_hits() const { return intern_hits_; }
   int64_t intern_misses() const { return intern_misses_; }
   int64_t memo_hits() const { return memo_hits_; }
-  int64_t memo_misses() const { return memo_misses_; }
 
  private:
   std::unordered_map<Atom, AtomId, AtomHash> ids_;
@@ -62,7 +61,6 @@ class AtomMatchMemo {
   int64_t intern_hits_ = 0;
   int64_t intern_misses_ = 0;
   int64_t memo_hits_ = 0;
-  int64_t memo_misses_ = 0;
 };
 
 // Computes the match delta of `pattern` into `target` from scratch (no

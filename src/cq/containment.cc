@@ -56,7 +56,7 @@ std::vector<Term> AllTerms(const ConjunctiveQuery& q) {
 // over q1's terms (either q1's own comparisons for the homomorphism-only
 // fast path, or a full linearization for Klug's test).
 bool CoveredBy(const ConjunctiveQuery& q1, const ConjunctiveQuery& q2,
-               const std::vector<Comparison>& world, AtomMatchMemo* memo) {
+               const std::vector<Comparison>& world, AtomMatchMemo& memo) {
   if (q2.head.pred() != q1.head.pred() ||
       q2.head.arity() != q1.head.arity()) {
     return false;
@@ -104,7 +104,7 @@ Result<bool> ContainedInUnionImpl(const ConjunctiveQuery& q,
     // Classic test: one containment mapping from some disjunct suffices
     // (Sagiv & Yannakakis 1981).
     for (const ConjunctiveQuery& q2 : ucq) {
-      if (CoveredBy(q, q2, /*world=*/{}, &memo)) return true;
+      if (CoveredBy(q, q2, /*world=*/{}, memo)) return true;
     }
     return false;
   }
@@ -112,7 +112,7 @@ Result<bool> ContainedInUnionImpl(const ConjunctiveQuery& q,
   // Fast sufficient check: a single disjunct whose comparisons are entailed
   // by q's own comparisons under some homomorphism.
   for (const ConjunctiveQuery& q2 : ucq) {
-    if (CoveredBy(q, q2, q.comparisons, &memo)) return true;
+    if (CoveredBy(q, q2, q.comparisons, memo)) return true;
   }
 
   // Klug's test, lifted to unions: every linearization of q's terms that is
@@ -121,7 +121,7 @@ Result<bool> ContainedInUnionImpl(const ConjunctiveQuery& q,
       AllTerms(q), q.comparisons, [&](const Linearization& lin) {
         std::vector<Comparison> world = LinearizationConstraints(lin);
         for (const ConjunctiveQuery& q2 : ucq) {
-          if (CoveredBy(q, q2, world, &memo)) {
+          if (CoveredBy(q, q2, world, memo)) {
             return false;  // covered, keep going
           }
         }

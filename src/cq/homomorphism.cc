@@ -10,9 +10,8 @@ namespace sqod {
 namespace {
 
 // Per source atom (in search order): the match deltas against its candidate
-// targets, precomputed once per ForEachHomomorphism call — or recalled from
-// the shared memo, where repeated containment checks against the same atom
-// pairs hit across calls.
+// targets, recalled from the caller's memo, where repeated containment
+// checks against the same atom pairs hit across calls.
 bool Search(const std::vector<std::vector<const MatchDelta*>>& deltas,
             size_t next, Substitution* subst,
             const std::function<bool(const Substitution&)>& visit) {
@@ -31,7 +30,7 @@ bool ForEachHomomorphism(
     const std::vector<Atom>& from, const std::vector<Atom>& to,
     const Substitution& base,
     const std::function<bool(const Substitution&)>& visit,
-    AtomMatchMemo* memo) {
+    AtomMatchMemo& memo) {
   std::unordered_map<PredId, std::vector<const Atom*>> index;
   for (const Atom& a : to) index[a.pred()].push_back(&a);
 
@@ -47,38 +46,17 @@ bool ForEachHomomorphism(
                    });
 
   std::vector<std::vector<const MatchDelta*>> deltas(ordered.size());
-  std::vector<MatchDelta> local_deltas;  // plain-mode storage, stable
-  if (memo == nullptr) {
-    size_t pairs = 0;
-    for (const Atom& a : ordered) {
-      auto it = index.find(a.pred());
-      if (it != index.end()) pairs += it->second.size();
-    }
-    local_deltas.reserve(pairs);
-  }
   for (size_t i = 0; i < ordered.size(); ++i) {
     auto it = index.find(ordered[i].pred());
     if (it == index.end()) return false;  // no candidate target at all
-    AtomId pattern = memo != nullptr ? memo->Intern(ordered[i]) : -1;
+    const AtomId pattern = memo.Intern(ordered[i]);
     for (const Atom* target : it->second) {
-      if (memo != nullptr) {
-        deltas[i].push_back(&memo->Match(pattern, memo->Intern(*target)));
-      } else {
-        local_deltas.push_back(ComputeMatchDelta(ordered[i], *target));
-        deltas[i].push_back(&local_deltas.back());
-      }
+      deltas[i].push_back(&memo.Match(pattern, memo.Intern(*target)));
     }
   }
 
   Substitution subst = base;
   return Search(deltas, 0, &subst, visit);
-}
-
-bool HomomorphismExists(const std::vector<Atom>& from,
-                        const std::vector<Atom>& to,
-                        const Substitution& base, AtomMatchMemo* memo) {
-  return ForEachHomomorphism(
-      from, to, base, [](const Substitution&) { return true; }, memo);
 }
 
 }  // namespace sqod

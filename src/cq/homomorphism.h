@@ -18,22 +18,14 @@ namespace sqod {
 // returns true the search stops and ForEachHomomorphism returns true.
 // Returns false when the enumeration completes without `visit` accepting.
 //
-// When `memo` is non-null, the pairwise atom matches driving the search are
-// answered from (and recorded in) its match memo; repeated checks against
-// the same atoms — the shape of CQ containment and residue pruning loops —
-// become hash lookups.
+// The pairwise atom matches driving the search are answered from (and
+// recorded in) `memo`; repeated checks against the same atoms — the shape
+// of CQ containment loops — become hash lookups.
 bool ForEachHomomorphism(
     const std::vector<Atom>& from, const std::vector<Atom>& to,
     const Substitution& base,
     const std::function<bool(const Substitution&)>& visit,
-    AtomMatchMemo* memo = nullptr);
-
-// Convenience: is there any homomorphism from `from` into `to` extending
-// `base`?
-bool HomomorphismExists(const std::vector<Atom>& from,
-                        const std::vector<Atom>& to,
-                        const Substitution& base = Substitution(),
-                        AtomMatchMemo* memo = nullptr);
+    AtomMatchMemo& memo);
 
 }  // namespace sqod
 

@@ -174,23 +174,15 @@ AdornmentEngine::AdornmentEngine(const Program& program,
     owned_store_ = std::make_unique<TripletStore>();
     store_ = owned_store_.get();
   }
-  memoize_ = options_.memoize && store_->memo_enabled();
 }
 
 AdornmentEngine::~AdornmentEngine() = default;
 
-void AdornmentEngine::FillIds(CandidateList* list) const {
-  list->ids.reserve(list->triplets.size());
-  for (const RuleTriplet& t : list->triplets) {
-    list->ids.push_back(store_->InternRuleTriplet(t));
-  }
-}
-
 AdornmentEngine::CandidateList AdornmentEngine::EdbBaseTriplets(
     const Rule& rule, const Atom& atom) const {
   CandidateList out;
-  AtomId target_id = -1;
-  if (memoize_) target_id = store_->atoms().Intern(atom);
+  AtomMatchMemo& atoms = store_->atoms();
+  const AtomId target_id = atoms.Intern(atom);
   for (int ic_index = 0; ic_index < static_cast<int>(ics_.size());
        ++ic_index) {
     const Constraint& ic = ics_[ic_index];
@@ -198,23 +190,11 @@ AdornmentEngine::CandidateList AdornmentEngine::EdbBaseTriplets(
     const int n = static_cast<int>(positives.size());
     const std::vector<int>& nonlocal = local_.NonlocalOrder(ic_index);
 
-    // One-way matches of each IC atom into `atom`, computed (or recalled
-    // from the store's match memo) once per call instead of once per
-    // enumeration path.
-    std::vector<MatchDelta> local_deltas;
+    // One-way matches of each IC atom into `atom`, recalled from the
+    // store's match memo once per call instead of once per enumeration path.
     std::vector<const MatchDelta*> deltas(n);
-    if (memoize_) {
-      for (int i = 0; i < n; ++i) {
-        deltas[i] =
-            &store_->atoms().Match(store_->atoms().Intern(*positives[i]),
-                                   target_id);
-      }
-    } else {
-      local_deltas.reserve(n);
-      for (int i = 0; i < n; ++i) {
-        local_deltas.push_back(ComputeMatchDelta(*positives[i], atom));
-      }
-      for (int i = 0; i < n; ++i) deltas[i] = &local_deltas[i];
+    for (int i = 0; i < n; ++i) {
+      deltas[i] = &atoms.Match(atoms.Intern(*positives[i]), target_id);
     }
 
     // Enumerate subsets M of the IC's positive atoms all mapping into
@@ -246,20 +226,13 @@ AdornmentEngine::CandidateList AdornmentEngine::EdbBaseTriplets(
               const Term* image = h.Lookup(z);
               if (image != nullptr) t.sigma.emplace(z, *image);
             }
-            if (memoize_) {
-              RuleTripletId id = store_->InternRuleTriplet(t);
-              if (std::find(out.ids.begin(), out.ids.end(), id) !=
-                  out.ids.end()) {
-                return;
-              }
-              out.ids.push_back(id);
-              out.triplets.push_back(std::move(t));
-            } else {
-              for (const RuleTriplet& existing : out.triplets) {
-                if (existing.SameAs(t)) return;
-              }
-              out.triplets.push_back(std::move(t));
+            RuleTripletId id = store_->InternRuleTriplet(t);
+            if (std::find(out.ids.begin(), out.ids.end(), id) !=
+                out.ids.end()) {
+              return;
             }
+            out.ids.push_back(id);
+            out.triplets.push_back(std::move(t));
             return;
           }
           recurse(next + 1, h);  // leave atom `next` unmapped
@@ -293,9 +266,9 @@ AdornmentEngine::CandidateList AdornmentEngine::TranslateAdornment(
         rt.sigma.emplace(z, atom.arg(img.positions[0]));
       }
     }
+    list.ids.push_back(store_->InternRuleTriplet(rt));
     list.triplets.push_back(std::move(rt));
   }
-  if (memoize_) FillIds(&list);
   return list;
 }
 
@@ -319,7 +292,7 @@ int AdornmentEngine::InternApred(PredId pred, Adornment adornment,
   apred_registry_.emplace(key, index);
   apreds_by_pred_[pred].push_back(index);
   if (static_cast<int>(apreds_.size()) > options_.max_adorned_preds) {
-    overflow_ = true;
+    Overflow(Valve::kAdornedPreds);
   }
   return index;
 }
@@ -400,7 +373,8 @@ bool AdornmentEngine::ProcessCombination(int rule_index,
   // Positive subgoals in body order; candidate triplets per subgoal.
   // Candidate lists come from the memo tables where possible (translation
   // depends only on (apred, atom); EDB base triplets only on the original
-  // (rule, occurrence) as long as the rule was not specialized).
+  // (rule, occurrence), so a specialized rule builds them into a scratch
+  // list).
   std::vector<int> positive_subgoals;
   std::vector<int> subgoal_apred(rule.body.size(), -1);
   std::vector<const CandidateList*> candidates;
@@ -415,21 +389,16 @@ bool AdornmentEngine::ProcessCombination(int rule_index,
         SQOD_CHECK(idb_subgoals[idb_seen] == b);
         int apred = choice[idb_seen++];
         subgoal_apred[b] = apred;
-        if (memoize_) {
-          const uint64_t memo_key =
-              PackPair(apred, store_->atoms().Intern(lit.atom));
-          auto it = translate_memo_.find(memo_key);
-          if (it == translate_memo_.end()) {
-            it = translate_memo_
-                     .emplace(memo_key, TranslateAdornment(apred, lit.atom))
-                     .first;
-          }
-          candidates.push_back(&it->second);
-        } else {
-          scratch_lists.push_back(TranslateAdornment(apred, lit.atom));
-          candidates.push_back(&scratch_lists.back());
+        const uint64_t memo_key =
+            PackPair(apred, store_->atoms().Intern(lit.atom));
+        auto it = translate_memo_.find(memo_key);
+        if (it == translate_memo_.end()) {
+          it = translate_memo_
+                   .emplace(memo_key, TranslateAdornment(apred, lit.atom))
+                   .first;
         }
-      } else if (memoize_ && !specialized) {
+        candidates.push_back(&it->second);
+      } else if (!specialized) {
         const uint64_t memo_key = PackPair(rule_index, b);
         auto it = edb_base_memo_.find(memo_key);
         if (it == edb_base_memo_.end()) {
@@ -454,50 +423,36 @@ bool AdornmentEngine::ProcessCombination(int rule_index,
   for (int b = 0; b < static_cast<int>(rule.body.size()); ++b) {
     if (subgoal_apred[b] == -1) continue;
     const AdornedPred& ap = apreds_[subgoal_apred[b]];
-    if (memoize_) {
-      const uint64_t memo_key =
-          PackPair(ap.summary_id, store_->atoms().Intern(rule.body[b].atom));
-      auto it = summary_memo_.find(memo_key);
-      if (it == summary_memo_.end()) {
-        it = summary_memo_
-                 .emplace(memo_key,
-                          InstantiateSummary(ap.summary, rule.body[b].atom))
-                 .first;
-      }
-      total.insert(total.end(), it->second.begin(), it->second.end());
-    } else {
-      std::vector<Comparison> inst =
-          InstantiateSummary(ap.summary, rule.body[b].atom);
-      total.insert(total.end(), inst.begin(), inst.end());
+    const uint64_t memo_key =
+        PackPair(ap.summary_id, store_->atoms().Intern(rule.body[b].atom));
+    auto it = summary_memo_.find(memo_key);
+    if (it == summary_memo_.end()) {
+      it = summary_memo_
+               .emplace(memo_key,
+                        InstantiateSummary(ap.summary, rule.body[b].atom))
+               .first;
     }
+    total.insert(total.end(), it->second.begin(), it->second.end());
   }
   // Consistency and head-summary both depend only on (total, head), and the
   // same conjunction recurs across combinations (same subgoal summaries in a
   // different mix). Interning `total` turns both checks into one hash each;
   // ComputeHeadSummary in particular runs several order solves per call.
-  std::vector<Comparison> head_summary;
-  if (memoize_) {
-    const SummaryId total_id = store_->InternSummary(total);
-    auto cons = consistent_memo_.find(total_id);
-    if (cons == consistent_memo_.end()) {
-      cons = consistent_memo_
-                 .emplace(total_id, ComparisonsConsistent(total))
-                 .first;
-    }
-    if (!cons->second) return false;
-    const uint64_t hs_key =
-        PackPair(total_id, store_->atoms().Intern(rule.head));
-    auto hs = head_summary_memo_.find(hs_key);
-    if (hs == head_summary_memo_.end()) {
-      hs = head_summary_memo_
-               .emplace(hs_key, ComputeHeadSummary(total, rule.head))
+  const SummaryId total_id = store_->InternSummary(total);
+  auto cons = consistent_memo_.find(total_id);
+  if (cons == consistent_memo_.end()) {
+    cons = consistent_memo_.emplace(total_id, ComparisonsConsistent(total))
                .first;
-    }
-    head_summary = hs->second;
-  } else {
-    if (!ComparisonsConsistent(total)) return false;
-    head_summary = ComputeHeadSummary(total, rule.head);
   }
+  if (!cons->second) return false;
+  const uint64_t hs_key = PackPair(total_id, store_->atoms().Intern(rule.head));
+  auto hs = head_summary_memo_.find(hs_key);
+  if (hs == head_summary_memo_.end()) {
+    hs = head_summary_memo_
+             .emplace(hs_key, ComputeHeadSummary(total, rule.head))
+             .first;
+  }
+  std::vector<Comparison> head_summary = hs->second;
 
   const int m = static_cast<int>(positive_subgoals.size());
 
@@ -509,9 +464,8 @@ bool AdornmentEngine::ProcessCombination(int rule_index,
   };
 
   // Combine triplets per IC: each subgoal contributes one candidate of that
-  // IC or the implicit trivial triplet. The memoized path threads an
-  // interned rule-triplet id through the recursion and merges via the
-  // store (hash lookup per step); the plain path recomputes each merge.
+  // IC or the implicit trivial triplet. The recursion threads an interned
+  // rule-triplet id and merges via the store (hash lookup per step).
   std::vector<RuleTriplet> rule_adornment;
   std::unordered_set<RuleTripletId> leaf_seen;
   bool inconsistent = false;
@@ -521,13 +475,15 @@ bool AdornmentEngine::ProcessCombination(int rule_index,
     const Constraint& ic = ics_[ic_index];
     std::vector<const Atom*> positives = ic.PositiveAtoms();
     const std::vector<int>& nonlocal = local_.NonlocalOrder(ic_index);
-    std::vector<int> all_atoms;
+    // The combination starts with every atom unmapped; the quasi-local
+    // pseudo-atom participates as an extra unmapped index.
+    RuleTriplet start;
+    start.ic_index = ic_index;
     for (int i = 0; i < static_cast<int>(positives.size()); ++i) {
-      all_atoms.push_back(i);
+      start.unmapped.push_back(i);
     }
-    // The quasi-local pseudo-atom participates as an extra unmapped index.
     if (!nonlocal.empty()) {
-      all_atoms.push_back(static_cast<int>(positives.size()));
+      start.unmapped.push_back(static_cast<int>(positives.size()));
     }
     // Per-subgoal candidate indices for this IC.
     std::vector<std::vector<int>> per_subgoal(m);
@@ -545,7 +501,8 @@ bool AdornmentEngine::ProcessCombination(int rule_index,
 
     // Checks a fully restricted leaf triplet: detects the inconsistent
     // adornment, dedupes, and records it with its provenance.
-    auto process_leaf = [&](const RuleTriplet& t, RuleTripletId id) {
+    auto process_leaf = [&](RuleTripletId id) {
+      const RuleTriplet& t = store_->rule_triplet(id);
       if (t.unmapped.empty()) {
         // Empty residue: every instantiation through this adorned rule
         // violates the IC (the *inconsistent adornment* of the paper).
@@ -580,106 +537,42 @@ bool AdornmentEngine::ProcessCombination(int rule_index,
           }
         }
       }
-      if (id >= 0) {
-        if (!leaf_seen.insert(id).second) return;  // provenance: keep first
-      } else {
-        for (const RuleTriplet& existing : rule_adornment) {
-          if (existing.SameAs(t)) return;  // sources provenance: keep first
-        }
-      }
+      if (!leaf_seen.insert(id).second) return;  // provenance: keep first
       RuleTriplet recorded = t;
       recorded.sources = sources;
       rule_adornment.push_back(std::move(recorded));
     };
 
-    if (memoize_) {
-      RuleTriplet start;
-      start.ic_index = ic_index;
-      start.unmapped = all_atoms;
-      const RuleTripletId start_id = store_->InternRuleTriplet(start);
-      std::function<void(int, RuleTripletId)> combine =
-          [&](int s, RuleTripletId state) {
-            if (inconsistent || ++combos > 2000000) {
-              overflow_ = overflow_ || combos > 2000000;
-              return;
-            }
-            if (s == m) {
-              bool all_trivial =
-                  std::all_of(sources.begin(), sources.end(),
-                              [](int x) { return x == -1; });
-              if (all_trivial) return;
-              RuleTripletId restricted = RestrictedLeaf(state);
-              process_leaf(store_->rule_triplet(restricted), restricted);
-              return;
-            }
-            // Trivial contribution from subgoal s.
-            combine(s + 1, state);
-            if (inconsistent) return;
-            // Each real candidate of subgoal s for this IC.
-            for (int c : per_subgoal[s]) {
-              const int32_t merged = store_->MergeRuleTriplets(
-                  state, candidates[s]->ids[c]);
-              if (merged == TripletStore::kIncompatible) continue;
-              sources[s] = c;
-              combine(s + 1, merged);
-              sources[s] = -1;
-              if (inconsistent) return;
-            }
-          };
-      combine(0, start_id);
-    } else {
-      RuleTriplet current;
-      current.ic_index = ic_index;
-      current.unmapped = all_atoms;
-      std::function<void(int)> combine = [&](int s) {
-        if (inconsistent || ++combos > 2000000) {
-          overflow_ = overflow_ || combos > 2000000;
-          return;
-        }
-        if (s == m) {
-          bool all_trivial = std::all_of(sources.begin(), sources.end(),
-                                         [](int x) { return x == -1; });
-          if (all_trivial) return;
-          RuleTriplet t = current;
-          RestrictSigma(ic, positives, nonlocal, t.unmapped, &t.sigma);
-          process_leaf(t, -1);
-          return;
-        }
-        // Trivial contribution from subgoal s.
-        combine(s + 1);
-        if (inconsistent) return;
-        // Each real candidate of subgoal s for this IC.
-        for (int c : per_subgoal[s]) {
-          const RuleTriplet& cand = candidates[s]->triplets[c];
-          // Merge sigma with compatibility check.
-          FlatMap<VarId, Term> saved_sigma = current.sigma;
-          std::vector<int> saved_unmapped = current.unmapped;
-          bool ok = true;
-          for (const auto& [z, term] : cand.sigma) {
-            auto [it, inserted] = current.sigma.emplace(z, term);
-            if (!inserted && !(it->second == term)) {
-              ok = false;
-              break;
-            }
-          }
-          if (ok) {
-            std::vector<int> merged;
-            std::set_intersection(current.unmapped.begin(),
-                                  current.unmapped.end(),
-                                  cand.unmapped.begin(), cand.unmapped.end(),
-                                  std::back_inserter(merged));
-            current.unmapped = std::move(merged);
-            sources[s] = c;
-            combine(s + 1);
-            sources[s] = -1;
-          }
-          current.sigma = std::move(saved_sigma);
-          current.unmapped = std::move(saved_unmapped);
+    std::function<void(int, RuleTripletId)> combine =
+        [&](int s, RuleTripletId state) {
           if (inconsistent) return;
-        }
-      };
-      combine(0);
-    }
+          if (++combos > kMaxCombinationsPerIc) {
+            Overflow(Valve::kCombinations);
+            return;
+          }
+          if (s == m) {
+            if (std::all_of(sources.begin(), sources.end(),
+                            [](int x) { return x == -1; })) {
+              return;
+            }
+            process_leaf(RestrictedLeaf(state));
+            return;
+          }
+          // Trivial contribution from subgoal s.
+          combine(s + 1, state);
+          if (inconsistent) return;
+          // Each real candidate of subgoal s for this IC.
+          for (int c : per_subgoal[s]) {
+            const int32_t merged =
+                store_->MergeRuleTriplets(state, candidates[s]->ids[c]);
+            if (merged == TripletStore::kIncompatible) continue;
+            sources[s] = c;
+            combine(s + 1, merged);
+            sources[s] = -1;
+            if (inconsistent) return;
+          }
+        };
+    combine(0, store_->InternRuleTriplet(start));
   }
 
   if (inconsistent) return false;  // the adorned rule is dropped entirely
@@ -741,7 +634,7 @@ bool AdornmentEngine::ProcessCombination(int rule_index,
   registry_it->second = static_cast<int>(arules_.size());
   arules_.push_back(std::move(ar));
   if (static_cast<int>(arules_.size()) > options_.max_adorned_rules) {
-    overflow_ = true;
+    Overflow(Valve::kAdornedRules);
   }
   return true;
 }
@@ -756,7 +649,7 @@ Status AdornmentEngine::Run() {
       options_.tracer != nullptr && options_.tracer->enabled();
   fixpoint_passes_ = 0;
   bool changed = true;
-  while (changed && !overflow_) {
+  while (changed && overflow_ == Valve::kNone) {
     changed = false;
     Span pass_span;
     if (tracing) {
@@ -787,7 +680,7 @@ Status AdornmentEngine::Run() {
 
       std::vector<int> choice(idb_subgoals.size());
       std::function<void(size_t)> enumerate = [&](size_t i) {
-        if (overflow_) return;
+        if (overflow_ != Valve::kNone) return;
         if (i == idb_subgoals.size()) {
           if (ProcessCombination(r, idb_subgoals, choice)) changed = true;
           return;
@@ -802,13 +695,28 @@ Status AdornmentEngine::Run() {
     pass_span.SetAttr("apreds", static_cast<int64_t>(apreds_.size()));
     pass_span.SetAttr("arules", static_cast<int64_t>(arules_.size()));
   }
-  if (overflow_) {
-    return Status::ResourceExhausted(
-        "adornment fixpoint exceeded its safety limits (the construction is "
-        "doubly exponential in the worst case; raise AdornOptions to "
-        "continue)");
+  std::string valve;
+  switch (overflow_) {
+    case Valve::kNone:
+      return Status::Ok();
+    case Valve::kAdornedPreds:
+      valve = "adorned predicates exceeded the limit of " +
+              std::to_string(options_.max_adorned_preds) +
+              " (raise AdornOptions::max_adorned_preds to continue)";
+      break;
+    case Valve::kAdornedRules:
+      valve = "adorned rules exceeded the limit of " +
+              std::to_string(options_.max_adorned_rules) +
+              " (raise AdornOptions::max_adorned_rules to continue)";
+      break;
+    case Valve::kCombinations:
+      valve = "combinations per IC exceeded the fixed limit of " +
+              std::to_string(kMaxCombinationsPerIc);
+      break;
   }
-  return Status::Ok();
+  return Status::ResourceExhausted(
+      "adornment fixpoint stopped at a safety valve: " + valve +
+      "; the construction is doubly exponential in the worst case");
 }
 
 Program AdornmentEngine::AdornedProgram() const {

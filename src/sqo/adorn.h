@@ -72,11 +72,6 @@ struct AdornOptions {
   // pipeline's PassContext store, shared across passes; when null the
   // engine owns a private one.
   TripletStore* store = nullptr;
-  // Memoize the hot combinators (rule-triplet composition, EDB base
-  // triplets, adornment translation) in addition to hash-consing. Output
-  // is identical either way; the switch exists for A/B testing and the
-  // golden interning test.
-  bool memoize = true;
 };
 
 // The bottom-up phase of the Section 4.1 algorithm. Expects the program to
@@ -85,11 +80,17 @@ struct AdornOptions {
 // order atoms and negated atoms local (carried by `local`).
 class AdornmentEngine {
  public:
+  // The third safety valve, beside the two AdornOptions limits: the number
+  // of triplet combinations one IC may enumerate for one adorned rule.
+  // Fixed; there is no option for it.
+  static constexpr int kMaxCombinationsPerIc = 2000000;
+
   AdornmentEngine(const Program& program, std::vector<Constraint> ics,
                   LocalAtomInfo local, AdornOptions options = {});
   ~AdornmentEngine();
 
-  // Runs the fixpoint. Returns an error only when a safety valve triggers.
+  // Runs the fixpoint. Returns ResourceExhausted, naming the valve and its
+  // limit, only when a safety valve triggers.
   Status Run();
 
   const Program& program() const { return program_; }
@@ -161,7 +162,11 @@ class AdornmentEngine {
   // for variables that occur in no unmapped part. Memoized on `id`.
   RuleTripletId RestrictedLeaf(RuleTripletId id);
 
-  void FillIds(CandidateList* list) const;
+  // The safety valves; overflow_ keeps the first one that tripped.
+  enum class Valve { kNone, kAdornedPreds, kAdornedRules, kCombinations };
+  void Overflow(Valve valve) {
+    if (overflow_ == Valve::kNone) overflow_ = valve;
+  }
 
   Program program_;
   std::vector<Constraint> ics_;
@@ -171,7 +176,6 @@ class AdornmentEngine {
 
   std::unique_ptr<TripletStore> owned_store_;  // fallback when none shared
   TripletStore* store_ = nullptr;
-  bool memoize_ = true;
 
   std::vector<AdornedPred> apreds_;
   std::unordered_map<ApredKey, int, ApredKeyHash> apred_registry_;
@@ -181,7 +185,7 @@ class AdornmentEngine {
   std::unordered_map<std::vector<int32_t>, int, IntVecHash> arule_registry_;
   std::vector<int32_t> key_scratch_;  // reused registry-lookup buffer
 
-  // Memo tables (used when options_.memoize):
+  // Memo tables:
   //   EDB base triplets per unspecialized (rule_index << 32 | body_index);
   //   adornment translation per (apred << 32 | atom id);
   //   instantiated summaries per (summary id << 32 | atom id);
@@ -196,7 +200,7 @@ class AdornmentEngine {
   mutable std::unordered_map<uint64_t, std::vector<Comparison>>
       head_summary_memo_;
 
-  bool overflow_ = false;
+  Valve overflow_ = Valve::kNone;
   int fixpoint_passes_ = 0;
 };
 

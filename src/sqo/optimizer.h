@@ -31,13 +31,6 @@ struct SqoOptions {
   QueryTreeOptions tree;
   int max_local_rewrite_rules = 100000;
 
-  // Memoize the hot combinators of the pipeline's hash-consing store (rule
-  // triplet merges, IC-atom match deltas, EDB base-triplet lists). The
-  // hash-consing itself is always on; this only toggles the memo tables.
-  // Output is identical either way — the switch exists for A/B comparison
-  // and the golden interning-equivalence test.
-  bool memoize_triplets = true;
-
   // Render the human-readable diagnostic artifacts (SqoReport's
   // adornment_dump, tree_dump, tree_dot) during the run. Off by default:
   // the dumps serialize every adorned predicate, rule, and goal class and

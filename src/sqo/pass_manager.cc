@@ -87,7 +87,6 @@ class AdornPass : public Pass {
     AdornOptions adorn_options = ctx.options.adorn;
     adorn_options.tracer = ctx.options.tracer;
     adorn_options.store = ctx.store.get();
-    adorn_options.memoize = ctx.options.memoize_triplets;
     ctx.engine = std::make_unique<AdornmentEngine>(ctx.program, ctx.ics,
                                                    ctx.local, adorn_options);
     SQOD_RETURN_IF_ERROR(ctx.engine->Run());
@@ -158,15 +157,12 @@ class ResiduesPass : public Pass {
   const char* name() const override { return "residues"; }
 
   Status Run(PassContext& ctx) override {
-    // Deliberately no shared AtomMatchMemo here: by this point every rule
-    // has been renamed apart with fresh variables, so body atoms never
-    // repeat across rules and memoized match deltas cannot be reused — the
-    // interner only accumulates dead entries and pays insert cost (~1.5x
-    // slower residues phase on the E4 WideIc workload). ApplyClassicSqo's
-    // per-rule delta table already dedups repeated atoms within one rule.
+    // Not the store's AtomMatchMemo: every rule here is renamed apart, so
+    // body atoms never repeat across rules and shared match deltas would
+    // never hit (~1.5x slower residues phase on E4 WideIc).
     ClassicSqoReport classic;
-    ctx.report.rewritten =
-        ApplyClassicSqo(ctx.report.rewritten, ctx.ics, &classic, nullptr);
+    ctx.report.rewritten = ApplyClassicSqo(ctx.report.rewritten, ctx.ics,
+                                           &classic);
     ctx.report.residue_rules_deleted = classic.rules_deleted;
     ctx.report.residue_comparisons_added = classic.comparisons_added;
     ctx.report.residue_negations_added = classic.negations_added;
@@ -331,7 +327,6 @@ Status PassManager::RunInto(const Program& program,
   ctx->program = program;
   ctx->ics = ics;
   ctx->store = std::make_unique<TripletStore>();
-  ctx->store->set_memo_enabled(options_.memoize_triplets);
 
   Tracer* tracer = options_.tracer;
   const bool tracing = tracer != nullptr && tracer->enabled();

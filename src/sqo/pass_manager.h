@@ -35,8 +35,8 @@ struct PassContext {
   Program program;              // the current rewriting of *input
   std::vector<Constraint> ics;  // normalized ICs (raw until `normalize`)
   LocalAtomInfo local;          // filled by `local_rewrite`
-  // Hash-consing store shared by the adorn / tree / residues passes of this
-  // run (triplets, adornments, atoms, match/merge memos). Created by the
+  // Hash-consing store shared by the adorn and tree passes of this run
+  // (triplets, adornments, atoms, match/merge memos). Created by the
   // manager before the first pass; its stats land in the "sqo/intern_*" and
   // "sqo/memo_hits" counters per run.
   std::unique_ptr<TripletStore> store;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <set>
 
+#include "src/ast/match_memo.h"
 #include "src/ast/unify.h"
 #include "src/order/solver.h"
 #include "src/sqo/preprocess.h"
@@ -93,13 +94,12 @@ std::vector<Residue> ComputeResidues(const Rule& rule, const Constraint& ic,
                                      int ic_index) {
   FreshVarGen gen;
   Constraint renamed = RenameApart(ic, &gen);
-  return ComputeResiduesRenamed(rule, renamed, ic_index, nullptr);
+  return ComputeResiduesRenamed(rule, renamed, ic_index);
 }
 
 std::vector<Residue> ComputeResiduesRenamed(const Rule& rule,
                                             const Constraint& renamed,
-                                            int ic_index, AtomMatchMemo* memo,
-                                            int max_literals) {
+                                            int ic_index, int max_literals) {
   // Negated IC atoms are kept in every residue, so they consume the literal
   // budget up front; what remains bounds how many positive atoms may stay
   // unmapped.
@@ -124,30 +124,16 @@ std::vector<Residue> ComputeResiduesRenamed(const Rule& rule,
     if (!l.negated) ic_atoms.push_back(l.atom);
   }
 
-  // Pairwise match deltas, computed (or recalled from the shared memo) once
-  // per pair instead of once per enumeration path.
+  // Pairwise match deltas, computed once per pair instead of once per
+  // enumeration path.
   std::vector<std::vector<const MatchDelta*>> deltas(ic_atoms.size());
-  std::vector<MatchDelta> local_deltas;  // plain-mode storage, stable
-  if (memo == nullptr) {
-    local_deltas.reserve(ic_atoms.size() * body_atoms.size());
-  }
-  std::vector<AtomId> body_ids;
-  if (memo != nullptr) {
-    body_ids.reserve(body_atoms.size());
-    for (const Atom& b : body_atoms) body_ids.push_back(memo->Intern(b));
-  }
+  std::vector<MatchDelta> local_deltas;  // reserved up front: stable
+  local_deltas.reserve(ic_atoms.size() * body_atoms.size());
   for (size_t i = 0; i < ic_atoms.size(); ++i) {
     deltas[i].resize(body_atoms.size());
-    if (memo != nullptr) {
-      AtomId pattern = memo->Intern(ic_atoms[i]);
-      for (size_t b = 0; b < body_atoms.size(); ++b) {
-        deltas[i][b] = &memo->Match(pattern, body_ids[b]);
-      }
-    } else {
-      for (size_t b = 0; b < body_atoms.size(); ++b) {
-        local_deltas.push_back(ComputeMatchDelta(ic_atoms[i], body_atoms[b]));
-        deltas[i][b] = &local_deltas.back();
-      }
+    for (size_t b = 0; b < body_atoms.size(); ++b) {
+      local_deltas.push_back(ComputeMatchDelta(ic_atoms[i], body_atoms[b]));
+      deltas[i][b] = &local_deltas.back();
     }
   }
 
@@ -196,15 +182,14 @@ std::vector<Residue> ComputeResiduesRenamed(const Rule& rule,
 
 Program ApplyClassicSqo(const Program& program,
                         const std::vector<Constraint>& ics,
-                        ClassicSqoReport* report, AtomMatchMemo* memo) {
+                        ClassicSqoReport* report) {
   ClassicSqoReport local_report;
   Program out;
   out.SetQuery(program.query());
 
   // Rename each IC apart once. A fresh name is apart from every rule here:
   // inside an optimizer run it avoids the run's input and every name the run
-  // drew before (FreshNameScope); outside one it was never interned. A
-  // stable renamed IC is what lets the match memo hit across rules.
+  // drew before (FreshNameScope); outside one it was never interned.
   FreshVarGen gen;
   std::vector<Constraint> renamed_ics;
   renamed_ics.reserve(ics.size());
@@ -215,7 +200,7 @@ Program ApplyClassicSqo(const Program& program,
     bool deleted = false;
     for (int i = 0; i < static_cast<int>(ics.size()) && !deleted; ++i) {
       for (const Residue& res : ComputeResiduesRenamed(
-               rule, renamed_ics[i], i, memo, /*max_literals=*/1)) {
+               rule, renamed_ics[i], i, /*max_literals=*/1)) {
         if (res.empty()) {
           // The whole IC maps into the rule: no instantiation over a
           // consistent database satisfies the body.

@@ -4,7 +4,6 @@
 #include <string>
 #include <vector>
 
-#include "src/ast/match_memo.h"
 #include "src/ast/program.h"
 
 namespace sqod {
@@ -37,9 +36,8 @@ std::vector<Residue> ComputeResidues(const Rule& rule, const Constraint& ic,
                                      int ic_index);
 
 // Same, for an IC already renamed apart from every rule it will be applied
-// to. When `memo` is non-null the pairwise IC-atom-into-body-atom matches
-// are answered from (and recorded in) its match memo — renaming once and
-// sharing a memo across rules is what makes the memo hit.
+// to. The pairwise IC-atom-into-body-atom matches go through a per-call
+// delta table.
 //
 // `max_literals` >= 0 bounds the residues of interest: partial mappings
 // whose residue would keep more than that many literals are pruned during
@@ -49,7 +47,7 @@ std::vector<Residue> ComputeResidues(const Rule& rule, const Constraint& ic,
 // materializing the full power set.
 std::vector<Residue> ComputeResiduesRenamed(const Rule& rule,
                                             const Constraint& renamed_ic,
-                                            int ic_index, AtomMatchMemo* memo,
+                                            int ic_index,
                                             int max_literals = -1);
 
 struct ClassicSqoReport {
@@ -60,13 +58,10 @@ struct ClassicSqoReport {
 
 // Applies classic SQO to every rule of `program` under `ics`: deletes
 // unsatisfiable rules and attaches the negations of expressible
-// single-literal residues. Each IC is renamed apart once (not per rule);
-// when `memo` is non-null the residue enumeration's atom matches go through
-// it (normally the pipeline TripletStore's memo, shared across passes).
+// single-literal residues. Each IC is renamed apart once (not per rule).
 Program ApplyClassicSqo(const Program& program,
                         const std::vector<Constraint>& ics,
-                        ClassicSqoReport* report = nullptr,
-                        AtomMatchMemo* memo = nullptr);
+                        ClassicSqoReport* report = nullptr);
 
 }  // namespace sqod
 

@@ -117,14 +117,11 @@ int32_t TripletStore::MergeRuleTriplets(RuleTripletId a, RuleTripletId b) {
   const uint64_t key =
       (static_cast<uint64_t>(static_cast<uint32_t>(a)) << 32) |
       static_cast<uint32_t>(b);
-  if (memo_enabled_) {
-    auto it = merge_memo_.find(key);
-    if (it != merge_memo_.end()) {
-      ++memo_hits_;
-      return it->second;
-    }
+  auto it = merge_memo_.find(key);
+  if (it != merge_memo_.end()) {
+    ++memo_hits_;
+    return it->second;
   }
-  ++memo_misses_;
 
   const RuleTriplet& x = rule_triplet(a);
   const RuleTriplet& y = rule_triplet(b);
@@ -147,7 +144,7 @@ int32_t TripletStore::MergeRuleTriplets(RuleTripletId a, RuleTripletId b) {
                           std::back_inserter(merged.unmapped));
     result = InternRuleTriplet(merged);
   }
-  if (memo_enabled_) merge_memo_.emplace(key, result);
+  merge_memo_.emplace(key, result);
   return result;
 }
 
@@ -156,7 +153,6 @@ TripletStore::Stats TripletStore::stats() const {
   s.intern_hits = intern_hits_ + atoms_.intern_hits();
   s.intern_misses = intern_misses_ + atoms_.intern_misses();
   s.memo_hits = memo_hits_ + atoms_.memo_hits();
-  s.memo_misses = memo_misses_ + atoms_.memo_misses();
   s.size = static_cast<int64_t>(triplets_by_id_.size()) +
            static_cast<int64_t>(rule_triplets_by_id_.size()) +
            static_cast<int64_t>(num_adornments_) +

@@ -27,18 +27,13 @@ using LabelId = int32_t;
 // Hash-consing maps each canonical value to a dense int32 id exactly once;
 // afterwards equality is an integer compare, registry keys are tuples of
 // ints instead of serialized strings, and the hot combinators (rule-triplet
-// composition, IC-atom partial-homomorphism extension) are memoized on id
+// composition, IC-atom partial-homomorphism extension) are cached on id
 // pairs.
 //
 // One store lives in the optimizer's PassContext, so ids flow unchanged
 // through the adorn / tree / residues / prune passes of a single pipeline
 // run. The store is single-threaded, like the pipeline itself; concurrent
 // Session::Prepare calls each run with their own context.
-//
-// set_memo_enabled(false) turns off the *memo tables* (merge and atom-match
-// results are recomputed from scratch on every call) while leaving the
-// hash-consing intact. The optimizer's output must be bit-identical either
-// way — the golden interning test pins that down.
 class TripletStore {
  public:
   // Sentinel returned by MergeRuleTriplets for incompatible sigmas. Kept
@@ -83,24 +78,20 @@ class TripletStore {
   // partial-homomorphism searches (EDB base triplets, residues, CQ checks).
   AtomMatchMemo& atoms() { return atoms_; }
 
-  // --- memoized combinators ----------------------------------------------
+  // --- cached combinators ------------------------------------------------
 
   // The composition step of the bottom-up phase: intersects the unmapped
   // sets and unions the sigmas of two same-IC rule triplets. Returns the
   // interned id of the merge, or kIncompatible when the sigmas conflict.
-  // Memoized on the (a, b) id pair when memos are enabled.
+  // Cached on the (a, b) id pair.
   int32_t MergeRuleTriplets(RuleTripletId a, RuleTripletId b);
 
-  // --- configuration & stats ---------------------------------------------
-
-  bool memo_enabled() const { return memo_enabled_; }
-  void set_memo_enabled(bool on) { memo_enabled_ = on; }
+  // --- stats ----------------------------------------------------------------
 
   struct Stats {
     int64_t intern_hits = 0;    // interned value already present
     int64_t intern_misses = 0;  // new value hash-consed
     int64_t memo_hits = 0;      // merge/match answered from a memo table
-    int64_t memo_misses = 0;    // merge/match computed (and cached)
     int64_t size = 0;           // distinct interned objects, all kinds
   };
   Stats stats() const;
@@ -154,11 +145,9 @@ class TripletStore {
   std::unordered_map<uint64_t, int32_t> merge_memo_;
 
   AtomMatchMemo atoms_;
-  bool memo_enabled_ = true;
   int64_t intern_hits_ = 0;
   int64_t intern_misses_ = 0;
   int64_t memo_hits_ = 0;
-  int64_t memo_misses_ = 0;
 };
 
 }  // namespace sqod

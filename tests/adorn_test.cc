@@ -113,6 +113,40 @@ TEST(AdornTest, WhollyUnsatisfiableRuleDropped) {
   EXPECT_EQ(engine.arules().size(), 1u);
 }
 
+TEST(AdornTest, RuleAdornmentHoldsEachTripletOnce) {
+  // A_r is a set: a combined triplet reached through several choices of
+  // subgoal candidates is recorded once, with the first provenance. Runs
+  // over the E4 WideIc (widths 2..4) and colored-closure (2..4) families.
+  std::vector<ColoredClosure> cases;
+  for (int width = 2; width <= 4; ++width) {
+    Constraint ic;
+    for (int i = 0; i < width; ++i) {
+      ic.body.push_back(Literal::Pos(
+          Atom(i % 2 == 0 ? "a" : "b",
+               {Term::Var("V" + std::to_string(i)),
+                Term::Var("V" + std::to_string(i + 1))})));
+    }
+    cases.push_back({MakeAbClosureProgram(), {ic}});
+  }
+  for (int colors = 2; colors <= 4; ++colors) {
+    Rng rng(77);
+    cases.push_back(MakeColoredClosure(colors, colors, &rng));
+  }
+  for (size_t k = 0; k < cases.size(); ++k) {
+    AdornmentEngine engine = MakeEngine(cases[k].program, cases[k].ics);
+    ASSERT_TRUE(engine.Run().ok());
+    for (const AdornedRule& ar : engine.arules()) {
+      for (size_t i = 0; i < ar.rule_adornment.size(); ++i) {
+        for (size_t j = i + 1; j < ar.rule_adornment.size(); ++j) {
+          EXPECT_FALSE(ar.rule_adornment[i].SameAs(ar.rule_adornment[j]))
+              << "case " << k << ": "
+              << ar.rule_adornment[i].ToString(engine.ics());
+        }
+      }
+    }
+  }
+}
+
 TEST(AdornTest, GoodPathWithLocalIcsPushesThreshold) {
   // Section 3's headline example, end to end through the 4.2 rewriting and
   // the bottom-up phase: the adorned program must not explore paths that
@@ -146,7 +180,16 @@ TEST(AdornTest, SafetyValveTriggers) {
   std::vector<Constraint> ics{MakeAbIc()};
   LocalAtomInfo info = AnalyzeLocalAtoms(ics).take();
   AdornmentEngine engine(NormalizeProgram(p), ics, info, options);
-  EXPECT_FALSE(engine.Run().ok());
+  Status status = engine.Run();
+  EXPECT_EQ(status.code(), StatusCode::kResourceExhausted);
+  // The message names the valve that tripped, its limit, and its option.
+  EXPECT_NE(status.message().find("adorned rules"), std::string::npos)
+      << status.message();
+  EXPECT_NE(status.message().find("limit of 2 "), std::string::npos)
+      << status.message();
+  EXPECT_NE(status.message().find("AdornOptions::max_adorned_rules"),
+            std::string::npos)
+      << status.message();
 }
 
 TEST(AdornTest, OrderSummariesPropagateThreshold) {

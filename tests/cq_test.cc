@@ -13,6 +13,14 @@ namespace {
 Rule Q(const std::string& text) { return ParseRule(text).take(); }
 Constraint IC(const std::string& text) { return ParseConstraint(text).take(); }
 
+bool HomomorphismExists(const std::vector<Atom>& from,
+                        const std::vector<Atom>& to) {
+  AtomMatchMemo memo;
+  return ForEachHomomorphism(
+      from, to, Substitution(), [](const Substitution&) { return true; },
+      memo);
+}
+
 TEST(HomomorphismTest, SimpleMapping) {
   std::vector<Atom> from{Atom("e", {Term::Var("X"), Term::Var("Y")})};
   std::vector<Atom> to{Atom("e", {Term::Int(1), Term::Int(2)})};
@@ -40,10 +48,14 @@ TEST(HomomorphismTest, EnumeratesAll) {
   std::vector<Atom> to{Atom("e", {Term::Int(1), Term::Int(2)}),
                        Atom("e", {Term::Int(3), Term::Int(4)})};
   int count = 0;
-  ForEachHomomorphism(from, to, Substitution(), [&](const Substitution&) {
-    ++count;
-    return false;
-  });
+  AtomMatchMemo memo;
+  ForEachHomomorphism(
+      from, to, Substitution(),
+      [&](const Substitution&) {
+        ++count;
+        return false;
+      },
+      memo);
   EXPECT_EQ(count, 2);
 }
 

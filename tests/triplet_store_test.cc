@@ -139,9 +139,9 @@ TEST(TripletStoreTest, RuleTripletIdIgnoresProvenance) {
   EXPECT_TRUE(store.rule_triplet(id).sources.empty());
 }
 
-// The merge combinator must produce the same interned result with and
-// without its memo table (the memo only changes cost, never output).
-TEST(TripletStoreTest, MergeMatchesWithMemoOnAndOff) {
+// The merge combinator intersects the unmapped sets, unions the sigmas,
+// rejects a sigma conflict, and answers a repeated call with the same id.
+TEST(TripletStoreTest, MergeComposesAndRejectsConflicts) {
   VarId x = Term::Var("X").var();
   VarId y = Term::Var("Y").var();
   RuleTriplet a;
@@ -157,22 +157,21 @@ TEST(TripletStoreTest, MergeMatchesWithMemoOnAndOff) {
   clash.unmapped = {1};
   clash.sigma.emplace(x, Term::Var("W"));
 
-  for (bool memo : {true, false}) {
-    TripletStore store;
-    store.set_memo_enabled(memo);
-    RuleTripletId ia = store.InternRuleTriplet(a);
-    RuleTripletId ib = store.InternRuleTriplet(b);
-    RuleTripletId ic = store.InternRuleTriplet(clash);
-    int32_t merged = store.MergeRuleTriplets(ia, ib);
-    ASSERT_GE(merged, 0);
-    const RuleTriplet& m = store.rule_triplet(merged);
-    EXPECT_EQ(m.unmapped, std::vector<int>{1});
-    EXPECT_EQ(m.sigma.size(), 2u);
-    // X is already bound to U in `a`; `clash` rebinds it to W.
-    EXPECT_EQ(store.MergeRuleTriplets(ia, ic), TripletStore::kIncompatible);
-    // Repeating the call gives the same id either way.
-    EXPECT_EQ(store.MergeRuleTriplets(ia, ib), merged);
-  }
+  TripletStore store;
+  RuleTripletId ia = store.InternRuleTriplet(a);
+  RuleTripletId ib = store.InternRuleTriplet(b);
+  RuleTripletId ic = store.InternRuleTriplet(clash);
+  int32_t merged = store.MergeRuleTriplets(ia, ib);
+  ASSERT_GE(merged, 0);
+  const RuleTriplet& m = store.rule_triplet(merged);
+  EXPECT_EQ(m.unmapped, std::vector<int>{1});
+  EXPECT_EQ(m.sigma.size(), 2u);
+  // X is already bound to U in `a`; `clash` rebinds it to W. The cached
+  // verdict answers the repeat.
+  EXPECT_EQ(store.MergeRuleTriplets(ia, ic), TripletStore::kIncompatible);
+  EXPECT_EQ(store.MergeRuleTriplets(ia, ic), TripletStore::kIncompatible);
+  // Repeating the call gives the same id.
+  EXPECT_EQ(store.MergeRuleTriplets(ia, ib), merged);
 }
 
 // ComputeMatchDelta + ApplyMatchDelta must agree with MatchInto, which the
