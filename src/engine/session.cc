@@ -57,14 +57,14 @@ const Database& Session::SharedEdb() {
 }
 
 Result<MaterializedView*> Session::Materialize(
-    const PreparedProgram& prepared, const MaterializeOptions& options) {
+    const PreparedProgram& prepared) {
   std::lock_guard<std::mutex> lock(views_->mu);
   auto it = views_->views.find(prepared.cache_key);
   if (it != views_->views.end()) return it->second.get();
 
   engine_->metrics().GetCounter("engine/views_materialized")->Increment();
   Result<std::unique_ptr<MaterializedView>> view =
-      MaterializedView::Create(prepared, MakeEdb(), options);
+      MaterializedView::Create(prepared, MakeEdb());
   if (!view.ok()) return view.status();
   MaterializedView* result = view.value().get();
   views_->views.emplace(prepared.cache_key, std::move(view).value());

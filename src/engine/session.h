@@ -20,19 +20,6 @@ namespace sqod {
 class Engine;
 class MaterializedView;
 
-// How Session::Materialize builds and maintains a view (see
-// src/engine/view.h and docs/ivm.md).
-struct MaterializeOptions {
-  // Evaluation options for the initial fixpoint and the recompute
-  // fallback. The incremental path never runs the evaluator.
-  EvalOptions eval;
-  // Fall back to a full recompute when a batch's net change exceeds this
-  // fraction of the live EDB.
-  double recompute_fraction = 0.25;
-  // Always recompute (benchmark baseline / escape hatch).
-  bool force_recompute = false;
-};
-
 // An optimized program, ready for repeated execution. Owned by the session
 // that prepared it; pointers returned by Session::Prepare stay valid for
 // the session's lifetime (or until ClearCache). Immutable once published,
@@ -130,16 +117,12 @@ class Session {
       std::vector<RuleProfile>* profiles = nullptr);
 
   // The materialized view for `prepared`, building it on first use (one
-  // view per prepared program, keyed by its cache key; `options` only
-  // matter for the call that builds the view). The view is owned by the
-  // session and stays valid until ClearCache. Building runs the initial
-  // fixpoint, so the first call pays an Execute-sized cost; later calls
-  // return the warm view immediately.
-  Result<MaterializedView*> Materialize(const PreparedProgram& prepared,
-                                        const MaterializeOptions& options);
-  Result<MaterializedView*> Materialize(const PreparedProgram& prepared) {
-    return Materialize(prepared, MaterializeOptions());
-  }
+  // view per prepared program, keyed by its cache key). The view is owned
+  // by the session and stays valid until ClearCache. Building runs the
+  // initial fixpoint, so the first call pays an Execute-sized cost; later
+  // calls return the warm view immediately. Maintenance runs with the
+  // ApplyDeltaOptions defaults.
+  Result<MaterializedView*> Materialize(const PreparedProgram& prepared);
 
   // Number of distinct prepared programs cached (in-flight ones included).
   size_t cache_size() const;

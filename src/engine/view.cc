@@ -19,24 +19,20 @@ Database CopyLive(const Database& db) {
 }  // namespace
 
 Result<std::unique_ptr<MaterializedView>> MaterializedView::Create(
-    const PreparedProgram& prepared, const Database& base,
-    const MaterializeOptions& options) {
+    const PreparedProgram& prepared, const Database& base) {
   Result<MaintenancePlan> plan = BuildMaintenancePlan(prepared.program());
   if (!plan.ok()) return plan.status();
 
   auto view = std::unique_ptr<MaterializedView>(new MaterializedView());
   view->prepared_ = &prepared;
-  view->options_ = options;
   view->plan_ = std::move(plan).value();
 
   view->state_.edb = base;  // the view owns and mutates its EDB
   view->state_.edb.EnableVersioning(0);
   view->state_.version = 0;
 
-  EvalOptions eval = options.eval;
-  if (eval.compiled == nullptr) {
-    eval.compiled = prepared.compiled.get();
-  }
+  EvalOptions eval;
+  eval.compiled = prepared.compiled.get();
   Evaluator evaluator(prepared.program(), eval);
   Result<Database> idb = evaluator.Evaluate(view->state_.edb);
   if (!idb.ok()) return idb.status();
@@ -65,12 +61,7 @@ std::vector<Tuple> MaterializedView::Answers(int64_t* version) const {
 Result<MaintainStats> MaterializedView::ApplyDelta(const FactDelta& delta) {
   std::unique_lock<std::shared_mutex> lock(mu_);
   ApplyDeltaOptions options;
-  options.eval = options_.eval;
-  if (options.eval.compiled == nullptr) {
-    options.eval.compiled = prepared_->compiled.get();
-  }
-  options.recompute_fraction = options_.recompute_fraction;
-  options.force_recompute = options_.force_recompute;
+  options.eval.compiled = prepared_->compiled.get();
   Result<MaintainStats> stats =
       ApplyDeltaToState(program(), plan_, delta, options, &state_);
   if (stats.ok()) {

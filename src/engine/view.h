@@ -68,11 +68,9 @@ class MaterializedView {
   // prepared program to the initial IDB, and initializes derivation
   // counts. Called by Session::Materialize with the session's facts.
   static Result<std::unique_ptr<MaterializedView>> Create(
-      const PreparedProgram& prepared, const Database& base,
-      const MaterializeOptions& options);
+      const PreparedProgram& prepared, const Database& base);
 
   const PreparedProgram* prepared_ = nullptr;
-  MaterializeOptions options_;
   MaintenancePlan plan_;
   MaterializedState state_;
   MaintainStats last_;

@@ -348,7 +348,8 @@ bool Server::HandleMessage(Connection* conn, const ClientMessage& msg) {
       // Session-addressed queries serve from the session's pinned
       // materialized view (snapshot-versioned answers that ApplyDelta
       // advances); inline one-shots evaluate against the base snapshot
-      // unless the client opts in.
+      // unless the client opts in. The service rejects a view-served
+      // query with disabled_passes (no delta reaches that view).
       request.materialized =
           !msg.query.session.empty() || msg.query.materialized;
       const uint64_t conn_id = conn->id;

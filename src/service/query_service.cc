@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <limits>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -32,6 +33,86 @@ std::string TenantMetric(const std::string& tenant, const char* suffix) {
   return "tenant/" + tenant + "/" + suffix;
 }
 
+template <typename Req>
+constexpr bool kIsDelta = std::is_same_v<Req, DeltaRequest>;
+
+// The absolute deadline of a request, or why it is rejected before
+// admission. A delta batch has no deadline.
+Result<int64_t> AdmissionDeadline(const Request& request, int64_t submit_ns) {
+  // Views are keyed by the prepared program's fingerprint, which includes
+  // disabled_passes, and delta batches maintain the default-options view:
+  // a view prepared with passes disabled would never see a batch.
+  if (request.materialized && !request.sqo.disabled_passes.empty()) {
+    return Status::InvalidArgument(
+        "a materialized query cannot set disabled_passes: delta batches "
+        "maintain only the default-options view");
+  }
+  return DeadlineNsFromMs(request.deadline_ms, submit_ns);
+}
+
+Result<int64_t> AdmissionDeadline(const DeltaRequest&, int64_t submit_ns) {
+  return DeadlineNsFromMs(-1, submit_ns);
+}
+
+// The outcome counter a finished request bumps. Queries split
+// cancellations and deadline misses from other failures; batches have
+// neither.
+const char* OutcomeCounter(bool delta, StatusCode code) {
+  if (delta) {
+    return code == StatusCode::kOk ? "service/delta_batches_completed"
+                                   : "service/delta_batches_failed";
+  }
+  switch (code) {
+    case StatusCode::kOk:
+      return "service/requests_completed";
+    case StatusCode::kCancelled:
+      return "service/requests_cancelled";
+    case StatusCode::kDeadlineExceeded:
+      return "service/requests_deadline_exceeded";
+    default:
+      return "service/requests_failed";
+  }
+}
+
+LogEvent NewEvent(const TraceContext& trace, const char* kind) {
+  LogEvent event;
+  event.ts_ns = NowNs();
+  event.trace_id = trace.trace_id;
+  event.request_id = trace.request_id;
+  event.kind = kind;
+  return event;
+}
+
+// A query's EXPLAIN report: the plan, joined with the evaluation's runtime
+// when `profiles` is given and with the maintenance history of the view it
+// was served from when `view` is given.
+ExplainReport ExplainQuery(const PreparedProgram& prepared,
+                           const Response& response,
+                           const std::vector<RuleProfile>* profiles,
+                           const MaterializedView* view) {
+  ExplainReport explain =
+      BuildExplainReport(prepared.report, prepared.compiled.get());
+  if (profiles != nullptr) {
+    AttachRuntime(prepared.report, response.stats, *profiles,
+                  static_cast<int64_t>(response.answers.size()),
+                  response.execute_ns, &explain);
+  }
+  if (view != nullptr) {
+    AttachMaintenance(view->totals(), view->last_batch(),
+                      view->batches_applied(), &explain);
+  }
+  return explain;
+}
+
+// Adapts the callback API to a future: the returned callback fulfils
+// `future`'s promise.
+template <typename Resp>
+std::function<void(Resp)> FulfilInto(std::future<Resp>* future) {
+  auto promise = std::make_shared<std::promise<Resp>>();
+  *future = promise->get_future();
+  return [promise](Resp response) { promise->set_value(std::move(response)); };
+}
+
 }  // namespace
 
 Result<int64_t> DeadlineNsFromMs(int64_t deadline_ms, int64_t now_ns) {
@@ -54,7 +135,7 @@ Result<int64_t> DeadlineNsFromMs(int64_t deadline_ms, int64_t now_ns) {
 QueryService::QueryService(ServiceOptions options)
     : options_(options),
       engine_(MakeEngineOptions(options)),
-      event_log_(options.event_log_capacity),
+      event_log_(kEventLogCapacity),
       pool_(MakePoolOptions(options)) {
   if (options_.metrics_snapshot_ms > 0) {
     // Baseline the diff window here, not in the thread: a request served
@@ -69,81 +150,96 @@ QueryService::QueryService(ServiceOptions options)
 
 QueryService::~QueryService() { Shutdown(); }
 
-void QueryService::Deliver(Job* job, Response response) {
-  if (job->callback) {
-    job->callback(std::move(response));
-  } else {
-    job->promise.set_value(std::move(response));
-  }
-}
-
-void QueryService::Deliver(DeltaJob* job, DeltaResponse response) {
-  if (job->callback) {
-    job->callback(std::move(response));
-  } else {
-    job->promise.set_value(std::move(response));
-  }
+void QueryService::Submit(Request request,
+                          std::function<void(Response)> done) {
+  Admit(std::move(request), std::move(done));
 }
 
 std::future<Response> QueryService::Submit(Request request) {
-  auto job = std::make_shared<Job>();
-  job->request = std::move(request);
-  std::future<Response> future = job->promise.get_future();
-  SubmitJob(std::move(job));
+  std::future<Response> future;
+  Submit(std::move(request), FulfilInto(&future));
   return future;
 }
 
-void QueryService::Submit(Request request,
-                          std::function<void(Response)> done) {
-  auto job = std::make_shared<Job>();
-  job->request = std::move(request);
-  job->callback = std::move(done);
-  SubmitJob(std::move(job));
+Response QueryService::Call(Request request) {
+  return Submit(std::move(request)).get();
 }
 
-void QueryService::SubmitJob(std::shared_ptr<Job> job) {
-  job->submit_ns = NowNs();
+void QueryService::ApplyDelta(DeltaRequest request,
+                              std::function<void(DeltaResponse)> done) {
+  Admit(std::move(request), std::move(done));
+}
 
-  job->trace.trace_id = NextTraceId();
-  job->trace.request_id =
-      next_request_id_.fetch_add(1, std::memory_order_relaxed);
-  job->trace.submit_ns = job->submit_ns;
-  job->trace.metrics = &metrics();
-  job->trace.tracer.set_enabled(job->request.trace);
-  Tracer& tracer = job->trace.tracer;
+std::future<DeltaResponse> QueryService::ApplyDelta(DeltaRequest request) {
+  std::future<DeltaResponse> future;
+  ApplyDelta(std::move(request), FulfilInto(&future));
+  return future;
+}
 
-  // The single ms→ns deadline conversion. Invalid deadlines are rejected
-  // here, before admission, like any other malformed request.
-  Result<int64_t> deadline =
-      DeadlineNsFromMs(job->request.deadline_ms, job->submit_ns);
-  if (!deadline.ok()) {
-    metrics().GetCounter("service/requests_rejected")->Increment();
-    metrics().GetCounter("service/requests_rejected_invalid")->Increment();
-    if (!job->request.tenant.empty()) {
-      metrics()
-          .GetCounter(TenantMetric(job->request.tenant, "rejected"))
-          ->Increment();
+DeltaResponse QueryService::CallApplyDelta(DeltaRequest request) {
+  return ApplyDelta(std::move(request)).get();
+}
+
+template <typename Req, typename Resp>
+void QueryService::Admit(Req request, std::function<void(Resp)> done) {
+  constexpr bool kDelta = kIsDelta<Req>;
+  auto job = std::make_shared<Job<Req, Resp>>();
+  job->request = std::move(request);
+  job->done = std::move(done);
+  TraceContext& trace = job->trace;
+  trace.submit_ns = NowNs();
+  trace.trace_id = NextTraceId();
+  trace.request_id = next_request_id_.fetch_add(1, std::memory_order_relaxed);
+  trace.metrics = &metrics();
+  trace.tracer.set_enabled(job->request.trace);
+  Tracer& tracer = trace.tracer;
+  const std::string& tenant = job->request.tenant;
+
+  // Rejection accounting under the kind's names; queries also count the
+  // cause.
+  auto reject = [&](Status status, const char* cause) {
+    metrics()
+        .GetCounter(kDelta ? "service/delta_batches_rejected"
+                           : "service/requests_rejected")
+        ->Increment();
+    if (!kDelta) metrics().GetCounter(cause)->Increment();
+    if (!tenant.empty()) {
+      metrics().GetCounter(TenantMetric(tenant, "rejected"))->Increment();
     }
-    Response response;
-    response.trace_id = job->trace.trace_id;
-    response.status = deadline.status();
-    Deliver(job.get(), std::move(response));
+    Resp response;
+    response.trace_id = trace.trace_id;
+    response.status = std::move(status);
+    return response;
+  };
+
+  // The single ms→ns deadline conversion. Invalid deadlines and options
+  // are rejected here, before admission, like any other malformed request.
+  Result<int64_t> deadline = AdmissionDeadline(job->request, trace.submit_ns);
+  if (!deadline.ok()) {
+    job->done(reject(deadline.status(), "service/requests_rejected_invalid"));
     return;
   }
-  job->deadline_ns = deadline.value();
-  job->trace.deadline_ns = job->deadline_ns;
+  trace.deadline_ns = deadline.value();
 
   // Everything the submitting thread records must happen strictly before
   // the pool handoff: a worker may start (and touch the tracer) the moment
-  // Submit enqueues the job.
+  // the job is enqueued.
   // No trace-id attr here: the Chrome-trace exporter stamps every event's
   // args with the hex trace id, and a second (integer) copy on the root
   // span would shadow it.
-  job->root_span = tracer.StartSpanAt("request", job->submit_ns);
+  job->root_span =
+      tracer.StartSpanAt(kDelta ? "delta" : "request", trace.submit_ns);
   job->root_span.SetAttr("request_id",
-                         static_cast<int64_t>(job->trace.request_id));
+                         static_cast<int64_t>(trace.request_id));
+  if constexpr (kDelta) {
+    job->root_span.SetAttr(
+        "inserts", static_cast<int64_t>(job->request.delta.inserts.size()));
+    job->root_span.SetAttr(
+        "deletes", static_cast<int64_t>(job->request.delta.deletes.size()));
+  }
   {
-    Span admission = tracer.StartSpan("request.admission");
+    Span admission =
+        tracer.StartSpan(kDelta ? "delta.admission" : "request.admission");
     admission.SetAttr("queue_depth",
                       static_cast<int64_t>(pool_.queue_depth()));
   }
@@ -151,144 +247,42 @@ void QueryService::SubmitJob(std::shared_ptr<Job> job) {
   ThreadPool::SubmitResult submitted =
       pool_.Submit([this, job] { Process(job.get()); });
   if (submitted == ThreadPool::SubmitResult::kAccepted) {
-    metrics().GetCounter("service/requests_accepted")->Increment();
-    if (!job->request.tenant.empty()) {
+    metrics()
+        .GetCounter(kDelta ? "service/delta_batches"
+                           : "service/requests_accepted")
+        ->Increment();
+    if (!tenant.empty()) {
       metrics()
-          .GetCounter(TenantMetric(job->request.tenant, "requests"))
+          .GetCounter(TenantMetric(tenant, kDelta ? "delta_batches"
+                                                  : "requests"))
           ->Increment();
     }
     return;
   }
 
   const bool queue_full = submitted == ThreadPool::SubmitResult::kQueueFull;
-  metrics().GetCounter("service/requests_rejected")->Increment();
-  metrics()
-      .GetCounter(queue_full ? "service/requests_rejected_queue_full"
-                             : "service/requests_rejected_shutdown")
-      ->Increment();
-  if (!job->request.tenant.empty()) {
-    metrics()
-        .GetCounter(TenantMetric(job->request.tenant, "rejected"))
-        ->Increment();
-  }
-  // Rejected requests never waited, but they still contribute a sample:
-  // the queue-wait distribution covers every submitted request, so load
-  // shedding pulls the percentiles down instead of hiding them.
-  metrics().GetHistogram("service/queue_wait_ns")->Record(0);
-
-  Response response;
-  response.trace_id = job->trace.trace_id;
-  response.status =
-      queue_full ? Status::ResourceExhausted(
+  Resp response =
+      queue_full
+          ? reject(Status::ResourceExhausted(
                        "admission queue full (max_queue=" +
-                       std::to_string(options_.max_queue) + ")")
-                 : Status::FailedPrecondition("service is shut down");
+                       std::to_string(options_.max_queue) + ")"),
+                   "service/requests_rejected_queue_full")
+          : reject(Status::FailedPrecondition("service is shut down"),
+                   "service/requests_rejected_shutdown");
+  // Rejected queries never waited, but they still contribute a sample: the
+  // queue-wait distribution covers every submitted query, so load shedding
+  // pulls the percentiles down instead of hiding them.
+  if (!kDelta) metrics().GetHistogram("service/queue_wait_ns")->Record(0);
   job->root_span.SetAttr("rejected", 1);
   job->root_span.End();
   if (tracer.enabled()) response.spans = tracer.TakeSpans();
 
-  LogEvent event;
-  event.ts_ns = NowNs();
-  event.trace_id = job->trace.trace_id;
-  event.request_id = job->trace.request_id;
-  event.kind = "request_rejected";
+  LogEvent event = NewEvent(trace, "request_rejected");
   event.fields.emplace_back("queue_full", queue_full ? 1 : 0);
+  if (kDelta) event.fields.emplace_back("delta", 1);
   event.message = response.status.message();
   event_log_.Append(std::move(event));
-
-  Deliver(job.get(), std::move(response));
-}
-
-Response QueryService::Call(Request request) {
-  return Submit(std::move(request)).get();
-}
-
-std::future<DeltaResponse> QueryService::ApplyDelta(DeltaRequest request) {
-  auto job = std::make_shared<DeltaJob>();
-  job->request = std::move(request);
-  std::future<DeltaResponse> future = job->promise.get_future();
-  SubmitDeltaJob(std::move(job));
-  return future;
-}
-
-void QueryService::ApplyDelta(DeltaRequest request,
-                              std::function<void(DeltaResponse)> done) {
-  auto job = std::make_shared<DeltaJob>();
-  job->request = std::move(request);
-  job->callback = std::move(done);
-  SubmitDeltaJob(std::move(job));
-}
-
-void QueryService::SubmitDeltaJob(std::shared_ptr<DeltaJob> job) {
-  job->submit_ns = NowNs();
-
-  job->trace.trace_id = NextTraceId();
-  job->trace.request_id =
-      next_request_id_.fetch_add(1, std::memory_order_relaxed);
-  job->trace.submit_ns = job->submit_ns;
-  job->trace.metrics = &metrics();
-  job->trace.tracer.set_enabled(job->request.trace);
-
-  Tracer& tracer = job->trace.tracer;
-  job->root_span = tracer.StartSpanAt("delta", job->submit_ns);
-  job->root_span.SetAttr("request_id",
-                         static_cast<int64_t>(job->trace.request_id));
-  job->root_span.SetAttr(
-      "inserts", static_cast<int64_t>(job->request.delta.inserts.size()));
-  job->root_span.SetAttr(
-      "deletes", static_cast<int64_t>(job->request.delta.deletes.size()));
-  {
-    Span admission = tracer.StartSpan("delta.admission");
-    admission.SetAttr("queue_depth",
-                      static_cast<int64_t>(pool_.queue_depth()));
-  }
-
-  ThreadPool::SubmitResult submitted =
-      pool_.Submit([this, job] { ProcessDelta(job.get()); });
-  if (submitted == ThreadPool::SubmitResult::kAccepted) {
-    metrics().GetCounter("service/delta_batches")->Increment();
-    if (!job->request.tenant.empty()) {
-      metrics()
-          .GetCounter(TenantMetric(job->request.tenant, "delta_batches"))
-          ->Increment();
-    }
-    return;
-  }
-
-  const bool queue_full = submitted == ThreadPool::SubmitResult::kQueueFull;
-  metrics().GetCounter("service/delta_batches_rejected")->Increment();
-  if (!job->request.tenant.empty()) {
-    metrics()
-        .GetCounter(TenantMetric(job->request.tenant, "rejected"))
-        ->Increment();
-  }
-
-  DeltaResponse response;
-  response.trace_id = job->trace.trace_id;
-  response.status =
-      queue_full ? Status::ResourceExhausted(
-                       "admission queue full (max_queue=" +
-                       std::to_string(options_.max_queue) + ")")
-                 : Status::FailedPrecondition("service is shut down");
-  job->root_span.SetAttr("rejected", 1);
-  job->root_span.End();
-  if (tracer.enabled()) response.spans = tracer.TakeSpans();
-
-  LogEvent event;
-  event.ts_ns = NowNs();
-  event.trace_id = job->trace.trace_id;
-  event.request_id = job->trace.request_id;
-  event.kind = "request_rejected";
-  event.fields.emplace_back("queue_full", queue_full ? 1 : 0);
-  event.fields.emplace_back("delta", 1);
-  event.message = response.status.message();
-  event_log_.Append(std::move(event));
-
-  Deliver(job.get(), std::move(response));
-}
-
-DeltaResponse QueryService::CallApplyDelta(DeltaRequest request) {
-  return ApplyDelta(std::move(request)).get();
+  job->done(std::move(response));
 }
 
 void QueryService::Shutdown() {
@@ -395,112 +389,161 @@ void QueryService::EvictIdleSessionsLocked(
   }
 }
 
-void QueryService::ProcessDelta(DeltaJob* job) {
-  const int64_t start_ns = NowNs();
-  MetricsRegistry& metrics = this->metrics();
-  metrics.GetHistogram("service/queue_wait_ns")
-      ->Record(start_ns - job->submit_ns);
-
-  Tracer& tracer = job->trace.tracer;
+template <typename Req, typename Resp>
+Resp QueryService::Dequeue(Job<Req, Resp>* job) {
+  const int64_t queue_wait_ns = NowNs() - job->trace.submit_ns;
+  metrics().GetHistogram("service/queue_wait_ns")->Record(queue_wait_ns);
   {
-    Span queue = tracer.StartSpanAt("delta.queue", job->submit_ns);
+    // Retroactive: the wait was observed ending now, having started at
+    // submission.
+    Span queue = job->trace.tracer.StartSpanAt(
+        kIsDelta<Req> ? "delta.queue" : "request.queue",
+        job->trace.submit_ns);
+  }
+  Resp response;
+  response.trace_id = job->trace.trace_id;
+  response.queue_wait_ns = queue_wait_ns;
+  return response;
+}
+
+template <typename Req, typename Resp>
+Status QueryService::OpenAndPrepare(Job<Req, Resp>* job, Resp* response,
+                                    std::shared_ptr<SessionEntry>* entry,
+                                    const PreparedProgram** prepared) {
+  constexpr bool kDelta = kIsDelta<Req>;
+  Tracer& tracer = job->trace.tracer;
+  // A query's prepare span and prepare_ns include the session lookup (and
+  // the parse on a first touch); a batch's span covers Prepare alone.
+  const int64_t start_ns = NowNs();
+  Span span;
+  if (!kDelta) span = tracer.StartSpan("request.prepare");
+  *entry = GetSession(job->request.tenant, job->request.source);
+  if ((*entry)->session == nullptr) return (*entry)->status;
+  if (kDelta) span = tracer.StartSpan("delta.prepare");
+
+  // Prepare is single-flight in the session: the first request for this
+  // fingerprint runs the Levy–Sagiv pipeline (its "sqo.*" spans landing
+  // under this request's prepare span), concurrent ones block on the
+  // in-flight entry, later ones hit the cache.
+  SqoOptions sqo;
+  if constexpr (!kDelta) sqo = job->request.sqo;
+  if (sqo.tracer == nullptr) sqo.tracer = &tracer;
+  bool cache_hit = false;
+  Result<const PreparedProgram*> result =
+      (*entry)->session->Prepare(sqo, &cache_hit);
+  span.SetAttr("cache_hit", cache_hit ? 1 : 0);
+  if constexpr (!kDelta) {
+    response->prepare_ns = NowNs() - start_ns;
+    response->prepare_cache_hit = cache_hit;
+    metrics().GetHistogram("service/prepare_ns")->Record(response->prepare_ns);
+    if (result.ok()) {
+      for (const PassRunInfo& info : result.value()->report.pass_runs) {
+        if (info.ran()) ++response->passes_ran;
+      }
+    } else if (result.status().code() == StatusCode::kUnsupported) {
+      // Outside the rewriting's theory (e.g. IDB negation): serve the
+      // original program rather than failing the request.
+      metrics().GetCounter("service/prepare_fallbacks")->Increment();
+      return Status::Ok();
+    }
+  }
+  // A batch has no original-program fallback: a view exists only for a
+  // prepared (rewritten) program.
+  if (!result.ok()) return result.status();
+  *prepared = result.value();
+  return Status::Ok();
+}
+
+template <typename Req, typename Resp>
+void QueryService::Finish(
+    Job<Req, Resp>* job, Resp response, Status status,
+    const std::function<std::string(const std::type_identity_t<Resp>&)>&
+        summary) {
+  constexpr bool kDelta = kIsDelta<Req>;
+  MetricsRegistry& metrics = this->metrics();
+  response.status = std::move(status);
+  const StatusCode code = response.status.code();
+  metrics.GetCounter(OutcomeCounter(kDelta, code))->Increment();
+
+  const int64_t total_ns = NowNs() - job->trace.submit_ns;
+  const std::string& tenant = job->request.tenant;
+  if (!tenant.empty()) {
+    metrics
+        .GetCounter(TenantMetric(tenant, response.status.ok() ? "completed"
+                                                              : "errors"))
+        ->Increment();
+    metrics.GetHistogram(TenantMetric(tenant, "latency_ns"))
+        ->Record(total_ns);
+  }
+  job->root_span.SetAttr("status_code", static_cast<int64_t>(code));
+  if constexpr (kDelta) {
+    job->root_span.SetAttr("version", response.snapshot_version);
+  } else {
+    job->root_span.SetAttr("answers",
+                           static_cast<int64_t>(response.answers.size()));
+  }
+  job->root_span.End();
+  Tracer& tracer = job->trace.tracer;
+  if (tracer.enabled()) response.spans = tracer.TakeSpans();
+
+  const std::string error =
+      response.status.ok() ? std::string()
+                           : std::string(StatusCodeName(code)) + ": " +
+                                 response.status.message();
+  if (!response.status.ok()) {
+    LogEvent event = NewEvent(job->trace, "request_error");
+    event.fields.emplace_back("code", static_cast<int64_t>(code));
+    event.fields.emplace_back("total_ns", total_ns);
+    if (kDelta) event.fields.emplace_back("delta", 1);
+    event.message = error;
+    event_log_.Append(std::move(event));
   }
 
-  DeltaResponse response;
-  response.trace_id = job->trace.trace_id;
-  response.queue_wait_ns = start_ns - job->submit_ns;
-
-  auto finish = [&](Status status) {
-    response.status = std::move(status);
-    metrics
-        .GetCounter(response.status.ok() ? "service/delta_batches_completed"
-                                         : "service/delta_batches_failed")
-        ->Increment();
-
-    const int64_t total_ns = NowNs() - job->submit_ns;
-    if (!job->request.tenant.empty()) {
-      metrics
-          .GetCounter(TenantMetric(job->request.tenant,
-                                   response.status.ok() ? "completed"
-                                                        : "errors"))
-          ->Increment();
-      metrics.GetHistogram(TenantMetric(job->request.tenant, "latency_ns"))
-          ->Record(total_ns);
-    }
-    job->root_span.SetAttr("status_code",
-                           static_cast<int64_t>(response.status.code()));
-    job->root_span.SetAttr("version", response.snapshot_version);
-    job->root_span.End();
-    if (tracer.enabled()) response.spans = tracer.TakeSpans();
-
-    if (!response.status.ok()) {
-      LogEvent event;
-      event.ts_ns = NowNs();
-      event.trace_id = job->trace.trace_id;
-      event.request_id = job->trace.request_id;
-      event.kind = "request_error";
-      event.fields.emplace_back("code",
-                                static_cast<int64_t>(response.status.code()));
-      event.fields.emplace_back("total_ns", total_ns);
-      event.fields.emplace_back("delta", 1);
-      event.message = std::string(StatusCodeName(response.status.code())) +
-                      ": " + response.status.message();
-      event_log_.Append(std::move(event));
-    }
-
-    // Slow maintenance batches land in the same ring as slow queries,
-    // joinable with their span tree by trace id.
-    if (options_.slow_query_ms >= 0 &&
-        total_ns >= options_.slow_query_ms * 1'000'000) {
-      metrics.GetCounter("service/slow_queries")->Increment();
-      LogEvent event;
-      event.ts_ns = NowNs();
-      event.trace_id = job->trace.trace_id;
-      event.request_id = job->trace.request_id;
-      event.kind = "slow_delta";
-      event.fields.emplace_back("total_ns", total_ns);
-      event.fields.emplace_back("queue_wait_ns", response.queue_wait_ns);
+  // Slow batches land in the same ring as slow queries, joinable with
+  // their span tree by trace id.
+  if (options_.slow_query_ms >= 0 &&
+      total_ns >= options_.slow_query_ms * 1'000'000) {
+    metrics.GetCounter("service/slow_queries")->Increment();
+    LogEvent event =
+        NewEvent(job->trace, kDelta ? "slow_delta" : "slow_query");
+    event.fields.emplace_back("total_ns", total_ns);
+    event.fields.emplace_back("queue_wait_ns", response.queue_wait_ns);
+    if constexpr (kDelta) {
       event.fields.emplace_back("materialize_ns", response.materialize_ns);
       event.fields.emplace_back("maintain_ns", response.maintain_ns);
       event.fields.emplace_back("version", response.snapshot_version);
-      if (response.status.ok()) {
-        event.message = response.stats.Summary();
-      } else {
-        event.message = std::string(StatusCodeName(response.status.code())) +
-                        ": " + response.status.message();
-      }
-      event_log_.Append(std::move(event));
+    } else {
+      event.fields.emplace_back("prepare_ns", response.prepare_ns);
+      event.fields.emplace_back("execute_ns", response.execute_ns);
+      event.fields.emplace_back(
+          "answers", static_cast<int64_t>(response.answers.size()));
     }
+    event.message = response.status.ok() ? summary(response) : error;
+    event_log_.Append(std::move(event));
+  }
 
-    Deliver(job, std::move(response));
+  job->done(std::move(response));
+}
+
+void QueryService::Process(Job<DeltaRequest, DeltaResponse>* job) {
+  DeltaResponse response = Dequeue(job);
+  auto finish = [&](Status status) {
+    Finish(job, std::move(response), std::move(status),
+           [](const DeltaResponse& done) { return done.stats.Summary(); });
   };
 
-  std::shared_ptr<SessionEntry> entry =
-      GetSession(job->request.tenant, job->request.source);
-  if (entry->session == nullptr) {
-    finish(entry->status);
-    return;
-  }
-  Session& session = *entry->session;
-
-  // Maintenance has no original-program fallback: a view exists only for a
-  // prepared (rewritten) program, so Prepare errors fail the batch.
-  Span prepare_span = tracer.StartSpan("delta.prepare");
-  SqoOptions sqo = job->request.sqo;
-  if (sqo.tracer == nullptr) sqo.tracer = &tracer;
-  bool cache_hit = false;
-  Result<const PreparedProgram*> prepared = session.Prepare(sqo, &cache_hit);
-  prepare_span.SetAttr("cache_hit", cache_hit ? 1 : 0);
-  prepare_span.End();
-  if (!prepared.ok()) {
-    finish(prepared.status());
+  std::shared_ptr<SessionEntry> entry;
+  const PreparedProgram* prepared = nullptr;
+  Status opened = OpenAndPrepare(job, &response, &entry, &prepared);
+  if (!opened.ok()) {
+    finish(std::move(opened));
     return;
   }
 
+  Tracer& tracer = job->trace.tracer;
   Span materialize_span = tracer.StartSpan("delta.materialize");
   const int64_t materialize_start_ns = NowNs();
-  Result<MaterializedView*> view =
-      session.Materialize(*prepared.value(), job->request.materialize);
+  Result<MaterializedView*> view = entry->session->Materialize(*prepared);
   response.materialize_ns = NowNs() - materialize_start_ns;
   materialize_span.End();
   if (!view.ok()) {
@@ -512,7 +555,7 @@ void QueryService::ProcessDelta(DeltaJob* job) {
   const int64_t maintain_start_ns = NowNs();
   Result<MaintainStats> stats = view.value()->ApplyDelta(job->request.delta);
   response.maintain_ns = NowNs() - maintain_start_ns;
-  metrics.GetHistogram("service/apply_delta_ns")
+  metrics().GetHistogram("service/apply_delta_ns")
       ->Record(response.maintain_ns);
   if (!stats.ok()) {
     maintain_span.End();
@@ -529,110 +572,23 @@ void QueryService::ProcessDelta(DeltaJob* job) {
   finish(Status::Ok());
 }
 
-void QueryService::Process(Job* job) {
-  const int64_t start_ns = NowNs();
+void QueryService::Process(Job<Request, Response>* job) {
+  Response response = Dequeue(job);
   MetricsRegistry& metrics = this->metrics();
-  metrics.GetHistogram("service/queue_wait_ns")
-      ->Record(start_ns - job->submit_ns);
-
   Tracer& tracer = job->trace.tracer;
-  {
-    // Retroactive: the wait was observed ending now, having started at
-    // submission.
-    Span queue = tracer.StartSpanAt("request.queue", job->submit_ns);
-  }
 
-  Response response;
-  response.trace_id = job->trace.trace_id;
-  response.queue_wait_ns = start_ns - job->submit_ns;
-
-  // State the slow-query log reads at finish; filled as the request
-  // advances.
-  const PreparedProgram* prepared_program = nullptr;
+  // What the EXPLAIN report joins; filled as the request advances.
+  const PreparedProgram* prepared = nullptr;
   const MaterializedView* served_view = nullptr;
   std::vector<RuleProfile> profiles;
-  const bool slow_armed = options_.slow_query_ms >= 0;
-
   auto finish = [&](Status status) {
-    response.status = std::move(status);
-    switch (response.status.code()) {
-      case StatusCode::kOk:
-        metrics.GetCounter("service/requests_completed")->Increment();
-        break;
-      case StatusCode::kCancelled:
-        metrics.GetCounter("service/requests_cancelled")->Increment();
-        break;
-      case StatusCode::kDeadlineExceeded:
-        metrics.GetCounter("service/requests_deadline_exceeded")->Increment();
-        break;
-      default:
-        metrics.GetCounter("service/requests_failed")->Increment();
-        break;
-    }
-
-    const int64_t total_ns = NowNs() - job->submit_ns;
-    if (!job->request.tenant.empty()) {
-      metrics
-          .GetCounter(TenantMetric(job->request.tenant,
-                                   response.status.ok() ? "completed"
-                                                        : "errors"))
-          ->Increment();
-      metrics.GetHistogram(TenantMetric(job->request.tenant, "latency_ns"))
-          ->Record(total_ns);
-    }
-    job->root_span.SetAttr("status_code",
-                           static_cast<int64_t>(response.status.code()));
-    job->root_span.SetAttr("answers",
-                           static_cast<int64_t>(response.answers.size()));
-    job->root_span.End();
-    if (tracer.enabled()) response.spans = tracer.TakeSpans();
-
-    if (!response.status.ok()) {
-      LogEvent event;
-      event.ts_ns = NowNs();
-      event.trace_id = job->trace.trace_id;
-      event.request_id = job->trace.request_id;
-      event.kind = "request_error";
-      event.fields.emplace_back("code",
-                                static_cast<int64_t>(response.status.code()));
-      event.fields.emplace_back("total_ns", total_ns);
-      event.message = std::string(StatusCodeName(response.status.code())) +
-                      ": " + response.status.message();
-      event_log_.Append(std::move(event));
-    }
-
-    if (slow_armed && total_ns >= options_.slow_query_ms * 1'000'000) {
-      metrics.GetCounter("service/slow_queries")->Increment();
-      LogEvent event;
-      event.ts_ns = NowNs();
-      event.trace_id = job->trace.trace_id;
-      event.request_id = job->trace.request_id;
-      event.kind = "slow_query";
-      event.fields.emplace_back("total_ns", total_ns);
-      event.fields.emplace_back("queue_wait_ns", response.queue_wait_ns);
-      event.fields.emplace_back("prepare_ns", response.prepare_ns);
-      event.fields.emplace_back("execute_ns", response.execute_ns);
-      event.fields.emplace_back(
-          "answers", static_cast<int64_t>(response.answers.size()));
-      if (!response.status.ok()) {
-        event.message = std::string(StatusCodeName(response.status.code())) +
-                        ": " + response.status.message();
-      } else if (prepared_program != nullptr) {
-        ExplainReport explain = BuildExplainReport(
-            prepared_program->report, prepared_program->compiled.get());
-        AttachRuntime(prepared_program->report, response.stats, profiles,
-                      static_cast<int64_t>(response.answers.size()),
-                      response.execute_ns, &explain);
-        if (served_view != nullptr) {
-          AttachMaintenance(served_view->totals(), served_view->last_batch(),
-                            served_view->batches_applied(), &explain);
-        }
-        event.message = explain.Summary();
-      }
-      event_log_.Append(std::move(event));
-    }
-
-    Deliver(job, std::move(response));
+    Finish(job, std::move(response), std::move(status),
+           [&](const Response& done) {
+             return prepared == nullptr
+                        ? std::string()
+                        : ExplainQuery(*prepared, done, &profiles, served_view)
+                              .Summary();
+           });
   };
 
   const CancelToken* cancel = job->request.cancel.get();
@@ -640,56 +596,22 @@ void QueryService::Process(Job* job) {
     finish(Status::Cancelled("request cancelled before execution"));
     return;
   }
-  if (job->deadline_ns >= 0 && NowNs() >= job->deadline_ns) {
+  const int64_t deadline_ns = job->trace.deadline_ns;
+  if (deadline_ns >= 0 && NowNs() >= deadline_ns) {
     metrics.GetCounter("service/requests_expired_in_queue")->Increment();
     finish(Status::DeadlineExceeded("deadline expired in the queue after " +
                                     FormatDurationNs(response.queue_wait_ns)));
     return;
   }
 
-  Span prepare_span = tracer.StartSpan("request.prepare");
-  const int64_t prepare_start_ns = NowNs();
-  std::shared_ptr<SessionEntry> entry =
-      GetSession(job->request.tenant, job->request.source);
-  if (entry->session == nullptr) {
-    prepare_span.End();
-    finish(entry->status);
+  std::shared_ptr<SessionEntry> entry;
+  Status opened = OpenAndPrepare(job, &response, &entry, &prepared);
+  if (!opened.ok()) {
+    finish(std::move(opened));
     return;
   }
   Session& session = *entry->session;
-
-  // Prepare is single-flight in the session: the first request for this
-  // fingerprint runs the Levy–Sagiv pipeline (its "sqo.*" spans landing
-  // under this request's prepare span), concurrent ones block on the
-  // in-flight entry, later ones hit the cache.
-  SqoOptions sqo = job->request.sqo;
-  if (sqo.tracer == nullptr) sqo.tracer = &tracer;
-  bool cache_hit = false;
-  Result<const PreparedProgram*> prepared = session.Prepare(sqo, &cache_hit);
-  response.prepare_ns = NowNs() - prepare_start_ns;
-  response.prepare_cache_hit = cache_hit;
-  metrics.GetHistogram("service/prepare_ns")->Record(response.prepare_ns);
-  prepare_span.SetAttr("cache_hit", cache_hit ? 1 : 0);
-  bool fallback = false;
-  if (!prepared.ok()) {
-    if (options_.fallback_to_original &&
-        prepared.status().code() == StatusCode::kUnsupported) {
-      // Outside the rewriting's theory (e.g. IDB negation): serve the
-      // original program rather than failing the request.
-      metrics.GetCounter("service/prepare_fallbacks")->Increment();
-      fallback = true;
-    } else {
-      prepare_span.End();
-      finish(prepared.status());
-      return;
-    }
-  } else {
-    prepared_program = prepared.value();
-    for (const PassRunInfo& info : prepared_program->report.pass_runs) {
-      if (info.ran()) ++response.passes_ran;
-    }
-  }
-  prepare_span.End();
+  const bool fallback = prepared == nullptr;
 
   // Load-only requests (the front-end's LoadProgram) stop here: the unit
   // parsed and the optimizer pipeline ran (or the fallback was noted), so
@@ -708,8 +630,7 @@ void QueryService::Process(Job* job) {
   if (job->request.materialized && !fallback) {
     Span view_span = tracer.StartSpan("request.view");
     const int64_t exec_start_ns = NowNs();
-    Result<MaterializedView*> view =
-        session.Materialize(*prepared.value(), job->request.materialize);
+    Result<MaterializedView*> view = session.Materialize(*prepared);
     if (!view.ok()) {
       view_span.End();
       finish(view.status());
@@ -727,11 +648,8 @@ void QueryService::Process(Job* job) {
     response.served_from_view = true;
     response.optimized = true;
     if (job->request.want_explain) {
-      ExplainReport explain = BuildExplainReport(
-          prepared_program->report, prepared_program->compiled.get());
-      AttachMaintenance(served_view->totals(), served_view->last_batch(),
-                        served_view->batches_applied(), &explain);
-      response.explain_json = explain.ToJson();
+      response.explain_json =
+          ExplainQuery(*prepared, response, nullptr, served_view).ToJson();
     }
     finish(Status::Ok());
     return;
@@ -742,26 +660,23 @@ void QueryService::Process(Job* job) {
   // builds safe; evaluation writes only to its own IDB relations.
   const Database& edb = session.SharedEdb();
 
-  EvalOptions eval = job->request.eval;
+  EvalOptions eval;
   eval.cancel = cancel;
-  if (job->deadline_ns >= 0 &&
-      (eval.deadline_ns < 0 || job->deadline_ns < eval.deadline_ns)) {
-    eval.deadline_ns = job->deadline_ns;
-  }
-  if (eval.tracer == nullptr) eval.tracer = &tracer;
+  eval.deadline_ns = deadline_ns;
+  eval.tracer = &tracer;
   // Per-rule profiles feed the slow-query log's EXPLAIN summary and the
   // traced response; untraced fast-path requests skip the clock reads.
-  const bool want_profiles = slow_armed || job->request.trace ||
-                             eval.profile_rules ||
-                             job->request.want_explain;
-  if (slow_armed) eval.profile_rules = true;
+  const bool slow_armed = options_.slow_query_ms >= 0;
+  const bool want_profiles =
+      slow_armed || job->request.trace || job->request.want_explain;
+  eval.profile_rules = slow_armed;
 
   Span execute_span = tracer.StartSpan("request.execute");
   const int64_t exec_start_ns = NowNs();
   Result<std::vector<Tuple>> answers =
       fallback ? session.ExecuteOriginal(edb, eval, &response.stats,
                                          want_profiles ? &profiles : nullptr)
-               : session.Execute(*prepared.value(), edb, eval, &response.stats,
+               : session.Execute(*prepared, edb, eval, &response.stats,
                                  want_profiles ? &profiles : nullptr);
   response.execute_ns = NowNs() - exec_start_ns;
   metrics.GetHistogram("service/execute_ns")->Record(response.execute_ns);
@@ -774,13 +689,9 @@ void QueryService::Process(Job* job) {
   response.answers = std::move(answers).value();
   response.optimized = !fallback;
   response.snapshot_version = 0;  // the immutable base snapshot
-  if (job->request.want_explain && prepared_program != nullptr) {
-    ExplainReport explain = BuildExplainReport(
-        prepared_program->report, prepared_program->compiled.get());
-    AttachRuntime(prepared_program->report, response.stats, profiles,
-                  static_cast<int64_t>(response.answers.size()),
-                  response.execute_ns, &explain);
-    response.explain_json = explain.ToJson();
+  if (job->request.want_explain && !fallback) {
+    response.explain_json =
+        ExplainQuery(*prepared, response, &profiles, nullptr).ToJson();
   }
   finish(Status::Ok());
 }

@@ -11,6 +11,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -31,8 +32,17 @@ namespace sqod {
 // trigger exactly one optimizer pipeline run — the Levy–Sagiv rewriting
 // cost is paid once and amortized across every request that follows.
 //
+// Queries (Submit) and delta batches (ApplyDelta) are two kinds of request
+// on one pipeline: admission (trace id, deadline check, root span, pool
+// hand-off or rejection), a worker prologue (session lookup, Prepare), the
+// kind's own work (evaluate or serve a view; materialize and maintain), and
+// one finish (outcome counters, tenant metrics, root span, error and slow-
+// log events). Every result is delivered through a callback; the future
+// APIs wrap it. Each kind reports under its own counter and span names.
+//
 // Request lifecycle and its observable failure modes:
-//   Submit ── queue full ────────────────→ kResourceExhausted (rejected)
+//   Submit ── invalid deadline or options → kInvalidArgument (rejected)
+//         ─── queue full ────────────────→ kResourceExhausted (rejected)
 //         ─── after Shutdown ────────────→ kFailedPrecondition (rejected)
 //         ─── queued → worker picks it up
 //               token already cancelled ─→ kCancelled
@@ -42,17 +52,9 @@ namespace sqod {
 //               token or the deadline ───→ kCancelled / kDeadlineExceeded
 //               otherwise ──────────────→ kOk with the sorted answers
 //
-// Per-request observability (in metrics(), exported like all registries):
-//   service/requests_accepted / _rejected / _cancelled /
-//   _deadline_exceeded / _completed / _failed     counters
-//   service/requests_rejected_queue_full / _rejected_shutdown
-//   service/requests_expired_in_queue             deadline passed queued
-//   service/prepare_fallbacks                     kUnsupported → original
-//   service/slow_queries                          over slow_query_ms
-//   service/queue_wait_ns, service/prepare_ns, service/execute_ns
-//                                                 latency histograms
-//   service/sessions_evicted                      idle sessions dropped
-//   service/sessions_live                         sessions held (gauge)
+// Per-request observability: service/... counters and latency histograms
+// in metrics(), exported like all registries; docs/observability.md lists
+// every name and what counts toward it.
 //
 // Session retention: parsed sessions are kept in LRU order, and past
 // kSessionCacheCapacity the least recently used idle one is evicted (its
@@ -83,14 +85,10 @@ struct ServiceOptions {
   // requests don't count). 0 = unbounded.
   size_t max_queue = 256;
   // External metrics sink; the service's engine owns a private registry
-  // when null. No tracer knob: the Tracer is single-threaded by design, so
-  // the serving layer never traces (use the single-request CLI path for
-  // span trees).
+  // when null. There is no service-wide tracer: each request that sets
+  // Request::trace / DeltaRequest::trace gets its own Tracer and its span
+  // tree back in the response.
   MetricsRegistry* metrics = nullptr;
-  // When a program is outside the rewriting's theory (Prepare returns
-  // kUnsupported, e.g. IDB negation), evaluate the original program
-  // instead of failing the request.
-  bool fallback_to_original = true;
 
   // Slow-query log threshold, in milliseconds of end-to-end latency (queue
   // wait + prepare + execute). Requests at or over it produce a
@@ -98,8 +96,6 @@ struct ServiceOptions {
   // profiling is armed for every request so the summary has runtime rows.
   // -1 = off. 0 logs everything (the smoke-test setting).
   int64_t slow_query_ms = -1;
-  // Capacity of the structured event-log ring.
-  size_t event_log_capacity = 1024;
   // Period of the background metrics differ: every period, the delta of
   // the metrics registry against the previous snapshot is appended to the
   // event log as a "metrics_snapshot" event. -1 = off.
@@ -125,11 +121,10 @@ struct Request {
   // programs, and non-empty tenants get tenant/<name>/... counters and
   // latency histograms next to the service/... ones. "" = untenanted.
   std::string tenant;
-  // Optimizer options; part of the prepared-program fingerprint.
+  // Optimizer options; part of the prepared-program fingerprint. A program
+  // outside the rewriting's theory (Prepare returns kUnsupported, e.g. IDB
+  // negation) is evaluated as written instead (Response::optimized false).
   SqoOptions sqo;
-  // Evaluation options. The service fills in cancel/deadline_ns (and the
-  // engine fills in metrics), the rest is honored as given.
-  EvalOptions eval;
   // Relative deadline from submission, in milliseconds. 0 is already
   // expired (useful for testing the deadline path); -1 = no deadline.
   int64_t deadline_ms = -1;
@@ -146,10 +141,10 @@ struct Request {
   // ones copy the warm answers out under a shared lock. Combine with
   // ApplyDelta to keep the view current as the EDB changes. Ignored (a
   // normal evaluation runs) when the program needed the kUnsupported
-  // fallback. `materialize` configures the view when this request is the
-  // one that builds it.
+  // fallback. Rejected with kInvalidArgument together with a non-empty
+  // sqo.disabled_passes: delta batches maintain the default-options view,
+  // so a view prepared with passes disabled would never see them.
   bool materialized = false;
-  MaterializeOptions materialize;
   // Validate and warm only: parse the unit (single-flight per session) and
   // run Prepare, then finish without executing. The network front-end's
   // LoadProgram maps here — the optimizer pipeline runs once at load time
@@ -192,21 +187,17 @@ struct Response {
   std::string explain_json;
 };
 
-// One batch of EDB changes against a session's materialized view.
-// Admission, queueing, tracing, and the slow-query log mirror Request; the
-// worker prepares the program (cache hit after the first), materializes the
-// view if this is the first touch, and applies the batch.
+// One batch of EDB changes against a session's materialized view: the
+// delta kind of request, on the same pipeline as Request (it has no
+// deadline or cancel token). The worker prepares the program with default
+// options (cache hit after the first), materializes the view if this is
+// the first touch, and applies the batch.
 struct DeltaRequest {
   // The datalog unit whose view to maintain; requests with byte-identical
-  // sources share one session, and therefore one view per fingerprint.
+  // sources share one session, and therefore one view.
   std::string source;
   // Tenant namespace, as in Request::tenant.
   std::string tenant;
-  // Optimizer options; part of the prepared-program fingerprint.
-  SqoOptions sqo;
-  // View construction/maintenance options (first touch only, like
-  // Request::materialize).
-  MaterializeOptions materialize;
   // The facts to delete and insert (deletes first; see FactDelta).
   FactDelta delta;
   // Collect the span tree (admission → queue → materialize → maintain).
@@ -238,6 +229,8 @@ class QueryService {
   // so the count may exceed the capacity by the requests in flight. Bounds
   // the memory a stream of distinct programs can pin.
   static constexpr size_t kSessionCacheCapacity = 256;
+  // Events the event log retains; older ones are overwritten.
+  static constexpr size_t kEventLogCapacity = 1024;
 
   explicit QueryService(ServiceOptions options = {});
   ~QueryService();  // implies Shutdown()
@@ -245,32 +238,31 @@ class QueryService {
   QueryService(const QueryService&) = delete;
   QueryService& operator=(const QueryService&) = delete;
 
-  // Admission-controlled, non-blocking submit. The returned future is
-  // always valid; rejected requests (queue full, shut down, invalid
-  // deadline) resolve immediately with the rejection status.
-  std::future<Response> Submit(Request request);
-
-  // Callback-style submit for transports that must never block: `done`
-  // runs on the worker thread that completed the request, or on the
-  // submitting thread for immediate rejections. Exactly one invocation per
-  // submit, rejection included.
+  // Admission-controlled, non-blocking submit for transports that must
+  // never block: `done` runs on the worker thread that completed the
+  // request, or on the submitting thread for immediate rejections (queue
+  // full, shut down, invalid deadline or options). Exactly one invocation
+  // per submit, rejection included.
   void Submit(Request request, std::function<void(Response)> done);
+
+  // The same, delivered through a future (always valid).
+  std::future<Response> Submit(Request request);
 
   // Convenience: Submit and wait.
   Response Call(Request request);
 
-  // Admission-controlled submit of one maintenance batch. Batches share
-  // the worker pool and admission queue with queries; batches against the
-  // same view serialize on the view's writer lock while readers of other
-  // views (and queries) proceed. Observability mirrors Submit:
-  // service/delta_batches{,_rejected,_failed} counters, the
-  // service/apply_delta_ns latency histogram, and — past slow_query_ms —
-  // a "slow_delta" event-log entry joinable with spans by trace id.
-  std::future<DeltaResponse> ApplyDelta(DeltaRequest request);
-
-  // Callback-style ApplyDelta, mirroring the callback Submit.
+  // Admission-controlled submit of one maintenance batch, delivered like
+  // the callback Submit. Batches share the worker pool and admission queue
+  // with queries; batches against the same view serialize on the view's
+  // writer lock while readers of other views (and queries) proceed. A
+  // batch reports under service/delta_batches{,_completed,_rejected,
+  // _failed}, the service/apply_delta_ns histogram, and — past
+  // slow_query_ms — a "slow_delta" event joinable with spans by trace id.
   void ApplyDelta(DeltaRequest request,
                   std::function<void(DeltaResponse)> done);
+
+  // The same, delivered through a future.
+  std::future<DeltaResponse> ApplyDelta(DeltaRequest request);
 
   // Convenience: ApplyDelta and wait.
   DeltaResponse CallApplyDelta(DeltaRequest request);
@@ -307,28 +299,18 @@ class QueryService {
     bool in_lru = false;
   };
 
+  // One request of either kind: Job<Request, Response> for queries,
+  // Job<DeltaRequest, DeltaResponse> for delta batches.
+  template <typename Req, typename Resp>
   struct Job {
-    Request request;
-    // Exactly one of the two delivery paths is used: the promise (future
-    // API) or the callback (transport API). Deliver() dispatches.
-    std::promise<Response> promise;
-    std::function<void(Response)> callback;
-    int64_t submit_ns = 0;
-    int64_t deadline_ns = -1;  // absolute, NowNs() scale
-    // Request-scoped telemetry: the trace id / span collector, and the
-    // root "request" span (opened at Submit, closed when the response is
-    // fulfilled). The embedded Tracer is touched by the submitting thread
-    // only before the pool handoff, and by the owning worker only after —
-    // the pool's queue is the happens-before edge between the two.
-    TraceContext trace;
-    Span root_span;
-  };
-
-  struct DeltaJob {
-    DeltaRequest request;
-    std::promise<DeltaResponse> promise;
-    std::function<void(DeltaResponse)> callback;
-    int64_t submit_ns = 0;
+    Req request;
+    std::function<void(Resp)> done;
+    // Request-scoped telemetry: trace id, submit time and absolute
+    // deadline, the span collector, and the root "request" / "delta" span
+    // (opened at admission, closed by Finish). The embedded Tracer is
+    // touched by the submitting thread only before the pool handoff, and
+    // by the owning worker only after — the pool's queue is the
+    // happens-before edge between the two.
     TraceContext trace;
     Span root_span;
   };
@@ -343,14 +325,32 @@ class QueryService {
   // view holders for good, skips in-flight ones. Caller holds sessions_mu_.
   void EvictIdleSessionsLocked(
       std::vector<std::shared_ptr<SessionEntry>>* evicted);
-  // Builds the job (trace context, deadline validation, admission spans)
-  // and hands it to the pool; delivers the rejection inline on failure.
-  void SubmitJob(std::shared_ptr<Job> job);
-  void SubmitDeltaJob(std::shared_ptr<DeltaJob> job);
-  static void Deliver(Job* job, Response response);
-  static void Deliver(DeltaJob* job, DeltaResponse response);
-  void Process(Job* job);
-  void ProcessDelta(DeltaJob* job);
+  // Builds the job (trace context, deadline and option checks, root and
+  // admission spans) and hands it to the pool; delivers the rejection
+  // inline on failure.
+  template <typename Req, typename Resp>
+  void Admit(Req request, std::function<void(Resp)> done);
+  // The worker's first step: queue-wait accounting and the response shell.
+  template <typename Req, typename Resp>
+  Resp Dequeue(Job<Req, Resp>* job);
+  // The worker prologue: the job's session (parsed once per source) and
+  // its prepared program (single-flight per fingerprint). A query outside
+  // the rewriting's theory gets Ok with *prepared null (serve the original
+  // program); a delta batch fails on any Prepare error.
+  template <typename Req, typename Resp>
+  Status OpenAndPrepare(Job<Req, Resp>* job, Resp* response,
+                        std::shared_ptr<SessionEntry>* entry,
+                        const PreparedProgram** prepared);
+  // The kind's own work; each ends in one Finish call.
+  void Process(Job<Request, Response>* job);
+  void Process(Job<DeltaRequest, DeltaResponse>* job);
+  // Records the outcome (counters, tenant metrics, root span, the
+  // request_error and slow-log events) and delivers `response`. `summary`
+  // renders a successful request's slow-log message.
+  template <typename Req, typename Resp>
+  void Finish(Job<Req, Resp>* job, Resp response, Status status,
+              const std::function<std::string(
+                  const std::type_identity_t<Resp>&)>& summary);
   // `prev` is the baseline the first window diffs against; captured by the
   // constructor before any request can arrive, so the first published
   // delta covers everything since service start even when the OS schedules

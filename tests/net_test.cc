@@ -394,6 +394,39 @@ TEST(NetTest, NamedSessionServesFromViewAndDeltasAdvanceVersion) {
   server.Stop();
 }
 
+// Session-addressed queries serve from the session's view, which delta
+// batches maintain under the default optimizer options; a query that
+// disables passes would read a second view no batch reaches, so the service
+// rejects it. The same passes may still be disabled on an inline query.
+TEST(NetTest, SessionQueryWithDisabledPassesIsRejected) {
+  Server server(ServerOptions{});
+  ASSERT_TRUE(server.Start().ok());
+  Result<Client> connected = ConnectAs(server, "");
+  ASSERT_TRUE(connected.ok());
+  Client& client = connected.value();
+  ASSERT_TRUE(client.LoadProgram("tc", kChain).ok());
+  Result<DeltaResponse> applied = client.ApplyDelta("tc", {"step(3, 4)"}, {});
+  ASSERT_TRUE(applied.ok());
+  ASSERT_TRUE(applied.value().status.ok());
+
+  QueryParams params;
+  params.session = "tc";
+  params.disabled_passes = {"residues"};
+  Result<Response> ablated = client.Query(params);
+  ASSERT_TRUE(ablated.ok());
+  EXPECT_EQ(ablated.value().status.code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(ablated.value().answers.empty());
+
+  params.session.clear();
+  params.source = kChain;
+  Result<Response> inline_query = client.Query(params);
+  ASSERT_TRUE(inline_query.ok());
+  ASSERT_TRUE(inline_query.value().status.ok());
+  EXPECT_EQ(inline_query.value().answers.size(), 3u);
+  EXPECT_TRUE(client.Close().ok());
+  server.Stop();
+}
+
 TEST(NetTest, UnknownSessionIsNonFatal) {
   Server server(ServerOptions{});
   ASSERT_TRUE(server.Start().ok());

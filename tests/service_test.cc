@@ -5,11 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <future>
 #include <iterator>
+#include <map>
 #include <memory>
 #include <random>
 #include <set>
@@ -320,22 +322,6 @@ TEST(ServiceTest, UnsupportedProgramFallsBackToOriginal) {
   EXPECT_EQ(response.answers.size(), 1u);  // p(2): e(2,3) with q(3) false
   EXPECT_EQ(ServiceCounter(service, "service/prepare_fallbacks"), 1);
   EXPECT_EQ(ServiceCounter(service, "service/requests_completed"), 1);
-}
-
-TEST(ServiceTest, FallbackCanBeDisabled) {
-  ServiceOptions options;
-  options.fallback_to_original = false;
-  QueryService service(options);
-  Request request;
-  request.source = R"(
-    q(X) :- e(X, Y).
-    p(X) :- e(X, Y), !q(Y).
-    e(1, 2).
-    ?- p.
-  )";
-  Response response = service.Call(std::move(request));
-  EXPECT_EQ(response.status.code(), StatusCode::kUnsupported);
-  EXPECT_EQ(ServiceCounter(service, "service/requests_failed"), 1);
 }
 
 TEST(ServiceTest, DistinctSourcesGetDistinctSessions) {
@@ -855,6 +841,366 @@ TEST(ServiceTest, EvictedSourceAnswersIdentically) {
   EXPECT_FALSE(again.prepare_cache_hit);  // re-parsed and re-prepared
   EXPECT_EQ(SessionsOpened(service), kCapacity + 2);
   EXPECT_EQ(ServiceCounter(service, "engine/pipeline_runs"), kCapacity + 2);
+}
+
+
+// ------------------------------------------ the pipeline's observable contract
+
+// What one request left behind: its status and span tree, plus the
+// counters, histogram samples and event-log entries it added.
+struct Footprint {
+  StatusCode code = StatusCode::kOk;
+  // Counter deltas and histogram sample counts under service/, tenant/ and
+  // engine/ (zero deltas dropped).
+  std::map<std::string, int64_t> counters;
+  std::map<std::string, int64_t> samples;
+  // One line per event carrying the request's trace id: the kind, then each
+  // field in order, with its value unless it is a duration, then the
+  // message's first word.
+  std::vector<std::string> events;
+  // "root[attr keys] > direct children in start order"; "" when untraced.
+  std::string spans;
+};
+
+bool Pinned(const std::string& name) {
+  return name.rfind("service/", 0) == 0 || name.rfind("tenant/", 0) == 0 ||
+         name.rfind("engine/", 0) == 0;
+}
+
+std::string EventShape(const LogEvent& event) {
+  std::string out = event.kind;
+  for (const auto& [key, value] : event.fields) {
+    out += " " + key;
+    const bool duration = key.size() > 3 &&
+                          key.compare(key.size() - 3, 3, "_ns") == 0;
+    if (!duration) out += "=" + std::to_string(value);
+  }
+  return out + " | " + event.message.substr(0, event.message.find(' '));
+}
+
+std::string SpanShape(std::vector<SpanRecord> spans) {
+  std::sort(spans.begin(), spans.end(),
+            [](const SpanRecord& a, const SpanRecord& b) {
+              return a.id < b.id;
+            });
+  std::string out;
+  for (const SpanRecord& span : spans) {
+    if (span.parent_id != -1) continue;
+    out += span.name + "[";
+    for (size_t i = 0; i < span.attrs.size(); ++i) {
+      out += (i == 0 ? "" : ",") + span.attrs[i].first;
+    }
+    out += "] >";
+    for (const SpanRecord& child : spans) {
+      if (child.parent_id == span.id) out += " " + child.name;
+    }
+  }
+  return out;
+}
+
+// Delivers through the future API or the callback API. The callback owns
+// its promise, so the worker never touches this frame after delivery.
+Response Send(QueryService& service, Request request, bool callback) {
+  if (!callback) return service.Submit(std::move(request)).get();
+  auto done = std::make_shared<std::promise<Response>>();
+  std::future<Response> response = done->get_future();
+  service.Submit(std::move(request),
+                 [done](Response r) { done->set_value(std::move(r)); });
+  return response.get();
+}
+
+DeltaResponse Send(QueryService& service, DeltaRequest request,
+                   bool callback) {
+  if (!callback) return service.ApplyDelta(std::move(request)).get();
+  auto done = std::make_shared<std::promise<DeltaResponse>>();
+  std::future<DeltaResponse> response = done->get_future();
+  service.ApplyDelta(std::move(request), [done](DeltaResponse r) {
+    done->set_value(std::move(r));
+  });
+  return response.get();
+}
+
+enum class Outcome { kAccepted, kFailed, kQueueFull, kShutdown, kSlow };
+
+// Runs `request` on a fresh one-worker service set up for `outcome` and
+// returns its footprint. For kQueueFull a blocker occupies the worker (its
+// callback waits on a gate) and a filler takes the one queue slot, so the
+// request is rejected deterministically; both finished or were queued
+// before the first snapshot, so the diff is the request's alone.
+template <typename Req>
+Footprint RunOnce(Outcome outcome, Req request, bool callback) {
+  std::promise<void> started;
+  std::promise<void> gate;
+  std::shared_future<void> gate_open = gate.get_future().share();
+  ServiceOptions options;
+  options.threads = 1;
+  options.max_queue = 1;
+  if (outcome == Outcome::kSlow) options.slow_query_ms = 0;
+  QueryService service(options);
+  if (outcome == Outcome::kShutdown) service.Shutdown();
+  if (outcome == Outcome::kQueueFull) {
+    Request blocker;
+    blocker.source = kFigure1;
+    service.Submit(std::move(blocker), [&started, gate_open](Response) {
+      started.set_value();
+      gate_open.wait();
+    });
+    started.get_future().wait();
+    Request filler;
+    filler.source = kFigure1;
+    service.Submit(std::move(filler), [](Response) {});
+  }
+
+  const MetricsSnapshot before = service.metrics().Snapshot();
+  const auto response = Send(service, std::move(request), callback);
+  const MetricsSnapshot diff =
+      DiffSnapshots(before, service.metrics().Snapshot());
+  Footprint footprint;
+  footprint.code = response.status.code();
+  for (const auto& [name, delta] : diff.counters) {
+    if (Pinned(name) && delta != 0) footprint.counters[name] = delta;
+  }
+  for (const auto& [name, histogram] : diff.histograms) {
+    if (Pinned(name) && histogram.count != 0) {
+      footprint.samples[name] = histogram.count;
+    }
+  }
+  for (const LogEvent& event : service.event_log().Events()) {
+    if (event.trace_id == response.trace_id) {
+      footprint.events.push_back(EventShape(event));
+    }
+  }
+  footprint.spans = SpanShape(response.spans);
+  if (outcome == Outcome::kQueueFull) gate.set_value();
+  return footprint;
+}
+
+void ExpectFootprint(const Footprint& got, const Footprint& want) {
+  EXPECT_EQ(got.code, want.code);
+  EXPECT_EQ(got.counters, want.counters);
+  EXPECT_EQ(got.samples, want.samples);
+  EXPECT_EQ(got.events, want.events);
+  EXPECT_EQ(got.spans, want.spans);
+}
+
+Request TracedQuery(const std::string& source) {
+  Request request;
+  request.source = source;
+  request.tenant = "acme";
+  request.trace = true;
+  return request;
+}
+
+DeltaRequest TracedDelta(const std::string& source) {
+  DeltaRequest request;
+  request.source = source;
+  request.tenant = "acme";
+  request.trace = true;
+  request.delta.inserts.push_back(ParseAtomText("step(5, 6)").take());
+  return request;
+}
+
+// Pins, for each request kind and both delivery APIs, the exact metrics,
+// events and span names of every way a request can end: accepted, failed,
+// rejected by a full queue, rejected after Shutdown, and logged as slow.
+// Queries and delta batches report under their own counter names.
+TEST(ServiceTest, EveryRequestKindKeepsItsObservableContract) {
+  const std::string chain = MakeChainSource(5);
+  const std::string broken = "p(X :- q(X).";
+  const std::string query_spans =
+      "request[request_id,status_code,answers] > request.admission "
+      "request.queue request.prepare request.execute";
+  const std::string delta_spans =
+      "delta[request_id,inserts,deletes,status_code,version] > "
+      "delta.admission delta.queue delta.prepare delta.materialize "
+      "delta.maintain";
+  const int64_t kInvalid = static_cast<int64_t>(StatusCode::kInvalidArgument);
+
+  for (bool callback : {false, true}) {
+    SCOPED_TRACE(callback ? "callback API" : "future API");
+
+    const std::map<std::string, int64_t> query_ran = {
+        {"engine/executions", 1},
+        {"engine/pipeline_runs", 1},
+        {"engine/prepare_cache_misses", 1},
+        {"engine/sessions_opened", 1},
+        {"service/requests_accepted", 1},
+        {"service/requests_completed", 1},
+        {"tenant/acme/completed", 1},
+        {"tenant/acme/requests", 1}};
+    const std::map<std::string, int64_t> query_samples = {
+        {"service/execute_ns", 1},
+        {"service/prepare_ns", 1},
+        {"service/queue_wait_ns", 1},
+        {"tenant/acme/latency_ns", 1}};
+    ExpectFootprint(
+        RunOnce(Outcome::kAccepted, TracedQuery(kFigure1), callback),
+        {StatusCode::kOk, query_ran, query_samples, {}, query_spans});
+
+    std::map<std::string, int64_t> slow_query_ran = query_ran;
+    slow_query_ran["service/slow_queries"] = 1;
+    Footprint slow_query =
+        RunOnce(Outcome::kSlow, TracedQuery(kFigure1), callback);
+    ExpectFootprint(slow_query,
+                    {StatusCode::kOk,
+                     slow_query_ran,
+                     query_samples,
+                     {"slow_query total_ns queue_wait_ns prepare_ns "
+                      "execute_ns answers=10 | sat=yes"},
+                     query_spans});
+
+    ExpectFootprint(
+        RunOnce(Outcome::kFailed, TracedQuery(broken), callback),
+        {StatusCode::kInvalidArgument,
+         {{"service/requests_accepted", 1},
+          {"service/requests_failed", 1},
+          {"tenant/acme/errors", 1},
+          {"tenant/acme/requests", 1}},
+         {{"service/queue_wait_ns", 1}, {"tenant/acme/latency_ns", 1}},
+         {"request_error code=" + std::to_string(kInvalid) +
+          " total_ns | INVALID_ARGUMENT:"},
+         "request[request_id,status_code,answers] > request.admission "
+         "request.queue request.prepare"});
+
+    ExpectFootprint(
+        RunOnce(Outcome::kQueueFull, TracedQuery(kFigure1), callback),
+        {StatusCode::kResourceExhausted,
+         {{"service/requests_rejected", 1},
+          {"service/requests_rejected_queue_full", 1},
+          {"tenant/acme/rejected", 1}},
+         {{"service/queue_wait_ns", 1}},
+         {"request_rejected queue_full=1 | admission"},
+         "request[request_id,rejected] > request.admission"});
+
+    ExpectFootprint(
+        RunOnce(Outcome::kShutdown, TracedQuery(kFigure1), callback),
+        {StatusCode::kFailedPrecondition,
+         {{"service/requests_rejected", 1},
+          {"service/requests_rejected_shutdown", 1},
+          {"tenant/acme/rejected", 1}},
+         {{"service/queue_wait_ns", 1}},
+         {"request_rejected queue_full=0 | service"},
+         "request[request_id,rejected] > request.admission"});
+
+    const std::map<std::string, int64_t> delta_ran = {
+        {"engine/pipeline_runs", 1},
+        {"engine/prepare_cache_misses", 1},
+        {"engine/sessions_opened", 1},
+        {"engine/views_materialized", 1},
+        {"service/delta_batches", 1},
+        {"service/delta_batches_completed", 1},
+        {"tenant/acme/completed", 1},
+        {"tenant/acme/delta_batches", 1}};
+    const std::map<std::string, int64_t> delta_samples = {
+        {"service/apply_delta_ns", 1},
+        {"service/queue_wait_ns", 1},
+        {"tenant/acme/latency_ns", 1}};
+    ExpectFootprint(
+        RunOnce(Outcome::kAccepted, TracedDelta(chain), callback),
+        {StatusCode::kOk, delta_ran, delta_samples, {}, delta_spans});
+
+    std::map<std::string, int64_t> slow_delta_ran = delta_ran;
+    slow_delta_ran["service/slow_queries"] = 1;
+    ExpectFootprint(
+        RunOnce(Outcome::kSlow, TracedDelta(chain), callback),
+        {StatusCode::kOk,
+         slow_delta_ran,
+         delta_samples,
+         {"slow_delta total_ns queue_wait_ns materialize_ns maintain_ns "
+          "version=1 | v1"},
+         delta_spans});
+
+    ExpectFootprint(
+        RunOnce(Outcome::kFailed, TracedDelta(broken), callback),
+        {StatusCode::kInvalidArgument,
+         {{"service/delta_batches", 1},
+          {"service/delta_batches_failed", 1},
+          {"tenant/acme/delta_batches", 1},
+          {"tenant/acme/errors", 1}},
+         {{"service/queue_wait_ns", 1}, {"tenant/acme/latency_ns", 1}},
+         {"request_error code=" + std::to_string(kInvalid) +
+          " total_ns delta=1 | INVALID_ARGUMENT:"},
+         "delta[request_id,inserts,deletes,status_code,version] > "
+         "delta.admission delta.queue"});
+
+    // A rejected batch has no cause split and no queue-wait sample.
+    ExpectFootprint(
+        RunOnce(Outcome::kQueueFull, TracedDelta(chain), callback),
+        {StatusCode::kResourceExhausted,
+         {{"service/delta_batches_rejected", 1}, {"tenant/acme/rejected", 1}},
+         {},
+         {"request_rejected queue_full=1 delta=1 | admission"},
+         "delta[request_id,inserts,deletes,rejected] > delta.admission"});
+
+    ExpectFootprint(
+        RunOnce(Outcome::kShutdown, TracedDelta(chain), callback),
+        {StatusCode::kFailedPrecondition,
+         {{"service/delta_batches_rejected", 1}, {"tenant/acme/rejected", 1}},
+         {},
+         {"request_rejected queue_full=0 delta=1 | service"},
+         "delta[request_id,inserts,deletes,rejected] > delta.admission"});
+
+    // An invalid deadline is rejected before admission: no span, no event,
+    // no queue-wait sample.
+    Request invalid = TracedQuery(kFigure1);
+    invalid.deadline_ms = -7;
+    ExpectFootprint(RunOnce(Outcome::kAccepted, std::move(invalid), callback),
+                    {StatusCode::kInvalidArgument,
+                     {{"service/requests_rejected", 1},
+                      {"service/requests_rejected_invalid", 1},
+                      {"tenant/acme/rejected", 1}},
+                     {},
+                     {},
+                     ""});
+  }
+}
+
+// A view is keyed by its prepared program's fingerprint, which includes
+// disabled_passes, while delta batches maintain the default-options view.
+// A materialized query with passes disabled would read a second view that
+// no batch reaches, so the service rejects the combination.
+TEST(ServiceTest, MaterializedQueryWithDisabledPassesIsRejected) {
+  const std::string source = R"(
+    tc(X, Y) :- step(X, Y).
+    tc(X, Y) :- step(X, Z), tc(Z, Y).
+    step(1, 2). step(2, 3).
+    ?- tc.
+  )";
+  QueryService service;
+  Request read;
+  read.source = source;
+  read.materialized = true;
+  Response before = service.Call(read);
+  ASSERT_TRUE(before.status.ok()) << before.status.message();
+  EXPECT_EQ(before.answers.size(), 3u);
+
+  DeltaRequest batch;
+  batch.source = source;
+  batch.delta.inserts.push_back(ParseAtomText("step(3, 4)").take());
+  DeltaResponse applied = service.CallApplyDelta(std::move(batch));
+  ASSERT_TRUE(applied.status.ok()) << applied.status.message();
+  EXPECT_EQ(applied.snapshot_version, 1);
+
+  Response after = service.Call(read);
+  ASSERT_TRUE(after.status.ok()) << after.status.message();
+  EXPECT_EQ(after.snapshot_version, 1);
+  EXPECT_EQ(after.answers.size(), 6u);
+
+  Request ablated = read;
+  ablated.sqo.disabled_passes = {"residues"};
+  Response rejected = service.Call(std::move(ablated));
+  EXPECT_EQ(rejected.status.code(), StatusCode::kInvalidArgument)
+      << "served " << rejected.answers.size() << " answers at version "
+      << rejected.snapshot_version;
+  EXPECT_NE(rejected.status.message().find("disabled_passes"),
+            std::string::npos);
+  EXPECT_EQ(ServiceCounter(service, "service/requests_rejected_invalid"), 1);
+
+  // Without a view, passes may still be disabled.
+  Request plain;
+  plain.source = source;
+  plain.sqo.disabled_passes = {"residues"};
+  EXPECT_TRUE(service.Call(std::move(plain)).status.ok());
 }
 
 }  // namespace
