@@ -4,6 +4,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstring>
+#include <utility>
 
 #include "src/base/check.h"
 #include "src/engine/engine.h"
@@ -46,14 +47,15 @@ inline std::vector<Tuple> RunAndReport(const Program& program,
   return answers.take();
 }
 
-// Prepares (optimizes) the program through an engine session; CHECK-fails
-// on error. With `state`, attaches a MetricsRegistry and reports per-phase
-// wall time ("opt_<phase>_ns") and pipeline size gauges alongside the
-// benchmark's own timings.
-inline SqoReport MustOptimize(const Program& program,
-                              const std::vector<Constraint>& ics,
-                              SqoOptions options = {},
-                              benchmark::State* state = nullptr) {
+// Prepares (optimizes and lowers) the program through an engine session;
+// CHECK-fails on error. With `state`, attaches a MetricsRegistry and reports
+// per-phase wall time ("opt_<phase>_ns") and pipeline size gauges alongside
+// the benchmark's own timings. The "Rewritten"/"Served" rows evaluate its
+// program(): the program a session serves, P' lowered (src/sqo/lower.h).
+inline PreparedProgram MustPrepare(const Program& program,
+                                   const std::vector<Constraint>& ics,
+                                   SqoOptions options = {},
+                                   benchmark::State* state = nullptr) {
   MetricsRegistry metrics;
   EngineOptions engine_options;
   if (state != nullptr) engine_options.metrics = &metrics;
@@ -73,7 +75,15 @@ inline SqoReport MustOptimize(const Program& program,
       }
     }
   }
-  return prepared.value()->report;
+  return *prepared.value();
+}
+
+// The optimizer report alone; its `rewritten` is the paper's P'.
+inline SqoReport MustOptimize(const Program& program,
+                              const std::vector<Constraint>& ics,
+                              SqoOptions options = {},
+                              benchmark::State* state = nullptr) {
+  return MustPrepare(program, ics, std::move(options), state).report;
 }
 
 }  // namespace sqod

@@ -33,10 +33,10 @@ void BM_E1_Original(benchmark::State& state) {
 void BM_E1_Rewritten(benchmark::State& state) {
   const int nodes = static_cast<int>(state.range(0));
   Program p = MakeGoodPathProgram();
-  SqoReport report = MustOptimize(p, {MakeStartBeforeEndIc()});
+  Program served = MustPrepare(p, {MakeStartBeforeEndIc()}).program();
   Database edb = MakeDb(nodes, 42);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(RunAndReport(report.rewritten, edb, state));
+    benchmark::DoNotOptimize(RunAndReport(served, edb, state));
   }
 }
 

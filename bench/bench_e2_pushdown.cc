@@ -38,10 +38,10 @@ void BM_E2_Original_Size(benchmark::State& state) {
 void BM_E2_Rewritten_Size(benchmark::State& state) {
   const int nodes = static_cast<int>(state.range(0));
   Program p = MakeGoodPathProgram();
-  SqoReport report = MustOptimize(p, MakeMonotoneIcs(nodes / 2));
+  Program served = MustPrepare(p, MakeMonotoneIcs(nodes / 2)).program();
   Database edb = MakeDb(nodes, nodes / 2, 7);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(RunAndReport(report.rewritten, edb, state));
+    benchmark::DoNotOptimize(RunAndReport(served, edb, state));
   }
 }
 
@@ -60,10 +60,10 @@ void BM_E2_Rewritten_Fraction(benchmark::State& state) {
   const int nodes = 1000;
   const int threshold = nodes * static_cast<int>(state.range(0)) / 100;
   Program p = MakeGoodPathProgram();
-  SqoReport report = MustOptimize(p, MakeMonotoneIcs(threshold));
+  Program served = MustPrepare(p, MakeMonotoneIcs(threshold)).program();
   Database edb = MakeDb(nodes, threshold, 11);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(RunAndReport(report.rewritten, edb, state));
+    benchmark::DoNotOptimize(RunAndReport(served, edb, state));
   }
 }
 

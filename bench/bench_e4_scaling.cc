@@ -73,11 +73,49 @@ void BM_E4_WideIc(benchmark::State& state) {
   state.counters["adorned_rules"] = last.adorned_rules;
 }
 
+// ColoredClosure evaluation in perfbench's colored3 shape (one composition
+// IC, 150 nodes, 450 edges) for 2..4 colours: the original program P, the
+// paper's P' (overlapping adorned copies plus copy rules), and the program
+// a session serves (P' lowered, src/sqo/lower.h).
+enum class ColoredSide { kOriginal, kRewritten, kServed };
+
+void ColoredEval(benchmark::State& state, ColoredSide side) {
+  const int colors = static_cast<int>(state.range(0));
+  Rng rng(20261016u + colors);
+  ColoredClosure cc = MakeColoredClosure(colors, 1, &rng);
+  Database edb = MakeColoredEdges(colors, 150, 450, cc.ics, &rng);
+  Program program = cc.program;
+  if (side != ColoredSide::kOriginal) {
+    PreparedProgram prepared = MustPrepare(cc.program, cc.ics);
+    program = side == ColoredSide::kServed ? prepared.program()
+                                           : prepared.report.rewritten;
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(RunAndReport(program, edb, state));
+  }
+}
+
+void BM_E4_ColoredEval_Original(benchmark::State& state) {
+  ColoredEval(state, ColoredSide::kOriginal);
+}
+void BM_E4_ColoredEval_Rewritten(benchmark::State& state) {
+  ColoredEval(state, ColoredSide::kRewritten);
+}
+void BM_E4_ColoredEval_Served(benchmark::State& state) {
+  ColoredEval(state, ColoredSide::kServed);
+}
+
 BENCHMARK(BM_E4_AdornmentGrowthWithIcs)->DenseRange(0, 5)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_E4_AdornmentGrowthWithColors)->DenseRange(1, 4)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_E4_WideIc)->DenseRange(2, 5)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_E4_ColoredEval_Original)->DenseRange(2, 4)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_E4_ColoredEval_Rewritten)->DenseRange(2, 4)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_E4_ColoredEval_Served)->DenseRange(2, 4)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace sqod

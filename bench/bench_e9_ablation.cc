@@ -8,6 +8,7 @@
 //   classic   — per-rule residues only,
 //   p1        — the bottom-up adorned program (no query tree),
 //   full      — the complete pipeline (query tree + residue attachment).
+// The p1 and full rows evaluate the served program (P' lowered).
 
 #include "bench/bench_common.h"
 #include "src/sqo/residue.h"
@@ -49,20 +50,22 @@ void BM_E9_Classic(benchmark::State& state) {
 void BM_E9_P1Only(benchmark::State& state) {
   SqoOptions options;
   options.disabled_passes = {"tree", "residues"};
-  SqoReport report = MustOptimize(MakeGoodPathProgram(),
-                                  MakeMonotoneIcs(kThreshold), options);
+  Program served = MustPrepare(MakeGoodPathProgram(),
+                               MakeMonotoneIcs(kThreshold), options)
+                       .program();
   Database edb = MakeDb(3);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(RunAndReport(report.rewritten, edb, state));
+    benchmark::DoNotOptimize(RunAndReport(served, edb, state));
   }
 }
 
 void BM_E9_Full(benchmark::State& state) {
-  SqoReport report =
-      MustOptimize(MakeGoodPathProgram(), MakeMonotoneIcs(kThreshold));
+  Program served =
+      MustPrepare(MakeGoodPathProgram(), MakeMonotoneIcs(kThreshold))
+          .program();
   Database edb = MakeDb(3);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(RunAndReport(report.rewritten, edb, state));
+    benchmark::DoNotOptimize(RunAndReport(served, edb, state));
   }
 }
 

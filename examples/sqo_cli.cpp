@@ -513,7 +513,8 @@ int main(int argc, char** argv) {
   // EXPLAIN starts from the plan side of the optimizer report; ANALYZE
   // joins in the rewritten program's runtime below, when --eval runs it.
   ExplainReport explain =
-      BuildExplainReport(report, prepared.value()->compiled.get());
+      BuildExplainReport(report, prepared.value()->compiled.get(),
+                         &prepared.value()->lowered);
   if (do_analyze) do_eval = true;  // ANALYZE means "and actually run it"
 
   int exit_code = 0;
@@ -541,9 +542,9 @@ int main(int argc, char** argv) {
                                   &rewritten_stats, &rewritten_profiles)
                          .take();
     const int64_t execute_ns = NowNs() - exec_start_ns;
-    AttachRuntime(report, rewritten_stats, rewritten_profiles,
-                  static_cast<int64_t>(rewritten.size()), execute_ns,
-                  &explain);
+    AttachRuntime(prepared.value()->program(), rewritten_stats,
+                  rewritten_profiles, static_cast<int64_t>(rewritten.size()),
+                  execute_ns, &explain);
     std::printf("%% answers: %zu (match: %s)\n", original.size(),
                 original == rewritten ? "yes" : "NO");
     std::printf("%% original:  %s\n%% rewritten: %s\n",

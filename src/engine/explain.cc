@@ -29,8 +29,13 @@ void PadTo(size_t width, std::string* line) {
 }  // namespace
 
 ExplainReport BuildExplainReport(const SqoReport& report,
-                                 const CompiledProgram* compiled) {
+                                 const CompiledProgram* compiled,
+                                 const LoweredProgram* lowered) {
   ExplainReport out;
+  if (lowered != nullptr) {
+    out.has_lowering = true;
+    out.lowering = *lowered;
+  }
   if (compiled != nullptr) {
     out.compiled = true;
     out.compile_ns = compiled->compile_ns;
@@ -77,7 +82,7 @@ ExplainReport BuildExplainReport(const SqoReport& report,
   return out;
 }
 
-void AttachRuntime(const SqoReport& sqo, const EvalStats& stats,
+void AttachRuntime(const Program& executed, const EvalStats& stats,
                    const std::vector<RuleProfile>& profiles, int64_t answers,
                    int64_t execute_ns, ExplainReport* report) {
   report->analyzed = true;
@@ -89,7 +94,7 @@ void AttachRuntime(const SqoReport& sqo, const EvalStats& stats,
     report->ops_executed += profile.ops;
   }
   report->rules.clear();
-  const std::vector<Rule>& rules = sqo.rewritten.rules();
+  const std::vector<Rule>& rules = executed.rules();
   report->rules.reserve(rules.size());
   for (size_t i = 0; i < rules.size(); ++i) {
     ExplainRuleRow row;
@@ -208,6 +213,11 @@ std::string ExplainReport::ToText() const {
          std::to_string(intern_misses) + " misses, " +
          std::to_string(memo_hits) + " memo hits, " +
          std::to_string(store_size) + " triplets\n";
+
+  if (has_lowering) {
+    out += "\n== lowering ==\n";
+    out += lowering.ToText();
+  }
 
   if (compiled) {
     out += "\n== kernels ==\n";
@@ -335,6 +345,7 @@ std::string ExplainReport::ToJson() const {
   out += ",\"memo_hits\":" + std::to_string(memo_hits);
   out += ",\"store_size\":" + std::to_string(store_size);
   out += '}';
+  if (has_lowering) out += ",\"lowering\":" + lowering.ToJson();
   if (compiled) {
     out += ",\"kernels\":{";
     out += "\"compile_ns\":" + std::to_string(compile_ns);

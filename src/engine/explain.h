@@ -8,6 +8,7 @@
 #include "src/eval/bytecode.h"
 #include "src/eval/evaluator.h"
 #include "src/eval/maintain.h"
+#include "src/sqo/lower.h"
 #include "src/sqo/optimizer.h"
 
 namespace sqod {
@@ -75,6 +76,12 @@ struct ExplainReport {
   int64_t store_size = 0;
   int64_t optimize_ns = 0;  // sum of pass wall times
 
+  // --- lowering side (when the served program's LoweredProgram was
+  // provided): which adorned copies merged, which comparisons dropped, and
+  // why the rest stayed adorned ---
+  bool has_lowering = false;
+  LoweredProgram lowering;
+
   // --- compiled-plan side (when a CompiledProgram was provided) ---
   bool compiled = false;
   int64_t compile_ns = 0;  // plan-lowering wall time
@@ -110,14 +117,17 @@ struct ExplainReport {
 
 // Builds the plan side from an optimizer report. With `compiled` (the
 // artifact cached in PreparedProgram), the report also carries per-plan
-// kernel selections and bytecode op counts.
+// kernel selections and bytecode op counts; with `lowered`, the lowering's
+// decisions.
 ExplainReport BuildExplainReport(const SqoReport& report,
-                                 const CompiledProgram* compiled = nullptr);
+                                 const CompiledProgram* compiled = nullptr,
+                                 const LoweredProgram* lowered = nullptr);
 
 // Joins execution results into `report`: per-rule profiles are matched to
-// the rewritten program's rules by rule index. `answers` is the query
-// relation's cardinality; `execute_ns` the end-to-end evaluation time.
-void AttachRuntime(const SqoReport& sqo, const EvalStats& stats,
+// the rules of `executed` (the program that ran, PreparedProgram::program()
+// for a prepared query) by rule index. `answers` is the query relation's
+// cardinality; `execute_ns` the end-to-end evaluation time.
+void AttachRuntime(const Program& executed, const EvalStats& stats,
                    const std::vector<RuleProfile>& profiles, int64_t answers,
                    int64_t execute_ns, ExplainReport* report);
 

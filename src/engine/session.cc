@@ -151,17 +151,21 @@ Result<const PreparedProgram*> Session::Prepare(const SqoOptions& options,
   PassManager manager(run_options);
   Result<SqoReport> report = manager.Run(unit_.program, unit_.constraints);
 
-  // Lower the rewritten program to bytecode while no lock is held; the
-  // artifact rides in the cache entry so warm executions never re-lower.
-  // Compilation failure (unstratifiable program) is not a Prepare error:
-  // the evaluator reports it with full context at Execute time.
+  // Lower P' to the served program and compile that to bytecode while no
+  // lock is held; both ride in the cache entry so warm executions never
+  // redo them. Compilation failure (unstratifiable program) is not a
+  // Prepare error: the evaluator reports it with full context at Execute
+  // time.
+  LoweredProgram lowered;
   std::shared_ptr<const CompiledProgram> compiled;
   if (report.ok()) {
-    Result<CompiledProgram> lowered =
-        CompileProgram(report.value().rewritten);
-    if (lowered.ok()) {
+    lowered = LowerProgram(unit_.program, report.value().rewritten,
+                           report.value().ics);
+    metrics.GetGauge("sqo/phase/lower_ns")->Set(lowered.lower_ns);
+    Result<CompiledProgram> bytecode = CompileProgram(lowered.program);
+    if (bytecode.ok()) {
       auto owned =
-          std::make_shared<CompiledProgram>(std::move(lowered).value());
+          std::make_shared<CompiledProgram>(std::move(bytecode).value());
       metrics.GetGauge("sqo/phase/plan_compile_ns")->Set(owned->compile_ns);
       metrics.GetCounter("eval/compile_ns")->Add(owned->compile_ns);
       compiled = std::move(owned);
@@ -184,6 +188,7 @@ Result<const PreparedProgram*> Session::Prepare(const SqoOptions& options,
   prepared->options.metrics = nullptr;
   prepared->options.adorn.tracer = nullptr;
   prepared->report = std::move(report).value();
+  prepared->lowered = std::move(lowered);
   prepared->compiled = std::move(compiled);
   const PreparedProgram* result = prepared.get();
   entry->prepared = std::move(prepared);

@@ -13,6 +13,7 @@
 #include "src/eval/bytecode.h"
 #include "src/eval/evaluator.h"
 #include "src/parser/parser.h"
+#include "src/sqo/lower.h"
 #include "src/sqo/optimizer.h"
 
 namespace sqod {
@@ -31,17 +32,22 @@ struct PreparedProgram {
   // The options the program was prepared under (observability pointers
   // cleared — they are per-run, not part of the plan).
   SqoOptions options;
-  // The full optimizer report, including the rewritten program.
+  // The full optimizer report, including the paper's rewriting P'.
   SqoReport report;
-  // The rewritten program lowered to register bytecode with per-rule
+  // P' lowered for serving (src/sqo/lower.h): the program every Execute
+  // and Materialize evaluates, plus the lowering's decisions for EXPLAIN.
+  LoweredProgram lowered;
+  // The served program compiled to register bytecode with per-rule
   // kernels, built once at Prepare and reused by every Execute (the service
   // warm path never re-lowers). Null when the program does not stratify —
   // Execute then lets the evaluator surface the error. Shared and
   // immutable, so concurrent Executes read it without synchronization.
   std::shared_ptr<const CompiledProgram> compiled;
 
-  // The drop-in replacement program P' to execute.
-  const Program& program() const { return report.rewritten; }
+  // The program to execute: P' lowered. Its answers contain those of P' on
+  // every database and equal those of P on databases satisfying the ICs
+  // (src/sqo/lower.h).
+  const Program& program() const { return lowered.program; }
 };
 
 // One loaded datalog unit (program + ICs + optional facts) with a cache of

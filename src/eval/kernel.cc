@@ -16,13 +16,6 @@ bool LoadOnly(const CompiledRule& rule, uint32_t begin, uint32_t end) {
   return true;
 }
 
-bool HasFilters(const CompiledRule& rule) {
-  for (const Instr& in : rule.code) {
-    if (in.op == OpCode::kFilterCmp) return true;
-  }
-  return false;
-}
-
 }  // namespace
 
 KernelId SelectKernel(const CompiledRule& rule) {
@@ -32,7 +25,10 @@ KernelId SelectKernel(const CompiledRule& rule) {
       rule.levels[0].open_ip == 0) {
     return KernelId::kScanFilterEmit;
   }
-  if (rule.levels.size() == 2 && rule.negs.empty() && !HasFilters(rule)) {
+  // Without negations, the ops between the levels and before the emit are
+  // comparison filters, which the kernel runs after each level's loads.
+  if (rule.levels.size() == 2 && rule.negs.empty() &&
+      rule.levels[0].open_ip == 0) {
     const LevelInfo& outer = rule.levels[0];
     const LevelInfo& inner = rule.levels[1];
     if (outer.mask == 0 && inner.mask != 0 && inner.key_len >= 1 &&
@@ -63,6 +59,22 @@ inline bool EmitHead(const CompiledRule& rule, const Value* consts,
   return (*sink)(head, n);
 }
 
+// Runs the comparison filters [begin, end): true when every one holds.
+// Counts each filter evaluated, like the generic loop.
+inline bool PassFilters(const Instr* begin, const Instr* end,
+                        const Value* consts, const Value* regs,
+                        int64_t* cmps) {
+  for (const Instr* in = begin; in < end; ++in) {
+    ++*cmps;
+    if (!EvalCmp(IsConstSrc(in->b) ? consts[ConstIdx(in->b)] : regs[in->b],
+                 static_cast<CmpOp>(in->a),
+                 IsConstSrc(in->c) ? consts[ConstIdx(in->c)] : regs[in->c])) {
+      return false;
+    }
+  }
+  return true;
+}
+
 // scan_filter_emit: one level, optional comparison filters, emit. Row
 // sourcing (probe vs scan) is decided once, outside the loop.
 void RunScanFilterEmit(const CompiledRule& rule, VmContext* ctx,
@@ -84,8 +96,8 @@ void RunScanFilterEmit(const CompiledRule& rule, VmContext* ctx,
   const uint32_t actions_end = probe ? lvl.scan_ip - 1 /* kJump */
                                      : lvl.post_ip;
   // Post range: comparison filters between the level and the final emit.
-  const uint32_t post_begin = lvl.post_ip;
-  const uint32_t post_end = static_cast<uint32_t>(rule.code.size()) - 1;
+  const Instr* post_begin = code + lvl.post_ip;
+  const Instr* post_end = code + rule.code.size() - 1;
 
   auto try_row = [&](const Value* row) -> bool {  // false = stop
     ++probes;
@@ -106,16 +118,7 @@ void RunScanFilterEmit(const CompiledRule& rule, VmContext* ctx,
           continue;
       }
     }
-    for (uint32_t ip = post_begin; ip < post_end; ++ip) {
-      const Instr& in = code[ip];
-      ++ops;
-      ++cmps;
-      if (!EvalCmp(IsConstSrc(in.b) ? consts[ConstIdx(in.b)] : regs[in.b],
-                   static_cast<CmpOp>(in.a),
-                   IsConstSrc(in.c) ? consts[ConstIdx(in.c)] : regs[in.c])) {
-        return true;
-      }
-    }
+    if (!PassFilters(post_begin, post_end, consts, regs, &cmps)) return true;
     ++ops;
     return EmitHead(rule, consts, regs, sink, &firings);
   };
@@ -144,12 +147,14 @@ void RunScanFilterEmit(const CompiledRule& rule, VmContext* ctx,
   prof->probes += probes;
   prof->cmp_checks += cmps;
   prof->firings += firings;
-  prof->ops += ops + 1;  // + the level opener
+  prof->ops += ops + cmps + 1;  // + the filters and the level opener
 }
 
 // scan_probe_emit: scan the outer level, probe the inner on a KLen-wide
 // fully-bound key, emit per match. Both levels are load-only, so the inner
-// loop is branch-minimal: load, probe, chain-walk, load, emit.
+// loop is branch-minimal: load, filter, probe, chain-walk, load, filter,
+// emit. A level's comparison filters (usually none) run right after its
+// loads, where the plan placed them.
 template <int KLen>
 void RunScanProbeEmit(const CompiledRule& rule, VmContext* ctx,
                       HeadSink* sink) {
@@ -166,9 +171,9 @@ void RunScanProbeEmit(const CompiledRule& rule, VmContext* ctx,
   const ArgSrc* args_pool = rule.args_pool.data();
   Value* regs = ctx->regs.data();
 
-  int64_t probes = 0, ops = 0, firings = 0;
+  int64_t probes = 0, cmps = 0, ops = 0, firings = 0;
 
-  // Pre-resolved action/key descriptors, hoisted out of both loops.
+  // Pre-resolved action/key/filter descriptors, hoisted out of both loops.
   const Instr* outer_loads = code + outer.scan_ip;
   const int outer_nloads = static_cast<int>(outer.post_ip - outer.scan_ip);
   const Instr* inner_loads = code + inner.probe_ip;
@@ -177,6 +182,10 @@ void RunScanProbeEmit(const CompiledRule& rule, VmContext* ctx,
   const ArgSrc* key_srcs = args_pool + inner.key_off;
   const uint64_t inner_mask = inner.mask;
   const bool inner_live = !inner_rows.empty();
+  const Instr* outer_filters = code + outer.post_ip;
+  const Instr* outer_filters_end = code + inner.open_ip;
+  const Instr* inner_filters = code + inner.post_ip;
+  const Instr* inner_filters_end = code + rule.code.size() - 1;
 
   Value key[KLen];
   for (int64_t r = outer_rows.lo, end = outer_rows.hi; r < end; ++r) {
@@ -187,6 +196,9 @@ void RunScanProbeEmit(const CompiledRule& rule, VmContext* ctx,
       regs[outer_loads[i].b] = row[outer_loads[i].a];
     }
     ops += outer_nloads + 1;
+    if (!PassFilters(outer_filters, outer_filters_end, consts, regs, &cmps)) {
+      continue;
+    }
     if (!inner_live) continue;  // inner level can never match
     for (int k = 0; k < KLen; ++k) {
       ArgSrc s = key_srcs[k];
@@ -202,6 +214,10 @@ void RunScanProbeEmit(const CompiledRule& rule, VmContext* ctx,
         regs[inner_loads[i].b] = irow[inner_loads[i].a];
       }
       ops += inner_nloads + 2;
+      if (!PassFilters(inner_filters, inner_filters_end, consts, regs,
+                       &cmps)) {
+        continue;
+      }
       if (!EmitHead(rule, consts, regs, sink, &firings)) {
         r = end;  // the sink stopped the activation
         break;
@@ -211,8 +227,9 @@ void RunScanProbeEmit(const CompiledRule& rule, VmContext* ctx,
 
   RuleProfile* prof = ctx->profile;
   prof->probes += probes;
+  prof->cmp_checks += cmps;
   prof->firings += firings;
-  prof->ops += ops + 2;  // + the two level openers
+  prof->ops += ops + cmps + 2;  // + the filters and the two level openers
 }
 
 }  // namespace

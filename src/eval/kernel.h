@@ -19,14 +19,16 @@ namespace sqod {
 //                       EDB projections/selections and iteration-0 seeding
 //                       rules.
 //   scan_probe_emit   — a binary join probing a fully-bound key: exactly two
-//                       levels, no negations or comparisons, inner level
-//                       with a non-empty probe mask and 1..4 key columns,
-//                       load-only column actions on both levels (no in-atom
-//                       repeated variables or constants-on-scan checks). The
-//                       inner loop is a flat probe-and-emit specialized on
-//                       the key width — the transitive-closure shape that
-//                       dominates E2/E4. Requires runtime indexes; falls
-//                       back to generic when they are off.
+//                       levels, no negations, inner level with a non-empty
+//                       probe mask and 1..4 key columns, load-only column
+//                       actions on both levels (no in-atom repeated
+//                       variables or constants-on-scan checks). The inner
+//                       loop is a flat probe-and-emit specialized on the key
+//                       width — the transitive-closure shape that dominates
+//                       E2/E4. Comparison filters run after the loads of
+//                       the level that binds them (residues such as E2's
+//                       `0 <= X`). Requires runtime indexes; falls back to
+//                       generic when they are off.
 //   generic           — everything else: the bytecode dispatch loop.
 //
 // All kernels preserve the generic loop's counter semantics exactly

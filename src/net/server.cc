@@ -71,6 +71,9 @@ Status Server::Start() {
       tenant->config = config;
       by_token_[config.token] = tenant.get();
       tenants_.push_back(std::move(tenant));
+      // Registered up front, so the export lists 0 for a tenant that never
+      // tripped its quota rather than omitting the counter.
+      metrics().GetCounter(QuotaMetric(config.name));
     }
   }
 

@@ -91,9 +91,10 @@ ExplainReport ExplainQuery(const PreparedProgram& prepared,
                            const std::vector<RuleProfile>* profiles,
                            const MaterializedView* view) {
   ExplainReport explain =
-      BuildExplainReport(prepared.report, prepared.compiled.get());
+      BuildExplainReport(prepared.report, prepared.compiled.get(),
+                         &prepared.lowered);
   if (profiles != nullptr) {
-    AttachRuntime(prepared.report, response.stats, *profiles,
+    AttachRuntime(prepared.program(), response.stats, *profiles,
                   static_cast<int64_t>(response.answers.size()),
                   response.execute_ns, &explain);
   }

@@ -305,12 +305,12 @@ TEST(ExplainTest, AttachRuntimeJoinsProfilesToRewrittenRules) {
       session.Execute(*prepared, edb, eval, &stats, &profiles).take();
 
   ExplainReport explain = BuildExplainReport(prepared->report);
-  AttachRuntime(prepared->report, stats, profiles,
+  AttachRuntime(prepared->program(), stats, profiles,
                 static_cast<int64_t>(answers.size()), 12345, &explain);
   EXPECT_TRUE(explain.analyzed);
   EXPECT_EQ(explain.answers, static_cast<int64_t>(answers.size()));
   EXPECT_EQ(explain.execute_ns, 12345);
-  ASSERT_EQ(explain.rules.size(), prepared->report.rewritten.rules().size());
+  ASSERT_EQ(explain.rules.size(), prepared->program().rules().size());
   int64_t firings = 0;
   for (const ExplainRuleRow& row : explain.rules) {
     EXPECT_TRUE(row.executed);
@@ -347,7 +347,7 @@ TEST(ExplainTest, JsonRendersAndParses) {
   eval.profile_rules = true;
   std::vector<Tuple> answers =
       session.Execute(*prepared, edb, eval, &stats, &profiles).take();
-  AttachRuntime(prepared->report, stats, profiles,
+  AttachRuntime(prepared->program(), stats, profiles,
                 static_cast<int64_t>(answers.size()), 1, &explain);
   parsed = ParseJson(explain.ToJson());
   ASSERT_TRUE(parsed.ok()) << parsed.status().message();

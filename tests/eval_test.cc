@@ -12,6 +12,8 @@
 #include "src/eval/evaluator.h"
 #include "src/eval/kernel.h"
 #include "src/parser/parser.h"
+#include "src/sqo/lower.h"
+#include "src/sqo/optimizer.h"
 #include "src/workload/graphs.h"
 #include "src/workload/programs.h"
 
@@ -541,6 +543,34 @@ TEST(EvalTest, KernelsMatchTheGenericLoop) {
     Database edb = MakeColoredEdges(3, 40, 120, cc.ics, &rng);
     cases.push_back({"colored_closure", cc.program, std::move(edb)});
   }
+  // Comparison filters on both levels of a binary join: scan_probe_emit
+  // runs each level's filters after its loads.
+  {
+    ParsedUnit unit =
+        ParseUnit("p(X, Y) :- e(X, Y), X < Y.\n"
+                  "p(X, Z) :- e(X, Y), p(Y, Z), 3 <= X, Y != Z, X < 40.\n"
+                  "?- p.\n")
+            .take();
+    Rng rng(20261018);
+    cases.push_back({"filters", unit.program,
+                     MakeRandomGraph(50, 200, &rng, "e")});
+  }
+  // The served goodPath program: the threshold residue 0 <= Q#0 stays on
+  // the recursive rule, which still runs on scan_probe_emit.
+  {
+    Program p = MakeGoodPathProgram();
+    SqoReport report = OptimizeProgram(p, MakeMonotoneIcs(20)).take();
+    Rng rng(20260808);
+    GoodPathConfig config;
+    config.nodes = 60;
+    config.edges = 200;
+    config.num_start = 6;
+    config.num_end = 6;
+    config.threshold = 20;
+    cases.push_back({"goodpath_served",
+                     LowerProgram(p, report.rewritten, report.ics).program,
+                     MakeGoodPathWorkload(config, &rng)});
+  }
 
   for (const Case& c : cases) {
     CompiledProgram compiled = CompileProgram(c.program).take();
@@ -552,7 +582,7 @@ TEST(EvalTest, KernelsMatchTheGenericLoop) {
       for (int64_t r = 0; r < n; ++r) half.Insert(pred, rel.row(r));
       frontier[pred] = RowWindow{n / 2, n};
     }
-    int kernel_plans = 0;
+    int kernel_plans = 0, filtered_probe_plans = 0;
     int64_t total_probes = 0, total_derived = 0;
     for (const CompiledProgram::Stratum& st : compiled.strata) {
       std::vector<const CompiledRule*> plans;
@@ -561,6 +591,13 @@ TEST(EvalTest, KernelsMatchTheGenericLoop) {
       for (const CompiledRule* cr : plans) {
         if (cr->kernel == KernelId::kGeneric) continue;
         ++kernel_plans;
+        if (cr->kernel == KernelId::kScanProbeEmit &&
+            std::any_of(cr->code.begin(), cr->code.end(),
+                        [](const Instr& in) {
+                          return in.op == OpCode::kFilterCmp;
+                        })) {
+          ++filtered_probe_plans;
+        }
         for (bool use_indexes : {true, false}) {
           // run(true) through RunCompiled, run(false) through RunBytecode.
           auto run = [&](bool kernels, RuleProfile* profile) {
@@ -605,6 +642,10 @@ TEST(EvalTest, KernelsMatchTheGenericLoop) {
       }
     }
     EXPECT_GT(kernel_plans, 0) << c.name;
+    if (std::string(c.name) == "filters" ||
+        std::string(c.name) == "goodpath_served") {
+      EXPECT_GT(filtered_probe_plans, 0) << c.name;
+    }
     EXPECT_GT(total_probes, 0) << c.name;
     EXPECT_GT(total_derived, 0) << c.name;
   }

@@ -16,6 +16,7 @@
 #include "src/eval/plan.h"
 #include "src/obs/json.h"
 #include "src/parser/parser.h"
+#include "src/workload/programs.h"
 
 namespace sqod {
 namespace {
@@ -121,7 +122,7 @@ TEST(ExplainGoldenTest, JsonCarriesKernelsAndExecutedOps) {
   std::vector<RuleProfile> profiles;
   std::vector<Tuple> answers =
       session.Execute(*prepared, edb, eval, &stats, &profiles).take();
-  AttachRuntime(prepared->report, stats, profiles,
+  AttachRuntime(prepared->program(), stats, profiles,
                 static_cast<int64_t>(answers.size()), 1, &explain);
   // Compiled mode executed, so the per-rule op counters joined in.
   EXPECT_GT(explain.ops_executed, 0);
@@ -146,6 +147,57 @@ TEST(ExplainGoldenTest, JsonCarriesKernelsAndExecutedOps) {
   const JsonValue* runtime = parsed.value().Find("runtime");
   ASSERT_NE(runtime, nullptr);
   EXPECT_NE(runtime->Find("ops_executed"), nullptr);
+}
+
+// EXPLAIN's "== lowering ==" section names every decision, and the
+// kernel table shows the served goodPath program's recursive rule on
+// scan_probe_emit with its threshold residue running inside the kernel.
+TEST(ExplainGoldenTest, LoweringSectionAndFilteredProbeKernel) {
+  Engine engine;
+  Session session =
+      engine.Open(MakeGoodPathProgram(), MakeMonotoneIcs(0)).take();
+  const PreparedProgram* prepared = session.Prepare().value();
+  ExplainReport explain = BuildExplainReport(
+      prepared->report, prepared->compiled.get(), &prepared->lowered);
+  const std::string text = explain.ToText();
+  EXPECT_NE(text.find("== lowering =="), std::string::npos) << text;
+  EXPECT_NE(text.find("merged:            goodPath <- 1 copy (renamed)"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("dropped:           Q#0 < Z#0 from "),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("kept adorned:      path@1"), std::string::npos)
+      << text;
+
+  // The recursive rule: the one whose body reads its own head predicate.
+  const std::vector<Rule>& rules = prepared->program().rules();
+  int recursive = -1;
+  for (size_t i = 0; i < rules.size(); ++i) {
+    for (const Literal& l : rules[i].body) {
+      if (l.atom.pred() == rules[i].head.pred()) {
+        recursive = static_cast<int>(i);
+      }
+    }
+  }
+  ASSERT_GE(recursive, 0);
+  ASSERT_FALSE(rules[recursive].comparisons.empty());
+  int plans = 0;
+  for (const ExplainKernelRow& row : explain.kernels) {
+    if (row.rule_index != recursive) continue;
+    ++plans;
+    EXPECT_EQ(row.kernel, "scan_probe_emit") << row.delta_subgoal;
+  }
+  EXPECT_EQ(plans, 2);  // the full plan and the delta plan
+
+  Result<JsonValue> json = ParseJson(explain.ToJson());
+  ASSERT_TRUE(json.ok()) << json.status().message();
+  const JsonValue* lowering = json.value().Find("lowering");
+  ASSERT_NE(lowering, nullptr);
+  ASSERT_NE(lowering->Find("merged"), nullptr);
+  EXPECT_EQ(lowering->Find("merged")->array.size(), 1u);
+  ASSERT_NE(lowering->Find("kept"), nullptr);
+  EXPECT_EQ(lowering->Find("kept")->array.size(), 1u);
 }
 
 // The disassembler is EXPLAIN's drill-down: every compiled plan prints its

@@ -1,0 +1,277 @@
+// The lowering step between the optimizer's P′ and bytecode
+// (src/sqo/lower.h): the shapes it serves for the paper's examples, its
+// decisions as EXPLAIN reports them, and (ServedCostTest) the contract
+// that motivates it — the served program never derives more tuples or
+// fires more rules than the original program P.
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <string>
+#include <vector>
+
+#include "src/engine/engine.h"
+#include "src/parser/parser.h"
+#include "src/sqo/lower.h"
+#include "src/sqo/optimizer.h"
+#include "src/workload/graphs.h"
+#include "src/workload/programs.h"
+
+namespace sqod {
+namespace {
+
+bool HasAdornedPredicate(const Program& program) {
+  for (const Rule& rule : program.rules()) {
+    if (PredName(rule.head.pred()).find('@') != std::string::npos) {
+      return true;
+    }
+    for (const Literal& l : rule.body) {
+      if (PredName(l.atom.pred()).find('@') != std::string::npos) {
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
+LoweredProgram Lower(const Program& program,
+                     const std::vector<Constraint>& ics) {
+  SqoReport report = OptimizeProgram(program, ics).take();
+  return LowerProgram(program, report.rewritten, report.ics);
+}
+
+const LoweredProgram::Merge* FindMerge(const LoweredProgram& lowered,
+                                       const std::string& pred) {
+  for (const LoweredProgram::Merge& m : lowered.merged) {
+    if (m.pred == pred) return &m;
+  }
+  return nullptr;
+}
+
+TEST(LowerTest, Figure1LowersToTheOriginalFourRules) {
+  Program p = MakeAbClosureProgram();
+  SqoReport report = OptimizeProgram(p, {MakeAbIc()}).take();
+  LoweredProgram lowered = LowerProgram(p, report.rewritten, report.ics);
+  // P′ is the paper's: three adorned copies plus three copy rules.
+  EXPECT_EQ(report.rewritten.rules().size(), 9u);
+  EXPECT_EQ(lowered.rules_before, 9);
+  EXPECT_EQ(lowered.program.rules().size(), 4u) << lowered.program.ToString();
+  EXPECT_FALSE(HasAdornedPredicate(lowered.program));
+  const LoweredProgram::Merge* merge = FindMerge(lowered, "p");
+  ASSERT_NE(merge, nullptr);
+  EXPECT_EQ(merge->copies, 3);
+  EXPECT_FALSE(merge->rename);
+  EXPECT_TRUE(lowered.dropped.empty());
+  EXPECT_TRUE(lowered.kept.empty());
+  EXPECT_EQ(lowered.program.query(), p.query());
+}
+
+TEST(LowerTest, ColoredClosureLowersToTheOriginalSixRules) {
+  Rng rng(20261016u);
+  ColoredClosure cc = MakeColoredClosure(3, 1, &rng);
+  LoweredProgram lowered = Lower(cc.program, cc.ics);
+  EXPECT_GT(lowered.rules_before, 6);
+  EXPECT_EQ(lowered.program.rules().size(), 6u) << lowered.program.ToString();
+  EXPECT_FALSE(HasAdornedPredicate(lowered.program));
+  ASSERT_NE(FindMerge(lowered, "p"), nullptr);
+}
+
+// Section 3's program: the query copy is renamed, the residue of
+// :- step(X, Y), X >= Y is dropped (step's own atom implies it), and the
+// threshold residue keeps path adorned.
+TEST(LowerTest, GoodPathRenamesDropsAndKeepsTheThresholdResidue) {
+  LoweredProgram lowered = Lower(MakeGoodPathProgram(), MakeMonotoneIcs(0));
+  const LoweredProgram::Merge* merge = FindMerge(lowered, "goodPath");
+  ASSERT_NE(merge, nullptr);
+  EXPECT_TRUE(merge->rename);
+  EXPECT_EQ(merge->copies, 1);
+
+  bool dropped_recursive = false;
+  for (const LoweredProgram::Drop& d : lowered.dropped) {
+    EXPECT_EQ(d.ic_index, 1) << d.ic;
+    dropped_recursive |= d.comparison == "Q#0 < Z#0";
+  }
+  EXPECT_TRUE(dropped_recursive) << lowered.ToText();
+
+  ASSERT_EQ(lowered.kept.size(), 1u) << lowered.ToText();
+  EXPECT_EQ(lowered.kept[0].pred, "path");
+  ASSERT_EQ(lowered.kept[0].copies.size(), 1u);
+  EXPECT_EQ(lowered.kept[0].copies[0].rfind("path@1", 0), 0u);
+  EXPECT_NE(lowered.kept[0].reason.find("0 <= Q#0"), std::string::npos);
+
+  // Served: goodPath's one rule (no copy rule) and path's two, each still
+  // carrying 0 <= Q#0 and nothing else.
+  const Program& served = lowered.program;
+  ASSERT_EQ(served.rules().size(), 3u) << served.ToString();
+  int threshold_residues = 0;
+  for (const Rule& rule : served.rules()) {
+    if (PredName(rule.head.pred()) == "goodPath") {
+      EXPECT_EQ(rule.body.size(), 3u);
+      continue;
+    }
+    ASSERT_EQ(rule.comparisons.size(), 1u) << rule.ToString();
+    threshold_residues += rule.comparisons[0].ToString() == "0 <= Q#0";
+  }
+  EXPECT_EQ(threshold_residues, 2);
+}
+
+// A mutually recursive SCC whose copies carry a residue the rules' own
+// atoms do not imply stays adorned, with the residue as the reason.
+TEST(LowerTest, ResidueBearingSccStaysAdorned) {
+  ParsedUnit unit = ParseUnit(R"(
+    even(X, Y) :- e(X, Y).
+    odd(X, Y) :- e(X, Z), even(Z, Y).
+    even(X, Y) :- e(X, Z), odd(Z, Y).
+    res(X, Y) :- s(X), odd(X, Y).
+    :- s(X), e(X, Y), X < 10.
+    ?- res.
+  )").take();
+  LoweredProgram lowered = Lower(unit.program, unit.constraints);
+  std::vector<std::string> kept;
+  for (const LoweredProgram::Keep& k : lowered.kept) {
+    kept.push_back(k.pred);
+    EXPECT_EQ(k.reason.rfind("residue ", 0), 0u) << k.reason;
+  }
+  EXPECT_NE(std::find(kept.begin(), kept.end(), "odd"), kept.end())
+      << lowered.ToText();
+  EXPECT_NE(std::find(kept.begin(), kept.end(), "even"), kept.end())
+      << lowered.ToText();
+  EXPECT_TRUE(HasAdornedPredicate(lowered.program));
+}
+
+// Deduplication compares whole rules: two rules of one kept copy that
+// differ only in their comparisons both survive.
+TEST(LowerTest, DeduplicationKeepsRulesThatDifferInComparisons) {
+  ParsedUnit unit = ParseUnit(R"(
+    p(X, Y) :- e(X, Y), X < 5.
+    p(X, Y) :- e(X, Y), 7 < X.
+    p(X, Y) :- f(X, Z), p(Z, Y).
+    :- f(X, Y), e(Y, Z), Y < 3.
+    ?- p.
+  )").take();
+  SqoReport report = OptimizeProgram(unit.program, unit.constraints).take();
+  LoweredProgram lowered =
+      LowerProgram(unit.program, report.rewritten, report.ics);
+  EXPECT_TRUE(lowered.merged.empty()) << lowered.ToText();
+  EXPECT_EQ(lowered.program.ToString(), report.rewritten.ToString());
+}
+
+// An original predicate is never mistaken for an adorned copy, whatever
+// its name.
+TEST(LowerTest, OriginalPredicateNamedLikeACopyIsNotMerged) {
+  ParsedUnit unit = ParseUnit(R"(
+    p(X, Y) :- e(X, Y).
+    p@0(X, Y) :- e(X, Y), f(Y).
+    q(X, Y) :- p@0(X, Y).
+    ?- q.
+  )").take();
+  SqoOptions no_adorn;
+  no_adorn.disabled_passes = {"adorn"};
+  SqoReport report =
+      OptimizeProgram(unit.program, unit.constraints, no_adorn).take();
+  LoweredProgram lowered =
+      LowerProgram(unit.program, report.rewritten, report.ics);
+  EXPECT_TRUE(lowered.merged.empty());
+  EXPECT_EQ(lowered.program.ToString(), report.rewritten.ToString());
+}
+
+TEST(LowerTest, PreparedProgramServesTheLoweredProgram) {
+  Engine engine;
+  Session session =
+      engine.Open(MakeAbClosureProgram(), {MakeAbIc()}).take();
+  const PreparedProgram* prepared = session.Prepare().value();
+  EXPECT_EQ(&prepared->program(), &prepared->lowered.program);
+  EXPECT_EQ(prepared->program().rules().size(), 4u);
+  // The paper's P′ is still the report's rewriting.
+  EXPECT_EQ(prepared->report.rewritten.rules().size(), 9u);
+  ASSERT_NE(prepared->compiled, nullptr);
+  EXPECT_EQ(prepared->compiled->num_rules, 4);
+}
+
+// ---------------------------------------------------------------------------
+// Deterministic counters: the served program's tuples_derived and
+// rule_firings never exceed P's, and its answers equal P's, on the
+// consistent databases of the E1/E2/E3/E9 benches and ColoredClosure.
+
+void ExpectServedNoCostlier(const std::string& label, const Program& program,
+                            const std::vector<Constraint>& ics,
+                            const Database& edb) {
+  Engine engine;
+  Session session = engine.Open(program, ics).take();
+  const PreparedProgram* prepared = session.Prepare().value();
+  EvalStats original, served;
+  std::vector<Tuple> want =
+      session.ExecuteOriginal(edb, {}, &original).take();
+  std::vector<Tuple> got =
+      session.Execute(*prepared, edb, {}, &served).take();
+  EXPECT_EQ(got, want) << label;
+  EXPECT_LE(served.tuples_derived, original.tuples_derived) << label;
+  EXPECT_LE(served.rule_firings, original.rule_firings) << label;
+}
+
+Database GoodPathDb(int nodes, int threshold, uint64_t seed) {
+  Rng rng(seed);
+  GoodPathConfig config;
+  config.nodes = nodes;
+  config.edges = nodes * 3;
+  config.num_start = 25;
+  config.num_end = 25;
+  config.threshold = threshold;
+  return MakeGoodPathWorkload(config, &rng);
+}
+
+TEST(ServedCostTest, E1StartBeforeEnd) {
+  Rng rng(42);
+  Database edb = MakeStartBeforeEndWorkload(250, 750, 31, 31, &rng);
+  ExpectServedNoCostlier("E1", MakeGoodPathProgram(),
+                         {MakeStartBeforeEndIc()}, edb);
+}
+
+TEST(ServedCostTest, E2SkippableFractions) {
+  for (int pct : {0, 30, 60, 90}) {
+    const int threshold = 400 * pct / 100;
+    ExpectServedNoCostlier("E2 " + std::to_string(pct) + "%",
+                           MakeGoodPathProgram(), MakeMonotoneIcs(threshold),
+                           GoodPathDb(400, threshold, 11));
+  }
+}
+
+// E3's database: random colored edges consistent with the IC, e0 read as
+// a and e1 as b.
+Database AbDb(int nodes, int edges, uint64_t seed) {
+  Rng rng(seed);
+  Constraint e_ic = ParseConstraint(":- e0(X, Y), e1(Y, Z).").take();
+  Database colored = MakeColoredEdges(2, nodes, edges, {e_ic}, &rng);
+  Database ab;
+  for (const auto& [pred, rel] : colored.relations()) {
+    PredId target = PredName(pred) == "e0" ? InternPred("a") : InternPred("b");
+    for (TupleRef t : rel.rows()) ab.Insert(target, t);
+  }
+  return ab;
+}
+
+TEST(ServedCostTest, E3Figure1) {
+  for (int nodes : {64, 128}) {
+    ExpectServedNoCostlier("E3 " + std::to_string(nodes),
+                           MakeAbClosureProgram(), {MakeAbIc()},
+                           AbDb(nodes, nodes * 2, 13));
+  }
+}
+
+TEST(ServedCostTest, E9Ablation) {
+  ExpectServedNoCostlier("E9", MakeGoodPathProgram(), MakeMonotoneIcs(300),
+                         GoodPathDb(600, 300, 3));
+}
+
+TEST(ServedCostTest, ColoredClosureTwoToFourColours) {
+  for (int colors = 2; colors <= 4; ++colors) {
+    Rng rng(20261016u + colors);
+    ColoredClosure cc = MakeColoredClosure(colors, 1, &rng);
+    Database edb = MakeColoredEdges(colors, 60, 180, cc.ics, &rng);
+    ExpectServedNoCostlier("colored" + std::to_string(colors), cc.program,
+                           cc.ics, edb);
+  }
+}
+
+}  // namespace
+}  // namespace sqod

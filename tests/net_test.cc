@@ -566,6 +566,32 @@ TEST(NetTest, TenantQuotaRejectsExcessInflightRequests) {
 
 // ------------------------------------------------------------- pipelining
 
+// Every configured tenant's quota counter is exported from the start, so
+// "never rejected" reads 0 rather than a missing counter.
+TEST(NetTest, FreshTenantExportsZeroQuotaRejections) {
+  ServerOptions options;
+  TenantConfig acme;
+  acme.name = "acme";
+  acme.token = "acme-token";
+  acme.max_inflight = 4;
+  TenantConfig beta;
+  beta.name = "beta";
+  beta.token = "beta-token";
+  options.tenants = {acme, beta};
+  Server server(options);
+  ASSERT_TRUE(server.Start().ok());
+  Result<Client> connected = ConnectAs(server, "beta-token");
+  ASSERT_TRUE(connected.ok());
+  Result<JsonValue> metrics = connected.value().Metrics();
+  ASSERT_TRUE(metrics.ok());
+  EXPECT_EQ(CounterFromExport(metrics.value(), "tenant/acme/quota_rejected"),
+            0);
+  EXPECT_EQ(CounterFromExport(metrics.value(), "tenant/beta/quota_rejected"),
+            0);
+  EXPECT_TRUE(connected.value().Close().ok());
+  server.Stop();
+}
+
 TEST(NetTest, PipelinedRequestsAllComplete) {
   Server server(ServerOptions{});
   ASSERT_TRUE(server.Start().ok());

@@ -7,10 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+
 #include "src/cq/containment.h"
 #include "src/cq/ic_check.h"
 #include "src/eval/evaluator.h"
 #include "src/order/solver.h"
+#include "src/sqo/lower.h"
 #include "src/sqo/optimizer.h"
 #include "src/sqo/residue.h"
 #include "src/workload/programs.h"
@@ -369,6 +373,110 @@ TEST_P(ClassicSqoSweep, EquivalentOnConsistentDbs) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ClassicSqoSweep,
                          ::testing::Range<uint64_t>(300, 310));
+
+// ---------------------------------------------------------------------------
+// The served program P″ (src/sqo/lower.h): P′ ⊆ P″ ⊆ P on every database,
+// and P″ = P on databases satisfying the ICs. Families: random programs,
+// E4's colored closures and wide ICs, and Section 3's goodPath under both
+// of its IC sets (the comparison residues the lowering drops or keeps).
+
+struct LoweringFamily {
+  Program program;
+  std::vector<Constraint> ics;
+};
+
+LoweringFamily MakeLoweringFamily(int index, Rng* rng) {
+  std::uniform_int_distribution<int> pick(0, 1000);
+  const int k = pick(*rng);
+  switch (index % 5) {
+    case 0: {
+      RandomProgram rp = MakeRandomProgram(2 + k % 3, 2 + k % 3, 3 + k % 4,
+                                           1 + k % 4, rng);
+      return {rp.program, rp.ics};
+    }
+    case 1: {
+      ColoredClosure cc = MakeColoredClosure(2 + k % 3, 1 + k % 4, rng);
+      return {cc.program, cc.ics};
+    }
+    case 2: {
+      Constraint ic;
+      const int width = 2 + k % 3;
+      for (int i = 0; i < width; ++i) {
+        ic.body.push_back(Literal::Pos(
+            Atom(i % 2 == 0 ? "a" : "b",
+                 {Term::Var("V" + std::to_string(i)),
+                  Term::Var("V" + std::to_string(i + 1))})));
+      }
+      return {MakeAbClosureProgram(), {ic}};
+    }
+    case 3:
+      return {MakeGoodPathProgram(), MakeMonotoneIcs(k % 10)};
+    default:
+      return {MakeGoodPathProgram(), {MakeStartBeforeEndIc()}};
+  }
+}
+
+// `facts` random facts over the program's EDB predicates with values in
+// [0, values). With `ics`, a fact that would violate one is left out.
+Database RandomEdb(const Program& program, int facts, int values,
+                   const std::vector<Constraint>* ics, Rng* rng) {
+  const std::set<PredId> edb_set = program.EdbPreds();
+  const std::vector<PredId> edb(edb_set.begin(), edb_set.end());
+  std::uniform_int_distribution<int> pred_pick(
+      0, static_cast<int>(edb.size()) - 1);
+  std::uniform_int_distribution<int> value(0, values - 1);
+  Database db;
+  for (int i = 0; i < facts; ++i) {
+    const PredId pred = edb[pred_pick(*rng)];
+    std::vector<Term> args;
+    for (int a = 0; a < program.Arity(pred); ++a) {
+      args.push_back(Term::Int(value(*rng)));
+    }
+    Atom fact(pred, std::move(args));
+    if (db.InsertAtom(fact) && ics != nullptr && !SatisfiesAll(db, *ics)) {
+      db.EraseAtom(fact);
+    }
+  }
+  return db;
+}
+
+bool Includes(const std::vector<Tuple>& super, const std::vector<Tuple>& sub) {
+  return std::includes(super.begin(), super.end(), sub.begin(), sub.end());
+}
+
+class LoweringSoundness : public ::testing::TestWithParam<int> {};
+
+TEST_P(LoweringSoundness, ServedProgramLiesBetweenPPrimeAndP) {
+  Rng rng(7000 + GetParam());
+  LoweringFamily family = MakeLoweringFamily(GetParam(), &rng);
+  Result<SqoReport> report = OptimizeProgram(family.program, family.ics);
+  ASSERT_TRUE(report.ok()) << report.status().message();
+  const Program& rewritten = report.value().rewritten;
+  LoweredProgram lowered =
+      LowerProgram(family.program, rewritten, report.value().ics);
+  ASSERT_TRUE(lowered.program.Validate().ok()) << lowered.program.ToString();
+  const std::string context = "family " + std::to_string(GetParam() % 5) +
+                              "\nP:\n" + family.program.ToString() +
+                              "P''\n" + lowered.program.ToString();
+
+  for (int trial = 0; trial < 4; ++trial) {
+    Database db = RandomEdb(family.program, 24, 10, nullptr, &rng);
+    std::vector<Tuple> p = ReferenceQuery(family.program, db);
+    std::vector<Tuple> p1 = ReferenceQuery(rewritten, db);
+    std::vector<Tuple> p2 = ReferenceQuery(lowered.program, db);
+    EXPECT_TRUE(Includes(p2, p1)) << "P' not in P'' " << context;
+    EXPECT_TRUE(Includes(p, p2)) << "P'' not in P " << context;
+
+    Database consistent =
+        RandomEdb(family.program, 24, 10, &report.value().ics, &rng);
+    ASSERT_TRUE(SatisfiesAll(consistent, family.ics));
+    EXPECT_EQ(ReferenceQuery(lowered.program, consistent),
+              ReferenceQuery(family.program, consistent))
+        << context;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, LoweringSoundness, ::testing::Range(0, 40));
 
 }  // namespace
 }  // namespace sqod
