@@ -531,17 +531,24 @@ int main(int argc, char** argv) {
     eval_options.profile_rules = do_profile || do_analyze;
 
     eval_options.metrics_prefix = "eval/original";
-    auto original = session
-                        .ExecuteOriginal(edb, eval_options, &original_stats,
-                                         &original_profiles)
-                        .take();
+    Result<std::vector<Tuple>> original_result = session.ExecuteOriginal(
+        edb, eval_options, &original_stats, &original_profiles);
     eval_options.metrics_prefix = "eval/rewritten";
     const int64_t exec_start_ns = NowNs();
-    auto rewritten = session
-                         .Execute(*prepared.value(), edb, eval_options,
-                                  &rewritten_stats, &rewritten_profiles)
-                         .take();
+    Result<std::vector<Tuple>> rewritten_result =
+        session.Execute(*prepared.value(), edb, eval_options,
+                        &rewritten_stats, &rewritten_profiles);
     const int64_t execute_ns = NowNs() - exec_start_ns;
+    for (const auto* result : {&original_result, &rewritten_result}) {
+      if (!result->ok()) {
+        std::fprintf(stderr, "evaluation error [%s]: %s\n",
+                     StatusCodeName(result->status().code()),
+                     result->status().message().c_str());
+        return 2;
+      }
+    }
+    const std::vector<Tuple>& original = original_result.value();
+    const std::vector<Tuple>& rewritten = rewritten_result.value();
     AttachRuntime(prepared.value()->program(), rewritten_stats,
                   rewritten_profiles, static_cast<int64_t>(rewritten.size()),
                   execute_ns, &explain);

@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
 """Checks that docs/observability.md lists every fixed metric name.
 
-Collects each string literal of the form "service/...", "engine/..." or
-"net/..." (a complete literal: lowercase letters and underscores after the
-namespace) from src/**/*.cc and fails when one of them does not appear in
-docs/observability.md as a whole name. Names built at run time (the
-tenant/<name>/... family, the configurable eval/ prefix, per-pass and
-per-rule names) are not literals of that form and are out of scope.
+Collects each string literal of the form "service/...", "engine/...",
+"net/...", "sqo/..." or "eval/..." (a complete literal: lowercase letters,
+digits and underscores after the namespace, possibly nested as in
+"sqo/phase/lower_ns") from src/**/*.cc and fails when one of them does not
+appear in docs/observability.md as a whole name. Names built at run time
+(the tenant/<name>/... family, the configurable eval/ prefix, per-pass
+names such as "sqo/phase/" + pass + "_ns", per-rule names) are not literals
+of that form and are out of scope.
 
 Exits 0 when the catalogue is complete; otherwise prints each missing name
 with the file that emits it and exits 1. Stdlib only.
@@ -19,7 +21,8 @@ import pathlib
 import re
 import sys
 
-LITERAL = re.compile(r'"((?:service|engine|net)/[a-z_]+)"')
+LITERAL = re.compile(
+    r'"((?:service|engine|net|sqo|eval)/[a-z0-9_]+(?:/[a-z0-9_]+)*)"')
 
 
 def emitted_names(src):
@@ -32,7 +35,7 @@ def emitted_names(src):
 
 def documented(name, doc):
     # A whole name: not a prefix of a longer one, not the tail of a path.
-    pattern = r"(?<![a-z_/])" + re.escape(name) + r"(?![a-z_])"
+    pattern = r"(?<![a-z0-9_/])" + re.escape(name) + r"(?![a-z0-9_/])"
     return re.search(pattern, doc) is not None
 
 

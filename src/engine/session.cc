@@ -159,8 +159,7 @@ Result<const PreparedProgram*> Session::Prepare(const SqoOptions& options,
   LoweredProgram lowered;
   std::shared_ptr<const CompiledProgram> compiled;
   if (report.ok()) {
-    lowered = LowerProgram(unit_.program, report.value().rewritten,
-                           report.value().ics);
+    lowered = LowerProgram(report.value());
     metrics.GetGauge("sqo/phase/lower_ns")->Set(lowered.lower_ns);
     Result<CompiledProgram> bytecode = CompileProgram(lowered.program);
     if (bytecode.ok()) {
@@ -188,6 +187,7 @@ Result<const PreparedProgram*> Session::Prepare(const SqoOptions& options,
   prepared->options.metrics = nullptr;
   prepared->options.adorn.tracer = nullptr;
   prepared->report = std::move(report).value();
+  prepared->report.provenance = {};  // read by the lowering only
   prepared->lowered = std::move(lowered);
   prepared->compiled = std::move(compiled);
   const PreparedProgram* result = prepared.get();

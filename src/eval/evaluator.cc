@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "src/base/check.h"
 #include "src/eval/bytecode.h"
 #include "src/eval/kernel.h"
 #include "src/obs/export.h"
@@ -360,7 +359,9 @@ Result<std::vector<Tuple>> EvaluateQuery(const Program& program,
                                          EvalOptions options,
                                          EvalStats* stats,
                                          std::vector<RuleProfile>* profiles) {
-  SQOD_CHECK_MSG(program.query() != -1, "program has no query predicate");
+  if (program.query() == -1) {
+    return Status::InvalidArgument("program has no query predicate");
+  }
   Evaluator evaluator(program, options);
   Result<Database> idb = evaluator.Evaluate(edb);
   if (stats != nullptr) *stats = evaluator.stats();

@@ -118,6 +118,7 @@ class Evaluator {
 
 // Convenience: evaluates and returns the query predicate's tuples, sorted.
 // `stats` and `profiles` (both optional) receive the evaluator's counters.
+// A program without a query predicate is kInvalidArgument.
 Result<std::vector<Tuple>> EvaluateQuery(
     const Program& program, const Database& edb, EvalOptions options = {},
     EvalStats* stats = nullptr, std::vector<RuleProfile>* profiles = nullptr);

@@ -1,6 +1,8 @@
 #include "src/parser/lexer.h"
 
 #include <cctype>
+#include <charconv>
+#include <system_error>
 
 namespace sqod {
 
@@ -70,11 +72,11 @@ Result<std::vector<Token>> Tokenize(std::string_view source) {
       size_t j = i + 1;
       while (j < n && std::isdigit(static_cast<unsigned char>(source[j]))) ++j;
       int64_t value = 0;
-      bool negative = source[i] == '-';
-      for (size_t k = i + (negative ? 1 : 0); k < j; ++k) {
-        value = value * 10 + (source[k] - '0');
+      if (std::from_chars(source.data() + i, source.data() + j, value).ec !=
+          std::errc()) {
+        return Status::InvalidArgument("integer literal out of range at " +
+                                       Where(line, start_col));
       }
-      if (negative) value = -value;
       Token t{TokenKind::kInteger, "", value, line, start_col};
       tokens.push_back(std::move(t));
       advance(j - i);

@@ -420,6 +420,13 @@ Status QueryService::OpenAndPrepare(Job<Req, Resp>* job, Resp* response,
   if (!kDelta) span = tracer.StartSpan("request.prepare");
   *entry = GetSession(job->request.tenant, job->request.source);
   if ((*entry)->session == nullptr) return (*entry)->status;
+  // A unit without `?-` has no answers to compute or to maintain.
+  if ((*entry)->session->program().query() == -1) {
+    if (!kDelta) {
+      metrics().GetCounter("service/requests_rejected_invalid")->Increment();
+    }
+    return Status::InvalidArgument("the unit has no query (?- p.)");
+  }
   if (kDelta) span = tracer.StartSpan("delta.prepare");
 
   // Prepare is single-flight in the session: the first request for this

@@ -130,6 +130,30 @@ std::vector<Comparison> ComputeHeadSummary(
 
 }  // namespace
 
+Rule WithPreds(const Rule& rule, PredId head,
+               const std::vector<PredId>& preds) {
+  Rule out(Atom(head, rule.head.args()), rule.body, rule.comparisons);
+  for (size_t b = 0; b < preds.size(); ++b) {
+    if (preds[b] != -1) {
+      out.body[b] = Literal::Pos(Atom(preds[b], rule.body[b].atom.args()));
+    }
+  }
+  return out;
+}
+
+void AddCopyRules(PredId query, int arity, const std::vector<PredId>& copies,
+                  Program* out, std::vector<RuleOrigin>* origins) {
+  std::vector<Term> args;
+  for (int i = 0; i < arity; ++i) {
+    args.push_back(Term::Var("W" + std::to_string(i)));
+  }
+  for (PredId copy : copies) {
+    out->AddRule(Rule(Atom(query, args), {Literal::Pos(Atom(copy, args))}));
+    origins->emplace_back().copy_rule = true;
+  }
+  out->SetQuery(query);
+}
+
 Term SummaryPlaceholder(int i) {
   // Hot enough that re-interning "P$<i>" each call shows up in profiles;
   // the first few placeholders cover every realistic arity. Thread-safe via
@@ -719,38 +743,34 @@ Status AdornmentEngine::Run() {
       "; the construction is doubly exponential in the worst case");
 }
 
-Program AdornmentEngine::AdornedProgram() const {
+Program AdornmentEngine::AdornedProgram(Provenance* provenance) const {
   Program out;
+  std::vector<RuleOrigin> origins;
   for (const AdornedRule& ar : arules_) {
-    Rule r;
-    r.head = Atom(apreds_[ar.head_apred].name, ar.rule.head.args());
-    for (int b = 0; b < static_cast<int>(ar.rule.body.size()); ++b) {
-      const Literal& lit = ar.rule.body[b];
-      if (!lit.negated && ar.subgoal_apred[b] != -1) {
-        r.body.push_back(Literal::Pos(
-            Atom(apreds_[ar.subgoal_apred[b]].name, lit.atom.args())));
-      } else {
-        r.body.push_back(lit);
-      }
+    if (provenance != nullptr) {
+      origins.push_back(provenance->rules[ar.original_rule]);
     }
-    r.comparisons = ar.rule.comparisons;
-    out.AddRule(std::move(r));
+    std::vector<PredId> preds;
+    for (int ap : ar.subgoal_apred) {
+      preds.push_back(ap == -1 ? -1 : apreds_[ap].name);
+    }
+    out.AddRule(WithPreds(ar.rule, apreds_[ar.head_apred].name, preds));
   }
-  // Wrapper rules restore the original query predicate over the union of
-  // its adorned versions.
+  // Copy rules restore the original query predicate over the union of its
+  // adorned versions.
   if (program_.query() != -1) {
-    int arity = program_.Arity(program_.query());
-    std::vector<Term> args;
-    for (int i = 0; i < arity; ++i) {
-      args.push_back(Term::Var("W" + std::to_string(i)));
-    }
+    std::vector<PredId> copies;
     for (int ap : AdornmentsOf(program_.query())) {
-      Rule wrapper;
-      wrapper.head = Atom(program_.query(), args);
-      wrapper.body.push_back(Literal::Pos(Atom(apreds_[ap].name, args)));
-      out.AddRule(std::move(wrapper));
+      copies.push_back(apreds_[ap].name);
     }
-    out.SetQuery(program_.query());
+    AddCopyRules(program_.query(), program_.Arity(program_.query()), copies,
+                 &out, &origins);
+  }
+  if (provenance != nullptr) {
+    provenance->rules = std::move(origins);
+    for (const AdornedPred& ap : apreds_) {
+      provenance->copies[ap.name] = ap.original;
+    }
   }
   return out;
 }

@@ -12,6 +12,7 @@
 #include "src/base/status.h"
 #include "src/obs/trace.h"
 #include "src/sqo/local.h"
+#include "src/sqo/preprocess.h"
 #include "src/sqo/triplet.h"
 #include "src/sqo/triplet_store.h"
 
@@ -30,7 +31,7 @@ struct AdornedPred {
   PredId original = -1;
   Adornment adornment;
   std::vector<Comparison> summary;  // canonical, sorted
-  PredId name = -1;                 // generated name "p@<k>"
+  PredId name = -1;  // generated name "p@<k>", display only
   // Hash-consed identity in the engine's TripletStore.
   AdornmentId adornment_id = -1;
   SummaryId summary_id = -1;
@@ -40,6 +41,15 @@ struct AdornedPred {
 // named "P$<i>": no parsed variable contains '$', and no FreshVarGen name
 // does either, so a run-scoped fresh name can never alias a placeholder.
 Term SummaryPlaceholder(int i);
+
+// `rule` with its head predicate replaced by `head`, and body literal b's
+// by preds[b] where that is not -1.
+Rule WithPreds(const Rule& rule, PredId head, const std::vector<PredId>& preds);
+
+// Appends to `out` the copy rules q(W...) :- c(W...) restoring the query
+// predicate q over its copies, marked as such in `origins`.
+void AddCopyRules(PredId query, int arity, const std::vector<PredId>& copies,
+                  Program* out, std::vector<RuleOrigin>* origins);
 
 // An adorned rule of the program P1 built by the bottom-up phase.
 struct AdornedRule {
@@ -109,8 +119,9 @@ class AdornmentEngine {
   int fixpoint_passes() const { return fixpoint_passes_; }
 
   // P1 as a plain datalog program over the generated predicate names, with
-  // wrapper rules restoring the original query predicate.
-  Program AdornedProgram() const;
+  // wrapper rules restoring the original query predicate. `provenance`, if
+  // given, goes from program()'s rules to P1's and maps copies to originals.
+  Program AdornedProgram(Provenance* provenance = nullptr) const;
 
   std::string ToString() const;
 

@@ -125,7 +125,7 @@ bool FdPass(Rule* rule, const std::vector<FunctionalDependency>& fds,
 
 Program ApplyFdRewriting(const Program& program,
                          const std::vector<FunctionalDependency>& fds,
-                         FdRewriteReport* report) {
+                         FdRewriteReport* report, Provenance* provenance) {
   FdRewriteReport local;
   Program out;
   out.SetQuery(program.query());
@@ -134,10 +134,11 @@ Program ApplyFdRewriting(const Program& program,
     if (report != nullptr) *report = local;
     return out;
   }
-  for (const Rule& original : program.rules()) {
-    Rule rule = original;
-    while (FdPass(&rule, fds, &local)) {
-    }
+  std::vector<RuleOrigin> origins;
+  for (size_t i = 0; i < program.rules().size(); ++i) {
+    Rule rule = program.rules()[i];
+    bool changed = false;
+    while (FdPass(&rule, fds, &local)) changed = true;
     // Deduplicate body atoms that became identical (join elimination).
     std::vector<Literal> deduped;
     for (const Literal& l : rule.body) {
@@ -147,9 +148,17 @@ Program ApplyFdRewriting(const Program& program,
         ++local.atoms_removed;
       }
     }
+    changed |= deduped.size() != rule.body.size();
     rule.body = std::move(deduped);
-    if (NormalizeRule(&rule)) out.AddRule(std::move(rule));
+    bool normalized = false;
+    if (!NormalizeRule(&rule, &normalized)) continue;
+    out.AddRule(std::move(rule));
+    if (provenance != nullptr) {
+      origins.push_back(changed || normalized ? RuleOrigin()
+                                              : provenance->rules[i]);
+    }
   }
+  if (provenance != nullptr) provenance->rules = std::move(origins);
   if (report != nullptr) *report = local;
   return out;
 }

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "src/ast/program.h"
+#include "src/sqo/preprocess.h"
 
 namespace sqod {
 
@@ -46,10 +47,12 @@ struct FdRewriteReport {
 // their determined arguments are unified; body atoms that become identical
 // are deduplicated. Sound on every database satisfying the FDs: any
 // instantiation over such a database assigns equal values to the unified
-// variables anyway.
+// variables anyway. `provenance`, if given, follows the rules; a rule that
+// was unified or lost a join is no longer a renamed rule of P.
 Program ApplyFdRewriting(const Program& program,
                          const std::vector<FunctionalDependency>& fds,
-                         FdRewriteReport* report = nullptr);
+                         FdRewriteReport* report = nullptr,
+                         Provenance* provenance = nullptr);
 
 }  // namespace sqod
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <utility>
 
 #include "src/ast/unify.h"
 #include "src/order/solver.h"
@@ -109,19 +110,25 @@ Result<LocalAtomInfo> AnalyzeLocalAtoms(const std::vector<Constraint>& ics) {
 Result<Program> RewriteForLocalAtoms(const Program& program,
                                      const std::vector<Constraint>& ics,
                                      const LocalAtomInfo& info,
-                                     int max_rules) {
+                                     int max_rules, Provenance* provenance) {
   if (!info.HasPairs()) return program;
   const std::set<PredId> idb = program.IdbPreds();
 
-  std::deque<Rule> queue(program.rules().begin(), program.rules().end());
-  std::vector<Rule> done;
+  // Rules with their origins (all unknown without `provenance`).
+  std::deque<std::pair<Rule, RuleOrigin>> queue;
+  for (size_t i = 0; i < program.rules().size(); ++i) {
+    queue.emplace_back(program.rules()[i], provenance != nullptr
+                                               ? provenance->rules[i]
+                                               : RuleOrigin());
+  }
+  std::vector<std::pair<Rule, RuleOrigin>> done;
 
   while (!queue.empty()) {
     if (static_cast<int>(queue.size() + done.size()) > max_rules) {
       return Status::ResourceExhausted("local-atom rewriting exceeded max_rules=" +
                            std::to_string(max_rules));
     }
-    Rule rule = std::move(queue.front());
+    auto [rule, origin] = std::move(queue.front());
     queue.pop_front();
 
     bool split = false;
@@ -141,8 +148,8 @@ Result<Program> RewriteForLocalAtoms(const Program& program,
           with.comparisons.push_back(hl.Canonical());
           Rule without = rule;
           without.comparisons.push_back(hl.Negated().Canonical());
-          queue.push_back(std::move(with));
-          queue.push_back(std::move(without));
+          queue.emplace_back(std::move(with), origin);
+          queue.emplace_back(std::move(without), origin);
         } else {
           Atom hl = MappedNegatedAtom(ic, pair, h);
           Literal pos = Literal::Pos(hl);
@@ -156,21 +163,26 @@ Result<Program> RewriteForLocalAtoms(const Program& program,
           with.body.push_back(pos);
           Rule without = rule;
           without.body.push_back(neg);
-          queue.push_back(std::move(with));
-          queue.push_back(std::move(without));
+          queue.emplace_back(std::move(with), RuleOrigin());
+          queue.emplace_back(std::move(without), origin);
         }
         split = true;
         break;
       }
     }
-    if (!split) done.push_back(std::move(rule));
+    if (!split) done.emplace_back(std::move(rule), origin);
   }
 
   Program out;
   out.SetQuery(program.query());
-  for (Rule& r : done) {
-    if (NormalizeRule(&r)) out.AddRule(std::move(r));
+  std::vector<RuleOrigin> origins;
+  for (auto& [r, origin] : done) {
+    bool changed = false;
+    if (!NormalizeRule(&r, &changed)) continue;
+    out.AddRule(std::move(r));
+    origins.push_back(changed ? RuleOrigin() : origin);
   }
+  if (provenance != nullptr) provenance->rules = std::move(origins);
   return out;
 }
 

@@ -7,6 +7,7 @@
 #include "src/ast/program.h"
 #include "src/ast/substitution.h"
 #include "src/base/status.h"
+#include "src/sqo/preprocess.h"
 
 namespace sqod {
 
@@ -53,11 +54,13 @@ Result<LocalAtomInfo> AnalyzeLocalAtoms(const std::vector<Constraint>& ics);
 // a'), if neither h(l) nor its negation is already asserted by r, replace r
 // by the two rules r + h(l) and r + not h(l). Repeats to fixpoint; the
 // rewriting introduces no new variables so it terminates. Equivalence is
-// preserved (each split is an instance of excluded middle).
+// preserved (each split is an instance of excluded middle). `provenance`,
+// if given, follows the rules; a split positive atom clears the origin.
 Result<Program> RewriteForLocalAtoms(const Program& program,
                                      const std::vector<Constraint>& ics,
                                      const LocalAtomInfo& info,
-                                     int max_rules = 100000);
+                                     int max_rules = 100000,
+                                     Provenance* provenance = nullptr);
 
 // The modified retention condition of Section 4.2, checked when an EDB base
 // triplet maps the carrier atom of IC `ic_index` into rule `rule` via `h`:

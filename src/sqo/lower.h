@@ -6,43 +6,47 @@
 #include <vector>
 
 #include "src/ast/program.h"
+#include "src/sqo/optimizer.h"
 
 namespace sqod {
 
 // Lowering: the program the engine serves, P″, computed from the paper's
 // rewriting P′ (SqoReport::rewritten) before it is compiled to bytecode.
-// P′ specializes every IDB predicate p into adorned copies p@k (named
-// "p@<k>" or "p@<k>_n<class>") and attaches residue comparisons. Both cost
-// work at evaluation time: overlapping copies derive one tuple several
-// times, copy rules p(W) :- p@k(W) derive every answer again, and one
-// attached comparison moves a join off the fastest kernel. Two rewrites
-// undo what buys nothing:
+// P′ specializes every IDB predicate p into adorned copies and attaches
+// residue comparisons. Both cost work at evaluation time: overlapping copies
+// derive one tuple several times, copy rules p(W) :- p@k(W) derive every
+// answer again, and one attached comparison moves a join off the fastest
+// kernel. Two rewrites undo what buys nothing. Both read the provenance the
+// optimizer recorded while it built P′ (SqoReport::provenance): whether a
+// rule is a renamed rule of P and which literals were appended to it, which
+// rules are copy rules, and which predicate of P each copy specializes.
+// Generated names ("p@<k>", "p@<k>_n<class>") are display only.
 //
 //  (a) Merge adorned copies. The copies of p merge back into p when every
-//      rule defining a copy is, with adornments erased, one of p's original
-//      rules (in normal form) plus extra literals, and either
+//      rule defining a copy is, with adornments erased, one of p's rules (in
+//      normal form) plus appended literals, and either
 //      * p has exactly one copy and a copy rule (a rename: the copy rule is
 //        deleted), or
-//      * no rule defining a copy has an extra literal left after (b): no
+//      * no rule defining a copy has an appended literal left after (b): no
 //        residue comparison or negation is attached.
 //      Merged rules are deduplicated; an original rule with no surviving
 //      adorned version stays deleted. A candidate is kept adorned when a
 //      rule of a kept copy reads one of its copies, so a kept copy never
 //      joins against a wider relation than it did in P′.
-//  (b) Drop self-implied comparisons. An attached comparison c of a rule
-//      (one its original rule lacks) is dropped when some IC maps
+//  (b) Drop self-implied comparisons. An appended comparison c of a rule
+//      (a residue, or a local_rewrite split) is dropped when some IC maps
 //      homomorphically into the rule's own positive EDB atoms and not(c)
 //      entails that IC's comparisons: every instantiation violating c
 //      would violate the IC.
 //
 // Soundness. Every rule the lowering rewrites is, with adornments fully
-// erased, an original rule of P plus extra literals; every other rule is
-// P′'s own. So P″ ⊆ P on every database wherever P′'s rules are original
-// rules plus extra literals, which is always the case except after
-// fd_rewrite's join elimination. Every P′ rule maps onto a lowered rule
-// with the same or fewer literals and every copy p@k onto a relation that
-// contains it, so every P′ derivation maps onto a P″ derivation: P′ ⊆ P″.
-// On databases satisfying the ICs P′ = P, hence P″ = P there.
+// erased, a rule of P plus appended literals; every other rule is P′'s
+// own. So P″ ⊆ P on every database wherever P′'s rules are rules of P plus
+// appended literals, which is always the case except after fd_rewrite's
+// join elimination. Every P′ rule maps onto a lowered rule with the same or
+// fewer literals and every copy p@k onto a relation that contains it, so
+// every P′ derivation maps onto a P″ derivation: P′ ⊆ P″. On databases
+// satisfying the ICs P′ = P, hence P″ = P there.
 
 struct LoweredProgram {
   // P″, the program Execute/Materialize evaluate.
@@ -80,9 +84,9 @@ struct LoweredProgram {
   std::string ToJson() const;
 };
 
-// Lowers `rewritten` (P′ for `original` under the normalized `ics`).
-LoweredProgram LowerProgram(const Program& original, const Program& rewritten,
-                            const std::vector<Constraint>& ics);
+// Lowers report.rewritten (P′) under report.ics, reading
+// report.provenance.
+LoweredProgram LowerProgram(const SqoReport& report);
 
 }  // namespace sqod
 

@@ -9,6 +9,7 @@
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/sqo/adorn.h"
+#include "src/sqo/preprocess.h"
 #include "src/sqo/query_tree.h"
 
 namespace sqod {
@@ -90,6 +91,9 @@ struct SqoReport {
   Program adorned;      // P1
   Program rewritten;    // P' (the drop-in replacement program)
   std::vector<Constraint> ics;  // normalized ICs
+  // Where rewritten's rules and predicates come from (src/sqo/lower.h).
+  // Session::Prepare empties it once the lowering has read it.
+  Provenance provenance;
 
   // Per-pass diagnostics, one entry per pass in pipeline order.
   std::vector<PassRunInfo> pass_runs;

@@ -43,6 +43,7 @@ class NormalizePass : public Pass {
     ctx.span().SetAttr("ics", static_cast<int64_t>(ctx.input_ics->size()));
     ctx.ics = NormalizeConstraints(*ctx.input_ics);
     ctx.program = NormalizeProgram(ctx.program);
+    ctx.provenance = Provenance::Of(ctx.program);  // P's rules, normalized
     ctx.span().SetAttr("rules_out",
                        static_cast<int64_t>(ctx.program.rules().size()));
     return Status::Ok();
@@ -56,7 +57,7 @@ class FdRewritePass : public Pass {
   Status Run(PassContext& ctx) override {
     FdRewriteReport fd_report;
     ctx.program = ApplyFdRewriting(ctx.program, ExtractFds(ctx.ics),
-                                   &fd_report);
+                                   &fd_report, &ctx.provenance);
     ctx.span().SetAttr("unifications", fd_report.unifications);
     ctx.span().SetAttr("atoms_removed", fd_report.atoms_removed);
     return Status::Ok();
@@ -72,7 +73,8 @@ class LocalRewritePass : public Pass {
     SQOD_ASSIGN_OR_RETURN(
         ctx.program,
         RewriteForLocalAtoms(ctx.program, ctx.ics, ctx.local,
-                             ctx.options.max_local_rewrite_rules));
+                             ctx.options.max_local_rewrite_rules,
+                             &ctx.provenance));
     ctx.span().SetAttr("rules_out",
                        static_cast<int64_t>(ctx.program.rules().size()));
     return Status::Ok();
@@ -97,7 +99,8 @@ class AdornPass : public Pass {
                        static_cast<int64_t>(ctx.engine->arules().size()));
 
     SqoReport& report = ctx.report;
-    report.adorned = ctx.engine->AdornedProgram();
+    report.provenance = ctx.provenance;
+    report.adorned = ctx.engine->AdornedProgram(&report.provenance);
     report.adorned_predicates = static_cast<int>(ctx.engine->apreds().size());
     report.adorned_rules = static_cast<int>(ctx.engine->arules().size());
     if (ctx.options.capture_dumps) {
@@ -143,7 +146,8 @@ class TreePass : public Pass {
       report.tree_dump = ctx.tree->ToString();
       report.tree_dot = ctx.tree->ToDot();
     }
-    report.rewritten = ctx.tree->RewrittenProgram();
+    report.provenance = ctx.provenance;
+    report.rewritten = ctx.tree->RewrittenProgram(&report.provenance);
     return Status::Ok();
   }
 
@@ -162,7 +166,7 @@ class ResiduesPass : public Pass {
     // never hit (~1.5x slower residues phase on E4 WideIc).
     ClassicSqoReport classic;
     ctx.report.rewritten = ApplyClassicSqo(ctx.report.rewritten, ctx.ics,
-                                           &classic);
+                                           &classic, &ctx.report.provenance);
     ctx.report.residue_rules_deleted = classic.rules_deleted;
     ctx.report.residue_comparisons_added = classic.comparisons_added;
     ctx.report.residue_negations_added = classic.negations_added;
@@ -188,7 +192,8 @@ class PrunePass : public Pass {
     ctx.span().SetAttr(
         "rules_in",
         static_cast<int64_t>(ctx.report.rewritten.rules().size()));
-    ctx.report.rewritten = PruneUnreachable(std::move(ctx.report.rewritten));
+    ctx.report.rewritten = PruneUnreachable(std::move(ctx.report.rewritten),
+                                            &ctx.report.provenance);
     ctx.span().SetAttr(
         "rules_out",
         static_cast<int64_t>(ctx.report.rewritten.rules().size()));
@@ -325,6 +330,7 @@ Status PassManager::RunInto(const Program& program,
   ctx->input_ics = &ics;
   ctx->options = options_;
   ctx->program = program;
+  ctx->provenance = Provenance::Of(program);
   ctx->ics = ics;
   ctx->store = std::make_unique<TripletStore>();
 
@@ -379,6 +385,7 @@ Status PassManager::RunInto(const Program& program,
     } else if (std::strcmp(pass->name(), "adorn") == 0 &&
                ctx->engine == nullptr) {
       ctx->report.rewritten = ctx->program;
+      ctx->report.provenance = ctx->provenance;
       ctx->report.query_satisfiable = true;
     }
   }

@@ -33,6 +33,7 @@ struct PassContext {
 
   // Evolving pipeline state.
   Program program;              // the current rewriting of *input
+  Provenance provenance;        // of `program`'s rules
   std::vector<Constraint> ics;  // normalized ICs (raw until `normalize`)
   LocalAtomInfo local;          // filled by `local_rewrite`
   // Hash-consing store shared by the adorn and tree passes of this run

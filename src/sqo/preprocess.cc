@@ -32,7 +32,8 @@ void TidyComparisons(std::vector<Comparison>* comparisons) {
 // set is unsatisfiable. Applies to both rules and constraints via the two
 // wrappers below.
 template <typename Clause>
-bool NormalizeClause(Clause* clause) {
+bool NormalizeClause(Clause* clause, bool* changed = nullptr) {
+  bool substituted = false;
   for (int round = 0; round < 1000; ++round) {
     OrderSolver solver(clause->comparisons);
     if (!solver.Consistent()) return false;
@@ -41,14 +42,30 @@ bool NormalizeClause(Clause* clause) {
     Substitution subst;
     for (const auto& [var, term] : eqs) subst.Bind(var, term);
     *clause = subst.Apply(*clause);
+    substituted = true;
   }
+  const size_t before = clause->comparisons.size();
   TidyComparisons(&clause->comparisons);
+  if (changed != nullptr) {
+    *changed = substituted || clause->comparisons.size() != before;
+  }
   return true;
 }
 
 }  // namespace
 
-bool NormalizeRule(Rule* rule) { return NormalizeClause(rule); }
+Provenance Provenance::Of(const Program& program) {
+  Provenance provenance;
+  for (const Rule& r : program.rules()) {
+    provenance.rules.push_back({true, static_cast<int>(r.body.size()),
+                                static_cast<int>(r.comparisons.size())});
+  }
+  return provenance;
+}
+
+bool NormalizeRule(Rule* rule, bool* changed) {
+  return NormalizeClause(rule, changed);
+}
 
 Program NormalizeProgram(const Program& program) {
   Program out;
@@ -97,7 +114,7 @@ std::vector<Constraint> NormalizeConstraints(
   return out;
 }
 
-Program PruneUnreachable(Program program) {
+Program PruneUnreachable(Program program, Provenance* provenance) {
   const std::set<PredId> idb_set = program.IdbPreds();
   const std::unordered_set<PredId> idb(idb_set.begin(), idb_set.end());
 
@@ -170,6 +187,7 @@ Program PruneUnreachable(Program program) {
 
   Program out;
   out.SetQuery(program.query());
+  std::vector<RuleOrigin> origins;
   for (size_t i = 0; i < rules.size(); ++i) {
     const Rule& r = rules[i];
     if (reachable.count(r.head.pred()) == 0 ||
@@ -184,8 +202,11 @@ Program PruneUnreachable(Program program) {
         break;
       }
     }
-    if (body_ok) out.AddRule(std::move((*program.mutable_rules())[i]));
+    if (!body_ok) continue;
+    out.AddRule(std::move((*program.mutable_rules())[i]));
+    if (provenance != nullptr) origins.push_back(provenance->rules[i]);
   }
+  if (provenance != nullptr) provenance->rules = std::move(origins);
   return out;
 }
 

@@ -1,6 +1,7 @@
 #ifndef SQOD_SQO_PREPROCESS_H_
 #define SQOD_SQO_PREPROCESS_H_
 
+#include <unordered_map>
 #include <vector>
 
 #include "src/ast/program.h"
@@ -24,12 +25,38 @@ namespace sqod {
 // rules that can never contribute to the query predicate (unproductive or
 // unreachable predicates).
 
+// Where one rule of a rewriting of P comes from, recorded by the optimizer
+// passes that create and edit rules (SqoReport::provenance) and read by
+// the lowering (src/sqo/lower.h).
+struct RuleOrigin {
+  // True when the rule, with adornments erased, is a normalized rule of P
+  // under an injective variable renaming, followed by appended negated
+  // literals body[body..] and comparisons comparisons[comparisons..].
+  bool of_p = false;
+  int body = 0;
+  int comparisons = 0;
+  bool copy_rule = false;  // p(W...) :- p@k(W...), restoring the query
+};
+
+// One RuleOrigin per rule, and the predicate of P each adorned copy
+// specializes: generated predicate names are display only.
+struct Provenance {
+  std::vector<RuleOrigin> rules;  // aligned with the program's rules
+  std::unordered_map<PredId, PredId> copies;
+
+  // Every rule of `program` as a rule of P, with nothing appended.
+  static Provenance Of(const Program& program);
+};
+
 // Applies steps (1)-(3) per rule; never changes program semantics.
 Program NormalizeProgram(const Program& program);
 
 // Same normal form for one rule. Returns nullopt-like behaviour via the
 // bool: false means the rule is unsatisfiable and should be dropped.
-bool NormalizeRule(Rule* rule);
+// `changed`, if given, is set when the normal form is not the rule up to
+// the orientation of its comparisons (an equality was substituted or a
+// comparison removed).
+bool NormalizeRule(Rule* rule, bool* changed = nullptr);
 
 // Normalizes a set of ICs: an IC whose comparisons are inconsistent can
 // never be violated and is dropped; forced equalities are substituted.
@@ -41,7 +68,8 @@ std::vector<Constraint> NormalizeConstraints(
 // query predicate itself even if empty.
 // Takes the program by value so callers replacing a program in place can
 // move it in; surviving rules are moved, not copied, into the result.
-Program PruneUnreachable(Program program);
+// `provenance`, if given, is filtered alongside the rules.
+Program PruneUnreachable(Program program, Provenance* provenance = nullptr);
 
 }  // namespace sqod
 

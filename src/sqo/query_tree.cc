@@ -207,11 +207,15 @@ PredId QueryTree::ClassPred(int c) const {
                     "_n" + std::to_string(c));
 }
 
-Program QueryTree::RewrittenProgram() const {
+Program QueryTree::RewrittenProgram(Provenance* provenance) const {
   Program out;
+  std::vector<RuleOrigin> origins;
+  std::unordered_map<PredId, PredId> bases;  // class predicate -> its p
   const int n = static_cast<int>(classes_.size());
   for (int c = 0; c < n; ++c) {
     if (!productive_[c] || !reachable_[c]) continue;
+    const PredId head = ClassPred(c);
+    bases[head] = engine_.apreds()[classes_[c].apred].original;
     for (const GoalClass::RuleChild& child : classes_[c].children) {
       bool all_ok = true;
       for (int sc : child.subgoal_class) {
@@ -221,38 +225,34 @@ Program QueryTree::RewrittenProgram() const {
         }
       }
       if (!all_ok) continue;
-      Rule r;
-      r.head = Atom(ClassPred(c), child.instantiated.head.args());
-      for (int b = 0; b < static_cast<int>(child.instantiated.body.size());
-           ++b) {
-        const Literal& lit = child.instantiated.body[b];
-        if (child.subgoal_class[b] != -1) {
-          r.body.push_back(Literal::Pos(
-              Atom(ClassPred(child.subgoal_class[b]), lit.atom.args())));
-        } else {
-          r.body.push_back(lit);
-        }
+      if (provenance != nullptr) {
+        const AdornedRule& ar = engine_.arules()[child.arule];
+        // The rule's other variables were renamed apart, so the rule is a
+        // renaming of its adorned rule iff the instantiated head is.
+        origins.push_back(AtomsIsomorphic(ar.rule.head, child.instantiated.head)
+                              ? provenance->rules[ar.original_rule]
+                              : RuleOrigin());
       }
-      r.comparisons = child.instantiated.comparisons;
-      out.AddRule(std::move(r));
+      std::vector<PredId> preds;
+      for (int sc : child.subgoal_class) {
+        preds.push_back(sc == -1 ? -1 : ClassPred(sc));
+      }
+      out.AddRule(WithPreds(child.instantiated, head, preds));
     }
   }
-  // Wrapper rules for the query predicate.
+  // Copy rules for the query predicate.
   const Program& program = engine_.program();
   if (program.query() != -1) {
-    int arity = program.Arity(program.query());
-    std::vector<Term> args;
-    for (int i = 0; i < arity; ++i) {
-      args.push_back(Term::Var("W" + std::to_string(i)));
-    }
+    std::vector<PredId> copies;
     for (int root : roots_) {
-      if (!productive_[root]) continue;
-      Rule wrapper;
-      wrapper.head = Atom(program.query(), args);
-      wrapper.body.push_back(Literal::Pos(Atom(ClassPred(root), args)));
-      out.AddRule(std::move(wrapper));
+      if (productive_[root]) copies.push_back(ClassPred(root));
     }
-    out.SetQuery(program.query());
+    AddCopyRules(program.query(), program.Arity(program.query()), copies,
+                 &out, &origins);
+  }
+  if (provenance != nullptr) {
+    provenance->rules = std::move(origins);
+    provenance->copies = std::move(bases);
   }
   return out;
 }

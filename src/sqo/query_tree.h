@@ -63,13 +63,16 @@ class QueryTree {
 
   // Theorem 4.1's P': one rule per surviving rule node, over class-named
   // predicates, plus wrapper rules restoring the original query predicate.
-  Program RewrittenProgram() const;
+  // `provenance`, if given, goes from the engine's program() to P' and maps
+  // each class predicate to its predicate; a rule node whose head
+  // unification is not a variable renaming loses its origin.
+  Program RewrittenProgram(Provenance* provenance = nullptr) const;
 
   // Is some root productive? (= the query predicate is satisfiable w.r.t.
   // the ICs, by the paper's Theorem 4.1/4.2 argument.)
   bool QuerySatisfiable() const;
 
-  // The generated predicate name for class `c`.
+  // The generated predicate name for class `c` (display only).
   PredId ClassPred(int c) const;
 
   std::string ToString() const;

@@ -182,7 +182,7 @@ std::vector<Residue> ComputeResiduesRenamed(const Rule& rule,
 
 Program ApplyClassicSqo(const Program& program,
                         const std::vector<Constraint>& ics,
-                        ClassicSqoReport* report) {
+                        ClassicSqoReport* report, Provenance* provenance) {
   ClassicSqoReport local_report;
   Program out;
   out.SetQuery(program.query());
@@ -195,8 +195,9 @@ Program ApplyClassicSqo(const Program& program,
   renamed_ics.reserve(ics.size());
   for (const Constraint& ic : ics) renamed_ics.push_back(RenameApart(ic, &gen));
 
-  for (const Rule& original : program.rules()) {
-    Rule rule = original;
+  std::vector<RuleOrigin> origins;
+  for (size_t r = 0; r < program.rules().size(); ++r) {
+    Rule rule = program.rules()[r];
     bool deleted = false;
     for (int i = 0; i < static_cast<int>(ics.size()) && !deleted; ++i) {
       for (const Residue& res : ComputeResiduesRenamed(
@@ -251,10 +252,15 @@ Program ApplyClassicSqo(const Program& program,
       }
     }
     if (!deleted) {
-      NormalizeRule(&rule);
+      bool changed = false;
+      NormalizeRule(&rule, &changed);
       out.AddRule(std::move(rule));
+      if (provenance != nullptr) {
+        origins.push_back(changed ? RuleOrigin() : provenance->rules[r]);
+      }
     }
   }
+  if (provenance != nullptr) provenance->rules = std::move(origins);
   if (report != nullptr) *report = local_report;
   return out;
 }

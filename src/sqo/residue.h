@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "src/ast/program.h"
+#include "src/sqo/preprocess.h"
 
 namespace sqod {
 
@@ -59,9 +60,12 @@ struct ClassicSqoReport {
 // Applies classic SQO to every rule of `program` under `ics`: deletes
 // unsatisfiable rules and attaches the negations of expressible
 // single-literal residues. Each IC is renamed apart once (not per rule).
+// `provenance`, if given, follows the rules; a forced equality that the
+// attached residues make normalization substitute clears the origin.
 Program ApplyClassicSqo(const Program& program,
                         const std::vector<Constraint>& ics,
-                        ClassicSqoReport* report = nullptr);
+                        ClassicSqoReport* report = nullptr,
+                        Provenance* provenance = nullptr);
 
 }  // namespace sqod
 

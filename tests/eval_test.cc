@@ -568,7 +568,7 @@ TEST(EvalTest, KernelsMatchTheGenericLoop) {
     config.num_end = 6;
     config.threshold = 20;
     cases.push_back({"goodpath_served",
-                     LowerProgram(p, report.rewritten, report.ics).program,
+                     LowerProgram(report).program,
                      MakeGoodPathWorkload(config, &rng)});
   }
 

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/engine/engine.h"
@@ -37,7 +38,7 @@ bool HasAdornedPredicate(const Program& program) {
 LoweredProgram Lower(const Program& program,
                      const std::vector<Constraint>& ics) {
   SqoReport report = OptimizeProgram(program, ics).take();
-  return LowerProgram(program, report.rewritten, report.ics);
+  return LowerProgram(report);
 }
 
 const LoweredProgram::Merge* FindMerge(const LoweredProgram& lowered,
@@ -51,7 +52,7 @@ const LoweredProgram::Merge* FindMerge(const LoweredProgram& lowered,
 TEST(LowerTest, Figure1LowersToTheOriginalFourRules) {
   Program p = MakeAbClosureProgram();
   SqoReport report = OptimizeProgram(p, {MakeAbIc()}).take();
-  LoweredProgram lowered = LowerProgram(p, report.rewritten, report.ics);
+  LoweredProgram lowered = LowerProgram(report);
   // P′ is the paper's: three adorned copies plus three copy rules.
   EXPECT_EQ(report.rewritten.rules().size(), 9u);
   EXPECT_EQ(lowered.rules_before, 9);
@@ -150,8 +151,7 @@ TEST(LowerTest, DeduplicationKeepsRulesThatDifferInComparisons) {
     ?- p.
   )").take();
   SqoReport report = OptimizeProgram(unit.program, unit.constraints).take();
-  LoweredProgram lowered =
-      LowerProgram(unit.program, report.rewritten, report.ics);
+  LoweredProgram lowered = LowerProgram(report);
   EXPECT_TRUE(lowered.merged.empty()) << lowered.ToText();
   EXPECT_EQ(lowered.program.ToString(), report.rewritten.ToString());
 }
@@ -169,10 +169,104 @@ TEST(LowerTest, OriginalPredicateNamedLikeACopyIsNotMerged) {
   no_adorn.disabled_passes = {"adorn"};
   SqoReport report =
       OptimizeProgram(unit.program, unit.constraints, no_adorn).take();
-  LoweredProgram lowered =
-      LowerProgram(unit.program, report.rewritten, report.ics);
+  LoweredProgram lowered = LowerProgram(report);
   EXPECT_TRUE(lowered.merged.empty());
   EXPECT_EQ(lowered.program.ToString(), report.rewritten.ToString());
+}
+
+// Every provenance path the passes record. Figure 1 under each ablation of
+// InterningGoldenTest.Ablations: the copies the tree or the bottom-up
+// phase built merge back into p's own four rules, and without adornment
+// there is nothing to merge.
+TEST(LowerTest, Figure1AblationsMergeOrKeepTheOriginalFourRules) {
+  const std::vector<std::string> merging[] = {
+      {"tree"}, {"residues"}, {"fd_rewrite"}, {"tree", "residues"}};
+  for (const std::vector<std::string>& disabled : merging) {
+    SqoOptions options;
+    options.disabled_passes = disabled;
+    SqoReport report =
+        OptimizeProgram(MakeAbClosureProgram(), {MakeAbIc()}, options).take();
+    LoweredProgram lowered = LowerProgram(report);
+    EXPECT_EQ(lowered.ToText(),
+              "rules:             9 -> 4\n"
+              "merged:            p <- 3 copies (residue-free)\n")
+        << disabled[0];
+    EXPECT_FALSE(HasAdornedPredicate(lowered.program)) << disabled[0];
+  }
+  SqoOptions no_adorn;
+  no_adorn.disabled_passes = {"adorn"};
+  SqoReport report =
+      OptimizeProgram(MakeAbClosureProgram(), {MakeAbIc()}, no_adorn).take();
+  LoweredProgram lowered = LowerProgram(report);
+  EXPECT_EQ(lowered.ToText(), "rules:             4 -> 4\n");
+  EXPECT_EQ(lowered.program.ToString(), report.rewritten.ToString());
+}
+
+// A local_rewrite split on a negated IC atom adds the positive f(Q#0) to
+// one side: that rule is not one of p's, so p stays adorned.
+TEST(LowerTest, LocalSplitPositiveAtomKeepsTheCopyAdorned) {
+  ParsedUnit unit = ParseUnit(R"(
+    p(X, Y) :- e(X, Y).
+    p(X, Y) :- e(X, Z), p(Z, Y).
+    ?- p.
+    :- e(X, Y), !f(X).
+  )").take();
+  LoweredProgram lowered = Lower(unit.program, unit.constraints);
+  EXPECT_EQ(lowered.ToText(),
+            "rules:             3 -> 3\n"
+            "kept adorned:      p@0_n0 (not one of p's rules: "
+            "p@0_n0(Q#0, Q#1) :- e(Q#0, Q#1), f(Q#0).)\n");
+}
+
+// A local_rewrite split on an order atom appends Q#0 <= 5, which no
+// residue maps; the IC's own atom implies it, so (b) drops it from both
+// rules and the single copy is renamed back to p.
+TEST(LowerTest, LocalSplitComparisonIsDroppedAndTheCopyRenamed) {
+  ParsedUnit unit = ParseUnit(R"(
+    p(X, Y) :- e(X, Y).
+    p(X, Y) :- e(X, Z), p(Z, Y).
+    ?- p.
+    :- e(X, Y), X > 5.
+  )").take();
+  LoweredProgram lowered = Lower(unit.program, unit.constraints);
+  EXPECT_EQ(lowered.ToText(),
+            "rules:             3 -> 2\n"
+            "merged:            p <- 1 copy (renamed)\n"
+            "dropped:           Q#0 <= 5 from p@0_n0(Q#0, Q#1) :- "
+            "e(Q#0, Q#1), Q#0 <= 5. (implied by IC #0 :- e(X, Y), 5 < X.)\n"
+            "dropped:           Q#0 <= 5 from p@0_n0(Q#0, Q#1) :- "
+            "e(Q#0, Z#0), p@0_n0(Z#0, Q#1), Q#0 <= 5. (implied by IC #0 :- "
+            "e(X, Y), 5 < X.)\n");
+  EXPECT_FALSE(HasAdornedPredicate(lowered.program));
+}
+
+// A rule that is no longer a renamed rule of P plus appended literals
+// loses its origin, and its copy stays adorned: after fd_rewrite's join
+// elimination, after a local_rewrite split or a residue whose negation
+// forces an equality, and after a query-tree head unification that is not
+// a variable renaming.
+TEST(LowerTest, ClearedOriginsKeepTheCopyAdorned) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"p(X, Y) :- e(X, Y), e(X, Z), f(Z).\n?- p.\n"
+       ":- e(X, Y), e(X, Z), Y != Z.",
+       "p@0_n0(Q#0, Q#1) :- e(Q#0, Q#1), f(Q#1)."},
+      {"p(X, Y) :- e(X, Y), X <= Y.\n?- p.\n:- e(X, Y), X < Y.",
+       "p@0_n0(Q#1, Q#1) :- e(Q#1, Q#1)."},
+      {"p(X, Z) :- e(X, Y), f(Y, Z), X <= Z.\n?- p.\n"
+       ":- e(X, Y), f(Y, Z), X < Z.",
+       "p@0_n0(Q#0, Q#0) :- e(Q#0, Y#0), f(Y#0, Q#0)."},
+      {"p(X, Y) :- e(X, Y).\nq(X) :- p(X, X).\n?- q.",
+       "p@0_n1(Q#0, Q#0) :- e(Q#0, Q#0)."},
+  };
+  for (const auto& [source, rule] : cases) {
+    ParsedUnit unit = ParseUnit(source).take();
+    LoweredProgram lowered = Lower(unit.program, unit.constraints);
+    ASSERT_EQ(lowered.kept.size(), 1u) << source << "\n" << lowered.ToText();
+    EXPECT_EQ(lowered.kept[0].pred, "p") << source;
+    EXPECT_EQ(lowered.kept[0].reason,
+              std::string("not one of p's rules: ") + rule)
+        << source;
+  }
 }
 
 TEST(LowerTest, PreparedProgramServesTheLoweredProgram) {

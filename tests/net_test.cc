@@ -454,6 +454,38 @@ TEST(NetTest, UnknownSessionIsNonFatal) {
   server.Stop();
 }
 
+// A unit without `?-` is the client's error, not the server's: the reply
+// is INVALID_ARGUMENT and the same connection answers the next query.
+TEST(NetTest, UnitWithoutQueryIsInvalidArgumentAndServerKeepsServing) {
+  Server server(ServerOptions{});
+  ASSERT_TRUE(server.Start().ok());
+  Result<Client> connected = ConnectAs(server, "");
+  ASSERT_TRUE(connected.ok());
+  Client& client = connected.value();
+
+  QueryParams params;
+  params.source = "p(X) :- e(X). e(1).";
+  Result<Response> no_query = client.Query(params);
+  ASSERT_TRUE(no_query.ok());
+  EXPECT_EQ(no_query.value().status.code(), StatusCode::kInvalidArgument)
+      << no_query.value().status.message();
+  EXPECT_TRUE(no_query.value().answers.empty());
+
+  params.source = kChain;
+  Result<Response> good = client.Query(params);
+  ASSERT_TRUE(good.ok());
+  ASSERT_TRUE(good.value().status.ok()) << good.value().status.message();
+  EXPECT_EQ(good.value().answers.size(), 3u);
+
+  Result<JsonValue> metrics = client.Metrics();
+  ASSERT_TRUE(metrics.ok());
+  EXPECT_EQ(
+      CounterFromExport(metrics.value(), "service/requests_rejected_invalid"),
+      1);
+  EXPECT_TRUE(client.Close().ok());
+  server.Stop();
+}
+
 TEST(NetTest, MalformedDeltaFactIsRejectedBeforeDispatch) {
   Server server(ServerOptions{});
   ASSERT_TRUE(server.Start().ok());

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <utility>
+
 #include "src/parser/lexer.h"
 #include "src/parser/parser.h"
 
@@ -136,6 +141,41 @@ TEST(ParserTest, ErrorsCarryLocation) {
   auto result = ParseProgram("p(X) :- e(X)");
   ASSERT_FALSE(result.ok());
   EXPECT_NE(result.status().message().find("line"), std::string::npos);
+}
+
+// Integer literals at both ends of int64 parse exactly; one past either
+// end is an error with its position, never a wrapped value.
+TEST(ParserTest, IntegerLiteralBounds) {
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  const std::pair<const char*, int64_t> in_range[] = {
+      {"9223372036854775807", kMax},
+      {"9223372036854775806", kMax - 1},
+      {"-9223372036854775808", kMin},
+      {"-9223372036854775807", kMin + 1},
+  };
+  for (const auto& [text, want] : in_range) {
+    Result<Rule> rule =
+        ParseRule(std::string("p(X) :- e(X), X < ") + text + ".");
+    ASSERT_TRUE(rule.ok()) << text << ": " << rule.status().message();
+    EXPECT_EQ(rule.value().comparisons[0].rhs, Term::Int(want)) << text;
+  }
+  for (const char* text :
+       {"9223372036854775808", "-9223372036854775809",
+        "99999999999999999999999", "-99999999999999999999999"}) {
+    Result<Rule> rule =
+        ParseRule(std::string("p(X) :- e(X), X < ") + text + ".");
+    ASSERT_FALSE(rule.ok()) << text;
+    EXPECT_EQ(rule.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(rule.status().message(),
+              "integer literal out of range at line 1, column 19")
+        << text;
+  }
+  Result<ParsedUnit> fact =
+      ParseUnit("e(1, 99999999999999999999999).\n?- e.");
+  ASSERT_FALSE(fact.ok());
+  EXPECT_EQ(fact.status().message(),
+            "integer literal out of range at line 1, column 6");
 }
 
 TEST(ParserTest, AtomText) {

@@ -452,8 +452,7 @@ TEST_P(LoweringSoundness, ServedProgramLiesBetweenPPrimeAndP) {
   Result<SqoReport> report = OptimizeProgram(family.program, family.ics);
   ASSERT_TRUE(report.ok()) << report.status().message();
   const Program& rewritten = report.value().rewritten;
-  LoweredProgram lowered =
-      LowerProgram(family.program, rewritten, report.value().ics);
+  LoweredProgram lowered = LowerProgram(report.value());
   ASSERT_TRUE(lowered.program.Validate().ok()) << lowered.program.ToString();
   const std::string context = "family " + std::to_string(GetParam() % 5) +
                               "\nP:\n" + family.program.ToString() +
