@@ -20,17 +20,14 @@ namespace sqod {
 // match the CLI's --stats-json output key for key.
 inline std::vector<Tuple> RunAndReport(const Program& program,
                                        const Database& edb,
-                                       benchmark::State& state,
-                                       EvalOptions options = {}) {
+                                       benchmark::State& state) {
   MetricsRegistry metrics;
   EngineOptions engine_options;
   engine_options.metrics = &metrics;
   Engine engine(engine_options);
   Result<Session> session = engine.Open(program, {});
   SQOD_CHECK_MSG(session.ok(), session.status().message().c_str());
-  options.metrics_prefix = "eval";
-  Result<std::vector<Tuple>> answers =
-      session.value().ExecuteOriginal(edb, options);
+  Result<std::vector<Tuple>> answers = session.value().ExecuteOriginal(edb);
   SQOD_CHECK_MSG(answers.ok(), answers.status().message().c_str());
   auto counter = [&](const char* name) {
     return static_cast<double>(metrics.GetCounter(name)->value());

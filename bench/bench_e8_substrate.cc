@@ -1,8 +1,9 @@
-// Experiment E8 — substrate ablations.
+// Experiment E8 — the substrate.
 //
 // The speedups of E1-E3 are only meaningful if the underlying evaluator is
-// a credible datalog engine. This bench ablates its two main design
-// choices: semi-naive vs naive iteration, and indexed vs scan joins.
+// a credible datalog engine: semi-naive iteration over hash-indexed joins.
+// These rows track its cost on random graphs and on long chains, where
+// every path length is one delta round.
 
 #include "bench/bench_common.h"
 #include "src/parser/parser.h"
@@ -23,33 +24,8 @@ void BM_E8_SemiNaiveIndexed(benchmark::State& state) {
   Rng rng(21);
   Database edb = MakeRandomGraph(nodes, nodes * 2, &rng, "e");
   Program p = Closure();
-  EvalOptions options;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(RunAndReport(p, edb, state, options));
-  }
-}
-
-void BM_E8_NaiveIndexed(benchmark::State& state) {
-  const int nodes = static_cast<int>(state.range(0));
-  Rng rng(21);
-  Database edb = MakeRandomGraph(nodes, nodes * 2, &rng, "e");
-  Program p = Closure();
-  EvalOptions options;
-  options.semi_naive = false;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(RunAndReport(p, edb, state, options));
-  }
-}
-
-void BM_E8_SemiNaiveScan(benchmark::State& state) {
-  const int nodes = static_cast<int>(state.range(0));
-  Rng rng(21);
-  Database edb = MakeRandomGraph(nodes, nodes * 2, &rng, "e");
-  Program p = Closure();
-  EvalOptions options;
-  options.use_indexes = false;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(RunAndReport(p, edb, state, options));
+    benchmark::DoNotOptimize(RunAndReport(p, edb, state));
   }
 }
 
@@ -64,10 +40,6 @@ void BM_E8_ChainDepth(benchmark::State& state) {
 }
 
 BENCHMARK(BM_E8_SemiNaiveIndexed)->Arg(64)->Arg(128)->Arg(256)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_E8_NaiveIndexed)->Arg(64)->Arg(128)->Arg(256)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_E8_SemiNaiveScan)->Arg(64)->Arg(128)->Arg(256)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_E8_ChainDepth)->Arg(50)->Arg(100)->Arg(200)
     ->Unit(benchmark::kMillisecond);

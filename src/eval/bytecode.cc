@@ -18,8 +18,6 @@ const char* OpCodeName(OpCode op) {
     case OpCode::kProbeIndex: return "PROBE_INDEX";
     case OpCode::kLoadCol: return "LOAD_COL";
     case OpCode::kCheckCol: return "CHECK_COL";
-    case OpCode::kCheckConst: return "CHECK_CONST";
-    case OpCode::kJump: return "JUMP";
     case OpCode::kFilterCmp: return "FILTER_CMP";
     case OpCode::kCheckNeg: return "CHECK_NEG";
     case OpCode::kEmitHead: return "EMIT_HEAD";
@@ -63,14 +61,6 @@ std::string CompiledRule::ToString() const {
       case OpCode::kCheckCol:
         std::snprintf(line, sizeof(line), "%3zu  %-11s col=%d == r%d\n", ip,
                       OpCodeName(in.op), in.a, in.b);
-        break;
-      case OpCode::kCheckConst:
-        std::snprintf(line, sizeof(line), "%3zu  %-11s col=%d == c%d\n", ip,
-                      OpCodeName(in.op), in.a, in.b);
-        break;
-      case OpCode::kJump:
-        std::snprintf(line, sizeof(line), "%3zu  %-11s -> %d\n", ip,
-                      OpCodeName(in.op), in.b);
         break;
       case OpCode::kFilterCmp:
         std::snprintf(line, sizeof(line), "%3zu  %-11s %s %s %s\n", ip,
@@ -126,11 +116,11 @@ CompiledRule CompileRulePlan(const RulePlan& plan,
   out.head_pred = plan.head_pred;
   out.head_arity = static_cast<int>(plan.head.size());
 
-  // Sized up front: two action ranges (≤ 2 instrs per atom column each)
-  // plus opener/jump per level, one instr per filter/negation, one emit.
+  // Sized up front: an opener plus ≤ 1 action per column per level, one
+  // instr per filter/negation, one emit.
   size_t code_guess = 1, args_guess = plan.head.size();
   for (const PlanStep& step : plan.steps) {
-    code_guess += 2 * step.args.size() + 2;
+    code_guess += step.args.size() + 1;
     args_guess += step.args.size();
   }
   out.code.reserve(code_guess);
@@ -231,10 +221,10 @@ CompiledRule CompileRulePlan(const RulePlan& plan,
         lvl.open_ip = static_cast<uint32_t>(out.code.size());
         out.code.push_back(open);
 
-        // Probe-action range: rows from an index probe already match every
-        // masked column, so only unmasked columns need work — loads for
-        // first occurrences, register compares for in-atom repeats.
-        lvl.probe_ip = static_cast<uint32_t>(out.code.size());
+        // Row actions: a probed level's rows already match every masked
+        // column, and a scanned level (mask 0) has none, so only unmasked
+        // columns need work — loads for first occurrences, register
+        // compares for in-atom repeats.
         for (int i = 0; i < lvl.arity; ++i) {
           if ((lvl.mask >> i) & 1) continue;
           Instr in;
@@ -243,33 +233,7 @@ CompiledRule CompileRulePlan(const RulePlan& plan,
           in.op = (first_load >> i) & 1 ? OpCode::kLoadCol : OpCode::kCheckCol;
           out.code.push_back(in);
         }
-        // Skip the scan-action range below.
-        Instr jmp;
-        jmp.op = OpCode::kJump;
-        const size_t jmp_ip = out.code.size();
-        out.code.push_back(jmp);
-
-        // Scan-action range: rows from a full scan (no index, or indexes
-        // disabled at runtime) must check every column.
-        lvl.scan_ip = static_cast<uint32_t>(out.code.size());
-        for (int i = 0; i < lvl.arity; ++i) {
-          Instr in;
-          in.a = static_cast<uint8_t>(i);
-          const ArgRef& a = step.args[i];
-          if (a.var < 0) {
-            in.op = OpCode::kCheckConst;
-            in.b = InternConst(&out, a.const_val);
-          } else if ((first_load >> i) & 1) {
-            in.op = OpCode::kLoadCol;
-            in.b = a.var;
-          } else {
-            in.op = OpCode::kCheckCol;
-            in.b = a.var;
-          }
-          out.code.push_back(in);
-        }
         lvl.post_ip = static_cast<uint32_t>(out.code.size());
-        out.code[jmp_ip].b = static_cast<int32_t>(lvl.post_ip);
         out.levels.push_back(lvl);
         break;
       }
@@ -332,11 +296,9 @@ Result<CompiledProgram> CompileProgram(const Program& program) {
         }
       }
     }
-    for (size_t i = 0; i < st.rule_indices.size(); ++i) {
-      const int r = st.rule_indices[i];
-      st.full.push_back(lower(rules[r], r, -1));
+    for (int r : st.rule_indices) {
       if (recursive_subgoals.count(r) == 0) {
-        st.nonrecursive.push_back(static_cast<int>(i));
+        st.full.push_back(lower(rules[r], r, -1));
       }
     }
     for (const auto& [r, occurrences] : recursive_subgoals) {

@@ -34,17 +34,13 @@ enum class OpCode : uint8_t {
   // Join-level openers; `b` indexes CompiledRule::levels. The opcode
   // mirrors the level's statically-resolved row source: PROBE_INDEX when
   // the level has bound columns (mask != 0), SCAN_DELTA when it reads the
-  // semi-naive delta, SCAN_FULL otherwise. A PROBE_INDEX level falls back
-  // to its scan actions when indexes are disabled at runtime.
+  // semi-naive delta, SCAN_FULL otherwise.
   kScanFull,
   kScanDelta,
   kProbeIndex,
   // Per-row column ops against the current level's row:
-  kLoadCol,     // regs[b] = row[a]
-  kCheckCol,    // row[a] == regs[b] else next row
-  kCheckConst,  // row[a] == consts[b] else next row
-  // Control:
-  kJump,  // ip = b (skips the scan-action range after probe actions)
+  kLoadCol,   // regs[b] = row[a]
+  kCheckCol,  // row[a] == regs[b] else next row
   // Filters:
   kFilterCmp,  // EvalCmp(src b, CmpOp a, src c) else next row
   kCheckNeg,   // negs[b] absent else next row
@@ -104,11 +100,13 @@ struct LevelRows {
 struct Instr {
   OpCode op;
   uint8_t a = 0;   // column index, or CmpOp for kFilterCmp
-  int32_t b = 0;   // register / const / level / neg index / jump target
+  int32_t b = 0;   // register / level / neg index, or lhs ArgSrc
   int32_t c = 0;   // rhs ArgSrc for kFilterCmp
 };
 
-// Static description of one join level (one positive subgoal).
+// Static description of one join level (one positive subgoal). Its row
+// actions are the ops [open_ip + 1, post_ip): one per unmasked column, since
+// the index probe already matched every masked one.
 struct LevelInfo {
   PredId pred = -1;
   int body_index = -1;  // into rule.body
@@ -118,8 +116,6 @@ struct LevelInfo {
   uint32_t key_off = 0;   // ArgSrc run in args_pool, mask-column order
   uint16_t key_len = 0;   // == popcount(mask)
   uint32_t open_ip = 0;   // the opener instruction
-  uint32_t probe_ip = 0;  // row actions when rows come from an index probe
-  uint32_t scan_ip = 0;   // row actions when rows come from a scan
   uint32_t post_ip = 0;   // first op after the row actions
 };
 
@@ -173,13 +169,12 @@ struct CompiledRule {
 struct CompiledProgram {
   struct Stratum {
     std::vector<int> rule_indices;      // program rule indices, this stratum
-    // One full plan (delta_subgoal = -1) per stratum rule, in
-    // rule_indices order. Naive iteration runs all of them.
+    // One full plan (delta_subgoal = -1) per stratum rule with no
+    // same-stratum positive IDB subgoal, in rule_indices order: the
+    // iteration-0 set.
     std::vector<CompiledRule> full;
-    // Indices into `full` of the rules with no same-stratum positive IDB
-    // subgoal: the semi-naive iteration-0 set.
-    std::vector<int> nonrecursive;
-    // One plan per (rule, same-stratum positive IDB occurrence).
+    // One plan per (rule, same-stratum positive IDB occurrence): every
+    // later iteration.
     std::vector<CompiledRule> delta;
   };
 
@@ -201,10 +196,10 @@ struct CompiledProgram {
   std::vector<PlanInfo> plans;
 };
 
-// Lowers every (rule, delta-subgoal) plan of `program` to bytecode and
-// selects kernels. Fails (like evaluation would) when the program does not
-// stratify. The result depends only on the program, never on EvalOptions:
-// one artifact serves naive and semi-naive iteration, probes and scans.
+// Lowers every plan semi-naive iteration runs — the iteration-0 full plans
+// and the (rule, delta-subgoal) plans — to bytecode and selects kernels.
+// Fails (like evaluation would) when the program does not stratify. The
+// result depends only on the program, never on EvalOptions.
 Result<CompiledProgram> CompileProgram(const Program& program);
 
 // Lowers one plan. `idb_preds` classifies each level's and negation's
@@ -243,7 +238,6 @@ class HeadSink {
 // executor and the specialized kernels. Owned by the caller and reused
 // across activations, so nothing below allocates per activation.
 struct VmContext {
-  bool use_indexes = true;
   // Receives probes, cmp_checks, firings and ops; null leaves them
   // uncounted.
   RuleProfile* profile = nullptr;
@@ -272,7 +266,6 @@ struct Cursor {
   // Scan state (is_scan == true):
   int64_t scan_row = 0;
   bool is_scan = false;
-  uint32_t actions_ip = 0;  // probe_ip or scan_ip, chosen when opened
 };
 
 }  // namespace vm_internal
@@ -290,6 +283,7 @@ void RunBytecode(const CompiledRule& rule, VmContext* ctx, Sink&& sink) {
   const Instr* code = rule.code.data();
   const Value* consts = rule.consts.data();
   const ArgSrc* args_pool = rule.args_pool.data();
+  const LevelInfo* levels = rule.levels.data();
   Value* regs = ctx->regs.data();
   const LevelRows* level_rows = ctx->levels.data();
   const LevelRows* neg_rows = ctx->negs.data();
@@ -325,7 +319,7 @@ void RunBytecode(const CompiledRule& rule, VmContext* ctx, Sink&& sink) {
       case OpCode::kScanFull:
       case OpCode::kScanDelta:
       case OpCode::kProbeIndex: {
-        const LevelInfo& lvl = rule.levels[in.b];
+        const LevelInfo& lvl = levels[in.b];
         Cursor& cur = stack[depth];
         cur.rows = level_rows[in.b];
         cur.row_data = nullptr;
@@ -333,7 +327,7 @@ void RunBytecode(const CompiledRule& rule, VmContext* ctx, Sink&& sink) {
           // Level cannot match: backtrack (fall through to advance below).
           cur.is_scan = true;
           cur.scan_row = cur.rows.hi;
-        } else if (in.op == OpCode::kProbeIndex && ctx->use_indexes) {
+        } else if (in.op == OpCode::kProbeIndex) {
           for (int k = 0; k < lvl.key_len; ++k) {
             key[k] = src_value(args_pool[lvl.key_off + k]);
           }
@@ -341,11 +335,9 @@ void RunBytecode(const CompiledRule& rule, VmContext* ctx, Sink&& sink) {
                                           cur.rows.hi);
           cur.is_scan = false;
           cur.probe_row = cur.chain.row;
-          cur.actions_ip = lvl.probe_ip;
         } else {
           cur.is_scan = true;
           cur.scan_row = cur.rows.lo;
-          cur.actions_ip = lvl.scan_ip;
         }
         ++depth;
         // Fetch the first row (or backtrack if none) via the shared
@@ -363,17 +355,6 @@ void RunBytecode(const CompiledRule& rule, VmContext* ctx, Sink&& sink) {
           continue;
         }
         break;  // row rejected: advance
-      }
-      case OpCode::kCheckConst: {
-        if (stack[depth - 1].row_data[in.a] == consts[in.b]) {
-          ++ip;
-          continue;
-        }
-        break;
-      }
-      case OpCode::kJump: {
-        ip = static_cast<uint32_t>(in.b);
-        continue;
       }
       case OpCode::kFilterCmp: {
         ++cmps;
@@ -447,7 +428,8 @@ void RunBytecode(const CompiledRule& rule, VmContext* ctx, Sink&& sink) {
       }
       if (have_row) {
         ++probes;  // one candidate row examined
-        ip = cur.actions_ip;
+        // Cursor d holds level d: levels open in plan order.
+        ip = levels[depth - 1].open_ip + 1;
         break;
       }
       --depth;  // exhausted: backtrack to the enclosing level

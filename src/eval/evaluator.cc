@@ -109,7 +109,6 @@ Result<Database> Evaluator::Evaluate(const Database& edb) {
   // One register file and row-resolution scratch reused across every rule
   // activation; nothing below allocates per probe or per row.
   VmContext vm;
-  vm.use_indexes = options_.use_indexes;
   vm.regs.resize(compiled->max_regs);
   vm.levels.reserve(compiled->max_levels);
   // Per-kernel activation counts, published at finish.
@@ -281,33 +280,11 @@ Result<Database> Evaluator::Evaluate(const Database& edb) {
     };
     advance();
 
-    if (!options_.semi_naive) {
-      // Naive within the stratum: every rule, full relations, every round.
-      for (;;) {
-        if (Status s = interrupted(); !s.ok()) {
-          finish();
-          return s;
-        }
-        ++iterations;
-        Span iter_span = start_span("eval.iteration");
-        iter_span.SetAttr("iteration", iterations);
-        int64_t t0 = timed ? NowNs() : 0;
-        for (const CompiledRule& cr : cst.full) run_compiled(cr);
-        Status s = fail_if_overflow();
-        if (!s.ok()) {
-          finish();
-          return s;
-        }
-        int64_t added = advance();
-        observe_iteration(&iter_span, t0, added);
-        if (added == 0) break;
-      }
-      continue;
-    }
-
-    // Semi-naive. Iteration 0: rules with no same-stratum IDB subgoal.
-    int64_t added = 0;
-    {
+    // Iteration 0 runs the full plans of the rules with no same-stratum IDB
+    // subgoal; every later iteration runs one plan per (rule, same-stratum
+    // delta-subgoal occurrence), until an iteration derives nothing new.
+    const std::vector<CompiledRule>* plans = &cst.full;
+    for (;;) {
       if (Status s = interrupted(); !s.ok()) {
         finish();
         return s;
@@ -316,34 +293,16 @@ Result<Database> Evaluator::Evaluate(const Database& edb) {
       Span iter_span = start_span("eval.iteration");
       iter_span.SetAttr("iteration", iterations);
       int64_t t0 = timed ? NowNs() : 0;
-      for (int i : cst.nonrecursive) run_compiled(cst.full[i]);
+      for (const CompiledRule& cr : *plans) run_compiled(cr);
       Status s = fail_if_overflow();
       if (!s.ok()) {
         finish();
         return s;
       }
-      added = advance();
+      const int64_t added = advance();
       observe_iteration(&iter_span, t0, added);
-    }
-
-    // One plan per (rule, same-stratum delta-subgoal occurrence).
-    while (added > 0) {
-      if (Status s = interrupted(); !s.ok()) {
-        finish();
-        return s;
-      }
-      ++iterations;
-      Span iter_span = start_span("eval.iteration");
-      iter_span.SetAttr("iteration", iterations);
-      int64_t t0 = timed ? NowNs() : 0;
-      for (const CompiledRule& cr : cst.delta) run_compiled(cr);
-      Status s = fail_if_overflow();
-      if (!s.ok()) {
-        finish();
-        return s;
-      }
-      added = advance();
-      observe_iteration(&iter_span, t0, added);
+      if (added == 0) break;
+      plans = &cst.delta;
     }
   }
   finish();

@@ -16,11 +16,9 @@ namespace sqod {
 
 struct CompiledProgram;
 
+// Evaluation is semi-naive with hash-indexed joins (docs/evaluator.md);
+// no option selects another strategy.
 struct EvalOptions {
-  // Semi-naive (delta-driven) iteration vs naive re-evaluation.
-  bool semi_naive = true;
-  // Use hash indexes for bound-column probes; otherwise scan.
-  bool use_indexes = true;
   // A pre-compiled artifact to execute (as cached by PreparedProgram; see
   // docs/evaluator.md, "Compiled bytecode"). Must have been built by
   // CompileProgram from the same program being evaluated. Null = compile

@@ -7,10 +7,10 @@ namespace sqod {
 
 namespace {
 
-// True when every instruction in [begin, end) is kLoadCol — the level binds
-// fresh registers only, with no in-atom repeats or constant checks.
-bool LoadOnly(const CompiledRule& rule, uint32_t begin, uint32_t end) {
-  for (uint32_t ip = begin; ip < end; ++ip) {
+// True when every row action of `lvl` is kLoadCol — the level binds fresh
+// registers only, with no in-atom repeats.
+bool LoadOnly(const CompiledRule& rule, const LevelInfo& lvl) {
+  for (uint32_t ip = lvl.open_ip + 1; ip < lvl.post_ip; ++ip) {
     if (rule.code[ip].op != OpCode::kLoadCol) return false;
   }
   return true;
@@ -32,10 +32,7 @@ KernelId SelectKernel(const CompiledRule& rule) {
     const LevelInfo& outer = rule.levels[0];
     const LevelInfo& inner = rule.levels[1];
     if (outer.mask == 0 && inner.mask != 0 && inner.key_len >= 1 &&
-        inner.key_len <= 4 &&
-        LoadOnly(rule, outer.scan_ip, outer.post_ip) &&
-        LoadOnly(rule, inner.probe_ip,
-                 inner.scan_ip - 1 /* the kJump between the ranges */)) {
+        inner.key_len <= 4 && LoadOnly(rule, outer) && LoadOnly(rule, inner)) {
       return KernelId::kScanProbeEmit;
     }
   }
@@ -91,10 +88,8 @@ void RunScanFilterEmit(const CompiledRule& rule, VmContext* ctx,
 
   int64_t probes = 0, cmps = 0, ops = 0, firings = 0;
 
-  const bool probe = lvl.mask != 0 && ctx->use_indexes;
-  const uint32_t actions_begin = probe ? lvl.probe_ip : lvl.scan_ip;
-  const uint32_t actions_end = probe ? lvl.scan_ip - 1 /* kJump */
-                                     : lvl.post_ip;
+  const uint32_t actions_begin = lvl.open_ip + 1;
+  const uint32_t actions_end = lvl.post_ip;
   // Post range: comparison filters between the level and the final emit.
   const Instr* post_begin = code + lvl.post_ip;
   const Instr* post_end = code + rule.code.size() - 1;
@@ -104,18 +99,10 @@ void RunScanFilterEmit(const CompiledRule& rule, VmContext* ctx,
     for (uint32_t ip = actions_begin; ip < actions_end; ++ip) {
       const Instr& in = code[ip];
       ++ops;
-      switch (in.op) {
-        case OpCode::kLoadCol:
-          regs[in.b] = row[in.a];
-          continue;
-        case OpCode::kCheckCol:
-          if (row[in.a] == regs[in.b]) continue;
-          return true;
-        case OpCode::kCheckConst:
-          if (row[in.a] == consts[in.b]) continue;
-          return true;
-        default:
-          continue;
+      if (in.op == OpCode::kLoadCol) {
+        regs[in.b] = row[in.a];
+      } else if (row[in.a] != regs[in.b]) {  // kCheckCol
+        return true;
       }
     }
     if (!PassFilters(post_begin, post_end, consts, regs, &cmps)) return true;
@@ -123,7 +110,7 @@ void RunScanFilterEmit(const CompiledRule& rule, VmContext* ctx,
     return EmitHead(rule, consts, regs, sink, &firings);
   };
 
-  if (probe) {
+  if (lvl.mask != 0) {
     // A single-level probe key is necessarily constant (no register is
     // bound before the first level).
     Value key[Relation::kMaxArity];
@@ -174,11 +161,10 @@ void RunScanProbeEmit(const CompiledRule& rule, VmContext* ctx,
   int64_t probes = 0, cmps = 0, ops = 0, firings = 0;
 
   // Pre-resolved action/key/filter descriptors, hoisted out of both loops.
-  const Instr* outer_loads = code + outer.scan_ip;
-  const int outer_nloads = static_cast<int>(outer.post_ip - outer.scan_ip);
-  const Instr* inner_loads = code + inner.probe_ip;
-  const int inner_nloads =
-      static_cast<int>(inner.scan_ip - 1 - inner.probe_ip);
+  const Instr* outer_loads = code + outer.open_ip + 1;
+  const int outer_nloads = static_cast<int>(outer.post_ip - outer.open_ip - 1);
+  const Instr* inner_loads = code + inner.open_ip + 1;
+  const int inner_nloads = static_cast<int>(inner.post_ip - inner.open_ip - 1);
   const ArgSrc* key_srcs = args_pool + inner.key_off;
   const uint64_t inner_mask = inner.mask;
   const bool inner_live = !inner_rows.empty();
@@ -243,9 +229,6 @@ KernelId RunCompiled(const CompiledRule& rule, VmContext* ctx,
       RunScanFilterEmit(rule, ctx, sink);
       return KernelId::kScanFilterEmit;
     case KernelId::kScanProbeEmit:
-      // scan_probe_emit relies on the inner index; without runtime indexes
-      // the generic loop's scan path keeps semantics (and counters) right.
-      if (!ctx->use_indexes) break;
       switch (rule.levels[1].key_len) {
         case 1: RunScanProbeEmit<1>(rule, ctx, sink); return rule.kernel;
         case 2: RunScanProbeEmit<2>(rule, ctx, sink); return rule.kernel;

@@ -13,8 +13,8 @@ namespace sqod {
 //
 // Selection rules (compile time, on the lowered plan):
 //   scan_filter_emit  — exactly one join level and no negations: iterate the
-//                       level (index probe when it has bound columns and
-//                       indexes are on, scan otherwise), run the column
+//                       level (index probe when it has bound columns, scan
+//                       otherwise), run the column
 //                       actions and comparison filters inline, emit. Covers
 //                       EDB projections/selections and iteration-0 seeding
 //                       rules.
@@ -22,13 +22,12 @@ namespace sqod {
 //                       levels, no negations, inner level with a non-empty
 //                       probe mask and 1..4 key columns, load-only column
 //                       actions on both levels (no in-atom repeated
-//                       variables or constants-on-scan checks). The inner
+//                       variables). The inner
 //                       loop is a flat probe-and-emit specialized on the key
 //                       width — the transitive-closure shape that dominates
 //                       E2/E4. Comparison filters run after the loads of
 //                       the level that binds them (residues such as E2's
-//                       `0 <= X`). Requires runtime indexes; falls back to
-//                       generic when they are off.
+//                       `0 <= X`).
 //   generic           — everything else: the bytecode dispatch loop.
 //
 // All kernels preserve the generic loop's counter semantics exactly
@@ -41,10 +40,9 @@ namespace sqod {
 KernelId SelectKernel(const CompiledRule& rule);
 
 // Runs one activation through the selected kernel (or the generic loop when
-// the plan selected kGeneric or the kernel's runtime requirements — e.g.
-// indexes — are not met), emitting into `sink`. Returns the kernel that
-// actually ran, for the eval/kernel_* activation counters. Callers must
-// have run ResolveRelations first.
+// the plan selected kGeneric), emitting into `sink`. Returns the kernel that
+// ran, for the eval/kernel_* activation counters. Callers must have run
+// ResolveRelations first.
 KernelId RunCompiled(const CompiledRule& rule, VmContext* ctx,
                      HeadSink* sink);
 

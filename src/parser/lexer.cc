@@ -12,9 +12,11 @@ bool IsIdentStart(char c) { return std::islower(static_cast<unsigned char>(c)); 
 bool IsVarStart(char c) {
   return std::isupper(static_cast<unsigned char>(c)) || c == '_';
 }
+
+// No '@': the optimizer names its generated predicates p@<k> and
+// p@<k>_n<class>, so a unit can never name one of them.
 bool IsIdentChar(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '_' || c == '@' ||
-         c == '\'';
+  return std::isalnum(static_cast<unsigned char>(c)) || c == '_' || c == '\'';
 }
 
 std::string Where(int line, int col) {

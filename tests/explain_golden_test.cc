@@ -62,17 +62,18 @@ TEST(ExplainGoldenTest, KernelSelectionMatchesRuleShapes) {
   std::map<std::pair<int, int>, std::string> kernels =
       KernelsByPlan(compiled.value());
 
-  // Full plans, one per rule (delta_subgoal = -1).
+  // Full plans (delta_subgoal = -1), one per iteration-0 rule.
   EXPECT_EQ((kernels[{0, -1}]), "scan_filter_emit");  // copy
   EXPECT_EQ((kernels[{1, -1}]), "scan_probe_emit");   // join
   EXPECT_EQ((kernels[{2, -1}]), "generic");           // negation
   EXPECT_EQ((kernels[{3, -1}]), "scan_filter_emit");  // tc base
-  EXPECT_EQ((kernels[{4, -1}]), "scan_probe_emit");   // tc recursive
-  // The recursive rule also gets a semi-naive delta plan (delta on the
+  // The recursive rule gets only its semi-naive delta plan (delta on the
   // tc occurrence, subgoal index 1): scan the delta, probe e on its
-  // bound key — still the two-level probe kernel.
+  // bound key — the two-level probe kernel.
+  EXPECT_EQ((kernels.count({4, -1})), 0u);
   ASSERT_TRUE((kernels.count({4, 1})));
   EXPECT_EQ((kernels[{4, 1}]), "scan_probe_emit");
+  EXPECT_EQ(kernels.size(), 5u);
 
   EXPECT_GT(compiled.value().total_ops, 0);
   for (const CompiledProgram::PlanInfo& plan : compiled.value().plans) {
@@ -188,7 +189,7 @@ TEST(ExplainGoldenTest, LoweringSectionAndFilteredProbeKernel) {
     ++plans;
     EXPECT_EQ(row.kernel, "scan_probe_emit") << row.delta_subgoal;
   }
-  EXPECT_EQ(plans, 2);  // the full plan and the delta plan
+  EXPECT_EQ(plans, 1);  // the delta plan; recursive rules have no full plan
 
   Result<JsonValue> json = ParseJson(explain.ToJson());
   ASSERT_TRUE(json.ok()) << json.status().message();

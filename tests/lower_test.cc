@@ -157,18 +157,32 @@ TEST(LowerTest, DeduplicationKeepsRulesThatDifferInComparisons) {
 }
 
 // An original predicate is never mistaken for an adorned copy, whatever
-// its name.
+// its name. The parser rejects '@', so the program is built through the
+// AST, as an embedding caller could:
+//   p(X, Y) :- e(X, Y).
+//   p@0(X, Y) :- e(X, Y), f(Y).
+//   q(X, Y) :- p@0(X, Y).
 TEST(LowerTest, OriginalPredicateNamedLikeACopyIsNotMerged) {
-  ParsedUnit unit = ParseUnit(R"(
-    p(X, Y) :- e(X, Y).
-    p@0(X, Y) :- e(X, Y), f(Y).
-    q(X, Y) :- p@0(X, Y).
-    ?- q.
-  )").take();
+  const Term x = Term::Var("X"), y = Term::Var("Y");
+  const PredId copy_name = InternPred("p@0");
+  Program program;
+  Rule base;
+  base.head = Atom("p", {x, y});
+  base.body.push_back(Literal::Pos(Atom("e", {x, y})));
+  program.AddRule(std::move(base));
+  Rule named;
+  named.head = Atom(copy_name, {x, y});
+  named.body.push_back(Literal::Pos(Atom("e", {x, y})));
+  named.body.push_back(Literal::Pos(Atom("f", {y})));
+  program.AddRule(std::move(named));
+  Rule query;
+  query.head = Atom("q", {x, y});
+  query.body.push_back(Literal::Pos(Atom(copy_name, {x, y})));
+  program.AddRule(std::move(query));
+  program.SetQuery("q");
   SqoOptions no_adorn;
   no_adorn.disabled_passes = {"adorn"};
-  SqoReport report =
-      OptimizeProgram(unit.program, unit.constraints, no_adorn).take();
+  SqoReport report = OptimizeProgram(program, {}, no_adorn).take();
   LoweredProgram lowered = LowerProgram(report);
   EXPECT_TRUE(lowered.merged.empty());
   EXPECT_EQ(lowered.program.ToString(), report.rewritten.ToString());

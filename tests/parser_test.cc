@@ -178,6 +178,24 @@ TEST(ParserTest, IntegerLiteralBounds) {
             "integer literal out of range at line 1, column 6");
 }
 
+// The optimizer names its generated predicates p@<k> and p@<k>_n<class>;
+// a unit that names one is rejected where the '@' stands, so it can never
+// read or write a generated copy's tuples.
+TEST(ParserTest, GeneratedPredicateNamesAreRejected) {
+  Result<ParsedUnit> unit = ParseUnit(
+      "p(X) :- e(X). q(X) :- p@0_n1(X). q(X) :- p(X), z(X).\n"
+      "e(1). p@0_n1(7).\n"
+      "?- q.\n");
+  ASSERT_FALSE(unit.ok());
+  EXPECT_EQ(unit.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(unit.status().message(),
+            "unexpected character '@' at line 1, column 24");
+  Result<ParsedUnit> fact = ParseUnit("p(X) :- e(X).\np@0(7).\n?- p.\n");
+  ASSERT_FALSE(fact.ok());
+  EXPECT_EQ(fact.status().message(),
+            "unexpected character '@' at line 2, column 2");
+}
+
 TEST(ParserTest, AtomText) {
   Atom a = ParseAtomText("goodPath(X, Y)").take();
   EXPECT_EQ(a.pred(), InternPred("goodPath"));

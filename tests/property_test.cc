@@ -128,8 +128,8 @@ INSTANTIATE_TEST_SUITE_P(Thresholds, ThresholdSweep,
                          ::testing::Values(0, 20, 40, 80, 120, 159));
 
 // ---------------------------------------------------------------------------
-// Evaluator invariants across random graphs: semi-naive == naive ==
-// unindexed, and stats sanity.
+// Evaluator invariants across random graphs: the evaluator equals the
+// naive, nested-loop reference evaluator, and stats sanity.
 
 class EvaluatorAgreement : public ::testing::TestWithParam<uint64_t> {};
 
@@ -137,17 +137,7 @@ TEST_P(EvaluatorAgreement, AllModesAgree) {
   Rng rng(GetParam());
   Program p = MakeAbClosureProgram();
   Database db = MakeTwoColoredGraph(14, 30, 0.5, &rng);
-  EvalOptions naive;
-  naive.semi_naive = false;
-  EvalOptions scan;
-  scan.use_indexes = false;
-  EvalOptions naive_scan;
-  naive_scan.semi_naive = false;
-  naive_scan.use_indexes = false;
-  auto a = EvaluateQuery(p, db).take();
-  EXPECT_EQ(a, EvaluateQuery(p, db, naive).take());
-  EXPECT_EQ(a, EvaluateQuery(p, db, scan).take());
-  EXPECT_EQ(a, EvaluateQuery(p, db, naive_scan).take());
+  EXPECT_EQ(EvaluateQuery(p, db).take(), ReferenceQuery(p, db));
 }
 
 TEST_P(EvaluatorAgreement, StatsAreConsistent) {
