@@ -171,21 +171,19 @@ IvmWorkload MakeTcWorkload(int nodes, int churn_per_mille) {
 // full-recompute path when `force_recompute` is set.
 void RunChurn(benchmark::State& state, const IvmWorkload& w,
               bool force_recompute) {
-  MaterializedState ms;
-  ms.edb = w.edb;
-  ms.edb.EnableVersioning(0);
-  Result<MaintenancePlan> plan = BuildMaintenancePlan(w.program);
-  SQOD_CHECK_MSG(plan.ok(), plan.status().message().c_str());
+  Result<CompiledProgram> compiled = CompileProgram(w.program);
+  SQOD_CHECK_MSG(compiled.ok(), compiled.status().message().c_str());
+  const MaintenancePlan plan =
+      BuildMaintenancePlan(w.program, compiled.value());
+  Result<MaterializedState> materialized =
+      MaterializeState(w.program, compiled.value(), plan, w.edb);
+  SQOD_CHECK_MSG(materialized.ok(),
+                 materialized.status().message().c_str());
+  MaterializedState ms = materialized.take();
 
   ApplyDeltaOptions options;
   options.force_recompute = force_recompute;
   options.recompute_fraction = 1e9;  // pair stays pure: no silent fallback
-  Evaluator evaluator(w.program, options.eval);
-  Result<Database> idb = evaluator.Evaluate(ms.edb);
-  SQOD_CHECK_MSG(idb.ok(), idb.status().message().c_str());
-  ms.idb = idb.take();
-  ms.idb.EnableVersioning(0);
-  InitializeDerivationCounts(w.program, plan.value(), &ms);
 
   MaintainStats totals;
   bool flip = false;
@@ -194,7 +192,8 @@ void RunChurn(benchmark::State& state, const IvmWorkload& w,
     const FactDelta& delta = flip ? w.backward : w.forward;
     flip = !flip;
     Result<MaintainStats> stats =
-        ApplyDeltaToState(w.program, plan.value(), delta, options, &ms);
+        ApplyDeltaToState(w.program, compiled.value(), plan, delta, options,
+                          &ms);
     if (!stats.ok()) {
       state.SkipWithError(stats.status().message().c_str());
       return;

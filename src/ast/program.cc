@@ -152,36 +152,114 @@ bool Program::NegationOnEdbOnly() const {
 }
 
 Result<std::map<PredId, int>> Program::Stratify() const {
-  std::set<PredId> idb = IdbPreds();
-  std::map<PredId, int> stratum;
-  for (PredId p : idb) stratum[p] = 0;
+  // Nodes are the IDB predicates, numbered by the rule that first defines
+  // them, so everything below depends only on the program text.
+  std::map<PredId, int> node;
+  std::vector<PredId> preds;
+  for (const Rule& r : rules_) {
+    if (node.emplace(r.head.pred(), static_cast<int>(preds.size())).second) {
+      preds.push_back(r.head.pred());
+    }
+  }
+  const int n = static_cast<int>(preds.size());
+  // adj: body predicate -> heads of the rules that read it, positive or
+  // negated; radj is its reverse.
+  std::vector<std::vector<int>> adj(n), radj(n);
+  for (const Rule& r : rules_) {
+    const int head = node.at(r.head.pred());
+    for (const Literal& l : r.body) {
+      auto it = node.find(l.atom.pred());
+      if (it == node.end()) continue;  // EDB predicate
+      adj[it->second].push_back(head);
+      radj[head].push_back(it->second);
+    }
+  }
 
-  // Fixpoint over the constraints: for a rule h :- ..., b, ...
-  //   positive IDB b: stratum(h) >= stratum(b)
-  //   negated  IDB b: stratum(h) >= stratum(b) + 1
-  // A program is stratified iff this converges; a stratum exceeding the
-  // number of IDB predicates witnesses a negative cycle.
-  const int limit = static_cast<int>(idb.size());
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (const Rule& r : rules_) {
-      int& h = stratum[r.head.pred()];
-      for (const Literal& l : r.body) {
-        if (idb.count(l.atom.pred()) == 0) continue;
-        int need = stratum[l.atom.pred()] + (l.negated ? 1 : 0);
-        if (h < need) {
-          h = need;
-          changed = true;
-          if (h > limit) {
-            return Status::InvalidArgument(
-                "program is not stratified: negation through the recursive "
-                "cycle of " + PredName(r.head.pred()));
-          }
+  // Kosaraju: forward DFS finish order, then reverse-graph DFS.
+  std::vector<int> order, comp(n, -1);
+  std::vector<char> seen(n, 0);
+  std::vector<std::pair<int, size_t>> stack;  // (node, next child)
+  for (int s = 0; s < n; ++s) {
+    if (seen[s]) continue;
+    stack.emplace_back(s, 0);
+    seen[s] = 1;
+    while (!stack.empty()) {
+      auto& [u, next] = stack.back();
+      if (next < adj[u].size()) {
+        int v = adj[u][next++];
+        if (!seen[v]) {
+          seen[v] = 1;
+          stack.emplace_back(v, 0);
         }
+      } else {
+        order.push_back(u);
+        stack.pop_back();
       }
     }
   }
+  int num_comp = 0;
+  std::vector<int> dfs;
+  for (int k = n - 1; k >= 0; --k) {
+    int s = order[k];
+    if (comp[s] >= 0) continue;
+    dfs.assign(1, s);
+    comp[s] = num_comp;
+    while (!dfs.empty()) {
+      int u = dfs.back();
+      dfs.pop_back();
+      for (int v : radj[u]) {
+        if (comp[v] < 0) {
+          comp[v] = num_comp;
+          dfs.push_back(v);
+        }
+      }
+    }
+    ++num_comp;
+  }
+
+  // A negated edge inside a component is negation through recursion.
+  for (const Rule& r : rules_) {
+    const int head = node.at(r.head.pred());
+    for (const Literal& l : r.body) {
+      auto it = node.find(l.atom.pred());
+      if (l.negated && it != node.end() && comp[it->second] == comp[head]) {
+        return Status::InvalidArgument(
+            "program is not stratified: negation through the recursive "
+            "cycle of " + PredName(r.head.pred()));
+      }
+    }
+  }
+
+  // Topological order of the condensation; among the components that are
+  // ready, the one whose first rule comes first in the program goes first.
+  // cadj may repeat an edge; indegree counts every copy.
+  std::vector<int> first(num_comp, n), indegree(num_comp, 0);
+  std::vector<std::vector<int>> cadj(num_comp);
+  for (int u = 0; u < n; ++u) {
+    first[comp[u]] = std::min(first[comp[u]], u);
+    for (int v : adj[u]) {
+      if (comp[u] != comp[v]) {
+        cadj[comp[u]].push_back(comp[v]);
+        ++indegree[comp[v]];
+      }
+    }
+  }
+  std::set<int> ready;  // the first node of each ready component
+  for (int c = 0; c < num_comp; ++c) {
+    if (indegree[c] == 0) ready.insert(first[c]);
+  }
+  std::vector<int> stratum_of_comp(num_comp);
+  int next_stratum = 0;
+  while (!ready.empty()) {
+    const int c = comp[*ready.begin()];
+    ready.erase(ready.begin());
+    stratum_of_comp[c] = next_stratum++;
+    for (int d : cadj[c]) {
+      if (--indegree[d] == 0) ready.insert(first[d]);
+    }
+  }
+  std::map<PredId, int> stratum;
+  for (int u = 0; u < n; ++u) stratum[preds[u]] = stratum_of_comp[comp[u]];
   return stratum;
 }
 

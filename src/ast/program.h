@@ -55,9 +55,15 @@ class Program {
   // IDB negation is an evaluator-level extension.
   Status Validate() const;
 
-  // Assigns a stratum to every IDB predicate such that positive
-  // dependencies stay within or below the stratum and negative dependencies
-  // point strictly below. Returns an error for non-stratified programs.
+  // The program's one stratification: assigns every IDB predicate its
+  // stratum, one per strongly connected component of the dependency graph
+  // (an edge from each IDB body predicate, positive or negated, to the
+  // rule's head). Strata are numbered in a topological order: a predicate's
+  // dependencies sit in its own stratum (same component, positive only) or
+  // strictly below. Ties go to the component whose first rule comes first
+  // in the program, so the numbering depends only on the program text.
+  // Returns an error for non-stratified programs (a negated edge inside a
+  // component).
   Result<std::map<PredId, int>> Stratify() const;
 
   // True if all negated body literals use EDB predicates (the paper's

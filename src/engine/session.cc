@@ -152,13 +152,13 @@ Result<const PreparedProgram*> Session::Prepare(const SqoOptions& options,
   Result<SqoReport> report = manager.Run(unit_.program, unit_.constraints);
 
   // Lower P' to the served program and compile that to bytecode while no
-  // lock is held; both ride in the cache entry so warm executions never
-  // redo them. Compilation failure (unstratifiable program) is not a
-  // Prepare error: the evaluator reports it with full context at Execute
-  // time.
+  // lock is held; both ride in the cache entry so warm executions and
+  // materialized views never redo them. A program that does not compile
+  // (one that does not stratify) fails Prepare like an optimizer error.
+  Status status = report.status();
   LoweredProgram lowered;
   std::shared_ptr<const CompiledProgram> compiled;
-  if (report.ok()) {
+  if (status.ok()) {
     lowered = LowerProgram(report.value());
     metrics.GetGauge("sqo/phase/lower_ns")->Set(lowered.lower_ns);
     Result<CompiledProgram> bytecode = CompileProgram(lowered.program);
@@ -168,16 +168,18 @@ Result<const PreparedProgram*> Session::Prepare(const SqoOptions& options,
       metrics.GetGauge("sqo/phase/plan_compile_ns")->Set(owned->compile_ns);
       metrics.GetCounter("eval/compile_ns")->Add(owned->compile_ns);
       compiled = std::move(owned);
+    } else {
+      status = bytecode.status().WithContext("compiling the served program");
     }
   }
 
   std::lock_guard<std::mutex> lock(cache_->mu);
-  if (!report.ok()) {
+  if (!status.ok()) {
     entry->done = true;
-    entry->status = report.status();
+    entry->status = status;
     cache_->entries.erase(fp);
     cache_->cv.notify_all();
-    return report.status();
+    return status;
   }
 
   auto prepared = std::make_unique<PreparedProgram>();

@@ -38,10 +38,11 @@ struct PreparedProgram {
   // and Materialize evaluates, plus the lowering's decisions for EXPLAIN.
   LoweredProgram lowered;
   // The served program compiled to register bytecode with per-rule
-  // kernels, built once at Prepare and reused by every Execute (the service
-  // warm path never re-lowers). Null when the program does not stratify —
-  // Execute then lets the evaluator surface the error. Shared and
-  // immutable, so concurrent Executes read it without synchronization.
+  // kernels, built once at Prepare and reused by every Execute and by the
+  // materialized view's maintenance (the service warm path never
+  // re-lowers). Never null: a program that does not compile fails Prepare.
+  // Shared and immutable, so concurrent Executes read it without
+  // synchronization.
   std::shared_ptr<const CompiledProgram> compiled;
 
   // The program to execute: P' lowered. Its answers contain those of P' on

@@ -20,26 +20,14 @@ Database CopyLive(const Database& db) {
 
 Result<std::unique_ptr<MaterializedView>> MaterializedView::Create(
     const PreparedProgram& prepared, const Database& base) {
-  Result<MaintenancePlan> plan = BuildMaintenancePlan(prepared.program());
-  if (!plan.ok()) return plan.status();
-
   auto view = std::unique_ptr<MaterializedView>(new MaterializedView());
   view->prepared_ = &prepared;
-  view->plan_ = std::move(plan).value();
-
-  view->state_.edb = base;  // the view owns and mutates its EDB
-  view->state_.edb.EnableVersioning(0);
-  view->state_.version = 0;
-
-  EvalOptions eval;
-  eval.compiled = prepared.compiled.get();
-  Evaluator evaluator(prepared.program(), eval);
-  Result<Database> idb = evaluator.Evaluate(view->state_.edb);
-  if (!idb.ok()) return idb.status();
-  view->state_.idb = std::move(idb).value();
-  view->state_.idb.EnableVersioning(0);
-
-  InitializeDerivationCounts(prepared.program(), view->plan_, &view->state_);
+  view->plan_ = BuildMaintenancePlan(prepared.program(), *prepared.compiled);
+  // The view owns and mutates its EDB: a copy of `base`.
+  Result<MaterializedState> state = MaterializeState(
+      prepared.program(), *prepared.compiled, view->plan_, base);
+  if (!state.ok()) return state.status();
+  view->state_ = std::move(state).value();
   return view;
 }
 
@@ -60,10 +48,9 @@ std::vector<Tuple> MaterializedView::Answers(int64_t* version) const {
 
 Result<MaintainStats> MaterializedView::ApplyDelta(const FactDelta& delta) {
   std::unique_lock<std::shared_mutex> lock(mu_);
-  ApplyDeltaOptions options;
-  options.eval.compiled = prepared_->compiled.get();
   Result<MaintainStats> stats =
-      ApplyDeltaToState(program(), plan_, delta, options, &state_);
+      ApplyDeltaToState(program(), *prepared_->compiled, plan_, delta,
+                        ApplyDeltaOptions(), &state_);
   if (stats.ok()) {
     last_ = stats.value();
     totals_.Accumulate(last_);

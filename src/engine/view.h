@@ -64,9 +64,10 @@ class MaterializedView {
   friend class Session;
   MaterializedView() = default;
 
-  // Builds the view: copies `base` as the versioned EDB, evaluates the
-  // prepared program to the initial IDB, and initializes derivation
-  // counts. Called by Session::Materialize with the session's facts.
+  // Builds the view with MaterializeState on the prepared program's
+  // compiled plans: a copy of `base` becomes the versioned EDB, the
+  // fixpoint over it the IDB, with derivation counts initialized. Called by
+  // Session::Materialize with the session's facts.
   static Result<std::unique_ptr<MaterializedView>> Create(
       const PreparedProgram& prepared, const Database& base);
 

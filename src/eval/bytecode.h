@@ -165,8 +165,11 @@ struct CompiledRule {
 // A whole program lowered to bytecode: per-stratum plan sets plus the
 // static evaluation facts (stratification, IDB classification) the
 // evaluator would otherwise recompute per request. Immutable once built;
-// safe to share across threads (PreparedProgram caches one).
+// safe to share across threads (PreparedProgram caches one, and a
+// materialized view maintains with it).
 struct CompiledProgram {
+  // One stratum per strongly connected component of the IDB dependency
+  // graph, in Program::Stratify's order.
   struct Stratum {
     std::vector<int> rule_indices;      // program rule indices, this stratum
     // One full plan (delta_subgoal = -1) per stratum rule with no
@@ -176,6 +179,12 @@ struct CompiledProgram {
     // One plan per (rule, same-stratum positive IDB occurrence): every
     // later iteration.
     std::vector<CompiledRule> delta;
+
+    // The one definition of a recursive stratum, for evaluation (which
+    // iterates it) and maintenance (which maintains it by DRed rather than
+    // counting). A non-recursive stratum has every rule as a full plan and
+    // runs one pass.
+    bool recursive() const { return !delta.empty(); }
   };
 
   std::vector<Stratum> strata;

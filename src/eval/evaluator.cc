@@ -92,9 +92,10 @@ Result<Database> Evaluator::Evaluate(const Database& edb) {
   };
 
   // Use the caller-provided artifact (PreparedProgram's cache) or lower on
-  // the fly. Either way the artifact carries the stratification and IDB
-  // classification, so Stratify() runs at most once per program, not once
-  // per evaluation.
+  // the fly. The artifact carries the stratification and IDB
+  // classification, so Stratify() runs once per compiled program: a
+  // prepared program's executions and its materialized view (whose
+  // maintenance plan and recomputes read the same artifact) never rerun it.
   const CompiledProgram* compiled = options_.compiled;
   CompiledProgram local_compiled;
   int64_t compile_ns = 0;
@@ -232,9 +233,10 @@ Result<Database> Evaluator::Evaluate(const Database& edb) {
 
   Span eval_span = start_span("eval");
 
-  // Evaluate stratum by stratum: negated IDB subgoals point strictly below
-  // and read the completed relations in `total`; positive IDB subgoals of
-  // lower strata are static within this stratum and read `total` too; only
+  // Evaluate stratum by stratum (one per strongly connected component, in
+  // topological order): negated IDB subgoals point strictly below and read
+  // the completed relations in `total`; positive IDB subgoals of lower
+  // strata are static within this stratum and read `total` too; only
   // same-stratum positive IDB subgoals drive the semi-naive deltas.
   const int num_strata = static_cast<int>(compiled->strata.size());
   for (int stratum = 0; stratum < num_strata; ++stratum) {
@@ -281,8 +283,10 @@ Result<Database> Evaluator::Evaluate(const Database& edb) {
     advance();
 
     // Iteration 0 runs the full plans of the rules with no same-stratum IDB
-    // subgoal; every later iteration runs one plan per (rule, same-stratum
-    // delta-subgoal occurrence), until an iteration derives nothing new.
+    // subgoal. A recursive stratum (one with delta plans) then runs one plan
+    // per (rule, same-stratum delta-subgoal occurrence) per iteration, until
+    // an iteration derives nothing new; a non-recursive one is done after
+    // its single pass.
     const std::vector<CompiledRule>* plans = &cst.full;
     for (;;) {
       if (Status s = interrupted(); !s.ok()) {
@@ -301,7 +305,7 @@ Result<Database> Evaluator::Evaluate(const Database& edb) {
       }
       const int64_t added = advance();
       observe_iteration(&iter_span, t0, added);
-      if (added == 0) break;
+      if (added == 0 || !cst.recursive()) break;
       plans = &cst.delta;
     }
   }

@@ -91,9 +91,11 @@ struct EvalStats {
   std::string ToString() const;
 };
 
-// Bottom-up evaluation of a datalog program with safe negation on EDB
-// predicates and order atoms. Negation needs no stratification because only
-// EDB predicates may be negated (Section 2 of the paper).
+// Bottom-up evaluation of a datalog program with order atoms and
+// stratified negation. The paper's programs (Section 2) negate only EDB
+// predicates; a negated IDB predicate must sit in a lower stratum
+// (Program::Stratify), whose relation is complete before any rule that
+// negates it runs.
 class Evaluator {
  public:
   explicit Evaluator(const Program& program, EvalOptions options = {});

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <limits>
+#include <map>
+#include <set>
 #include <utility>
 
 #include "src/base/check.h"
@@ -60,182 +61,50 @@ std::string MaintainStats::Summary() const {
   return buf;
 }
 
-namespace {
-
-// Refines Stratify's negation levels to the SCC condensation of the IDB
-// dependency graph, in topological order. Stratify assigns one level per
-// negation depth, so a level typically lumps independent predicates
-// together — and a single same-level body reference (r(X) :- q(X,Y), ...)
-// would force DRed onto the whole level. With one stratum per SCC, DRed
-// stays confined to actual recursion and every non-recursive predicate
-// gets the cheaper counting maintenance.
-std::map<PredId, int> SccStrata(const Program& program,
-                                const std::map<PredId, int>& levels) {
-  std::vector<PredId> preds;
-  std::map<PredId, int> index;
-  for (const auto& [pred, level] : levels) {
-    index[pred] = static_cast<int>(preds.size());
-    preds.push_back(pred);
-  }
-  const int n = static_cast<int>(preds.size());
-  // dep_adj: u -> heads whose rules read u (positive or negated; Stratify
-  // guarantees negated edges are never cyclic). pos_adj: positive only —
-  // the edges SCCs are computed over.
-  std::vector<std::vector<int>> pos_adj(n), dep_adj(n);
-  for (const Rule& rule : program.rules()) {
-    const int head = index.at(rule.head.pred());
-    for (const Literal& lit : rule.body) {
-      auto it = index.find(lit.atom.pred());
-      if (it == index.end()) continue;  // EDB predicate
-      dep_adj[it->second].push_back(head);
-      if (!lit.negated) pos_adj[it->second].push_back(head);
-    }
-  }
-
-  // Kosaraju: forward DFS finish order, then reverse-graph DFS.
-  std::vector<std::vector<int>> pos_radj(n);
-  for (int u = 0; u < n; ++u) {
-    for (int v : pos_adj[u]) pos_radj[v].push_back(u);
-  }
-  std::vector<int> order, comp(n, -1);
-  std::vector<char> seen(n, 0);
-  std::vector<std::pair<int, size_t>> stack;  // (node, next child)
-  for (int s = 0; s < n; ++s) {
-    if (seen[s]) continue;
-    stack.emplace_back(s, 0);
-    seen[s] = 1;
-    while (!stack.empty()) {
-      auto& [u, next] = stack.back();
-      if (next < pos_adj[u].size()) {
-        int v = pos_adj[u][next++];
-        if (!seen[v]) {
-          seen[v] = 1;
-          stack.emplace_back(v, 0);
-        }
-      } else {
-        order.push_back(u);
-        stack.pop_back();
-      }
-    }
-  }
-  int num_comp = 0;
-  for (int k = n - 1; k >= 0; --k) {
-    int s = order[k];
-    if (comp[s] >= 0) continue;
-    std::vector<int> dfs{s};
-    comp[s] = num_comp;
-    while (!dfs.empty()) {
-      int u = dfs.back();
-      dfs.pop_back();
-      for (int v : pos_radj[u]) {
-        if (comp[v] < 0) {
-          comp[v] = num_comp;
-          dfs.push_back(v);
-        }
-      }
-    }
-    ++num_comp;
-  }
-
-  // Topological order of the condensation over all dependency edges
-  // (positive and negated), deterministic via (negation level, min pred)
-  // tie-breaking.
-  std::vector<int> indegree(num_comp, 0);
-  std::vector<std::set<int>> cadj(num_comp);
-  for (int u = 0; u < n; ++u) {
-    for (int v : dep_adj[u]) {
-      if (comp[u] != comp[v] && cadj[comp[u]].insert(comp[v]).second) {
-        ++indegree[comp[v]];
-      }
-    }
-  }
-  std::vector<std::pair<int, PredId>> rank(
-      num_comp, {0, std::numeric_limits<PredId>::max()});
-  for (int u = 0; u < n; ++u) {
-    int c = comp[u];
-    rank[c].first = std::max(rank[c].first, levels.at(preds[u]));
-    rank[c].second = std::min(rank[c].second, preds[u]);
-  }
-  std::set<std::pair<std::pair<int, PredId>, int>> ready;
-  for (int c = 0; c < num_comp; ++c) {
-    if (indegree[c] == 0) ready.insert({rank[c], c});
-  }
-  std::map<PredId, int> out;
-  int next_stratum = 0;
-  while (!ready.empty()) {
-    int c = ready.begin()->second;
-    ready.erase(ready.begin());
-    for (int u = 0; u < n; ++u) {
-      if (comp[u] == c) out[preds[u]] = next_stratum;
-    }
-    ++next_stratum;
-    for (int d : cadj[c]) {
-      if (--indegree[d] == 0) ready.insert({rank[d], d});
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
-Result<MaintenancePlan> BuildMaintenancePlan(const Program& program) {
-  SQOD_RETURN_IF_ERROR(program.Validate());
-  Result<std::map<PredId, int>> strata = program.Stratify();
-  if (!strata.ok()) return strata.status();
-
+MaintenancePlan BuildMaintenancePlan(const Program& program,
+                                     const CompiledProgram& compiled) {
   MaintenancePlan plan;
-  plan.stratum_of = SccStrata(program, strata.value());
-  plan.idb_preds = program.IdbPreds();
-
-  int num_strata = 0;
-  for (const auto& [pred, s] : plan.stratum_of) {
-    num_strata = std::max(num_strata, s + 1);
-  }
-  plan.strata.resize(num_strata);
+  plan.max_regs = compiled.max_regs;
+  plan.strata.resize(compiled.strata.size());
 
   const std::vector<Rule>& rules = program.rules();
   plan.rules.resize(rules.size());
   PlanScratch scratch;
   auto lower = [&](const RulePlan& rp) {
-    CompiledRule cr = CompileRulePlan(rp, plan.idb_preds);
+    CompiledRule cr = CompileRulePlan(rp, compiled.idb_preds);
     plan.max_regs = std::max(plan.max_regs, cr.num_regs);
     return cr;
   };
-  for (int r = 0; r < static_cast<int>(rules.size()); ++r) {
-    const Rule& rule = rules[r];
-    const int stratum = plan.stratum_of.at(rule.head.pred());
-    MaintenancePlan::Stratum& st = plan.strata[stratum];
-    st.rules.push_back(r);
-    st.heads.insert(rule.head.pred());
+  for (size_t s = 0; s < compiled.strata.size(); ++s) {
+    MaintenancePlan::Stratum& st = plan.strata[s];
+    for (int r : compiled.strata[s].rule_indices) {
+      const Rule& rule = rules[r];
+      st.heads.insert(rule.head.pred());
 
-    MaintenancePlan::RuleMaint& rm = plan.rules[r];
-    rm.rule_index = r;
-    const int nbody = static_cast<int>(rule.body.size());
-    rm.delta_plans.reserve(nbody);
-    rm.negated.reserve(nbody);
-    rm.body_pred.reserve(nbody);
-    for (int i = 0; i < nbody; ++i) {
-      const Literal& lit = rule.body[i];
-      rm.negated.push_back(lit.negated ? 1 : 0);
-      rm.body_pred.push_back(lit.atom.pred());
-      st.body_preds.insert(lit.atom.pred());
-      if (!lit.negated && plan.idb_preds.count(lit.atom.pred()) > 0 &&
-          plan.stratum_of.at(lit.atom.pred()) == stratum) {
-        st.recursive = true;
+      MaintenancePlan::RuleMaint& rm = plan.rules[r];
+      rm.rule_index = r;
+      const int nbody = static_cast<int>(rule.body.size());
+      rm.delta_plans.reserve(nbody);
+      rm.negated.reserve(nbody);
+      rm.body_pred.reserve(nbody);
+      for (int i = 0; i < nbody; ++i) {
+        const Literal& lit = rule.body[i];
+        rm.negated.push_back(lit.negated ? 1 : 0);
+        rm.body_pred.push_back(lit.atom.pred());
+        st.body_preds.insert(lit.atom.pred());
+        if (lit.negated) {
+          // The delta of "not B" is a finite scan over the change to B:
+          // flip the literal positive so BuildPlan can open the body there.
+          Rule flipped = rule;
+          flipped.body[i].negated = false;
+          rm.delta_plans.push_back(lower(BuildPlan(flipped, r, i, &scratch)));
+        } else {
+          rm.delta_plans.push_back(lower(BuildPlan(rule, r, i, &scratch)));
+        }
       }
-      if (lit.negated) {
-        // The delta of "not B" is a finite scan over the change to B:
-        // flip the literal positive so BuildPlan can open the body there.
-        Rule flipped = rule;
-        flipped.body[i].negated = false;
-        rm.delta_plans.push_back(lower(BuildPlan(flipped, r, i, &scratch)));
-      } else {
-        rm.delta_plans.push_back(lower(BuildPlan(rule, r, i, &scratch)));
-      }
+      rm.support_plan =
+          lower(BuildPlan(rule, r, -1, &scratch, /*head_bound=*/true));
     }
-    rm.support_plan =
-        lower(BuildPlan(rule, r, -1, &scratch, /*head_bound=*/true));
-    rm.init_plan = lower(BuildPlan(rule, r, -1, &scratch));
   }
   return plan;
 }
@@ -244,6 +113,7 @@ namespace {
 
 // Shared context for one ApplyDeltaToState call.
 struct MaintCtx {
+  const CompiledProgram* compiled;
   const MaintenancePlan* plan;
   MaterializedState* state;
   int64_t old_v = 0;        // previous snapshot version (V - 1)
@@ -252,16 +122,18 @@ struct MaintCtx {
   VmContext vm;             // always probes indexes; counts nothing
   MaintainStats* stats = nullptr;
 
-  MaintCtx(const MaintenancePlan* plan, MaterializedState* state)
-      : plan(plan), state(state) {
+  MaintCtx(const CompiledProgram* compiled, const MaintenancePlan* plan,
+           MaterializedState* state)
+      : compiled(compiled), plan(plan), state(state) {
     vm.regs.resize(plan->max_regs);
   }
 
   // Predicate `pred`'s relation in the materialized state, read at
   // `as_of` (-1 = live, else a snapshot version).
   LevelRows Rows(PredId pred, int64_t as_of) const {
-    return RowsOf(plan->idb_preds.count(pred) > 0 ? state->idb.Find(pred)
-                                                  : state->edb.Find(pred),
+    return RowsOf(compiled->idb_preds.count(pred) > 0
+                      ? state->idb.Find(pred)
+                      : state->edb.Find(pred),
                   as_of);
   }
   static LevelRows RowsOf(const Relation* rel, int64_t as_of) {
@@ -378,9 +250,9 @@ struct CountScratch {
 // net transitions and append this stratum's output deltas to the global
 // change sets.
 void MaintainCountingStratum(MaintCtx* ctx,
-                             const MaintenancePlan::Stratum& stratum) {
+                             const CompiledProgram::Stratum& stratum) {
   CountScratch scratch;
-  for (int r : stratum.rules) {
+  for (int r : stratum.rule_indices) {
     const MaintenancePlan::RuleMaint& rm = ctx->plan->rules[r];
     const int nbody = static_cast<int>(rm.body_pred.size());
     for (int i = 0; i < nbody; ++i) {
@@ -446,7 +318,8 @@ void MaintainCountingStratum(MaintCtx* ctx,
 // semi-naively against the live state. Output deltas are classified from
 // the version stamps of every touched row at the end.
 void MaintainDredStratum(MaintCtx* ctx,
-                         const MaintenancePlan::Stratum& stratum) {
+                         const CompiledProgram::Stratum& stratum,
+                         const std::set<PredId>& heads) {
   MaterializedState* state = ctx->state;
   const int64_t v = state->version;
   std::vector<std::pair<PredId, int32_t>> touched;
@@ -467,7 +340,7 @@ void MaintainDredStratum(MaintCtx* ctx,
   // Phase 1: over-delete. Seeds come from the global change sets (EDB and
   // lower strata); the worklist then closes over same-stratum derivations,
   // all against the old snapshot.
-  for (int r : stratum.rules) {
+  for (int r : stratum.rule_indices) {
     const MaintenancePlan::RuleMaint& rm = ctx->plan->rules[r];
     const int nbody = static_cast<int>(rm.body_pred.size());
     for (int i = 0; i < nbody; ++i) {
@@ -484,11 +357,11 @@ void MaintainDredStratum(MaintCtx* ctx,
   while (over_new.TotalTuples() > 0) {
     Database over_cur = std::move(over_new);
     over_new = Database();
-    for (int r : stratum.rules) {
+    for (int r : stratum.rule_indices) {
       const MaintenancePlan::RuleMaint& rm = ctx->plan->rules[r];
       const int nbody = static_cast<int>(rm.body_pred.size());
       for (int i = 0; i < nbody; ++i) {
-        if (rm.negated[i] || stratum.heads.count(rm.body_pred[i]) == 0) {
+        if (rm.negated[i] || heads.count(rm.body_pred[i]) == 0) {
           continue;
         }
         const Relation* drel = over_cur.Find(rm.body_pred[i]);
@@ -535,7 +408,7 @@ void MaintainDredStratum(MaintCtx* ctx,
     Value vals[Relation::kMaxArity];
     const int n = t.size();
     for (int i = 0; i < n; ++i) vals[i] = t[i];
-    for (int r : stratum.rules) {
+    for (int r : stratum.rule_indices) {
       const MaintenancePlan::RuleMaint& rm = ctx->plan->rules[r];
       if (rm.support_plan.head_pred != pred) continue;
       if (HasSupport(ctx, rm, vals, n)) {
@@ -566,7 +439,7 @@ void MaintainDredStratum(MaintCtx* ctx,
   };
 
   // Phase 3: insertion seeds from the global change sets.
-  for (int r : stratum.rules) {
+  for (int r : stratum.rule_indices) {
     const MaintenancePlan::RuleMaint& rm = ctx->plan->rules[r];
     const int nbody = static_cast<int>(rm.body_pred.size());
     for (int i = 0; i < nbody; ++i) {
@@ -582,11 +455,11 @@ void MaintainDredStratum(MaintCtx* ctx,
   while (newly.TotalTuples() > 0) {
     Database cur = std::move(newly);
     newly = Database();
-    for (int r : stratum.rules) {
+    for (int r : stratum.rule_indices) {
       const MaintenancePlan::RuleMaint& rm = ctx->plan->rules[r];
       const int nbody = static_cast<int>(rm.body_pred.size());
       for (int i = 0; i < nbody; ++i) {
-        if (rm.negated[i] || stratum.heads.count(rm.body_pred[i]) == 0) {
+        if (rm.negated[i] || heads.count(rm.body_pred[i]) == 0) {
           continue;
         }
         run_buffered(rm, i, cur.Find(rm.body_pred[i]));
@@ -613,7 +486,7 @@ void MaintainDredStratum(MaintCtx* ctx,
 
 // Validates and nets the batch without mutating anything. On return dplus /
 // dminus hold the effective EDB change (dedup'd, no-ops dropped).
-Status NetBatch(const MaintenancePlan& plan, const FactDelta& delta,
+Status NetBatch(const CompiledProgram& compiled, const FactDelta& delta,
                 const MaterializedState& state, Database* dplus,
                 Database* dminus) {
   auto validate = [&](const Atom& a) -> Status {
@@ -625,7 +498,7 @@ Status NetBatch(const MaintenancePlan& plan, const FactDelta& delta,
       return Status::InvalidArgument("delta fact arity exceeds " +
                                      std::to_string(Relation::kMaxArity));
     }
-    if (plan.idb_preds.count(a.pred()) > 0) {
+    if (compiled.idb_preds.count(a.pred()) > 0) {
       return Status::InvalidArgument(
           "cannot apply a delta to derived predicate " + PredName(a.pred()));
     }
@@ -668,73 +541,25 @@ Status NetBatch(const MaintenancePlan& plan, const FactDelta& delta,
   return Status::Ok();
 }
 
-// Full-fixpoint fallback: evaluate the program over the (already stamped)
-// new EDB and diff the fresh IDB against the materialized one, stamping
-// transitions at the current version. Counts are rebuilt from scratch.
-Status RecomputeState(const Program& program, const MaintenancePlan& plan,
-                      const EvalOptions& eval, MaterializedState* state,
-                      MaintainStats* stats) {
-  Evaluator evaluator(program, eval);
-  Result<Database> fresh = evaluator.Evaluate(state->edb);
-  if (!fresh.ok()) return fresh.status();
-  const int64_t v = state->version;
-
-  for (const auto& [pred, frel] : fresh.value().relations()) {
-    Relation* rel = state->idb.FindOrCreate(pred, frel.arity());
-    for (TupleRef t : frel.rows()) {
-      int32_t row = rel->FindRow(t.data(), t.size());
-      if (row >= 0 && rel->live(row)) continue;
-      if (row < 0) {
-        rel->Insert(t);
-      } else {
-        rel->ReviveRow(row);
-      }
-      ++stats->idb_inserted;
-    }
-  }
-  for (auto& [pred, rel] : *state->idb.mutable_relations()) {
-    const Relation* frel = fresh.value().Find(pred);
-    const int32_t rows = static_cast<int32_t>(rel.size());
-    for (int32_t r = 0; r < rows; ++r) {
-      if (!rel.live(r) || rel.added_version(r) == v) continue;
-      TupleRef t = rel.row(r);
-      if (frel == nullptr || !frel->Contains(t.data(), t.size())) {
-        rel.EraseRow(r);
-        ++stats->idb_deleted;
-      }
-    }
-  }
-
-  InitializeDerivationCounts(program, plan, state);
-  for (const MaintenancePlan::Stratum& st : plan.strata) {
-    if (!st.rules.empty()) ++stats->strata_recomputed;
-  }
-  stats->recomputed = true;
-  return Status::Ok();
-}
-
-}  // namespace
-
-void InitializeDerivationCounts(const Program& program,
+// Seeds exact derivation counts for every counting (non-recursive)
+// stratum's heads by running the stratum's compiled full plans over the
+// current live state: one sink call per rule match.
+void InitializeDerivationCounts(const CompiledProgram& compiled,
                                 const MaintenancePlan& plan,
                                 MaterializedState* state) {
-  MaintCtx ctx(&plan, state);
-  ctx.old_v = state->version;
-
-  for (const MaintenancePlan::Stratum& st : plan.strata) {
-    if (st.recursive || st.rules.empty()) continue;
-    for (PredId pred : st.heads) {
-      const int arity = program.Arity(pred);
-      Relation* rel = state->idb.FindOrCreate(pred, arity);
+  MaintCtx ctx(&compiled, &plan, state);
+  for (const CompiledProgram::Stratum& st : compiled.strata) {
+    if (st.recursive()) continue;
+    for (const CompiledRule& cr : st.full) {
+      Relation* rel = state->idb.FindOrCreate(cr.head_pred, cr.head_arity);
       rel->EnableCounts();
       rel->ResetCounts();
     }
-    for (int r : st.rules) {
-      const MaintenancePlan::RuleMaint& rm = plan.rules[r];
-      const CompiledRule& ip = rm.init_plan;
-      Relation* rel = state->idb.FindOrCreate(ip.head_pred, ip.head_arity);
+    for (const CompiledRule& cr : st.full) {
+      const MaintenancePlan::RuleMaint& rm = plan.rules[cr.rule_index];
+      Relation* rel = state->idb.FindOrCreate(cr.head_pred, cr.head_arity);
       RunMaintPlan(
-          &ctx, ip, [&](int j) { return ctx.Rows(rm.body_pred[j], -1); },
+          &ctx, cr, [&](int j) { return ctx.Rows(rm.body_pred[j], -1); },
           [&](const Value* vals, int n) {
             int32_t row = rel->FindRow(vals, n);
             SQOD_CHECK_MSG(row >= 0 && rel->live(row),
@@ -747,7 +572,76 @@ void InitializeDerivationCounts(const Program& program,
   }
 }
 
+// Evaluates the program over the live EDB (already stamped at
+// state->version) and brings the IDB to that fixpoint, then reseeds the
+// derivation counts. An IDB with no relations yet (the initial
+// materialization) takes the fresh fixpoint as is, versioned at
+// state->version; otherwise the fresh fixpoint is diffed into the
+// materialized rows, stamping transitions at the current version (the
+// recompute fallback). Either way `stats` counts the IDB tuples that became
+// live or died.
+Status RecomputeState(const Program& program, const CompiledProgram& compiled,
+                      const MaintenancePlan& plan, MaterializedState* state,
+                      MaintainStats* stats) {
+  EvalOptions eval;
+  eval.compiled = &compiled;
+  Evaluator evaluator(program, eval);
+  Result<Database> fresh = evaluator.Evaluate(state->edb);
+  if (!fresh.ok()) return fresh.status();
+  const int64_t v = state->version;
+
+  if (state->idb.relations().empty()) {
+    state->idb = std::move(fresh).value();
+    state->idb.EnableVersioning(v);
+    stats->idb_inserted += state->idb.TotalTuples();
+  } else {
+    for (const auto& [pred, frel] : fresh.value().relations()) {
+      Relation* rel = state->idb.FindOrCreate(pred, frel.arity());
+      for (TupleRef t : frel.rows()) {
+        int32_t row = rel->FindRow(t.data(), t.size());
+        if (row >= 0 && rel->live(row)) continue;
+        if (row < 0) {
+          rel->Insert(t);
+        } else {
+          rel->ReviveRow(row);
+        }
+        ++stats->idb_inserted;
+      }
+    }
+    for (auto& [pred, rel] : *state->idb.mutable_relations()) {
+      const Relation* frel = fresh.value().Find(pred);
+      const int32_t rows = static_cast<int32_t>(rel.size());
+      for (int32_t r = 0; r < rows; ++r) {
+        if (!rel.live(r) || rel.added_version(r) == v) continue;
+        TupleRef t = rel.row(r);
+        if (frel == nullptr || !frel->Contains(t.data(), t.size())) {
+          rel.EraseRow(r);
+          ++stats->idb_deleted;
+        }
+      }
+    }
+  }
+  InitializeDerivationCounts(compiled, plan, state);
+  return Status::Ok();
+}
+
+}  // namespace
+
+Result<MaterializedState> MaterializeState(const Program& program,
+                                           const CompiledProgram& compiled,
+                                           const MaintenancePlan& plan,
+                                           Database edb) {
+  MaterializedState state;
+  state.edb = std::move(edb);
+  state.edb.EnableVersioning(0);
+  MaintainStats stats;
+  SQOD_RETURN_IF_ERROR(
+      RecomputeState(program, compiled, plan, &state, &stats));
+  return state;
+}
+
 Result<MaintainStats> ApplyDeltaToState(const Program& program,
+                                        const CompiledProgram& compiled,
                                         const MaintenancePlan& plan,
                                         const FactDelta& delta,
                                         const ApplyDeltaOptions& options,
@@ -756,11 +650,11 @@ Result<MaintainStats> ApplyDeltaToState(const Program& program,
   MaintainStats stats;
   stats.version = state->version;
 
-  MaintCtx ctx(&plan, state);
+  MaintCtx ctx(&compiled, &plan, state);
   ctx.stats = &stats;
 
   SQOD_RETURN_IF_ERROR(
-      NetBatch(plan, delta, *state, &ctx.dplus, &ctx.dminus));
+      NetBatch(compiled, delta, *state, &ctx.dplus, &ctx.dminus));
   const int64_t net_plus = ctx.dplus.TotalTuples();
   const int64_t net_minus = ctx.dminus.TotalTuples();
   if (net_plus + net_minus == 0) {
@@ -800,15 +694,17 @@ Result<MaintainStats> ApplyDeltaToState(const Program& program,
 
   if (recompute) {
     SQOD_RETURN_IF_ERROR(
-        RecomputeState(program, plan, options.eval, state, &stats));
+        RecomputeState(program, compiled, plan, state, &stats));
+    stats.recomputed = true;
+    stats.strata_recomputed = static_cast<int>(compiled.strata.size());
     stats.maintain_ns = NowNs() - t0;
     return stats;
   }
 
-  for (const MaintenancePlan::Stratum& stratum : plan.strata) {
-    if (stratum.rules.empty()) continue;
+  for (size_t s = 0; s < compiled.strata.size(); ++s) {
+    const CompiledProgram::Stratum& stratum = compiled.strata[s];
     bool affected = false;
-    for (PredId p : stratum.body_preds) {
+    for (PredId p : plan.strata[s].body_preds) {
       const Relation* dp = ctx.dplus.Find(p);
       const Relation* dm = ctx.dminus.Find(p);
       if ((dp != nullptr && !dp->empty()) ||
@@ -821,8 +717,8 @@ Result<MaintainStats> ApplyDeltaToState(const Program& program,
       ++stats.strata_skipped;
       continue;
     }
-    if (stratum.recursive) {
-      MaintainDredStratum(&ctx, stratum);
+    if (stratum.recursive()) {
+      MaintainDredStratum(&ctx, stratum, plan.strata[s].heads);
     } else {
       MaintainCountingStratum(&ctx, stratum);
     }

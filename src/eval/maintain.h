@@ -2,7 +2,6 @@
 #define SQOD_EVAL_MAINTAIN_H_
 
 #include <cstdint>
-#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -83,10 +82,13 @@ struct MaintainStats {
   std::string Summary() const;
 };
 
-// The static maintenance plan for one program: stratification, per-rule
-// delta/support/init plans lowered to bytecode, and the predicate indexes
-// used to skip untouched strata. Built once per materialized view;
-// immutable afterwards.
+// The static maintenance plan for one program, built on top of its
+// CompiledProgram: the compiled strata (Program::Stratify's SCCs) are the
+// maintenance strata, and a stratum is maintained by DRed exactly when it is
+// recursive, i.e. has delta plans. The plan adds the per-rule delta and
+// support plans maintenance needs beyond evaluation's, lowered to bytecode,
+// and the predicate sets used to skip untouched strata. Built once per
+// materialized view; immutable afterwards.
 struct MaintenancePlan {
   // Per program rule, plans for every way a delta can enter its body.
   struct RuleMaint {
@@ -100,25 +102,24 @@ struct MaintenancePlan {
     // Full-body plan compiled with the head registers bound; DRed support
     // checks seed them from a candidate tuple.
     CompiledRule support_plan;
-    // Full-body plan for count initialization (counting strata only).
-    CompiledRule init_plan;
   };
 
+  // Parallel to CompiledProgram::strata.
   struct Stratum {
-    std::vector<int> rules;     // program rule indices
-    bool recursive = false;     // has a same-stratum positive body pred
     std::set<PredId> heads;
     std::set<PredId> body_preds;  // positive and negated, all strata
   };
 
   std::vector<Stratum> strata;
   std::vector<RuleMaint> rules;     // indexed by program rule index
-  std::set<PredId> idb_preds;
-  std::map<PredId, int> stratum_of;  // IDB pred -> stratum index
-  int max_regs = 0;  // max CompiledRule::num_regs, for the register file
+  // Max CompiledRule::num_regs over these plans and the compiled program's,
+  // for the register file.
+  int max_regs = 0;
 };
 
-Result<MaintenancePlan> BuildMaintenancePlan(const Program& program);
+// `compiled` must be CompileProgram(program).
+MaintenancePlan BuildMaintenancePlan(const Program& program,
+                                     const CompiledProgram& compiled);
 
 // The warm state a MaterializedView maintains: the versioned EDB, the
 // materialized (versioned, counted) IDB, and the snapshot version both are
@@ -131,18 +132,17 @@ struct MaterializedState {
   int64_t version = 0;
 };
 
-// Computes exact derivation counts for every counting-stratum (i.e.
-// non-recursive) predicate of `plan` by enumerating all rule matches over
-// the current state. Called once at materialization and again after a
-// recompute fallback.
-void InitializeDerivationCounts(const Program& program,
-                                const MaintenancePlan& plan,
-                                MaterializedState* state);
+// Builds the initial state at version 0: `edb` becomes the versioned EDB,
+// the compiled program's fixpoint over it the IDB, and every counting
+// (non-recursive) stratum's derivation counts are seeded by running its
+// compiled full plans. The recompute fallback of ApplyDeltaToState goes
+// through the same evaluation and count seeding.
+Result<MaterializedState> MaterializeState(const Program& program,
+                                           const CompiledProgram& compiled,
+                                           const MaintenancePlan& plan,
+                                           Database edb);
 
 struct ApplyDeltaOptions {
-  // Evaluation options for the recompute fallback (and nothing else; the
-  // incremental path does not run the Evaluator).
-  EvalOptions eval;
   // Recompute from scratch when the net EDB change exceeds this fraction
   // of the live EDB (incremental maintenance stops paying off well before
   // the delta approaches the database size).
@@ -157,8 +157,10 @@ struct ApplyDeltaOptions {
 // state->version advanced by one and the returned stats describe the work;
 // an empty net batch returns immediately without a version bump. Errors
 // (non-ground atoms, arity mismatches, IDB predicates in the delta) leave
-// the state untouched.
+// the state untouched. `compiled` and `plan` are the ones `state` was
+// materialized with.
 Result<MaintainStats> ApplyDeltaToState(const Program& program,
+                                        const CompiledProgram& compiled,
                                         const MaintenancePlan& plan,
                                         const FactDelta& delta,
                                         const ApplyDeltaOptions& options,

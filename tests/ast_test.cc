@@ -259,6 +259,59 @@ TEST(ProgramTest, NonStratifiedNegationRejected) {
   EXPECT_FALSE(p.Stratify().ok());
 }
 
+TEST(ProgramTest, StrataAreComponentsInProgramTextOrder) {
+  // q and p share a negation depth but are independent components: each
+  // gets its own stratum, the one defined first going first.
+  Program p = ParseProgram("q(X) :- e(X).\n"
+                           "p(X) :- e(X).\n"
+                           "r(X) :- p(X), !q(X).\n"
+                           "t(X, Y) :- e2(X, Y).\n"
+                           "t(X, Z) :- t(X, Y), t(Y, Z).\n"
+                           "s(X) :- t(X, X), r(X).\n")
+                  .take();
+  Result<std::map<PredId, int>> strata = p.Stratify();
+  ASSERT_TRUE(strata.ok()) << strata.status().message();
+  const std::map<PredId, int> expected = {
+      {InternPred("q"), 0}, {InternPred("p"), 1}, {InternPred("r"), 2},
+      {InternPred("t"), 3}, {InternPred("s"), 4}};
+  EXPECT_EQ(strata.value(), expected);
+}
+
+TEST(ProgramTest, NegationCycleIsRejected) {
+  // Neither p nor q is recursive through a positive edge, but they negate
+  // each other: one component with a negated edge inside it.
+  Result<Program> p = ParseProgram("p(X) :- e(X), !q(X).\n"
+                                   "q(X) :- e(X), !p(X).\n");
+  ASSERT_FALSE(p.ok());
+  EXPECT_NE(p.status().message().find(
+                "program is not stratified: negation through the recursive "
+                "cycle of p"),
+            std::string::npos)
+      << p.status().message();
+}
+
+TEST(ProgramTest, StrataDoNotDependOnInterningOrder) {
+  // The same unit under two renamings: the first interns its predicates in
+  // program-text order, the second after unrelated interning has given its
+  // later predicates the smaller ids. Strata follow the text in both.
+  auto strata_by_position = [](const std::string& prefix) {
+    Program p = ParseProgram(prefix + "a(X) :- e(X).\n" + prefix +
+                             "b(X) :- e(X).\n" + prefix + "c(X) :- " +
+                             prefix + "a(X), !" + prefix + "b(X).\n")
+                    .take();
+    std::map<PredId, int> strata = p.Stratify().take();
+    return std::vector<int>{strata.at(InternPred(prefix + "a")),
+                            strata.at(InternPred(prefix + "b")),
+                            strata.at(InternPred(prefix + "c"))};
+  };
+  const std::vector<int> in_order = strata_by_position("intern_fwd_");
+  InternPred("intern_rev_c");
+  InternPred("intern_rev_b");
+  ASSERT_LT(InternPred("intern_rev_b"), InternPred("intern_rev_a"));
+  EXPECT_EQ(strata_by_position("intern_rev_"), in_order);
+  EXPECT_EQ(in_order, (std::vector<int>{0, 1, 2}));
+}
+
 TEST(ProgramTest, ValidateRejectsArityMismatch) {
   Program p;
   Rule r1;

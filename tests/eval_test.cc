@@ -465,6 +465,17 @@ TEST(EvalTest, WorkCountersArePinned) {
     stratified += "e(" + std::to_string(i * 7 % 23) + ", " +
                   std::to_string((i * 11 + 3) % 23) + ").\n";
   }
+  // goodPath's query rule reads the recursive path but is its own
+  // non-recursive stratum: one full-plan pass after path's fixpoint.
+  std::string goodpath =
+      "path(X, Y) :- step(X, Y).\npath(X, Y) :- step(X, Z), path(Z, Y).\n"
+      "goodPath(X, Y) :- startPoint(X), path(X, Y), endPoint(Y).\n"
+      "?- goodPath.\nstartPoint(0). startPoint(3). endPoint(5). "
+      "endPoint(8). step(2, 6).\n";
+  for (int i = 0; i < 8; ++i) {
+    goodpath +=
+        "step(" + std::to_string(i) + ", " + std::to_string(i + 1) + ").\n";
+  }
   const Golden goldens[] = {
       {"figure1",
        "p(X, Y) :- a(X, Y).\np(X, Y) :- b(X, Y).\n"
@@ -479,12 +490,27 @@ TEST(EvalTest, WorkCountersArePinned) {
       {"stratified", stratified, 143,
        "iterations=14 firings=455 derived=409 duplicates=46 probes=1107 "
        "cmp_checks=529"},
+      {"goodpath", goodpath, 4,
+       "iterations=7 firings=43 derived=40 duplicates=3 probes=94 "
+       "cmp_checks=0"},
   };
   for (const Golden& g : goldens) {
     EvalStats stats;
     EXPECT_EQ(RunQuery(g.source, &stats).size(), g.answers) << g.name;
     EXPECT_EQ(stats.ToString(), g.counters) << g.name;
   }
+
+  // The query rule's own work is one pass of its full plan: startPoint's 2
+  // rows, the path rows from 0 and 3, and one endPoint probe per path row
+  // that reaches an end point.
+  ParsedUnit unit = ParseUnit(goodpath).take();
+  Database edb;
+  for (const Atom& fact : unit.facts) edb.InsertAtom(fact);
+  std::vector<RuleProfile> profiles;
+  ASSERT_TRUE(EvaluateQuery(unit.program, edb, {}, nullptr, &profiles).ok());
+  ASSERT_EQ(profiles.size(), 3u);
+  EXPECT_EQ(profiles[2].firings, 4);
+  EXPECT_EQ(profiles[2].probes, 19);
 }
 
 // The specialized kernels must be indistinguishable from the generic loop

@@ -191,6 +191,18 @@ TEST(ExplainGoldenTest, LoweringSectionAndFilteredProbeKernel) {
   }
   EXPECT_EQ(plans, 1);  // the delta plan; recursive rules have no full plan
 
+  // The query rule reads the recursive path@1 but is a component of its
+  // own: it compiles to one full plan and no delta plan, so it runs once,
+  // after path@1's fixpoint, instead of once per path@1 iteration.
+  const PredId query = prepared->program().query();
+  int query_full = 0, query_delta = 0;
+  for (const ExplainKernelRow& row : explain.kernels) {
+    if (rules[row.rule_index].head.pred() != query) continue;
+    ++(row.delta_subgoal < 0 ? query_full : query_delta);
+  }
+  EXPECT_EQ(query_full, 1);
+  EXPECT_EQ(query_delta, 0);
+
   Result<JsonValue> json = ParseJson(explain.ToJson());
   ASSERT_TRUE(json.ok()) << json.status().message();
   const JsonValue* lowering = json.value().Find("lowering");
