@@ -16,8 +16,10 @@ namespace sqod {
 
 // Evaluates `program` on `edb` through an engine session, reports work
 // counters on `state`, and returns the query answers (to keep the optimizer
-// honest). Counters are sourced from the engine's MetricsRegistry, so they
-// match the CLI's --stats-json output key for key.
+// honest). Counters are sourced from the engine's MetricsRegistry (the
+// CLI's --stats-json carries the same eval/ counters); the evaluator's
+// eval/iterations is reported as `fixpoint_iterations`, since google
+// benchmark's JSON already uses `iterations` for its loop count.
 inline std::vector<Tuple> RunAndReport(const Program& program,
                                        const Database& edb,
                                        benchmark::State& state) {
@@ -32,7 +34,7 @@ inline std::vector<Tuple> RunAndReport(const Program& program,
   auto counter = [&](const char* name) {
     return static_cast<double>(metrics.GetCounter(name)->value());
   };
-  state.counters["iterations"] = counter("eval/iterations");
+  state.counters["fixpoint_iterations"] = counter("eval/iterations");
   state.counters["derived"] = counter("eval/tuples_derived");
   state.counters["duplicates"] = counter("eval/duplicate_derivations");
   state.counters["probes"] = counter("eval/join_probes");
@@ -45,10 +47,12 @@ inline std::vector<Tuple> RunAndReport(const Program& program,
 }
 
 // Prepares (optimizes and lowers) the program through an engine session;
-// CHECK-fails on error. With `state`, attaches a MetricsRegistry and reports
-// per-phase wall time ("opt_<phase>_ns") and pipeline size gauges alongside
-// the benchmark's own timings. The "Rewritten"/"Served" rows evaluate its
-// program(): the program a session serves, P' lowered (src/sqo/lower.h).
+// CHECK-fails on error, and on a unit outside the rewriting's theory (which
+// a session serves as P, unrewritten). With `state`, attaches a
+// MetricsRegistry and reports per-phase wall time ("opt_<phase>_ns") and
+// pipeline size gauges alongside the benchmark's own timings. The
+// "Rewritten"/"Served" rows evaluate its program(): the program a session
+// serves, P' lowered (src/sqo/lower.h).
 inline PreparedProgram MustPrepare(const Program& program,
                                    const std::vector<Constraint>& ics,
                                    SqoOptions options = {},
@@ -62,6 +66,8 @@ inline PreparedProgram MustPrepare(const Program& program,
   Result<const PreparedProgram*> prepared =
       session.value().Prepare(options);
   SQOD_CHECK_MSG(prepared.ok(), prepared.status().message().c_str());
+  SQOD_CHECK_MSG(prepared.value()->fallback.ok(),
+                 prepared.value()->fallback.message().c_str());
   if (state != nullptr) {
     for (const auto& [name, gauge] : metrics.gauges()) {
       // "sqo/phase/adorn_ns" -> counter "opt_adorn_ns".

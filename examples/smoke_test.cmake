@@ -127,6 +127,36 @@ if(POS EQUAL -1)
   message(FATAL_ERROR "expected INVALID_ARGUMENT in stderr:\n${STDERR}")
 endif()
 
+# Ablation is in-process only: the server prepares every unit with the
+# default options, so --disable-pass with --serve-batch is a usage error.
+execute_process(
+  COMMAND "${SQO_CLI}" --serve-batch --disable-pass=residues "${INPUT}"
+  OUTPUT_VARIABLE STDOUT
+  ERROR_VARIABLE STDERR
+  RESULT_VARIABLE RC)
+if(NOT RC EQUAL 2)
+  message(FATAL_ERROR
+      "--serve-batch --disable-pass: want exit 2, got ${RC}:\n${STDERR}")
+endif()
+
+# A unit outside the rewriting's theory (negation on an IDB predicate) has
+# no rewriting to print: the CLI names the reason and exits 2, although a
+# session serves such a unit as P.
+set(UNSUPPORTED_INPUT "${WORK_DIR}/smoke_unsupported.dl")
+file(WRITE "${UNSUPPORTED_INPUT}"
+     "q(X) :- e(X, Y).\np(X) :- e(X, Y), !q(Y).\ne(1, 2). e(2, 3).\n?- p.\n")
+execute_process(
+  COMMAND "${SQO_CLI}" --eval "${UNSUPPORTED_INPUT}"
+  OUTPUT_VARIABLE STDOUT
+  ERROR_VARIABLE STDERR
+  RESULT_VARIABLE RC)
+string(FIND "${STDERR}" "optimizer error [UNSUPPORTED]" POS)
+if(NOT RC EQUAL 2 OR POS EQUAL -1)
+  message(FATAL_ERROR
+      "unsupported unit: want exit 2 and an UNSUPPORTED optimizer error, "
+      "got ${RC}:\n${STDOUT}\n${STDERR}")
+endif()
+
 # --serve-batch pushes the same unit through the concurrent QueryService:
 # all requests succeed with matching answers, and the stats must show the
 # single-flight guarantee (8 requests, 1 optimizer pipeline run) plus the

@@ -54,7 +54,9 @@
 //                   the maintenance totals join the EXPLAIN report
 //     --list-passes print the pipeline's pass names, in order, and exit
 //     --disable-pass=NAME  switch off one pass (repeatable); NAME is any
-//                   entry of --list-passes
+//                   entry of --list-passes. In-process only: the server
+//                   prepares every unit with the default options, so
+//                   combining it with --serve-batch is a usage error
 //     --reprepare   prepare the same program a second time to demonstrate
 //                   the session's prepared-program cache (hit counters land
 //                   in --stats-json under engine/prepare_cache_*)
@@ -292,6 +294,13 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  if (serve_batch && !disabled_passes.empty()) {
+    std::fprintf(stderr,
+                 "--disable-pass is in-process only; the server prepares "
+                 "with the default options (drop --serve-batch)\n");
+    return 2;
+  }
+
   if (serve_batch) {
     // Serve-batch mode: stand up an in-process sqo_server on a loopback
     // ephemeral port and drive it through the client library, so the batch
@@ -330,7 +339,6 @@ int main(int argc, char** argv) {
     QueryParams params;
     params.source = source;
     params.deadline_ms = deadline_ms;
-    params.disabled_passes = disabled_passes;
     // With --trace, every request collects its own span tree; the trees
     // merge below into one Chrome trace, one lane per request.
     params.trace = !trace_path.empty();
@@ -471,10 +479,13 @@ int main(int argc, char** argv) {
   sqo_options.capture_dumps = show_adornments || show_tree || show_dot;
 
   Result<const PreparedProgram*> prepared = session.Prepare(sqo_options);
-  if (!prepared.ok()) {
+  // A unit outside the rewriting's theory prepares as P itself; this tool
+  // prints rewritings, so it reports why there is none.
+  const Status& failed =
+      prepared.ok() ? prepared.value()->fallback : prepared.status();
+  if (!failed.ok()) {
     std::fprintf(stderr, "optimizer error [%s]: %s\n",
-                 StatusCodeName(prepared.status().code()),
-                 prepared.status().message().c_str());
+                 StatusCodeName(failed.code()), failed.message().c_str());
     return 2;
   }
   if (reprepare) {

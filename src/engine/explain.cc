@@ -26,6 +26,11 @@ void PadTo(size_t width, std::string* line) {
   if (line->size() < width) line->append(width - line->size(), ' ');
 }
 
+// "<CODE>: <message>".
+std::string StatusText(const Status& status) {
+  return std::string(StatusCodeName(status.code())) + ": " + status.message();
+}
+
 }  // namespace
 
 ExplainReport BuildExplainReport(const SqoReport& report,
@@ -197,6 +202,9 @@ std::string ExplainReport::ToText() const {
   }
 
   out += "\n== plan ==\n";
+  if (!fallback.ok()) {
+    out += "served:            P as written (" + StatusText(fallback) + ")\n";
+  }
   out += "optimize time:     " + FormatDurationNs(optimize_ns) + "\n";
   out += "satisfiable:       ";
   out += query_satisfiable ? "yes" : "no (query provably empty)";
@@ -328,6 +336,9 @@ std::string ExplainReport::ToJson() const {
     out += '}';
   }
   out += "],\"plan\":{";
+  if (!fallback.ok()) {
+    out += "\"fallback\":\"" + JsonEscape(StatusText(fallback)) + "\",";
+  }
   out += "\"optimize_ns\":" + std::to_string(optimize_ns);
   out += ",\"satisfiable\":";
   out += query_satisfiable ? "true" : "false";
@@ -416,6 +427,10 @@ std::string ExplainReport::Summary() const {
          " cmp=" + std::to_string(residue_comparisons_added) +
          " neg=" + std::to_string(residue_negations_added) + ")";
   out += " optimize=" + FormatDurationNs(optimize_ns);
+  if (!fallback.ok()) {
+    out += " fallback=";
+    out += StatusCodeName(fallback.code());
+  }
   if (maintained) {
     out += " batches=" + std::to_string(batches);
     out += " v" + std::to_string(maintain.version);

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "src/base/status.h"
 #include "src/eval/bytecode.h"
 #include "src/eval/evaluator.h"
 #include "src/eval/maintain.h"
@@ -75,6 +76,9 @@ struct ExplainReport {
   int64_t memo_hits = 0;
   int64_t store_size = 0;
   int64_t optimize_ns = 0;  // sum of pass wall times
+  // PreparedProgram::fallback: non-OK when the unit is outside the
+  // rewriting's theory and P itself is served (there are no pass rows).
+  Status fallback;
 
   // --- lowering side (when the served program's LoweredProgram was
   // provided): which adorned copies merged, which comparisons dropped, and

@@ -153,14 +153,26 @@ Result<const PreparedProgram*> Session::Prepare(const SqoOptions& options,
 
   // Lower P' to the served program and compile that to bytecode while no
   // lock is held; both ride in the cache entry so warm executions and
-  // materialized views never redo them. A program that does not compile
-  // (one that does not stratify) fails Prepare like an optimizer error.
+  // materialized views never redo them. Outside the rewriting's theory
+  // (kUnsupported) the served program is P itself, cached like a rewriting.
+  // A program that does not compile (one that does not stratify) fails
+  // Prepare like an optimizer error.
   Status status = report.status();
+  Status fallback;
   LoweredProgram lowered;
   std::shared_ptr<const CompiledProgram> compiled;
-  if (status.ok()) {
+  if (status.code() == StatusCode::kUnsupported) {
+    fallback = std::exchange(status, Status::Ok());
+    SqoReport original;
+    original.rewritten = unit_.program;
+    report = std::move(original);
+    lowered.program = unit_.program;
+    lowered.rules_before = static_cast<int>(unit_.program.rules().size());
+  } else if (status.ok()) {
     lowered = LowerProgram(report.value());
     metrics.GetGauge("sqo/phase/lower_ns")->Set(lowered.lower_ns);
+  }
+  if (status.ok()) {
     Result<CompiledProgram> bytecode = CompileProgram(lowered.program);
     if (bytecode.ok()) {
       auto owned =
@@ -184,10 +196,7 @@ Result<const PreparedProgram*> Session::Prepare(const SqoOptions& options,
 
   auto prepared = std::make_unique<PreparedProgram>();
   prepared->cache_key = Fnv1a64(fp);
-  prepared->options = options;
-  prepared->options.tracer = nullptr;
-  prepared->options.metrics = nullptr;
-  prepared->options.adorn.tracer = nullptr;
+  prepared->fallback = std::move(fallback);
   prepared->report = std::move(report).value();
   prepared->report.provenance = {};  // read by the lowering only
   prepared->lowered = std::move(lowered);

@@ -21,17 +21,21 @@ namespace sqod {
 class Engine;
 class MaterializedView;
 
-// An optimized program, ready for repeated execution. Owned by the session
-// that prepared it; pointers returned by Session::Prepare stay valid for
-// the session's lifetime (or until ClearCache). Immutable once published,
-// so any number of threads may Execute against it concurrently.
+// A program ready for repeated execution: P' lowered, or P itself when the
+// unit is outside the rewriting's theory. Owned by the session that
+// prepared it; pointers returned by Session::Prepare stay valid for the
+// session's lifetime (or until ClearCache). Immutable once published, so
+// any number of threads may Execute against it concurrently.
 struct PreparedProgram {
   // FNV-1a hash of the canonical fingerprint (program text + ICs + the
   // semantically relevant SqoOptions fields); the cache key.
   uint64_t cache_key = 0;
-  // The options the program was prepared under (observability pointers
-  // cleared — they are per-run, not part of the plan).
-  SqoOptions options;
+  // OK when the served program is P'' (P' lowered). Otherwise the
+  // pipeline's kUnsupported status (e.g. negation on an IDB predicate, or
+  // an IC with a non-local negated atom) and the served program is P, as
+  // written: the report is then empty apart from `rewritten` = P, and the
+  // lowering made no decision.
+  Status fallback;
   // The full optimizer report, including the paper's rewriting P'.
   SqoReport report;
   // P' lowered for serving (src/sqo/lower.h): the program every Execute
@@ -45,9 +49,9 @@ struct PreparedProgram {
   // synchronization.
   std::shared_ptr<const CompiledProgram> compiled;
 
-  // The program to execute: P' lowered. Its answers contain those of P' on
-  // every database and equal those of P on databases satisfying the ICs
-  // (src/sqo/lower.h).
+  // The program to execute: P' lowered (its answers contain those of P' on
+  // every database and equal those of P on databases satisfying the ICs;
+  // src/sqo/lower.h), or P on fallback.
   const Program& program() const { return lowered.program; }
 };
 
@@ -61,8 +65,9 @@ struct PreparedProgram {
 //    (program, ICs, options) fingerprint run the pass pipeline exactly
 //    once — one caller optimizes while the rest block on the in-flight
 //    entry and then share the published PreparedProgram (observable as
-//    engine/pipeline_runs == 1). Failed runs are not cached; a later
-//    Prepare retries.
+//    engine/pipeline_runs == 1). A unit outside the rewriting's theory is
+//    published too, as a program serving P (PreparedProgram::fallback).
+//    Other failed runs are not cached; a later Prepare retries.
 //  * Execute / ExecuteOriginal / MakeEdb are safe concurrently, provided
 //    each thread evaluates against its own Database or the session's
 //    frozen SharedEdb() snapshot. A mutable Database must not be shared
@@ -95,8 +100,11 @@ class Session {
 
   // Runs the optimizer pipeline once per distinct (program, ICs, options)
   // fingerprint and caches the result: preparing the same query twice is a
-  // cache hit that performs zero re-optimization. Hit/miss counts land in
-  // the engine's MetricsRegistry ("engine/prepare_cache_{hits,misses}");
+  // cache hit that performs zero re-optimization. When the pipeline returns
+  // kUnsupported, the cached program serves P and carries that status in
+  // `fallback`; every other pipeline or compile error fails the call.
+  // Hit/miss counts land in the engine's MetricsRegistry
+  // ("engine/prepare_cache_{hits,misses}");
   // callers that blocked on another thread's in-flight run also count as
   // hits, plus "engine/prepare_single_flight_waits". The returned pointer
   // is owned by the session.

@@ -172,17 +172,6 @@ Result<Database> Evaluator::Evaluate(const Database& edb) {
     if (compile_ns > 0) {
       m->GetCounter(p + "/compile_ns")->Add(compile_ns);
     }
-    for (const RuleProfile& profile : profiles_) {
-      if (profile.firings == 0 && profile.probes == 0) continue;
-      std::string base = p + "/rule/" +
-                         std::to_string(profile.rule_index) + ":" +
-                         profile.head;
-      m->GetCounter(base + "/firings")->Add(profile.firings);
-      m->GetCounter(base + "/derived")->Add(profile.derived);
-      m->GetCounter(base + "/duplicates")->Add(profile.duplicates);
-      m->GetCounter(base + "/probes")->Add(profile.probes);
-      m->GetCounter(base + "/time_ns")->Add(profile.time_ns);
-    }
   };
 
   // Runs one compiled plan through its kernel, with per-rule time

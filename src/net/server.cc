@@ -256,7 +256,6 @@ bool Server::HandleMessage(Connection* conn, const ClientMessage& msg) {
       return true;
     }
     conn->tenant = tenant;
-    conn->version = version;
     metrics.GetCounter("tenant/" + tenant->config.name + "/connections")
         ->Increment();
     HelloResult result;
@@ -347,25 +346,21 @@ bool Server::HandleMessage(Connection* conn, const ClientMessage& msg) {
       request.deadline_ms = msg.query.deadline_ms;
       request.trace = msg.query.trace;
       request.want_explain = msg.query.explain;
-      request.sqo.disabled_passes = msg.query.disabled_passes;
       // Session-addressed queries serve from the session's pinned
       // materialized view (snapshot-versioned answers that ApplyDelta
       // advances); inline one-shots evaluate against the base snapshot
-      // unless the client opts in. The service rejects a view-served
-      // query with disabled_passes (no delta reaches that view).
+      // unless the client opts in.
       request.materialized =
           !msg.query.session.empty() || msg.query.materialized;
       const uint64_t conn_id = conn->id;
       const uint64_t id = msg.id;
       const MsgType type = msg.type;
-      const int version = conn->version;
-      service_.Submit(
-          std::move(request),
-          [this, conn_id, tenant, id, type, version](Response response) {
-            EncodeAndQueueReply(conn_id, tenant, [&] {
-              return EncodeQueryResponse(id, type, response, version);
-            });
-          });
+      service_.Submit(std::move(request),
+                      [this, conn_id, tenant, id, type](Response response) {
+                        EncodeAndQueueReply(conn_id, tenant, [&] {
+                          return EncodeQueryResponse(id, type, response);
+                        });
+                      });
       return true;
     }
 

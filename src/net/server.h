@@ -124,7 +124,6 @@ class Server {
     std::string out;       // encoded frames awaiting write
     size_t out_pos = 0;    // written prefix of `out`
     Tenant* tenant = nullptr;  // set by a successful hello
-    int version = 0;           // negotiated by that hello
     int inflight = 0;      // dispatched, reply not yet queued
     bool closing = false;  // close once `out` flushes
 

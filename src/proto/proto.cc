@@ -461,37 +461,6 @@ Result<int64_t> WireInt64(const JsonValue& value) {
   return Status::InvalidArgument("expected an integer");
 }
 
-void AppendWireValue(const Value& value, std::string* out) {
-  if (value.is_int()) {
-    const int64_t v = value.as_int();
-    if (v >= -kMaxExactDouble && v <= kMaxExactDouble) {
-      out->append(std::to_string(v));
-    } else {
-      out->append("{\"i\":\"");
-      out->append(std::to_string(v));
-      out->append("\"}");
-    }
-  } else {
-    AppendQuoted(value.symbol_name(), out);
-  }
-}
-
-Result<Value> WireValue(const JsonValue& value) {
-  if (value.is_number()) {
-    SQOD_ASSIGN_OR_RETURN(int64_t v, WireInt64(value));
-    return Value::Int(v);
-  }
-  if (value.is_string()) return Value::Symbol(value.string);
-  if (value.is_object()) {
-    const JsonValue* i = value.Find("i");
-    if (i != nullptr) {
-      SQOD_ASSIGN_OR_RETURN(int64_t v, WireInt64(*i));
-      return Value::Int(v);
-    }
-  }
-  return Status::InvalidArgument("malformed value in answer tuple");
-}
-
 Result<StatusCode> StatusCodeFromName(std::string_view name) {
   for (int c = 0; c <= static_cast<int>(StatusCode::kCancelled); ++c) {
     const StatusCode code = static_cast<StatusCode>(c);
@@ -574,16 +543,6 @@ std::string EncodeQuery(uint64_t id, const QueryParams& params) {
   AppendBool(params.trace, &out);
   out.append(",\"explain\":");
   AppendBool(params.explain, &out);
-  if (!params.disabled_passes.empty()) {
-    out.push_back(',');
-    AppendKey("disabled_passes", &out);
-    out.push_back('[');
-    for (size_t i = 0; i < params.disabled_passes.size(); ++i) {
-      if (i > 0) out.push_back(',');
-      AppendQuoted(params.disabled_passes[i], &out);
-    }
-    out.push_back(']');
-  }
   out.push_back('}');
   return out;
 }
@@ -662,11 +621,9 @@ std::string EncodeLoadProgramResponse(uint64_t id, const Response& response) {
 }
 
 std::string EncodeQueryResponse(uint64_t id, MsgType type,
-                                const Response& response, int version) {
-  const bool block =
-      version >= kProtoVersionAnswerBlock && response.status.ok();
+                                const Response& response) {
   std::string out;
-  if (block) {
+  if (response.status.ok()) {
     out.append(kBlockPrefixBytes, '\0');
     AppendAnswerBlock(response.answers, &out);
     PutU32(1, static_cast<uint32_t>(out.size() - kBlockPrefixBytes), &out);
@@ -677,22 +634,6 @@ std::string EncodeQueryResponse(uint64_t id, MsgType type,
   AppendKey("trace_id", &out);
   AppendQuoted(TraceIdHex(response.trace_id), &out);
   if (response.status.ok()) {
-    if (!block) {
-      out.push_back(',');
-      AppendKey("answers", &out);
-      out.push_back('[');
-      for (size_t i = 0; i < response.answers.size(); ++i) {
-        if (i > 0) out.push_back(',');
-        out.push_back('[');
-        const Tuple& tuple = response.answers[i];
-        for (size_t j = 0; j < tuple.size(); ++j) {
-          if (j > 0) out.push_back(',');
-          AppendWireValue(tuple[j], &out);
-        }
-        out.push_back(']');
-      }
-      out.push_back(']');
-    }
     out.push_back(',');
     AppendEvalStats(response.stats, &out);
   }
@@ -818,14 +759,6 @@ Result<ClientMessage> DecodeClientMessage(std::string_view payload) {
       msg.query.materialized = GetBoolOr(root, "materialized", false);
       msg.query.trace = GetBoolOr(root, "trace", false);
       msg.query.explain = GetBoolOr(root, "explain", false);
-      const JsonValue* passes = root.Find("disabled_passes");
-      if (passes != nullptr) {
-        if (!passes->is_array()) return MissingField("disabled_passes");
-        for (const JsonValue& item : passes->array) {
-          if (!item.is_string()) return MissingField("disabled_passes");
-          msg.query.disabled_passes.push_back(item.string);
-        }
-      }
       break;
     }
     case MsgType::kExplain: {
@@ -912,24 +845,12 @@ Result<ServerMessage> DecodeServerMessage(std::string_view payload) {
       Response& r = msg.query;
       r.status = msg.status;
       r.trace_id = TraceIdFromHex(GetStringOr(root, "trace_id", ""));
-      const JsonValue* answers = root.Find("answers");
-      if (has_block) {
-        r.answers = std::move(block_answers);
-      } else if (answers != nullptr && answers->is_array()) {
-        r.answers.reserve(answers->array.size());
-        for (const JsonValue& row : answers->array) {
-          if (!row.is_array()) {
-            return Status::InvalidArgument("answer row is not an array");
-          }
-          Tuple tuple;
-          tuple.reserve(row.array.size());
-          for (const JsonValue& cell : row.array) {
-            SQOD_ASSIGN_OR_RETURN(Value v, WireValue(cell));
-            tuple.push_back(v);
-          }
-          r.answers.push_back(std::move(tuple));
-        }
+      if (r.status.ok() && !has_block) {
+        return Status::InvalidArgument(std::string("an OK '") +
+                                       MsgTypeName(msg.type) +
+                                       "' reply carries no answer block");
       }
+      r.answers = std::move(block_answers);
       r.stats = DecodeEvalStats(root);
       r.snapshot_version = GetInt64Or(root, "snapshot_version", -1);
       r.served_from_view = GetBoolOr(root, "served_from_view", false);

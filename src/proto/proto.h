@@ -17,7 +17,7 @@ namespace sqod {
 //
 // Frame format:
 //   uint32 (big endian) payload length | payload bytes (UTF-8 JSON)
-// Version 2 changes one payload: a successful query/explain reply carries
+// One payload is not pure JSON: a successful query/explain reply carries
 // its answers as a binary column block ahead of the JSON object,
 //   0x00 | uint32 (big endian) block length | block | JSON object
 // (see "Answer blocks" below). Every other payload starts with '{', so a
@@ -39,8 +39,9 @@ namespace sqod {
 // the tenant (by token) and negotiates the protocol version: the client
 // sends the [min_version, max_version] range it speaks, the server picks
 // the highest version both sides support or rejects the connection with
-// UNSUPPORTED. Everything after the hello runs under the negotiated
-// version and the hello'd tenant's namespace, quotas, and metric prefix.
+// UNSUPPORTED. The server speaks version 2 only. Everything after the
+// hello runs under the hello'd tenant's namespace, quotas, and metric
+// prefix.
 //
 // Integers wider than 2^53-1 do not survive the JSON number round trip
 // (the minimal parser stores doubles), so encoders emit any int64 outside
@@ -48,10 +49,8 @@ namespace sqod {
 // renderings (WireInt64 below). Trace ids are always hex strings, matching
 // the slow-query log's rendering.
 
-inline constexpr int kProtoVersionMin = 1;
+inline constexpr int kProtoVersionMin = 2;
 inline constexpr int kProtoVersionMax = 2;
-// The first version whose query/explain replies carry answer blocks.
-inline constexpr int kProtoVersionAnswerBlock = 2;
 inline constexpr size_t kFrameHeaderBytes = 4;
 inline constexpr size_t kDefaultMaxFrameBytes = 4u << 20;  // 4 MiB
 
@@ -132,10 +131,6 @@ struct QueryParams {
   bool materialized = false;
   bool trace = false;
   bool explain = false;
-  // Optimizer passes to switch off (names from PassManager::PassNames;
-  // unknown names are a prepare-time error). Part of the server-side
-  // prepared-program fingerprint.
-  std::vector<std::string> disabled_passes;
 };
 
 struct ApplyDeltaParams {
@@ -186,12 +181,10 @@ std::string EncodeClose(uint64_t id);
 
 std::string EncodeHelloResponse(uint64_t id, const HelloResult& result);
 std::string EncodeLoadProgramResponse(uint64_t id, const Response& response);
-// `type` is kQuery or kExplain (the echo tag). `version` is the
-// connection's negotiated protocol version: from kProtoVersionAnswerBlock
-// on, the answers travel as a binary block, below it as a JSON array.
+// `type` is kQuery or kExplain (the echo tag). A successful reply carries
+// its answers as an answer block ahead of the JSON object.
 std::string EncodeQueryResponse(uint64_t id, MsgType type,
-                                const Response& response,
-                                int version = kProtoVersionMax);
+                                const Response& response);
 std::string EncodeApplyDeltaResponse(uint64_t id,
                                      const DeltaResponse& response);
 // `metrics_json` must be a complete JSON object (ExportMetricsJson output);
@@ -211,11 +204,12 @@ std::string EncodeErrorResponse(uint64_t id, MsgType type,
 Result<ClientMessage> DecodeClientMessage(std::string_view payload);
 
 // Decodes one response payload (client side), JSON or answer-block
-// prefixed; any malformed byte is kInvalidArgument.
+// prefixed; any malformed byte is kInvalidArgument, and so is a successful
+// query/explain reply without an answer block.
 Result<ServerMessage> DecodeServerMessage(std::string_view payload);
 
 // ----------------------------------------------------------- answer blocks
-// A version-2 answer set, column-major (docs/protocol.md, "Version 2"):
+// A query's answer set, column-major (docs/protocol.md, "Answer blocks"):
 //   varint arity | varint rows | varint symbols | symbols x (varint
 //   length | bytes) | arity x column
 // where a column is one kind byte and `rows` values: 0 = integers as
@@ -240,11 +234,6 @@ Result<std::vector<Tuple>> DecodeAnswerBlock(std::string_view block);
 void AppendWireInt64(int64_t value, std::string* out);
 // Reads an int64 encoded either way; kInvalidArgument on anything else.
 Result<int64_t> WireInt64(const JsonValue& value);
-
-// Values: integers encode as JSON numbers (or {"i": "<decimal>"} outside
-// the exact-double range), symbols as JSON strings.
-void AppendWireValue(const Value& value, std::string* out);
-Result<Value> WireValue(const JsonValue& value);
 
 // StatusCode <-> stable wire name round trip ("OK", "INVALID_ARGUMENT"...).
 Result<StatusCode> StatusCodeFromName(std::string_view name);

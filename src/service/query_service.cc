@@ -38,20 +38,14 @@ constexpr bool kIsDelta = std::is_same_v<Req, DeltaRequest>;
 
 // The absolute deadline of a request, or why it is rejected before
 // admission. A delta batch has no deadline.
-Result<int64_t> AdmissionDeadline(const Request& request, int64_t submit_ns) {
-  // Views are keyed by the prepared program's fingerprint, which includes
-  // disabled_passes, and delta batches maintain the default-options view:
-  // a view prepared with passes disabled would never see a batch.
-  if (request.materialized && !request.sqo.disabled_passes.empty()) {
-    return Status::InvalidArgument(
-        "a materialized query cannot set disabled_passes: delta batches "
-        "maintain only the default-options view");
+template <typename Req>
+Result<int64_t> AdmissionDeadline([[maybe_unused]] const Req& request,
+                                  int64_t submit_ns) {
+  if constexpr (kIsDelta<Req>) {
+    return DeadlineNsFromMs(-1, submit_ns);
+  } else {
+    return DeadlineNsFromMs(request.deadline_ms, submit_ns);
   }
-  return DeadlineNsFromMs(request.deadline_ms, submit_ns);
-}
-
-Result<int64_t> AdmissionDeadline(const DeltaRequest&, int64_t submit_ns) {
-  return DeadlineNsFromMs(-1, submit_ns);
 }
 
 // The outcome counter a finished request bumps. Queries split
@@ -83,9 +77,9 @@ LogEvent NewEvent(const TraceContext& trace, const char* kind) {
   return event;
 }
 
-// A query's EXPLAIN report: the plan, joined with the evaluation's runtime
-// when `profiles` is given and with the maintenance history of the view it
-// was served from when `view` is given.
+// A query's EXPLAIN report: the plan (or why P is served), joined with the
+// evaluation's runtime when `profiles` is given and with the maintenance
+// history of the view it was served from when `view` is given.
 ExplainReport ExplainQuery(const PreparedProgram& prepared,
                            const Response& response,
                            const std::vector<RuleProfile>* profiles,
@@ -93,6 +87,7 @@ ExplainReport ExplainQuery(const PreparedProgram& prepared,
   ExplainReport explain =
       BuildExplainReport(prepared.report, prepared.compiled.get(),
                          &prepared.lowered);
+  explain.fallback = prepared.fallback;
   if (profiles != nullptr) {
     AttachRuntime(prepared.program(), response.stats, *profiles,
                   static_cast<int64_t>(response.answers.size()),
@@ -213,8 +208,8 @@ void QueryService::Admit(Req request, std::function<void(Resp)> done) {
     return response;
   };
 
-  // The single ms→ns deadline conversion. Invalid deadlines and options
-  // are rejected here, before admission, like any other malformed request.
+  // The single ms→ns deadline conversion. Invalid deadlines are rejected
+  // here, before admission, like any other malformed request.
   Result<int64_t> deadline = AdmissionDeadline(job->request, trace.submit_ns);
   if (!deadline.ok()) {
     job->done(reject(deadline.status(), "service/requests_rejected_invalid"));
@@ -430,12 +425,11 @@ Status QueryService::OpenAndPrepare(Job<Req, Resp>* job, Resp* response,
   if (kDelta) span = tracer.StartSpan("delta.prepare");
 
   // Prepare is single-flight in the session: the first request for this
-  // fingerprint runs the Levy–Sagiv pipeline (its "sqo.*" spans landing
-  // under this request's prepare span), concurrent ones block on the
-  // in-flight entry, later ones hit the cache.
+  // unit runs the Levy–Sagiv pipeline (its "sqo.*" spans landing under this
+  // request's prepare span), concurrent ones block on the in-flight entry,
+  // later ones hit the cache.
   SqoOptions sqo;
-  if constexpr (!kDelta) sqo = job->request.sqo;
-  if (sqo.tracer == nullptr) sqo.tracer = &tracer;
+  sqo.tracer = &tracer;
   bool cache_hit = false;
   Result<const PreparedProgram*> result =
       (*entry)->session->Prepare(sqo, &cache_hit);
@@ -444,21 +438,18 @@ Status QueryService::OpenAndPrepare(Job<Req, Resp>* job, Resp* response,
     response->prepare_ns = NowNs() - start_ns;
     response->prepare_cache_hit = cache_hit;
     metrics().GetHistogram("service/prepare_ns")->Record(response->prepare_ns);
-    if (result.ok()) {
-      for (const PassRunInfo& info : result.value()->report.pass_runs) {
-        if (info.ran()) ++response->passes_ran;
-      }
-    } else if (result.status().code() == StatusCode::kUnsupported) {
-      // Outside the rewriting's theory (e.g. IDB negation): serve the
-      // original program rather than failing the request.
-      metrics().GetCounter("service/prepare_fallbacks")->Increment();
-      return Status::Ok();
-    }
   }
-  // A batch has no original-program fallback: a view exists only for a
-  // prepared (rewritten) program.
   if (!result.ok()) return result.status();
   *prepared = result.value();
+  if (!(*prepared)->fallback.ok()) {
+    metrics().GetCounter("service/prepare_fallbacks")->Increment();
+  }
+  if constexpr (!kDelta) {
+    response->optimized = (*prepared)->fallback.ok();
+    for (const PassRunInfo& info : (*prepared)->report.pass_runs) {
+      if (info.ran()) ++response->passes_ran;
+    }
+  }
   return Status::Ok();
 }
 
@@ -590,12 +581,11 @@ void QueryService::Process(Job<Request, Response>* job) {
   const MaterializedView* served_view = nullptr;
   std::vector<RuleProfile> profiles;
   auto finish = [&](Status status) {
+    // Only an OK request is summarized, and it always got past Prepare.
     Finish(job, std::move(response), std::move(status),
            [&](const Response& done) {
-             return prepared == nullptr
-                        ? std::string()
-                        : ExplainQuery(*prepared, done, &profiles, served_view)
-                              .Summary();
+             return ExplainQuery(*prepared, done, &profiles, served_view)
+                 .Summary();
            });
   };
 
@@ -619,13 +609,11 @@ void QueryService::Process(Job<Request, Response>* job) {
     return;
   }
   Session& session = *entry->session;
-  const bool fallback = prepared == nullptr;
 
   // Load-only requests (the front-end's LoadProgram) stop here: the unit
-  // parsed and the optimizer pipeline ran (or the fallback was noted), so
-  // later queries on this session hit the plan cache.
+  // parsed and the optimizer pipeline ran, so later queries on this session
+  // hit the plan cache.
   if (job->request.load_only) {
-    response.optimized = !fallback;
     response.snapshot_version = 0;
     finish(Status::Ok());
     return;
@@ -633,9 +621,8 @@ void QueryService::Process(Job<Request, Response>* job) {
 
   // Materialized-view fast path: copy the warm answers out under the
   // view's shared lock instead of evaluating. The first such request pays
-  // the initial fixpoint (inside Materialize); the fallback path cannot
-  // serve from a view (no prepared program), so it evaluates below.
-  if (job->request.materialized && !fallback) {
+  // the initial fixpoint (inside Materialize).
+  if (job->request.materialized) {
     Span view_span = tracer.StartSpan("request.view");
     const int64_t exec_start_ns = NowNs();
     Result<MaterializedView*> view = session.Materialize(*prepared);
@@ -654,7 +641,6 @@ void QueryService::Process(Job<Request, Response>* job) {
                       static_cast<int64_t>(response.answers.size()));
     view_span.End();
     response.served_from_view = true;
-    response.optimized = true;
     if (job->request.want_explain) {
       response.explain_json =
           ExplainQuery(*prepared, response, nullptr, served_view).ToJson();
@@ -682,10 +668,8 @@ void QueryService::Process(Job<Request, Response>* job) {
   Span execute_span = tracer.StartSpan("request.execute");
   const int64_t exec_start_ns = NowNs();
   Result<std::vector<Tuple>> answers =
-      fallback ? session.ExecuteOriginal(edb, eval, &response.stats,
-                                         want_profiles ? &profiles : nullptr)
-               : session.Execute(*prepared, edb, eval, &response.stats,
-                                 want_profiles ? &profiles : nullptr);
+      session.Execute(*prepared, edb, eval, &response.stats,
+                      want_profiles ? &profiles : nullptr);
   response.execute_ns = NowNs() - exec_start_ns;
   metrics.GetHistogram("service/execute_ns")->Record(response.execute_ns);
   execute_span.End();
@@ -695,9 +679,8 @@ void QueryService::Process(Job<Request, Response>* job) {
     return;
   }
   response.answers = std::move(answers).value();
-  response.optimized = !fallback;
   response.snapshot_version = 0;  // the immutable base snapshot
-  if (job->request.want_explain && !fallback) {
+  if (job->request.want_explain) {
     response.explain_json =
         ExplainQuery(*prepared, response, &profiles, nullptr).ToJson();
   }

@@ -28,9 +28,13 @@ namespace sqod {
 // The concurrent query-serving runtime: a bounded admission queue feeding a
 // fixed worker pool, with one shared Engine underneath. Sessions are
 // deduplicated by source text and Session::Prepare is single-flight, so N
-// concurrent requests for the same (program, ICs, options) fingerprint
-// trigger exactly one optimizer pipeline run — the Levy–Sagiv rewriting
-// cost is paid once and amortized across every request that follows.
+// concurrent requests for the same unit trigger exactly one optimizer
+// pipeline run — the Levy–Sagiv rewriting cost is paid once and amortized
+// across every request that follows. Every request prepares with the
+// default optimizer options, so queries and delta batches on one unit
+// share one prepared program and one materialized view. A unit outside the
+// rewriting's theory is prepared as P itself (PreparedProgram::fallback)
+// and is served, materialized, maintained and explained the same way.
 //
 // Queries (Submit) and delta batches (ApplyDelta) are two kinds of request
 // on one pipeline: admission (trace id, deadline check, root span, pool
@@ -41,7 +45,7 @@ namespace sqod {
 // APIs wrap it. Each kind reports under its own counter and span names.
 //
 // Request lifecycle and its observable failure modes:
-//   Submit ── invalid deadline or options → kInvalidArgument (rejected)
+//   Submit ── invalid deadline ──────────→ kInvalidArgument (rejected)
 //         ─── queue full ────────────────→ kResourceExhausted (rejected)
 //         ─── after Shutdown ────────────→ kFailedPrecondition (rejected)
 //         ─── queued → worker picks it up
@@ -121,10 +125,6 @@ struct Request {
   // programs, and non-empty tenants get tenant/<name>/... counters and
   // latency histograms next to the service/... ones. "" = untenanted.
   std::string tenant;
-  // Optimizer options; part of the prepared-program fingerprint. A program
-  // outside the rewriting's theory (Prepare returns kUnsupported, e.g. IDB
-  // negation) is evaluated as written instead (Response::optimized false).
-  SqoOptions sqo;
   // Relative deadline from submission, in milliseconds. 0 is already
   // expired (useful for testing the deadline path); -1 = no deadline.
   int64_t deadline_ms = -1;
@@ -139,11 +139,7 @@ struct Request {
   // Serve from the session's materialized view instead of evaluating: the
   // first such request pays the initial fixpoint (materialization), later
   // ones copy the warm answers out under a shared lock. Combine with
-  // ApplyDelta to keep the view current as the EDB changes. Ignored (a
-  // normal evaluation runs) when the program needed the kUnsupported
-  // fallback. Rejected with kInvalidArgument together with a non-empty
-  // sqo.disabled_passes: delta batches maintain the default-options view,
-  // so a view prepared with passes disabled would never see them.
+  // ApplyDelta to keep the view current as the EDB changes.
   bool materialized = false;
   // Validate and warm only: parse the unit (single-flight per session) and
   // run Prepare, then finish without executing. The network front-end's
@@ -160,7 +156,8 @@ struct Response {
   // The query predicate's tuples, sorted (empty on error).
   std::vector<Tuple> answers;
   EvalStats stats;
-  // False when the kUnsupported fallback evaluated the original program.
+  // False when the unit is outside the rewriting's theory and P itself was
+  // served (PreparedProgram::fallback).
   bool optimized = false;
   // Time spent waiting for a worker, preparing, and executing.
   int64_t queue_wait_ns = 0;
@@ -170,7 +167,7 @@ struct Response {
   // matches slow-query-log entries and TraceIdHex renderings.
   uint64_t trace_id = 0;
   // Whether Prepare was served from the session's plan cache, and how many
-  // pipeline passes the plan's preparation ran (0 on fallback).
+  // pipeline passes the plan's preparation ran (0 when P is served).
   bool prepare_cache_hit = false;
   int passes_ran = 0;
   // The request's span tree (empty unless Request::trace was set).
@@ -189,9 +186,9 @@ struct Response {
 
 // One batch of EDB changes against a session's materialized view: the
 // delta kind of request, on the same pipeline as Request (it has no
-// deadline or cancel token). The worker prepares the program with default
-// options (cache hit after the first), materializes the view if this is
-// the first touch, and applies the batch.
+// deadline or cancel token). The worker prepares the program (cache hit
+// after the first), materializes the view if this is the first touch, and
+// applies the batch.
 struct DeltaRequest {
   // The datalog unit whose view to maintain; requests with byte-identical
   // sources share one session, and therefore one view.
@@ -241,7 +238,7 @@ class QueryService {
   // Admission-controlled, non-blocking submit for transports that must
   // never block: `done` runs on the worker thread that completed the
   // request, or on the submitting thread for immediate rejections (queue
-  // full, shut down, invalid deadline or options). Exactly one invocation
+  // full, shut down, invalid deadline). Exactly one invocation
   // per submit, rejection included.
   void Submit(Request request, std::function<void(Response)> done);
 
@@ -325,8 +322,8 @@ class QueryService {
   // view holders for good, skips in-flight ones. Caller holds sessions_mu_.
   void EvictIdleSessionsLocked(
       std::vector<std::shared_ptr<SessionEntry>>* evicted);
-  // Builds the job (trace context, deadline and option checks, root and
-  // admission spans) and hands it to the pool; delivers the rejection
+  // Builds the job (trace context, deadline check, root and admission
+  // spans) and hands it to the pool; delivers the rejection
   // inline on failure.
   template <typename Req, typename Resp>
   void Admit(Req request, std::function<void(Resp)> done);
@@ -334,9 +331,7 @@ class QueryService {
   template <typename Req, typename Resp>
   Resp Dequeue(Job<Req, Resp>* job);
   // The worker prologue: the job's session (parsed once per source) and
-  // its prepared program (single-flight per fingerprint). A query outside
-  // the rewriting's theory gets Ok with *prepared null (serve the original
-  // program); a delta batch fails on any Prepare error.
+  // its prepared program (single-flight per unit; on fallback it serves P).
   template <typename Req, typename Resp>
   Status OpenAndPrepare(Job<Req, Resp>* job, Resp* response,
                         std::shared_ptr<SessionEntry>* entry,

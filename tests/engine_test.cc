@@ -116,19 +116,39 @@ TEST(EngineTest, ExecuteMatchesOriginalOnConsistentDatabase) {
 }
 
 TEST(EngineTest, PrepareSurfacesUnsupportedPrograms) {
-  // IDB negation is outside the rewriting's theory: kUnsupported, so a
-  // server can fall back to plain evaluation instead of failing the query.
+  // IDB negation is outside the rewriting's theory: the pipeline reports
+  // kUnsupported, and Prepare caches a program that serves P as written,
+  // with that status in `fallback`.
   Engine engine;
   Session session = engine
                         .Open(R"(
                           q(X) :- e(X, Y).
                           p(X) :- e(X, Y), !q(Y).
+                          e(1, 2). e(2, 3).
                           ?- p.
                         )")
                         .take();
-  Result<const PreparedProgram*> prepared = session.Prepare();
-  ASSERT_FALSE(prepared.ok());
-  EXPECT_EQ(prepared.status().code(), StatusCode::kUnsupported);
+  bool cache_hit = true;
+  Result<const PreparedProgram*> prepared = session.Prepare({}, &cache_hit);
+  ASSERT_TRUE(prepared.ok()) << prepared.status().message();
+  EXPECT_FALSE(cache_hit);
+  const PreparedProgram& served = *prepared.value();
+  EXPECT_EQ(served.fallback.code(), StatusCode::kUnsupported);
+  EXPECT_FALSE(served.fallback.message().empty());
+  EXPECT_EQ(served.program().ToString(), session.program().ToString());
+  EXPECT_TRUE(served.report.pass_runs.empty());
+  ASSERT_NE(served.compiled, nullptr);
+  Database edb = session.MakeEdb();
+  EXPECT_EQ(session.Execute(served, edb).take(),
+            session.ExecuteOriginal(edb).take());
+
+  Result<const PreparedProgram*> again = session.Prepare({}, &cache_hit);
+  ASSERT_TRUE(again.ok());
+  EXPECT_TRUE(cache_hit);
+  EXPECT_EQ(again.value(), prepared.value());
+  EXPECT_EQ(PipelineRuns(engine), 1);
+  EXPECT_EQ(
+      engine.metrics().GetCounter("engine/prepare_cache_hits")->value(), 1);
 }
 
 TEST(EngineTest, PrepareSurfacesResourceLimits) {

@@ -213,6 +213,49 @@ TEST(ExplainGoldenTest, LoweringSectionAndFilteredProbeKernel) {
   EXPECT_EQ(lowering->Find("kept")->array.size(), 1u);
 }
 
+// A unit outside the rewriting's theory is served as P: EXPLAIN has no
+// pass rows for it, and every rendering names the reason instead.
+TEST(ExplainGoldenTest, FallbackNamesTheReasonInEveryRendering) {
+  Engine engine;
+  Session session = engine
+                        .Open(R"(
+                          q(X) :- e(X, Y).
+                          p(X) :- e(X, Y), !q(Y).
+                          ?- p.
+                        )")
+                        .take();
+  const PreparedProgram* prepared = session.Prepare().value();
+  ASSERT_EQ(prepared->fallback.code(), StatusCode::kUnsupported);
+  ExplainReport explain = BuildExplainReport(
+      prepared->report, prepared->compiled.get(), &prepared->lowered);
+  explain.fallback = prepared->fallback;
+  EXPECT_TRUE(explain.passes.empty());
+
+  const std::string text = explain.ToText();
+  EXPECT_NE(text.find("served:            P as written (UNSUPPORTED: "),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("rules:             2 -> 2"), std::string::npos) << text;
+  EXPECT_NE(explain.Summary().find(" fallback=UNSUPPORTED"), std::string::npos)
+      << explain.Summary();
+
+  Result<JsonValue> json = ParseJson(explain.ToJson());
+  ASSERT_TRUE(json.ok()) << json.status().message();
+  const JsonValue* plan = json.value().Find("plan");
+  ASSERT_NE(plan, nullptr);
+  const JsonValue* fallback = plan->Find("fallback");
+  ASSERT_NE(fallback, nullptr);
+  EXPECT_EQ(fallback->string.rfind("UNSUPPORTED: ", 0), 0u)
+      << fallback->string;
+
+  // The served program's own EXPLAIN carries no fallback field.
+  Session figure1 = engine.Open(kFigure1).take();
+  ExplainReport rewritten =
+      BuildExplainReport(figure1.Prepare().value()->report);
+  EXPECT_EQ(rewritten.ToJson().find("fallback"), std::string::npos);
+  EXPECT_EQ(rewritten.Summary().find("fallback"), std::string::npos);
+}
+
 // The disassembler is EXPLAIN's drill-down: every compiled plan prints its
 // opcode stream, and the canonical copy rule lowers to the documented
 // scan / check / emit sequence.

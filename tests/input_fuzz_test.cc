@@ -118,8 +118,11 @@ std::vector<std::string> RequestSeeds() {
   query.materialized = true;
   query.trace = true;
   query.explain = true;
-  query.disabled_passes = {"residues", "prune"};
-  seeds.push_back(EncodeQuery(9, query));
+  // With a retired key the decoder must skip, as an older client sends it.
+  std::string with_retired_key = EncodeQuery(9, query);
+  with_retired_key.insert(with_retired_key.size() - 1,
+                          R"(,"disabled_passes":["residues","prune"])");
+  seeds.push_back(with_retired_key);
   QueryParams inline_query;
   inline_query.source = "p(X) :- e(X). e(1). ?- p.";
   seeds.push_back(EncodeQuery(10, inline_query));

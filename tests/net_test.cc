@@ -207,90 +207,73 @@ TEST(NetTest, HelloWithVersionBeyondInt32IsRefused) {
   server.Stop();
 }
 
-TEST(NetTest, DefaultClientNegotiatesVersion2AndV1ClientGetsJsonAnswers) {
+TEST(NetTest, DefaultClientNegotiatesVersion2) {
   Server server(ServerOptions{});
   ASSERT_TRUE(server.Start().ok());
+  EXPECT_EQ(kProtoVersionMin, 2);
+  EXPECT_EQ(kProtoVersionMax, 2);
+  EXPECT_EQ(ClientOptions{}.min_version, 2);
+  EXPECT_EQ(ClientOptions{}.max_version, 2);
   const std::vector<Tuple> expected = {T(1, 2), T(1, 3), T(2, 3)};
   QueryParams params;
   params.source = kChain;
-  for (int max_version : {1, 2}) {
-    SCOPED_TRACE("max_version " + std::to_string(max_version));
-    ClientOptions options;
-    options.port = server.port();
-    options.max_version = max_version;
-    Result<Client> client = Client::Connect(options);
-    ASSERT_TRUE(client.ok());
-    EXPECT_EQ(client.value().hello().version, max_version);
-    Result<Response> response = client.value().Query(params);
-    ASSERT_TRUE(response.ok());
-    EXPECT_EQ(response.value().answers, expected);
-  }
-  EXPECT_EQ(ClientOptions{}.max_version, 2);
+  ClientOptions options;
+  options.port = server.port();
+  Result<Client> client = Client::Connect(options);
+  ASSERT_TRUE(client.ok());
+  EXPECT_EQ(client.value().hello().version, 2);
+  Result<Response> response = client.value().Query(params);
+  ASSERT_TRUE(response.ok());
+  EXPECT_EQ(response.value().answers, expected);
 
-  // On the wire: v1 answers are the JSON array, and the whole payload is
-  // what the version-1 encoder makes of the decoded reply; v2 leads with
-  // the block.
-  for (int version : {1, 2}) {
-    SCOPED_TRACE("version " + std::to_string(version));
-    RawConnection conn = RawConnection::Open(server.port());
-    Result<ServerMessage> hello =
-        DecodeServerMessage(conn.Call(RawHello(1, version)));
-    ASSERT_TRUE(hello.ok());
-    EXPECT_EQ(hello.value().hello.version, version);
-    const std::string reply = conn.Call(EncodeQuery(2, params));
-    ASSERT_FALSE(reply.empty());
-    Result<ServerMessage> decoded = DecodeServerMessage(reply);
-    ASSERT_TRUE(decoded.ok());
-    EXPECT_EQ(decoded.value().query.answers, expected);
-    if (version == 1) {
-      EXPECT_EQ(reply[0], '{');
-      EXPECT_NE(reply.find(R"("answers":[[1,2],[1,3],[2,3]])"),
-                std::string::npos)
-          << reply;
-      EXPECT_EQ(EncodeQueryResponse(2, MsgType::kQuery,
-                                    decoded.value().query, 1),
-                reply);
-    } else {
-      EXPECT_EQ(reply[0], '\0');
-      EXPECT_EQ(reply.find("\"answers\""), std::string::npos);
-    }
-  }
+  // On the wire the answers lead the reply as a block; there is no JSON
+  // answer array.
+  RawConnection conn = RawConnection::Open(server.port());
+  Result<ServerMessage> hello =
+      DecodeServerMessage(conn.Call(RawHello(1, 2)));
+  ASSERT_TRUE(hello.ok());
+  EXPECT_EQ(hello.value().hello.version, 2);
+  const std::string reply = conn.Call(EncodeQuery(2, params));
+  ASSERT_FALSE(reply.empty());
+  EXPECT_EQ(reply[0], '\0');
+  EXPECT_EQ(reply.find("\"answers\""), std::string::npos);
+  Result<ServerMessage> decoded = DecodeServerMessage(reply);
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(decoded.value().query.answers, expected);
   server.Stop();
 }
 
+// Version 1 (JSON answer arrays) is retired: a client that speaks only
+// version 1 gets one JSON UNSUPPORTED reply to its hello, never a binary
+// payload, and the server closes the connection.
 TEST(NetTest, V1ConnectionNeverReceivesBinaryPayload) {
   Server server(ServerOptions{});
   ASSERT_TRUE(server.Start().ok());
   RawConnection conn = RawConnection::Open(server.port());
   ASSERT_TRUE(conn.fd.valid());
-  std::vector<std::string> replies;
-  replies.push_back(conn.Call(RawHello(1, 1)));
-  LoadProgramParams load;
-  load.session = "chain";
-  load.source = kChain;
-  replies.push_back(conn.Call(EncodeLoadProgram(2, load)));
-  QueryParams by_session;
-  by_session.session = "chain";
-  replies.push_back(conn.Call(EncodeQuery(3, by_session)));
-  replies.push_back(conn.Call(EncodeExplain(4, "chain")));
-  ApplyDeltaParams delta;
-  delta.session = "chain";
-  delta.inserts = {"step(3, 4)"};
-  replies.push_back(conn.Call(EncodeApplyDelta(5, delta)));
-  replies.push_back(conn.Call(EncodeQuery(6, by_session)));
-  QueryParams broken;
-  broken.source = "p(X) :- .";
-  replies.push_back(conn.Call(EncodeQuery(7, broken)));
-  replies.push_back(conn.Call(EncodeMetricsRequest(8)));
-  replies.push_back(conn.Call(EncodeClose(9)));
-  for (size_t i = 0; i < replies.size(); ++i) {
-    ASSERT_FALSE(replies[i].empty()) << "reply " << i;
-    EXPECT_EQ(replies[i][0], '{') << "reply " << i;
-    EXPECT_TRUE(DecodeServerMessage(replies[i]).ok()) << "reply " << i;
-  }
-  Result<ServerMessage> after_delta = DecodeServerMessage(replies[5]);
-  ASSERT_TRUE(after_delta.ok());
-  EXPECT_EQ(after_delta.value().query.answers.size(), 6u);
+  const std::string reply = conn.Call(RawHello(1, 1));
+  ASSERT_FALSE(reply.empty());
+  EXPECT_EQ(reply[0], '{');
+  Result<ServerMessage> decoded = DecodeServerMessage(reply);
+  ASSERT_TRUE(decoded.ok()) << reply;
+  // ASSERT: an accepted hello leaves the connection open, and Next()
+  // below would block.
+  ASSERT_EQ(decoded.value().status.code(), StatusCode::kUnsupported)
+      << reply;
+  EXPECT_NE(decoded.value().status.message().find(
+                "no common protocol version"),
+            std::string::npos)
+      << reply;
+  EXPECT_EQ(conn.Next(), "") << "the server must close after refusing";
+
+  // The client library reports the same refusal.
+  ClientOptions options;
+  options.port = server.port();
+  options.min_version = 1;
+  options.max_version = 1;
+  Result<Client> client = Client::Connect(options);
+  ASSERT_FALSE(client.ok());
+  EXPECT_EQ(client.status().code(), StatusCode::kUnsupported);
   server.Stop();
 }
 
@@ -394,36 +377,51 @@ TEST(NetTest, NamedSessionServesFromViewAndDeltasAdvanceVersion) {
   server.Stop();
 }
 
-// Session-addressed queries serve from the session's view, which delta
-// batches maintain under the default optimizer options; a query that
-// disables passes would read a second view no batch reaches, so the service
-// rejects it. The same passes may still be disabled on an inline query.
-TEST(NetTest, SessionQueryWithDisabledPassesIsRejected) {
+// Every query prepares with the default optimizer options, so a retired
+// `disabled_passes` key changes nothing: a session-addressed query that
+// carries it still reads the view the delta batch advanced, and an inline
+// one evaluates as usual.
+TEST(NetTest, SessionQueryIgnoresDisabledPasses) {
   Server server(ServerOptions{});
   ASSERT_TRUE(server.Start().ok());
-  Result<Client> connected = ConnectAs(server, "");
-  ASSERT_TRUE(connected.ok());
-  Client& client = connected.value();
-  ASSERT_TRUE(client.LoadProgram("tc", kChain).ok());
-  Result<DeltaResponse> applied = client.ApplyDelta("tc", {"step(3, 4)"}, {});
+  RawConnection conn = RawConnection::Open(server.port());
+  ASSERT_TRUE(conn.fd.valid());
+  ASSERT_TRUE(DecodeServerMessage(conn.Call(RawHello(2, 2))).ok());
+  LoadProgramParams load;
+  load.session = "tc";
+  load.source = kChain;
+  Result<ServerMessage> loaded =
+      DecodeServerMessage(conn.Call(EncodeLoadProgram(2, load)));
+  ASSERT_TRUE(loaded.ok());
+  ASSERT_TRUE(loaded.value().status.ok());
+  ApplyDeltaParams delta;
+  delta.session = "tc";
+  delta.inserts = {"step(3, 4)"};
+  Result<ServerMessage> applied =
+      DecodeServerMessage(conn.Call(EncodeApplyDelta(3, delta)));
   ASSERT_TRUE(applied.ok());
-  ASSERT_TRUE(applied.value().status.ok());
+  ASSERT_TRUE(applied.value().delta.status.ok());
+
+  Result<ServerMessage> ablated = DecodeServerMessage(conn.Call(
+      R"({"type":"query","id":4,"session":"tc",)"
+      R"("disabled_passes":["residues"]})"));
+  ASSERT_TRUE(ablated.ok());
+  const Response& view_read = ablated.value().query;
+  ASSERT_TRUE(view_read.status.ok()) << view_read.status.message();
+  EXPECT_TRUE(view_read.served_from_view);
+  EXPECT_EQ(view_read.snapshot_version, 1);
+  EXPECT_EQ(view_read.answers.size(), 6u);
 
   QueryParams params;
-  params.session = "tc";
-  params.disabled_passes = {"residues"};
-  Result<Response> ablated = client.Query(params);
-  ASSERT_TRUE(ablated.ok());
-  EXPECT_EQ(ablated.value().status.code(), StatusCode::kInvalidArgument);
-  EXPECT_TRUE(ablated.value().answers.empty());
-
-  params.session.clear();
   params.source = kChain;
-  Result<Response> inline_query = client.Query(params);
+  std::string inline_payload = EncodeQuery(5, params);
+  inline_payload.insert(inline_payload.size() - 1,
+                        R"(,"disabled_passes":["residues"])");
+  Result<ServerMessage> inline_query =
+      DecodeServerMessage(conn.Call(inline_payload));
   ASSERT_TRUE(inline_query.ok());
-  ASSERT_TRUE(inline_query.value().status.ok());
-  EXPECT_EQ(inline_query.value().answers.size(), 3u);
-  EXPECT_TRUE(client.Close().ok());
+  ASSERT_TRUE(inline_query.value().query.status.ok());
+  EXPECT_EQ(inline_query.value().query.answers.size(), 3u);
   server.Stop();
 }
 

@@ -2,8 +2,8 @@
 // arbitrary stream fragmentation, oversize/malformed-frame rejection,
 // request/response schema round trips, protocol-version fields, the
 // int64 encodings that survive the minimal JSON parser's double storage,
-// and version 2's binary answer blocks (round trips and every decoder
-// limit).
+// and the binary answer blocks of query replies (round trips and every
+// decoder limit).
 
 #include <gtest/gtest.h>
 
@@ -141,7 +141,6 @@ TEST(ProtoTest, QueryRoundTripsEveryField) {
   params.materialized = true;
   params.trace = true;
   params.explain = true;
-  params.disabled_passes = {"residues", "prune"};
   Result<ClientMessage> decoded =
       DecodeClientMessage(EncodeQuery(9, params));
   ASSERT_TRUE(decoded.ok());
@@ -153,8 +152,6 @@ TEST(ProtoTest, QueryRoundTripsEveryField) {
   EXPECT_TRUE(q.materialized);
   EXPECT_TRUE(q.trace);
   EXPECT_TRUE(q.explain);
-  EXPECT_EQ(q.disabled_passes,
-            (std::vector<std::string>{"residues", "prune"}));
 }
 
 TEST(ProtoTest, QueryRequiresExactlyOneAddressingMode) {
@@ -169,12 +166,16 @@ TEST(ProtoTest, QueryRequiresExactlyOneAddressingMode) {
 }
 
 // The decoder ignores keys it does not know, so a request from a client
-// that still sends the retired execution-mode key decodes exactly like one
-// carrying any other unknown key.
+// that still sends a retired key (the execution mode, or optimizer passes
+// to disable, whatever their shape) decodes exactly like one carrying any
+// other unknown key.
 TEST(ProtoTest, QueryIgnoresUnknownKeys) {
   for (const char* payload : {
            R"({"type":"query","id":1,"session":"s","future_knob":"x"})",
            R"({"type":"query","id":1,"session":"s","eval_mode":"interpret"})",
+           R"({"type":"query","id":1,"session":"s",)"
+           R"("disabled_passes":["residues","prune"]})",
+           R"({"type":"query","id":1,"session":"s","disabled_passes":7})",
        }) {
     Result<ClientMessage> decoded = DecodeClientMessage(payload);
     ASSERT_TRUE(decoded.ok()) << payload << ": "
@@ -236,28 +237,25 @@ TEST(ProtoTest, QueryResponseRoundTripsAnswersAndTelemetry) {
   response.stats.tuples_derived = 42;
   response.explain_json = R"({"analyzed": true})";
 
-  for (int version : {1, 2}) {
-    SCOPED_TRACE("version " + std::to_string(version));
-    Result<ServerMessage> decoded = DecodeServerMessage(
-        EncodeQueryResponse(11, MsgType::kQuery, response, version));
-    ASSERT_TRUE(decoded.ok());
-    const Response& r = decoded.value().query;
-    EXPECT_EQ(decoded.value().id, 11u);
-    EXPECT_TRUE(r.status.ok());
-    EXPECT_EQ(r.answers, response.answers);
-    EXPECT_TRUE(r.optimized);
-    EXPECT_EQ(r.queue_wait_ns, 1000);
-    EXPECT_EQ(r.prepare_ns, 2000);
-    EXPECT_EQ(r.execute_ns, 3000);
-    EXPECT_EQ(r.trace_id, 0xdeadbeefcafe0123ull);
-    EXPECT_TRUE(r.prepare_cache_hit);
-    EXPECT_EQ(r.passes_ran, 8);
-    EXPECT_EQ(r.snapshot_version, 4);
-    EXPECT_TRUE(r.served_from_view);
-    EXPECT_EQ(r.stats.iterations, 6);
-    EXPECT_EQ(r.stats.tuples_derived, 42);
-    EXPECT_EQ(r.explain_json, R"({"analyzed": true})");
-  }
+  Result<ServerMessage> decoded = DecodeServerMessage(
+      EncodeQueryResponse(11, MsgType::kQuery, response));
+  ASSERT_TRUE(decoded.ok());
+  const Response& r = decoded.value().query;
+  EXPECT_EQ(decoded.value().id, 11u);
+  EXPECT_TRUE(r.status.ok());
+  EXPECT_EQ(r.answers, response.answers);
+  EXPECT_TRUE(r.optimized);
+  EXPECT_EQ(r.queue_wait_ns, 1000);
+  EXPECT_EQ(r.prepare_ns, 2000);
+  EXPECT_EQ(r.execute_ns, 3000);
+  EXPECT_EQ(r.trace_id, 0xdeadbeefcafe0123ull);
+  EXPECT_TRUE(r.prepare_cache_hit);
+  EXPECT_EQ(r.passes_ran, 8);
+  EXPECT_EQ(r.snapshot_version, 4);
+  EXPECT_TRUE(r.served_from_view);
+  EXPECT_EQ(r.stats.iterations, 6);
+  EXPECT_EQ(r.stats.tuples_derived, 42);
+  EXPECT_EQ(r.explain_json, R"({"analyzed": true})");
 }
 
 TEST(ProtoTest, ErrorResponseCarriesCodeAndMessage) {
@@ -348,20 +346,6 @@ TEST(ProtoTest, WireInt64RejectsNonIntegers) {
   }
 }
 
-TEST(ProtoTest, WireValueRoundTripsIntsAndSymbols) {
-  for (const Value& value :
-       {Value::Int(42), Value::Int((int64_t{1} << 53) + 7),
-        Value::Symbol("rome"), Value::Symbol("with \"quotes\"")}) {
-    std::string out;
-    AppendWireValue(value, &out);
-    Result<JsonValue> parsed = ParseJson(out);
-    ASSERT_TRUE(parsed.ok()) << out;
-    Result<Value> back = WireValue(parsed.value());
-    ASSERT_TRUE(back.ok()) << out;
-    EXPECT_EQ(back.value(), value) << out;
-  }
-}
-
 TEST(ProtoTest, HelloRejectsVersionsOutsideInt32) {
   // 4294967298 = 2^32 + 2 would narrow to 2 without the range check.
   for (const char* payload : {
@@ -384,7 +368,7 @@ TEST(ProtoTest, HelloRejectsVersionsOutsideInt32) {
   EXPECT_EQ(widest.value().hello.max_version, INT32_MAX);
 }
 
-// ------------------------------------------------------ v2 answer blocks
+// --------------------------------------------------------- answer blocks
 
 Response AnswersResponse(std::vector<Tuple> answers) {
   Response response;
@@ -395,23 +379,19 @@ Response AnswersResponse(std::vector<Tuple> answers) {
   return response;
 }
 
-// Encodes `answers` under both versions; both must decode to them, v2 as
-// a block-prefixed payload and v1 as plain JSON.
+// Encodes `answers` into a reply, which must lead with the block, carry no
+// JSON answer array, and decode back to them.
 void ExpectAnswersRoundTrip(const std::vector<Tuple>& answers) {
   const Response response = AnswersResponse(answers);
-  for (int version : {1, 2}) {
-    SCOPED_TRACE("version " + std::to_string(version));
-    const std::string payload =
-        EncodeQueryResponse(9, MsgType::kQuery, response, version);
-    ASSERT_FALSE(payload.empty());
-    EXPECT_EQ(payload[0] == '\0', version == 2);
-    EXPECT_EQ(payload.find("\"answers\"") != std::string::npos, version == 1);
-    Result<ServerMessage> decoded = DecodeServerMessage(payload);
-    ASSERT_TRUE(decoded.ok()) << decoded.status().message();
-    EXPECT_EQ(decoded.value().query.answers, answers);
-    EXPECT_EQ(decoded.value().query.snapshot_version, 3);
-    EXPECT_EQ(decoded.value().query.stats.iterations, 2);
-  }
+  const std::string payload = EncodeQueryResponse(9, MsgType::kQuery, response);
+  ASSERT_FALSE(payload.empty());
+  EXPECT_EQ(payload[0], '\0');
+  EXPECT_EQ(payload.find("\"answers\""), std::string::npos);
+  Result<ServerMessage> decoded = DecodeServerMessage(payload);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().message();
+  EXPECT_EQ(decoded.value().query.answers, answers);
+  EXPECT_EQ(decoded.value().query.snapshot_version, 3);
+  EXPECT_EQ(decoded.value().query.stats.iterations, 2);
 }
 
 TEST(ProtoTest, AnswerBlockRoundTripsInt64Extremes) {
@@ -463,13 +443,24 @@ TEST(ProtoTest, AnswerBlockStoresEachSymbolOnce) {
 TEST(ProtoTest, ErrorQueryReplyStaysJsonUnderV2) {
   Response response;
   response.status = Status::DeadlineExceeded("too slow");
-  const std::string payload =
-      EncodeQueryResponse(3, MsgType::kQuery, response, 2);
+  const std::string payload = EncodeQueryResponse(3, MsgType::kQuery, response);
   ASSERT_FALSE(payload.empty());
   EXPECT_EQ(payload[0], '{');
   Result<ServerMessage> decoded = DecodeServerMessage(payload);
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded.value().status.code(), StatusCode::kDeadlineExceeded);
+
+  // Only a failed reply is pure JSON: an OK query or explain reply without
+  // an answer block (a retired version-1 reply, say) is malformed.
+  for (const char* ok_json : {
+           R"({"type":"query","id":3,"code":"OK","answers":[[1,2]]})",
+           R"({"type":"explain","id":3,"code":"OK","explain":"{}"})",
+       }) {
+    Result<ServerMessage> blockless = DecodeServerMessage(ok_json);
+    ASSERT_FALSE(blockless.ok()) << ok_json;
+    EXPECT_EQ(blockless.status().code(), StatusCode::kInvalidArgument)
+        << ok_json;
+  }
 }
 
 std::string Varint(uint64_t v) {

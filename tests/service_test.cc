@@ -305,23 +305,67 @@ TEST(ServiceTest, ParseErrorsSurfacePerRequest) {
   EXPECT_TRUE(ok.status.ok()) << ok.status.message();
 }
 
+// IDB negation is outside the rewriting's theory: the pipeline reports
+// kUnsupported, and Prepare publishes a program that serves P itself. It is
+// cached like any other, so it also gets a view, delta batches and EXPLAIN.
 TEST(ServiceTest, UnsupportedProgramFallsBackToOriginal) {
-  QueryService service;
-  Request request;
-  // IDB negation is outside the rewriting's theory: Prepare reports
-  // kUnsupported and the service serves the original program instead.
-  request.source = R"(
+  const std::string rules = R"(
     q(X) :- e(X, Y).
     p(X) :- e(X, Y), !q(Y).
-    e(1, 2). e(2, 3).
     ?- p.
   )";
-  Response response = service.Call(std::move(request));
-  ASSERT_TRUE(response.status.ok()) << response.status.message();
-  EXPECT_FALSE(response.optimized);
-  EXPECT_EQ(response.answers.size(), 1u);  // p(2): e(2,3) with q(3) false
-  EXPECT_EQ(ServiceCounter(service, "service/prepare_fallbacks"), 1);
-  EXPECT_EQ(ServiceCounter(service, "service/requests_completed"), 1);
+  const std::string source = rules + "e(1, 2). e(2, 3).\n";
+  QueryService service;
+  for (int i = 0; i < 5; ++i) {
+    Request request;
+    request.source = source;
+    Response response = service.Call(std::move(request));
+    ASSERT_TRUE(response.status.ok()) << response.status.message();
+    EXPECT_FALSE(response.optimized);
+    EXPECT_EQ(response.passes_ran, 0);
+    EXPECT_EQ(response.prepare_cache_hit, i > 0);
+    // p(2): e(2, 3) with q(3) false.
+    EXPECT_EQ(response.answers, std::vector<Tuple>{{Value::Int(2)}});
+  }
+  EXPECT_EQ(ServiceCounter(service, "engine/pipeline_runs"), 1);
+  EXPECT_EQ(ServiceCounter(service, "service/prepare_fallbacks"), 5);
+  EXPECT_EQ(ServiceCounter(service, "service/requests_completed"), 5);
+
+  Request read;
+  read.source = source;
+  read.materialized = true;
+  Response before = service.Call(read);
+  ASSERT_TRUE(before.status.ok()) << before.status.message();
+  EXPECT_TRUE(before.served_from_view);
+  EXPECT_FALSE(before.optimized);
+  EXPECT_EQ(before.snapshot_version, 0);
+  EXPECT_EQ(before.answers, std::vector<Tuple>{{Value::Int(2)}});
+
+  DeltaRequest batch;
+  batch.source = source;
+  batch.delta.inserts.push_back(ParseAtomText("e(3, 4)").take());
+  batch.delta.deletes.push_back(ParseAtomText("e(1, 2)").take());
+  DeltaResponse applied = service.CallApplyDelta(std::move(batch));
+  ASSERT_TRUE(applied.status.ok()) << applied.status.message();
+  EXPECT_EQ(applied.snapshot_version, 1);
+
+  read.want_explain = true;
+  Response after = service.Call(read);
+  ASSERT_TRUE(after.status.ok()) << after.status.message();
+  EXPECT_EQ(after.snapshot_version, 1);
+  // The oracle: P evaluated from scratch on the updated facts.
+  Engine engine;
+  Session oracle = engine.Open(rules + "e(2, 3). e(3, 4).\n").take();
+  const std::vector<Tuple> expected =
+      oracle.ExecuteOriginal(oracle.MakeEdb()).take();
+  EXPECT_EQ(expected, std::vector<Tuple>{{Value::Int(3)}});
+  EXPECT_EQ(after.answers, expected);
+  EXPECT_NE(after.explain_json.find("UNSUPPORTED"), std::string::npos)
+      << after.explain_json;
+  EXPECT_NE(after.explain_json.find("\"fallback\""), std::string::npos)
+      << after.explain_json;
+  EXPECT_EQ(ServiceCounter(service, "engine/pipeline_runs"), 1);
+  EXPECT_EQ(ServiceCounter(service, "engine/views_materialized"), 1);
 }
 
 TEST(ServiceTest, DistinctSourcesGetDistinctSessions) {
@@ -1155,11 +1199,10 @@ TEST(ServiceTest, EveryRequestKindKeepsItsObservableContract) {
   }
 }
 
-// A view is keyed by its prepared program's fingerprint, which includes
-// disabled_passes, while delta batches maintain the default-options view.
-// A materialized query with passes disabled would read a second view that
-// no batch reaches, so the service rejects the combination.
-TEST(ServiceTest, MaterializedQueryWithDisabledPassesIsRejected) {
+// Queries and delta batches prepare with the same (default) options, so a
+// materialized read and a delta batch on one unit share one prepared
+// program and one view: the read after the batch sees it.
+TEST(ServiceTest, MaterializedReadsAndDeltaBatchesShareOneView) {
   const std::string source = R"(
     tc(X, Y) :- step(X, Y).
     tc(X, Y) :- step(X, Z), tc(Z, Y).
@@ -1185,22 +1228,16 @@ TEST(ServiceTest, MaterializedQueryWithDisabledPassesIsRejected) {
   ASSERT_TRUE(after.status.ok()) << after.status.message();
   EXPECT_EQ(after.snapshot_version, 1);
   EXPECT_EQ(after.answers.size(), 6u);
+  EXPECT_EQ(ServiceCounter(service, "engine/pipeline_runs"), 1);
+  EXPECT_EQ(ServiceCounter(service, "engine/views_materialized"), 1);
 
-  Request ablated = read;
-  ablated.sqo.disabled_passes = {"residues"};
-  Response rejected = service.Call(std::move(ablated));
-  EXPECT_EQ(rejected.status.code(), StatusCode::kInvalidArgument)
-      << "served " << rejected.answers.size() << " answers at version "
-      << rejected.snapshot_version;
-  EXPECT_NE(rejected.status.message().find("disabled_passes"),
-            std::string::npos);
-  EXPECT_EQ(ServiceCounter(service, "service/requests_rejected_invalid"), 1);
-
-  // Without a view, passes may still be disabled.
+  // A plain evaluation reads the unchanged base snapshot.
   Request plain;
   plain.source = source;
-  plain.sqo.disabled_passes = {"residues"};
-  EXPECT_TRUE(service.Call(std::move(plain)).status.ok());
+  Response base = service.Call(std::move(plain));
+  ASSERT_TRUE(base.status.ok()) << base.status.message();
+  EXPECT_EQ(base.snapshot_version, 0);
+  EXPECT_EQ(base.answers.size(), 3u);
 }
 
 }  // namespace
