@@ -46,28 +46,23 @@ inline std::vector<Tuple> RunAndReport(const Program& program,
   return answers.take();
 }
 
-// Prepares (optimizes and lowers) the program through an engine session;
-// CHECK-fails on error, and on a unit outside the rewriting's theory (which
-// a session serves as P, unrewritten). With `state`, attaches a
-// MetricsRegistry and reports per-phase wall time ("opt_<phase>_ns") and
-// pipeline size gauges alongside the benchmark's own timings. The
-// "Rewritten"/"Served" rows evaluate its program(): the program a session
-// serves, P' lowered (src/sqo/lower.h).
+// Prepares (optimizes, lowers and compiles) the program with PrepareProgram,
+// the path a session takes; CHECK-fails on error, and on a program served
+// as P (PreparedProgram::fallback: outside the rewriting's theory, or an
+// optimizer limit hit). With `state`, attaches a MetricsRegistry and
+// reports per-phase wall time ("opt_<phase>_ns") alongside the benchmark's
+// own timings. The "Rewritten"/"Served" rows evaluate its program(): the
+// program a session serves, P' lowered (src/sqo/lower.h).
 inline PreparedProgram MustPrepare(const Program& program,
                                    const std::vector<Constraint>& ics,
                                    SqoOptions options = {},
                                    benchmark::State* state = nullptr) {
   MetricsRegistry metrics;
-  EngineOptions engine_options;
-  if (state != nullptr) engine_options.metrics = &metrics;
-  Engine engine(engine_options);
-  Result<Session> session = engine.Open(program, ics);
-  SQOD_CHECK_MSG(session.ok(), session.status().message().c_str());
-  Result<const PreparedProgram*> prepared =
-      session.value().Prepare(options);
+  if (state != nullptr) options.metrics = &metrics;
+  Result<PreparedProgram> prepared = PrepareProgram(program, ics, options);
   SQOD_CHECK_MSG(prepared.ok(), prepared.status().message().c_str());
-  SQOD_CHECK_MSG(prepared.value()->fallback.ok(),
-                 prepared.value()->fallback.message().c_str());
+  SQOD_CHECK_MSG(prepared.value().fallback.ok(),
+                 prepared.value().fallback.message().c_str());
   if (state != nullptr) {
     for (const auto& [name, gauge] : metrics.gauges()) {
       // "sqo/phase/adorn_ns" -> counter "opt_adorn_ns".
@@ -78,7 +73,7 @@ inline PreparedProgram MustPrepare(const Program& program,
       }
     }
   }
-  return *prepared.value();
+  return prepared.take();
 }
 
 // The optimizer report alone; its `rewritten` is the paper's P'.

@@ -84,12 +84,9 @@ if(NOT PASS_LIST STREQUAL EXPECTED_PASSES)
       "--list-passes mismatch: got '${PASS_LIST}', want '${EXPECTED_PASSES}'")
 endif()
 
-# --disable-pass=NAME ablates one pass; --reprepare demonstrates that the
-# second Prepare of the same program is a pure cache hit (one pipeline run).
-set(ABLATE_STATS "${WORK_DIR}/smoke_ablate_stats.json")
+# --disable-pass=NAME ablates one pass.
 execute_process(
-  COMMAND "${SQO_CLI}" --passes --disable-pass=residues --reprepare
-          "--stats-json=${ABLATE_STATS}" "${INPUT}"
+  COMMAND "${SQO_CLI}" --passes --disable-pass=residues "${INPUT}"
   OUTPUT_VARIABLE STDOUT
   ERROR_VARIABLE STDERR
   RESULT_VARIABLE RC)
@@ -102,14 +99,46 @@ if(DISABLED_LINE STREQUAL "")
   message(FATAL_ERROR
       "pass table does not mark residues as disabled:\n${STDOUT}")
 endif()
-file(READ "${ABLATE_STATS}" ABLATE_TEXT)
+
+# --reprepare demonstrates that the session's second Prepare is a pure
+# cache hit (one pipeline run).
+set(REPREPARE_STATS "${WORK_DIR}/smoke_reprepare_stats.json")
+execute_process(
+  COMMAND "${SQO_CLI}" --reprepare "--stats-json=${REPREPARE_STATS}"
+          "${INPUT}"
+  OUTPUT_VARIABLE STDOUT
+  ERROR_VARIABLE STDERR
+  RESULT_VARIABLE RC)
+if(NOT RC EQUAL 0)
+  message(FATAL_ERROR
+      "sqo_cli --reprepare run failed (rc=${RC}):\n${STDOUT}\n${STDERR}")
+endif()
+file(READ "${REPREPARE_STATS}" REPREPARE_TEXT)
 foreach(needle
     "engine/prepare_cache_hits\":1"
     "engine/prepare_cache_misses\":1"
     "engine/pipeline_runs\":1")
-  string(FIND "${ABLATE_TEXT}" "${needle}" POS)
+  string(FIND "${REPREPARE_TEXT}" "${needle}" POS)
   if(POS EQUAL -1)
-    message(FATAL_ERROR "missing '${needle}' in ${ABLATE_STATS}:\n${ABLATE_TEXT}")
+    message(FATAL_ERROR
+        "missing '${needle}' in ${REPREPARE_STATS}:\n${REPREPARE_TEXT}")
+  endif()
+endforeach()
+
+# An ablation prepares a one-off program outside the session, so asking to
+# re-prepare or maintain the session's program alongside it is a usage
+# error.
+set(SMOKE_DELTA "${WORK_DIR}/smoke_delta.txt")
+file(WRITE "${SMOKE_DELTA}" "batch\n+a(9, 9).\n")
+foreach(combo "--reprepare;--disable-pass=residues" "--reprepare;--tree"
+        "--apply-delta=${SMOKE_DELTA};--adornments")
+  execute_process(
+    COMMAND "${SQO_CLI}" ${combo} "${INPUT}"
+    OUTPUT_VARIABLE STDOUT
+    ERROR_VARIABLE STDERR
+    RESULT_VARIABLE RC)
+  if(NOT RC EQUAL 2)
+    message(FATAL_ERROR "${combo}: want exit 2, got ${RC}:\n${STDERR}")
   endif()
 endforeach()
 

@@ -59,7 +59,11 @@
 //                   combining it with --serve-batch is a usage error
 //     --reprepare   prepare the same program a second time to demonstrate
 //                   the session's prepared-program cache (hit counters land
-//                   in --stats-json under engine/prepare_cache_*)
+//                   in --stats-json under engine/prepare_cache_*).
+//                   --disable-pass and the dumps (--adornments, --tree,
+//                   --dot) prepare a one-off program instead of the
+//                   session's own, so combining them with --reprepare or
+//                   --apply-delta is a usage error
 //     --trace=FILE  write a Chrome trace-event JSON file covering the
 //                   optimizer phases and (with --eval) both evaluations;
 //                   load it in chrome://tracing or Perfetto
@@ -300,6 +304,18 @@ int main(int argc, char** argv) {
                  "with the default options (drop --serve-batch)\n");
     return 2;
   }
+  // An ablation (a disabled pass, or the dumps the pipeline renders only on
+  // request) prepares a one-off program with PrepareProgram; the session
+  // caches and materializes only its own default-options program.
+  const bool ablation = !disabled_passes.empty() || show_adornments ||
+                        show_tree || show_dot;
+  if (ablation && (reprepare || !delta_path.empty())) {
+    std::fprintf(stderr,
+                 "--reprepare and --apply-delta use the session's own "
+                 "prepared program; drop --disable-pass, --adornments, "
+                 "--tree and --dot\n");
+    return 2;
+  }
 
   if (serve_batch) {
     // Serve-batch mode: stand up an in-process sqo_server on a loopback
@@ -472,15 +488,28 @@ int main(int argc, char** argv) {
   }
   Session& session = opened.value();
 
-  SqoOptions sqo_options;
-  sqo_options.disabled_passes = disabled_passes;
-  // The dump flags ask for the rendered diagnostics, which the pipeline
-  // only materializes on request.
-  sqo_options.capture_dumps = show_adornments || show_tree || show_dot;
-
-  Result<const PreparedProgram*> prepared = session.Prepare(sqo_options);
-  // A unit outside the rewriting's theory prepares as P itself; this tool
-  // prints rewritings, so it reports why there is none.
+  Result<PreparedProgram> ablated = PreparedProgram{};
+  Result<const PreparedProgram*> prepared = nullptr;
+  if (ablation) {
+    SqoOptions sqo_options;
+    sqo_options.disabled_passes = disabled_passes;
+    // The dump flags ask for the rendered diagnostics, which the pipeline
+    // only materializes on request.
+    sqo_options.capture_dumps = show_adornments || show_tree || show_dot;
+    sqo_options.tracer = &tracer;
+    sqo_options.metrics = &metrics;
+    ablated = PrepareProgram(session.program(), session.ics(), sqo_options);
+    if (ablated.ok()) {
+      prepared = &ablated.value();
+    } else {
+      prepared = ablated.status();
+    }
+  } else {
+    prepared = session.Prepare();
+  }
+  // A unit outside the rewriting's theory (or past an optimizer limit)
+  // prepares as P itself; this tool prints rewritings, so it reports why
+  // there is none.
   const Status& failed =
       prepared.ok() ? prepared.value()->fallback : prepared.status();
   if (!failed.ok()) {
@@ -489,9 +518,9 @@ int main(int argc, char** argv) {
     return 2;
   }
   if (reprepare) {
-    // Same program, ICs, and options: served from the session cache with
-    // zero re-optimization (see engine/prepare_cache_hits in --stats-json).
-    prepared = session.Prepare(sqo_options);
+    // The session's program again: served from its cache with zero
+    // re-optimization (see engine/prepare_cache_hits in --stats-json).
+    prepared = session.Prepare();
   }
   const SqoReport& report = prepared.value()->report;
 

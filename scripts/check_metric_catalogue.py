@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Checks that docs/observability.md lists every fixed metric name.
+"""Checks that docs/observability.md lists exactly the fixed metric names.
 
 Collects each string literal of the form "service/...", "engine/...",
 "net/...", "sqo/..." or "eval/..." (a complete literal: lowercase letters,
@@ -10,8 +10,13 @@ appear in docs/observability.md as a whole name. Names built at run time
 names such as "sqo/phase/" + pass + "_ns", per-rule names) are not literals
 of that form and are out of scope.
 
-Exits 0 when the catalogue is complete; otherwise prints each missing name
-with the file that emits it and exits 1. Stdlib only.
+The other direction holds too: a catalogue-table row (a Markdown table
+line whose first cell is a `name` in one of those namespaces) must name a
+metric some src/**/*.cc literal emits, so a deleted metric cannot linger in
+the docs. Rows whose name contains "<" (built at run time) are skipped.
+
+Exits 0 when the catalogue matches; otherwise prints each missing or stale
+name and exits 1. Stdlib only.
 
 usage: check_metric_catalogue.py [--root <repo root>]
 """
@@ -21,8 +26,10 @@ import pathlib
 import re
 import sys
 
-LITERAL = re.compile(
-    r'"((?:service|engine|net|sqo|eval)/[a-z0-9_]+(?:/[a-z0-9_]+)*)"')
+NAME = r"(?:service|engine|net|sqo|eval)/[a-z0-9_]+(?:/[a-z0-9_]+)*"
+LITERAL = re.compile(r'"(' + NAME + r')"')
+# The first cell of a table row, when it is one backquoted fixed name.
+ROW = re.compile(r"^\|\s*`(" + NAME + r")`\s*\|", re.MULTILINE)
 
 
 def emitted_names(src):
@@ -57,7 +64,11 @@ def main():
     for name in missing:
         rel = names[name].relative_to(args.root)
         print(f"missing from docs/observability.md: {name} (emitted in {rel})")
-    if missing:
+    stale = sorted(set(ROW.findall(doc)) - set(names))
+    for name in stale:
+        print(f"docs/observability.md lists {name}, which no src/**/*.cc "
+              "literal emits")
+    if missing or stale:
         return 1
     print(f"metric catalogue complete: {len(names)} names")
     return 0

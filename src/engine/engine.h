@@ -17,9 +17,11 @@ namespace sqod {
 // Engine::Open parses/adopts one datalog unit into a Session, which
 // prepares (optimizes) and executes queries against it. The intended shape
 // for a server: one Engine per process, one Session per loaded program,
-// many Prepare/Execute calls per session — repeated Prepare calls with the
-// same program/ICs/options hit the session's prepared-program cache and
-// never re-run the optimizer.
+// many Prepare/Execute calls per session. A session prepares its unit once
+// (the paper's P' depends only on the program and its ICs), so repeated
+// Prepare calls return the one cached prepared program and never re-run
+// the optimizer; ablations with non-default SqoOptions go through
+// PrepareProgram (session.h) instead.
 //
 // Lifetime: an Engine must outlive every Session it opened.
 
@@ -56,6 +58,7 @@ class Engine {
   //   engine/prepare_cache_misses  Prepare calls that ran the pipeline
   //   engine/pipeline_runs       actual pass-pipeline executions
   //   engine/executions          Execute calls
+  //   engine/views_materialized  views built by Materialize
   MetricsRegistry& metrics() {
     return options_.metrics != nullptr ? *options_.metrics : owned_metrics_;
   }

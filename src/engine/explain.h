@@ -76,8 +76,9 @@ struct ExplainReport {
   int64_t memo_hits = 0;
   int64_t store_size = 0;
   int64_t optimize_ns = 0;  // sum of pass wall times
-  // PreparedProgram::fallback: non-OK when the unit is outside the
-  // rewriting's theory and P itself is served (there are no pass rows).
+  // PreparedProgram::fallback: non-OK when P itself is served (the unit is
+  // outside the rewriting's theory or its optimization hit a limit; there
+  // are no pass rows).
   Status fallback;
 
   // --- lowering side (when the served program's LoweredProgram was

@@ -1,6 +1,7 @@
 #include "src/engine/session.h"
 
-#include <algorithm>
+#include <condition_variable>
+#include <mutex>
 #include <utility>
 
 #include "src/engine/engine.h"
@@ -9,33 +10,79 @@
 
 namespace sqod {
 
-// Lazily built shared state: the frozen base-EDB snapshot and the
-// materialized views, both single-flight under one mutex (materialization
-// is rare and expensive; serializing it is fine and keeps the slot simple).
-struct Session::ViewCache {
-  std::mutex mu;
+// The prepare slot is single-flight under `prepare_mu`: the caller that
+// finds `inflight` null and nothing published runs the pipeline, everyone
+// else waits on `prepare_cv` for that run. The frozen base-EDB snapshot and
+// the view are built single-flight under `view_mu` (materialization is rare
+// and expensive; serializing it is fine and keeps the slot simple).
+struct Session::State {
+  // One pipeline run: `done` flips exactly once, under prepare_mu; a
+  // failed run leaves its status here for the callers that waited on it.
+  struct Run {
+    bool done = false;
+    Status status;
+  };
+
+  std::mutex prepare_mu;
+  std::condition_variable prepare_cv;
+  std::unique_ptr<const PreparedProgram> prepared;  // set once, then fixed
+  std::shared_ptr<Run> inflight;
+
+  mutable std::mutex view_mu;
   std::unique_ptr<Database> shared_edb;
-  std::unordered_map<uint64_t, std::unique_ptr<MaterializedView>> views;
+  std::unique_ptr<MaterializedView> view;
 };
 
-namespace {
+Result<PreparedProgram> PrepareProgram(const Program& program,
+                                       const std::vector<Constraint>& ics,
+                                       const SqoOptions& options) {
+  PassManager manager(options);
+  Result<SqoReport> report = manager.Run(program, ics);
 
-uint64_t Fnv1a64(const std::string& s) {
-  uint64_t h = 1469598103934665603ull;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ull;
+  // Outside the rewriting's theory (kUnsupported), or when an optimizer
+  // limit cut the run short (kResourceExhausted), the served program is P
+  // itself; every other pipeline error fails the call.
+  PreparedProgram prepared;
+  const StatusCode code = report.status().code();
+  if (code == StatusCode::kUnsupported ||
+      code == StatusCode::kResourceExhausted) {
+    prepared.fallback = report.status();
+    prepared.report.rewritten = program;
+    prepared.lowered.program = program;
+    prepared.lowered.rules_before = static_cast<int>(program.rules().size());
+  } else if (!report.ok()) {
+    return report.status();
+  } else {
+    prepared.report = std::move(report).value();
+    prepared.lowered = LowerProgram(prepared.report);
+    prepared.report.provenance = {};  // read by the lowering only
+    if (options.metrics != nullptr) {
+      options.metrics->GetGauge("sqo/phase/lower_ns")
+          ->Set(prepared.lowered.lower_ns);
+    }
   }
-  return h;
-}
 
-}  // namespace
+  // A program that does not compile (one that does not stratify) fails
+  // like an optimizer error.
+  Result<CompiledProgram> bytecode = CompileProgram(prepared.program());
+  if (!bytecode.ok()) {
+    return bytecode.status().WithContext("compiling the served program");
+  }
+  auto compiled =
+      std::make_shared<CompiledProgram>(std::move(bytecode).value());
+  if (options.metrics != nullptr) {
+    options.metrics->GetGauge("sqo/phase/plan_compile_ns")
+        ->Set(compiled->compile_ns);
+    options.metrics->GetCounter("eval/compile_ns")->Add(compiled->compile_ns);
+  }
+  prepared.compiled = std::move(compiled);
+  return prepared;
+}
 
 Session::Session(Engine* engine, ParsedUnit unit)
     : engine_(engine),
       unit_(std::move(unit)),
-      cache_(std::make_unique<PrepareCache>()),
-      views_(std::make_unique<ViewCache>()) {}
+      state_(std::make_unique<State>()) {}
 
 Session::Session(Session&&) noexcept = default;
 Session& Session::operator=(Session&&) noexcept = default;
@@ -48,186 +95,84 @@ Database Session::MakeEdb() const {
 }
 
 const Database& Session::SharedEdb() {
-  std::lock_guard<std::mutex> lock(views_->mu);
-  if (views_->shared_edb == nullptr) {
-    views_->shared_edb = std::make_unique<Database>(MakeEdb());
-    views_->shared_edb->Freeze();
+  std::lock_guard<std::mutex> lock(state_->view_mu);
+  if (state_->shared_edb == nullptr) {
+    state_->shared_edb = std::make_unique<Database>(MakeEdb());
+    state_->shared_edb->Freeze();
   }
-  return *views_->shared_edb;
+  return *state_->shared_edb;
 }
 
 Result<MaterializedView*> Session::Materialize(
     const PreparedProgram& prepared) {
-  std::lock_guard<std::mutex> lock(views_->mu);
-  auto it = views_->views.find(prepared.cache_key);
-  if (it != views_->views.end()) return it->second.get();
+  {
+    std::lock_guard<std::mutex> lock(state_->prepare_mu);
+    if (&prepared != state_->prepared.get()) {
+      return Status::InvalidArgument(
+          "Materialize takes the session's own prepared program "
+          "(Session::Prepare)");
+    }
+  }
+  std::lock_guard<std::mutex> lock(state_->view_mu);
+  if (state_->view != nullptr) return state_->view.get();
 
   engine_->metrics().GetCounter("engine/views_materialized")->Increment();
   Result<std::unique_ptr<MaterializedView>> view =
       MaterializedView::Create(prepared, MakeEdb());
   if (!view.ok()) return view.status();
-  MaterializedView* result = view.value().get();
-  views_->views.emplace(prepared.cache_key, std::move(view).value());
-  engine_->metrics().GetGauge("engine/materialized_views")
-      ->Set(static_cast<int64_t>(views_->views.size()));
-  return result;
+  state_->view = std::move(view).value();
+  return state_->view.get();
 }
 
-std::string Session::Fingerprint(const SqoOptions& options) const {
-  // Canonical, semantically complete rendering of (program, ICs, options).
-  // Observability pointers are deliberately excluded: they change where
-  // diagnostics go, never what plan comes out.
-  std::string fp = unit_.program.ToString();
-  fp += "\n--ics--\n";
-  for (const Constraint& ic : unit_.constraints) {
-    fp += ic.ToString();
-    fp += '\n';
-  }
-  fp += "--options--\n";
-  fp += "max_apreds=" + std::to_string(options.adorn.max_adorned_preds) + ";";
-  fp += "max_arules=" + std::to_string(options.adorn.max_adorned_rules) + ";";
-  fp += "max_classes=" + std::to_string(options.tree.max_classes) + ";";
-  fp += "max_local=" + std::to_string(options.max_local_rewrite_rules) + ";";
-  // Not semantics, but it changes what the cached report carries.
-  fp += "dumps=" + std::to_string(options.capture_dumps) + ";";
-  std::vector<std::string> disabled = options.disabled_passes;
-  std::sort(disabled.begin(), disabled.end());
-  disabled.erase(std::unique(disabled.begin(), disabled.end()),
-                 disabled.end());
-  fp += "disabled=";
-  for (const std::string& name : disabled) {
-    fp += name;
-    fp += ',';
-  }
-  return fp;
+bool Session::has_view() const {
+  std::lock_guard<std::mutex> lock(state_->view_mu);
+  return state_->view != nullptr;
 }
 
-Result<const PreparedProgram*> Session::Prepare(const SqoOptions& options) {
-  bool cache_hit = false;
-  return Prepare(options, &cache_hit);
-}
-
-Result<const PreparedProgram*> Session::Prepare(const SqoOptions& options,
+Result<const PreparedProgram*> Session::Prepare(Tracer* tracer,
                                                 bool* cache_hit) {
-  *cache_hit = false;
+  if (cache_hit != nullptr) *cache_hit = false;
   MetricsRegistry& metrics = engine_->metrics();
-  std::string fp = Fingerprint(options);
 
-  // Claim or join the cache slot for this fingerprint. Exactly one caller
-  // (the one that created the slot) runs the pipeline; everyone else either
-  // returns the published plan immediately or blocks on the in-flight run.
-  std::shared_ptr<CacheEntry> entry;
-  bool owner = false;
+  // Return the published program, join the in-flight run, or become the
+  // caller that runs the pipeline.
+  std::shared_ptr<State::Run> run;
   {
-    std::unique_lock<std::mutex> lock(cache_->mu);
-    std::shared_ptr<CacheEntry>& slot = cache_->entries[fp];
-    if (slot == nullptr) {
-      slot = std::make_shared<CacheEntry>();
-      owner = true;
+    std::unique_lock<std::mutex> lock(state_->prepare_mu);
+    if (state_->prepared == nullptr && state_->inflight != nullptr) {
+      metrics.GetCounter("engine/prepare_single_flight_waits")->Increment();
+      std::shared_ptr<State::Run> joined = state_->inflight;
+      state_->prepare_cv.wait(lock, [&] { return joined->done; });
+      if (state_->prepared == nullptr) return joined->status;
     }
-    entry = slot;
-    if (!owner) {
-      if (!entry->done) {
-        metrics.GetCounter("engine/prepare_single_flight_waits")->Increment();
-        cache_->cv.wait(lock, [&] { return entry->done; });
-      }
-      if (entry->prepared != nullptr) {
-        metrics.GetCounter("engine/prepare_cache_hits")->Increment();
-        *cache_hit = true;
-        return const_cast<const PreparedProgram*>(entry->prepared.get());
-      }
-      // The in-flight run failed; its slot has been removed, so a later
-      // Prepare retries from scratch.
-      return entry->status;
+    if (state_->prepared != nullptr) {
+      metrics.GetCounter("engine/prepare_cache_hits")->Increment();
+      if (cache_hit != nullptr) *cache_hit = true;
+      return state_->prepared.get();
     }
+    run = state_->inflight = std::make_shared<State::Run>();
   }
 
   metrics.GetCounter("engine/prepare_cache_misses")->Increment();
   metrics.GetCounter("engine/pipeline_runs")->Increment();
+  SqoOptions options;
+  options.tracer = tracer != nullptr ? tracer : engine_->tracer();
+  options.metrics = &metrics;
+  Result<PreparedProgram> prepared =
+      PrepareProgram(unit_.program, unit_.constraints, options);
 
-  SqoOptions run_options = options;
-  if (run_options.tracer == nullptr) run_options.tracer = engine_->tracer();
-  if (run_options.metrics == nullptr) run_options.metrics = &metrics;
-  PassManager manager(run_options);
-  Result<SqoReport> report = manager.Run(unit_.program, unit_.constraints);
-
-  // Lower P' to the served program and compile that to bytecode while no
-  // lock is held; both ride in the cache entry so warm executions and
-  // materialized views never redo them. Outside the rewriting's theory
-  // (kUnsupported) the served program is P itself, cached like a rewriting.
-  // A program that does not compile (one that does not stratify) fails
-  // Prepare like an optimizer error.
-  Status status = report.status();
-  Status fallback;
-  LoweredProgram lowered;
-  std::shared_ptr<const CompiledProgram> compiled;
-  if (status.code() == StatusCode::kUnsupported) {
-    fallback = std::exchange(status, Status::Ok());
-    SqoReport original;
-    original.rewritten = unit_.program;
-    report = std::move(original);
-    lowered.program = unit_.program;
-    lowered.rules_before = static_cast<int>(unit_.program.rules().size());
-  } else if (status.ok()) {
-    lowered = LowerProgram(report.value());
-    metrics.GetGauge("sqo/phase/lower_ns")->Set(lowered.lower_ns);
+  std::lock_guard<std::mutex> lock(state_->prepare_mu);
+  if (prepared.ok()) {
+    state_->prepared =
+        std::make_unique<const PreparedProgram>(std::move(prepared).value());
+  } else {
+    run->status = prepared.status();
   }
-  if (status.ok()) {
-    Result<CompiledProgram> bytecode = CompileProgram(lowered.program);
-    if (bytecode.ok()) {
-      auto owned =
-          std::make_shared<CompiledProgram>(std::move(bytecode).value());
-      metrics.GetGauge("sqo/phase/plan_compile_ns")->Set(owned->compile_ns);
-      metrics.GetCounter("eval/compile_ns")->Add(owned->compile_ns);
-      compiled = std::move(owned);
-    } else {
-      status = bytecode.status().WithContext("compiling the served program");
-    }
-  }
-
-  std::lock_guard<std::mutex> lock(cache_->mu);
-  if (!status.ok()) {
-    entry->done = true;
-    entry->status = status;
-    cache_->entries.erase(fp);
-    cache_->cv.notify_all();
-    return status;
-  }
-
-  auto prepared = std::make_unique<PreparedProgram>();
-  prepared->cache_key = Fnv1a64(fp);
-  prepared->fallback = std::move(fallback);
-  prepared->report = std::move(report).value();
-  prepared->report.provenance = {};  // read by the lowering only
-  prepared->lowered = std::move(lowered);
-  prepared->compiled = std::move(compiled);
-  const PreparedProgram* result = prepared.get();
-  entry->prepared = std::move(prepared);
-  entry->done = true;
-  cache_->cv.notify_all();
-  metrics.GetGauge("engine/prepared_programs")
-      ->Set(static_cast<int64_t>(cache_->entries.size()));
-  return result;
-}
-
-size_t Session::cache_size() const {
-  std::lock_guard<std::mutex> lock(cache_->mu);
-  return cache_->entries.size();
-}
-
-bool Session::has_views() const {
-  std::lock_guard<std::mutex> lock(views_->mu);
-  return !views_->views.empty();
-}
-
-void Session::ClearCache() {
-  {
-    // Views pin PreparedPrograms, so they go first.
-    std::lock_guard<std::mutex> lock(views_->mu);
-    views_->views.clear();
-  }
-  std::lock_guard<std::mutex> lock(cache_->mu);
-  cache_->entries.clear();
+  run->done = true;
+  state_->inflight = nullptr;
+  state_->prepare_cv.notify_all();
+  if (!run->status.ok()) return run->status;
+  return state_->prepared.get();
 }
 
 Result<std::vector<Tuple>> Session::Run(const Program& program,
@@ -243,7 +188,7 @@ Result<std::vector<Tuple>> Session::Run(const Program& program,
 Result<std::vector<Tuple>> Session::Execute(
     const PreparedProgram& prepared, const Database& edb, EvalOptions options,
     EvalStats* stats, std::vector<RuleProfile>* profiles) {
-  // Thread the Prepare-time compiled artifact into the evaluation (unless
+  // Thread the prepare-time compiled artifact into the evaluation (unless
   // the caller pinned its own), so warm executions skip plan lowering.
   if (options.compiled == nullptr) {
     options.compiled = prepared.compiled.get();

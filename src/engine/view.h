@@ -12,8 +12,9 @@ namespace sqod {
 
 // A materialized view: one PreparedProgram pinned together with its warm,
 // versioned IDB, kept at the fixpoint across EDB deltas (docs/ivm.md).
-// Obtained from Session::Materialize — one view per prepared-program
-// fingerprint, owned by the session, valid until ClearCache/destruction.
+// Obtained from Session::Materialize — one view per session, of the
+// session's own prepared program, owned by the session and valid for its
+// lifetime.
 //
 // Thread-safety contract (the serving layer depends on it):
 //  * Answers / version / SnapshotIdb / totals are safe from any number of

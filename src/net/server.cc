@@ -348,10 +348,9 @@ bool Server::HandleMessage(Connection* conn, const ClientMessage& msg) {
       request.want_explain = msg.query.explain;
       // Session-addressed queries serve from the session's pinned
       // materialized view (snapshot-versioned answers that ApplyDelta
-      // advances); inline one-shots evaluate against the base snapshot
-      // unless the client opts in.
-      request.materialized =
-          !msg.query.session.empty() || msg.query.materialized;
+      // advances); inline one-shots evaluate against the base snapshot and
+      // never build a view, so their sessions stay evictable.
+      request.materialized = !msg.query.session.empty();
       const uint64_t conn_id = conn->id;
       const uint64_t id = msg.id;
       const MsgType type = msg.type;

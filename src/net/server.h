@@ -38,7 +38,8 @@ namespace sqod {
 // source (and warms its prepared plan); queries and delta batches then
 // address the name. Session-addressed queries serve from the session's
 // pinned materialized view, so every reply carries the view's snapshot
-// version and ApplyDelta advances it monotonically.
+// version and ApplyDelta advances it monotonically. Inline queries never
+// build a view.
 //
 // Graceful drain (RequestDrain, wired to SIGTERM by sqo_server): stop
 // accepting, stop reading new frames, let in-flight requests finish and

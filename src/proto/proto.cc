@@ -244,6 +244,30 @@ MaintainStats DecodeMaintainStats(const JsonValue& payload) {
   return stats;
 }
 
+// The prepare telemetry a query and a load_program reply share, appended
+// as top-level fields (each with its leading comma).
+void AppendPrepareTelemetry(const Response& response, std::string* out) {
+  out->append(",\"optimized\":");
+  AppendBool(response.optimized, out);
+  out->append(",\"prepare_cache_hit\":");
+  AppendBool(response.prepare_cache_hit, out);
+  out->append(",\"passes_ran\":");
+  AppendWireInt64(response.passes_ran, out);
+  out->append(",\"queue_wait_ns\":");
+  AppendWireInt64(response.queue_wait_ns, out);
+  out->append(",\"prepare_ns\":");
+  AppendWireInt64(response.prepare_ns, out);
+}
+
+void DecodePrepareTelemetry(const JsonValue& payload, Response* response) {
+  response->optimized = GetBoolOr(payload, "optimized", false);
+  response->prepare_cache_hit = GetBoolOr(payload, "prepare_cache_hit", false);
+  response->passes_ran =
+      static_cast<int>(GetInt64Or(payload, "passes_ran", 0));
+  response->queue_wait_ns = GetInt64Or(payload, "queue_wait_ns", 0);
+  response->prepare_ns = GetInt64Or(payload, "prepare_ns", 0);
+}
+
 // A hello version bound: absent means `fallback`; present, it must be an
 // integer in [1, INT32_MAX] (an unchecked narrowing would read 2^32 + 2
 // as 2).
@@ -537,8 +561,6 @@ std::string EncodeQuery(uint64_t id, const QueryParams& params) {
   }
   out.append(",\"deadline_ms\":");
   AppendWireInt64(params.deadline_ms, &out);
-  out.append(",\"materialized\":");
-  AppendBool(params.materialized, &out);
   out.append(",\"trace\":");
   AppendBool(params.trace, &out);
   out.append(",\"explain\":");
@@ -616,6 +638,7 @@ std::string EncodeLoadProgramResponse(uint64_t id, const Response& response) {
   out.push_back(',');
   AppendKey("trace_id", &out);
   AppendQuoted(TraceIdHex(response.trace_id), &out);
+  AppendPrepareTelemetry(response, &out);
   out.push_back('}');
   return out;
 }
@@ -641,16 +664,7 @@ std::string EncodeQueryResponse(uint64_t id, MsgType type,
   AppendWireInt64(response.snapshot_version, &out);
   out.append(",\"served_from_view\":");
   AppendBool(response.served_from_view, &out);
-  out.append(",\"optimized\":");
-  AppendBool(response.optimized, &out);
-  out.append(",\"prepare_cache_hit\":");
-  AppendBool(response.prepare_cache_hit, &out);
-  out.append(",\"passes_ran\":");
-  AppendWireInt64(response.passes_ran, &out);
-  out.append(",\"queue_wait_ns\":");
-  AppendWireInt64(response.queue_wait_ns, &out);
-  out.append(",\"prepare_ns\":");
-  AppendWireInt64(response.prepare_ns, &out);
+  AppendPrepareTelemetry(response, &out);
   out.append(",\"execute_ns\":");
   AppendWireInt64(response.execute_ns, &out);
   if (!response.spans.empty()) {
@@ -756,7 +770,6 @@ Result<ClientMessage> DecodeClientMessage(std::string_view payload) {
             "query needs exactly one of 'session' or 'source'");
       }
       msg.query.deadline_ms = GetInt64Or(root, "deadline_ms", -1);
-      msg.query.materialized = GetBoolOr(root, "materialized", false);
       msg.query.trace = GetBoolOr(root, "trace", false);
       msg.query.explain = GetBoolOr(root, "explain", false);
       break;
@@ -838,6 +851,7 @@ Result<ServerMessage> DecodeServerMessage(std::string_view payload) {
     case MsgType::kLoadProgram: {
       msg.query.status = msg.status;
       msg.query.trace_id = TraceIdFromHex(GetStringOr(root, "trace_id", ""));
+      DecodePrepareTelemetry(root, &msg.query);
       break;
     }
     case MsgType::kQuery:
@@ -854,11 +868,7 @@ Result<ServerMessage> DecodeServerMessage(std::string_view payload) {
       r.stats = DecodeEvalStats(root);
       r.snapshot_version = GetInt64Or(root, "snapshot_version", -1);
       r.served_from_view = GetBoolOr(root, "served_from_view", false);
-      r.optimized = GetBoolOr(root, "optimized", false);
-      r.prepare_cache_hit = GetBoolOr(root, "prepare_cache_hit", false);
-      r.passes_ran = static_cast<int>(GetInt64Or(root, "passes_ran", 0));
-      r.queue_wait_ns = GetInt64Or(root, "queue_wait_ns", 0);
-      r.prepare_ns = GetInt64Or(root, "prepare_ns", 0);
+      DecodePrepareTelemetry(root, &r);
       r.execute_ns = GetInt64Or(root, "execute_ns", 0);
       r.spans = DecodeSpans(root);
       r.explain_json = GetStringOr(root, "explain", "");

@@ -128,7 +128,6 @@ struct QueryParams {
   std::string session;
   std::string source;
   int64_t deadline_ms = -1;
-  bool materialized = false;
   bool trace = false;
   bool explain = false;
 };
@@ -180,6 +179,8 @@ std::string EncodeMetricsRequest(uint64_t id);
 std::string EncodeClose(uint64_t id);
 
 std::string EncodeHelloResponse(uint64_t id, const HelloResult& result);
+// Carries the status, trace id and the prepare telemetry of a query reply
+// (optimized, prepare_cache_hit, passes_ran, queue_wait_ns, prepare_ns).
 std::string EncodeLoadProgramResponse(uint64_t id, const Response& response);
 // `type` is kQuery or kExplain (the echo tag). A successful reply carries
 // its answers as an answer block ahead of the JSON object.

@@ -320,7 +320,7 @@ void QueryService::SnapshotLoop(MetricsSnapshot prev) {
 std::shared_ptr<QueryService::SessionEntry> QueryService::GetSession(
     const std::string& tenant, const std::string& source) {
   // Tenant-qualified key: identical sources under different tenants parse
-  // into separate Session objects (separate prepare caches, separate
+  // into separate Session objects (separate prepared programs, separate
   // materialized views) — a tenant can never warm or observe another's
   // state. '\x1f' (ASCII unit separator) cannot appear in a tenant name.
   std::string key;
@@ -374,7 +374,7 @@ void QueryService::EvictIdleSessionsLocked(
     // prepare or delta is under way on it.
     if (node->second.use_count() > 1) continue;
     it = lru_.erase(it);
-    if (entry.session != nullptr && entry.session->has_views()) {
+    if (entry.session != nullptr && entry.session->has_view()) {
       entry.in_lru = false;  // retained for good
       continue;
     }
@@ -428,11 +428,9 @@ Status QueryService::OpenAndPrepare(Job<Req, Resp>* job, Resp* response,
   // unit runs the Levy–Sagiv pipeline (its "sqo.*" spans landing under this
   // request's prepare span), concurrent ones block on the in-flight entry,
   // later ones hit the cache.
-  SqoOptions sqo;
-  sqo.tracer = &tracer;
   bool cache_hit = false;
   Result<const PreparedProgram*> result =
-      (*entry)->session->Prepare(sqo, &cache_hit);
+      (*entry)->session->Prepare(&tracer, &cache_hit);
   span.SetAttr("cache_hit", cache_hit ? 1 : 0);
   if constexpr (!kDelta) {
     response->prepare_ns = NowNs() - start_ns;
@@ -612,7 +610,7 @@ void QueryService::Process(Job<Request, Response>* job) {
 
   // Load-only requests (the front-end's LoadProgram) stop here: the unit
   // parsed and the optimizer pipeline ran, so later queries on this session
-  // hit the plan cache.
+  // reuse its prepared program.
   if (job->request.load_only) {
     response.snapshot_version = 0;
     finish(Status::Ok());

@@ -33,8 +33,9 @@ namespace sqod {
 // across every request that follows. Every request prepares with the
 // default optimizer options, so queries and delta batches on one unit
 // share one prepared program and one materialized view. A unit outside the
-// rewriting's theory is prepared as P itself (PreparedProgram::fallback)
-// and is served, materialized, maintained and explained the same way.
+// rewriting's theory, or one whose optimization hits a limit, is prepared
+// as P itself (PreparedProgram::fallback) and is served, materialized,
+// maintained and explained the same way.
 //
 // Queries (Submit) and delta batches (ApplyDelta) are two kinds of request
 // on one pipeline: admission (trace id, deadline check, root span, pool
@@ -116,7 +117,7 @@ Result<int64_t> DeadlineNsFromMs(int64_t deadline_ms, int64_t now_ns);
 struct Request {
   // A full datalog unit: rules, ICs, optional facts, query declaration.
   // Requests with byte-identical sources share one parsed session (and
-  // therefore one prepared-program cache) while it is retained; an evicted
+  // therefore one prepared program) while it is retained; an evicted
   // session (QueryService::kSessionCacheCapacity) is parsed and prepared
   // again on its source's next request.
   std::string source;
@@ -139,12 +140,14 @@ struct Request {
   // Serve from the session's materialized view instead of evaluating: the
   // first such request pays the initial fixpoint (materialization), later
   // ones copy the warm answers out under a shared lock. Combine with
-  // ApplyDelta to keep the view current as the EDB changes.
+  // ApplyDelta to keep the view current as the EDB changes. A view pins
+  // its session against eviction, so the network front-end sets this only
+  // for queries on named sessions, never for inline one-shot units.
   bool materialized = false;
   // Validate and warm only: parse the unit (single-flight per session) and
   // run Prepare, then finish without executing. The network front-end's
   // LoadProgram maps here — the optimizer pipeline runs once at load time
-  // and every later query on the session hits the plan cache.
+  // and every later query on the session reuses its prepared program.
   bool load_only = false;
   // Attach an EXPLAIN/ANALYZE report (ExplainReport::ToJson) to the
   // response. Costs per-rule profiling on this request.
@@ -156,8 +159,8 @@ struct Response {
   // The query predicate's tuples, sorted (empty on error).
   std::vector<Tuple> answers;
   EvalStats stats;
-  // False when the unit is outside the rewriting's theory and P itself was
-  // served (PreparedProgram::fallback).
+  // False when P itself was served (PreparedProgram::fallback): the unit is
+  // outside the rewriting's theory, or its optimization hit a limit.
   bool optimized = false;
   // Time spent waiting for a worker, preparing, and executing.
   int64_t queue_wait_ns = 0;
@@ -166,7 +169,7 @@ struct Response {
   // The request's trace id (assigned at Submit, also for rejections);
   // matches slow-query-log entries and TraceIdHex renderings.
   uint64_t trace_id = 0;
-  // Whether Prepare was served from the session's plan cache, and how many
+  // Whether Prepare returned the session's cached program, and how many
   // pipeline passes the plan's preparation ran (0 when P is served).
   bool prepare_cache_hit = false;
   int passes_ran = 0;

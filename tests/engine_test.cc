@@ -5,6 +5,7 @@
 
 #include "src/engine/engine.h"
 #include "src/engine/explain.h"
+#include "src/engine/view.h"
 #include "src/obs/json.h"
 #include "src/sqo/pass_manager.h"
 #include "src/workload/programs.h"
@@ -70,31 +71,54 @@ TEST(EngineTest, PrepareCachesSecondCallIsAHit) {
   EXPECT_EQ(Hits(engine), 1);
   EXPECT_EQ(Misses(engine), 1);
   EXPECT_EQ(PipelineRuns(engine), 1);
-  EXPECT_EQ(session.cache_size(), 1u);
 }
 
-TEST(EngineTest, PrepareCacheKeysOnOptions) {
+TEST(EngineTest, PrepareProgramRunsAblationsOutsideTheSession) {
   Engine engine;
   Session session = engine.Open(kFigure1).take();
+  const PreparedProgram* served = session.Prepare().value();
 
-  const PreparedProgram* full = session.Prepare().value();
   SqoOptions no_residues;
   no_residues.disabled_passes.push_back("residues");
-  const PreparedProgram* bare = session.Prepare(no_residues).value();
-  EXPECT_NE(full, bare);
-  EXPECT_NE(full->cache_key, bare->cache_key);
-  EXPECT_EQ(Misses(engine), 2);
-  EXPECT_EQ(session.cache_size(), 2u);
+  Result<PreparedProgram> bare =
+      PrepareProgram(session.program(), session.ics(), no_residues);
+  ASSERT_TRUE(bare.ok()) << bare.status().message();
+  EXPECT_TRUE(bare.value().fallback.ok());
+  ASSERT_NE(bare.value().compiled, nullptr);
+  bool residues_disabled = false;
+  for (const PassRunInfo& info : bare.value().report.pass_runs) {
+    if (info.name == "residues") residues_disabled = info.disabled;
+  }
+  EXPECT_TRUE(residues_disabled);
 
-  // Option sets that run the same pipeline share one entry: the
-  // fingerprint canonicalizes disabled_passes (sorted, deduplicated).
-  SqoOptions same_pipeline;
-  same_pipeline.disabled_passes = {"residues", "residues"};
-  EXPECT_EQ(session.Prepare(same_pipeline).value(), bare);
-  EXPECT_EQ(session.Prepare(no_residues).value(), bare);
-  EXPECT_EQ(Hits(engine), 2);
-  EXPECT_EQ(Misses(engine), 2);
-  EXPECT_EQ(session.cache_size(), 2u);
+  // The ablation left the session's one prepared program alone.
+  EXPECT_EQ(session.Prepare().value(), served);
+  EXPECT_EQ(Misses(engine), 1);
+  EXPECT_EQ(PipelineRuns(engine), 1);
+
+  // It executes on the session like its own program, with the same answers
+  // on this consistent database, but it has no view.
+  Database edb = session.MakeEdb();
+  EXPECT_EQ(session.Execute(bare.value(), edb).take(),
+            session.Execute(*served, edb).take());
+  Result<MaterializedView*> view = session.Materialize(bare.value());
+  ASSERT_FALSE(view.ok());
+  EXPECT_EQ(view.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(session.has_view());
+}
+
+TEST(EngineTest, SessionHoldsOneViewOfItsOwnProgram) {
+  Engine engine;
+  Session session = engine.Open(kFigure1).take();
+  const PreparedProgram* prepared = session.Prepare().value();
+  EXPECT_FALSE(session.has_view());
+  MaterializedView* view = session.Materialize(*prepared).value();
+  EXPECT_TRUE(session.has_view());
+  EXPECT_EQ(session.Materialize(*prepared).value(), view);
+  EXPECT_EQ(engine.metrics().GetCounter("engine/views_materialized")->value(),
+            1);
+  EXPECT_EQ(view->Answers(),
+            session.Execute(*prepared, session.MakeEdb()).take());
 }
 
 TEST(EngineTest, ExecuteMatchesOriginalOnConsistentDatabase) {
@@ -129,7 +153,8 @@ TEST(EngineTest, PrepareSurfacesUnsupportedPrograms) {
                         )")
                         .take();
   bool cache_hit = true;
-  Result<const PreparedProgram*> prepared = session.Prepare({}, &cache_hit);
+  Result<const PreparedProgram*> prepared =
+      session.Prepare(nullptr, &cache_hit);
   ASSERT_TRUE(prepared.ok()) << prepared.status().message();
   EXPECT_FALSE(cache_hit);
   const PreparedProgram& served = *prepared.value();
@@ -142,7 +167,7 @@ TEST(EngineTest, PrepareSurfacesUnsupportedPrograms) {
   EXPECT_EQ(session.Execute(served, edb).take(),
             session.ExecuteOriginal(edb).take());
 
-  Result<const PreparedProgram*> again = session.Prepare({}, &cache_hit);
+  Result<const PreparedProgram*> again = session.Prepare(nullptr, &cache_hit);
   ASSERT_TRUE(again.ok());
   EXPECT_TRUE(cache_hit);
   EXPECT_EQ(again.value(), prepared.value());
@@ -152,22 +177,33 @@ TEST(EngineTest, PrepareSurfacesUnsupportedPrograms) {
 }
 
 TEST(EngineTest, PrepareSurfacesResourceLimits) {
+  // An optimizer limit cuts the run short: the program serves P, with the
+  // limit's kResourceExhausted in `fallback`.
   Engine engine;
-  Session session =
-      engine.Open(MakeAbClosureProgram(), {MakeAbIc()}).take();
+  Session session = engine.Open(kFigure1).take();
   SqoOptions tiny;
   tiny.adorn.max_adorned_preds = 1;
-  Result<const PreparedProgram*> prepared = session.Prepare(tiny);
-  ASSERT_FALSE(prepared.ok());
-  EXPECT_EQ(prepared.status().code(), StatusCode::kResourceExhausted);
+  Result<PreparedProgram> prepared =
+      PrepareProgram(session.program(), session.ics(), tiny);
+  ASSERT_TRUE(prepared.ok()) << prepared.status().message();
+  const PreparedProgram& served = prepared.value();
+  EXPECT_EQ(served.fallback.code(), StatusCode::kResourceExhausted);
+  EXPECT_NE(served.fallback.message().find("max_adorned_preds"),
+            std::string::npos)
+      << served.fallback.message();
+  EXPECT_EQ(served.program().ToString(), session.program().ToString());
+  EXPECT_TRUE(served.report.pass_runs.empty());
+  ASSERT_NE(served.compiled, nullptr);
+  Database edb = session.MakeEdb();
+  EXPECT_EQ(session.Execute(served, edb).take(),
+            session.ExecuteOriginal(edb).take());
 }
 
 TEST(EngineTest, PrepareRejectsUnknownDisabledPass) {
-  Engine engine;
-  Session session = engine.Open(kFigure1).take();
   SqoOptions options;
   options.disabled_passes.push_back("no_such_pass");
-  Result<const PreparedProgram*> prepared = session.Prepare(options);
+  Result<PreparedProgram> prepared =
+      PrepareProgram(MakeAbClosureProgram(), {MakeAbIc()}, options);
   ASSERT_FALSE(prepared.ok());
   EXPECT_EQ(prepared.status().code(), StatusCode::kInvalidArgument);
 }
@@ -186,19 +222,29 @@ TEST(EngineTest, ExternalMetricsRegistryReceivesEngineCounters) {
   EXPECT_GT(metrics.gauges().count("sqo/phase/adorn_ns"), 0u);
 }
 
-TEST(EngineTest, ClearCacheForcesReoptimization) {
+TEST(EngineTest, FailedPrepareIsNotCached) {
+  // Negation through recursion, built past the parser's validation: the
+  // pipeline rejects it, nothing is published, and each Prepare runs the
+  // pipeline again.
+  Program program;
+  program.AddRule(ParseRule("p(X) :- e(X), !q(X).").value());
+  program.AddRule(ParseRule("q(X) :- e(X), !p(X).").value());
+  program.SetQuery("p");
   Engine engine;
-  Session session = engine.Open(kFigure1).take();
-  session.Prepare().value();
-  session.ClearCache();
-  EXPECT_EQ(session.cache_size(), 0u);
-  session.Prepare().value();
-  EXPECT_EQ(Misses(engine), 2);
-  EXPECT_EQ(PipelineRuns(engine), 2);
+  Session session = engine.Open(std::move(program), {}).take();
+  for (int attempt = 1; attempt <= 2; ++attempt) {
+    Result<const PreparedProgram*> prepared = session.Prepare();
+    ASSERT_FALSE(prepared.ok());
+    EXPECT_NE(prepared.status().message().find("not stratified"),
+              std::string::npos)
+        << prepared.status().message();
+    EXPECT_EQ(PipelineRuns(engine), attempt);
+  }
+  EXPECT_EQ(Hits(engine), 0);
 }
 
 TEST(EngineTest, ConcurrentPrepareIsSingleFlight) {
-  // Eight threads hammer Prepare for the same fingerprint: exactly one runs
+  // Eight threads hammer one session's Prepare: exactly one runs
   // the pipeline, the rest block on the in-flight entry and get the same
   // prepared program (7 hits, 1 miss, 1 pipeline run).
   Engine engine;
@@ -221,18 +267,19 @@ TEST(EngineTest, ConcurrentPrepareIsSingleFlight) {
   EXPECT_EQ(PipelineRuns(engine), 1);
   EXPECT_EQ(Misses(engine), 1);
   EXPECT_EQ(Hits(engine), kThreads - 1);
-  EXPECT_EQ(session.cache_size(), 1u);
 }
 
 TEST(EngineTest, SessionsAreIndependent) {
   Engine engine;
   Session a = engine.Open(kFigure1).take();
   Session b = engine.Open(MakeAbClosureProgram(), {MakeAbIc()}).take();
-  a.Prepare().value();
-  b.Prepare().value();
-  EXPECT_EQ(a.cache_size(), 1u);
-  EXPECT_EQ(b.cache_size(), 1u);
+  const PreparedProgram* pa = a.Prepare().value();
+  const PreparedProgram* pb = b.Prepare().value();
+  EXPECT_NE(pa, pb);
+  EXPECT_EQ(a.Prepare().value(), pa);
+  EXPECT_EQ(b.Prepare().value(), pb);
   EXPECT_EQ(Misses(engine), 2);
+  EXPECT_EQ(Hits(engine), 2);
 }
 
 TEST(EngineTest, DistinctProgramsKeepTheInternerBounded) {
@@ -279,9 +326,9 @@ TEST(EngineTest, PrepareReportsCacheHitToCaller) {
   Engine engine;
   Session session = engine.Open(kFigure1).take();
   bool hit = true;
-  ASSERT_TRUE(session.Prepare(SqoOptions{}, &hit).ok());
+  ASSERT_TRUE(session.Prepare(nullptr, &hit).ok());
   EXPECT_FALSE(hit);
-  ASSERT_TRUE(session.Prepare(SqoOptions{}, &hit).ok());
+  ASSERT_TRUE(session.Prepare(nullptr, &hit).ok());
   EXPECT_TRUE(hit);
 }
 

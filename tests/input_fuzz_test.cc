@@ -115,11 +115,13 @@ std::vector<std::string> RequestSeeds() {
   QueryParams query;
   query.session = "tc";
   query.deadline_ms = 1500;
-  query.materialized = true;
   query.trace = true;
   query.explain = true;
-  // With a retired key the decoder must skip, as an older client sends it.
+  // With retired keys the decoder must skip, as an older client sends them
+  // (spliced where that client put them, so the corpus stays the same).
   std::string with_retired_key = EncodeQuery(9, query);
+  with_retired_key.insert(with_retired_key.find(R"(,"trace":)"),
+                          R"(,"materialized":true)");
   with_retired_key.insert(with_retired_key.size() - 1,
                           R"(,"disabled_passes":["residues","prune"])");
   seeds.push_back(with_retired_key);

@@ -425,6 +425,79 @@ TEST(NetTest, SessionQueryIgnoresDisabledPasses) {
   server.Stop();
 }
 
+// Views belong to named sessions: an inline query's retired
+// `"materialized": true` builds none, so a stream of distinct inline units
+// stays within the session cache and the oldest are evicted.
+TEST(NetTest, InlineQueriesNeverPinViews) {
+  Server server(ServerOptions{});
+  ASSERT_TRUE(server.Start().ok());
+  RawConnection conn = RawConnection::Open(server.port());
+  ASSERT_TRUE(conn.fd.valid());
+  ASSERT_TRUE(DecodeServerMessage(conn.Call(RawHello(2, 2))).ok());
+  const int units = static_cast<int>(QueryService::kSessionCacheCapacity) + 8;
+  for (int i = 0; i < units; ++i) {
+    // kChain plus one distinct fact, written out as an older client sent
+    // it: a raw frame with the key set.
+    const std::string payload =
+        R"({"type":"query","id":)" + std::to_string(2 + i) +
+        R"(,"source":"path(X, Y) :- step(X, Y). )"
+        R"(path(X, Y) :- step(X, Z), path(Z, Y). step(1, 2). step(2, 3). )"
+        "step(" + std::to_string(100 + i) + R"(, 1). ?- path.",)"
+        R"("materialized":true})";
+    Result<ServerMessage> reply = DecodeServerMessage(conn.Call(payload));
+    ASSERT_TRUE(reply.ok()) << "unit " << i;
+    const Response& response = reply.value().query;
+    ASSERT_TRUE(response.status.ok()) << response.status.message();
+    EXPECT_FALSE(response.served_from_view);
+    EXPECT_EQ(response.answers.size(), 6u) << "unit " << i;
+  }
+  MetricsRegistry& metrics = server.metrics();
+  EXPECT_GT(metrics.GetCounter("service/sessions_evicted")->value(), 0);
+  EXPECT_EQ(metrics.GetCounter("engine/views_materialized")->value(), 0);
+  server.Stop();
+}
+
+// A load_program reply carries the prepare telemetry a query reply does,
+// so a client sees at load time whether the unit is served as P.
+TEST(NetTest, LoadProgramReportsWhetherTheUnitIsOptimized) {
+  Server server(ServerOptions{});
+  ASSERT_TRUE(server.Start().ok());
+  Result<Client> connected = ConnectAs(server, "");
+  ASSERT_TRUE(connected.ok());
+  Client& client = connected.value();
+
+  Result<Response> figure1 = client.LoadProgram("figure1", R"(
+    p(X, Y) :- a(X, Y).
+    p(X, Y) :- b(X, Y).
+    p(X, Y) :- a(X, Z), p(Z, Y).
+    p(X, Y) :- b(X, Z), p(Z, Y).
+    :- a(X, Y), b(Y, Z).
+    b(1, 2). b(2, 3). a(3, 4). a(4, 5).
+    ?- p.
+  )");
+  ASSERT_TRUE(figure1.ok());
+  ASSERT_TRUE(figure1.value().status.ok()) << figure1.value().status.message();
+  EXPECT_TRUE(figure1.value().optimized);
+  EXPECT_FALSE(figure1.value().prepare_cache_hit);
+  EXPECT_GT(figure1.value().passes_ran, 0);
+  EXPECT_GT(figure1.value().prepare_ns, 0);
+  EXPECT_NE(figure1.value().trace_id, 0u);
+
+  Result<Response> negation = client.LoadProgram("negation", R"(
+    q(X) :- e(X, Y).
+    p(X) :- e(X, Y), !q(Y).
+    e(1, 2). e(2, 3).
+    ?- p.
+  )");
+  ASSERT_TRUE(negation.ok());
+  ASSERT_TRUE(negation.value().status.ok())
+      << negation.value().status.message();
+  EXPECT_FALSE(negation.value().optimized);
+  EXPECT_EQ(negation.value().passes_ran, 0);
+  EXPECT_TRUE(client.Close().ok());
+  server.Stop();
+}
+
 TEST(NetTest, UnknownSessionIsNonFatal) {
   Server server(ServerOptions{});
   ASSERT_TRUE(server.Start().ok());

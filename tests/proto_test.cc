@@ -138,7 +138,6 @@ TEST(ProtoTest, QueryRoundTripsEveryField) {
   QueryParams params;
   params.session = "tc";
   params.deadline_ms = 1500;
-  params.materialized = true;
   params.trace = true;
   params.explain = true;
   Result<ClientMessage> decoded =
@@ -149,7 +148,6 @@ TEST(ProtoTest, QueryRoundTripsEveryField) {
   EXPECT_EQ(decoded.value().id, 9u);
   EXPECT_EQ(q.session, "tc");
   EXPECT_EQ(q.deadline_ms, 1500);
-  EXPECT_TRUE(q.materialized);
   EXPECT_TRUE(q.trace);
   EXPECT_TRUE(q.explain);
 }
@@ -256,6 +254,20 @@ TEST(ProtoTest, QueryResponseRoundTripsAnswersAndTelemetry) {
   EXPECT_EQ(r.stats.iterations, 6);
   EXPECT_EQ(r.stats.tuples_derived, 42);
   EXPECT_EQ(r.explain_json, R"({"analyzed": true})");
+
+  // A load_program reply carries the same prepare telemetry.
+  Result<ServerMessage> loaded =
+      DecodeServerMessage(EncodeLoadProgramResponse(12, response));
+  ASSERT_TRUE(loaded.ok());
+  const Response& l = loaded.value().query;
+  EXPECT_EQ(loaded.value().type, MsgType::kLoadProgram);
+  EXPECT_TRUE(l.status.ok());
+  EXPECT_EQ(l.trace_id, 0xdeadbeefcafe0123ull);
+  EXPECT_TRUE(l.optimized);
+  EXPECT_TRUE(l.prepare_cache_hit);
+  EXPECT_EQ(l.passes_ran, 8);
+  EXPECT_EQ(l.queue_wait_ns, 1000);
+  EXPECT_EQ(l.prepare_ns, 2000);
 }
 
 TEST(ProtoTest, ErrorResponseCarriesCodeAndMessage) {

@@ -368,6 +368,46 @@ TEST(ServiceTest, UnsupportedProgramFallsBackToOriginal) {
   EXPECT_EQ(ServiceCounter(service, "engine/views_materialized"), 1);
 }
 
+// The a/b closure with one IC forbidding an alternating a/b chain of
+// `width` edges. At width 16 the query tree outgrows the default
+// max_classes after a few seconds of optimizer work.
+std::string WideIcSource(int width) {
+  std::ostringstream out;
+  out << "p(X, Y) :- a(X, Y).\n"
+      << "p(X, Y) :- b(X, Y).\n"
+      << "p(X, Y) :- a(X, Z), p(Z, Y).\n"
+      << "p(X, Y) :- b(X, Z), p(Z, Y).\n"
+      << ":- ";
+  for (int i = 0; i < width; ++i) {
+    if (i > 0) out << ", ";
+    out << (i % 2 == 0 ? "a" : "b") << "(V" << i << ", V" << i + 1 << ")";
+  }
+  out << ".\na(1, 2). b(2, 3). a(3, 4).\n?- p.\n";
+  return out.str();
+}
+
+TEST(ServiceTest, ExhaustedOptimizerBudgetServesOriginalOnce) {
+  const std::string source = WideIcSource(16);
+  QueryService service;
+  const std::vector<Tuple> expected = {
+      {Value::Int(1), Value::Int(2)}, {Value::Int(1), Value::Int(3)},
+      {Value::Int(1), Value::Int(4)}, {Value::Int(2), Value::Int(3)},
+      {Value::Int(2), Value::Int(4)}, {Value::Int(3), Value::Int(4)}};
+  for (int i = 0; i < 2; ++i) {
+    Request request;
+    request.source = source;
+    Response response = service.Call(std::move(request));
+    ASSERT_TRUE(response.status.ok()) << response.status.message();
+    EXPECT_FALSE(response.optimized);
+    EXPECT_EQ(response.prepare_cache_hit, i > 0);
+    EXPECT_EQ(response.answers, expected);
+  }
+  // The second request reused the cached fallback instead of paying for
+  // the optimizer run again.
+  EXPECT_EQ(ServiceCounter(service, "engine/pipeline_runs"), 1);
+  EXPECT_EQ(ServiceCounter(service, "service/prepare_fallbacks"), 2);
+}
+
 TEST(ServiceTest, DistinctSourcesGetDistinctSessions) {
   QueryService service;
   Request a;
