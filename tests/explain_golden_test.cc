@@ -151,8 +151,9 @@ TEST(ExplainGoldenTest, JsonCarriesKernelsAndExecutedOps) {
 }
 
 // EXPLAIN's "== lowering ==" section names every decision, and the
-// kernel table shows the served goodPath program's recursive rule on
-// scan_probe_emit with its threshold residue running inside the kernel.
+// kernel table shows the served goodPath program's magic propagation rule
+// (recursive, reading the step it passes demand along) on scan_probe_emit
+// with its threshold residue running inside the kernel.
 TEST(ExplainGoldenTest, LoweringSectionAndFilteredProbeKernel) {
   Engine engine;
   Session session =
@@ -170,11 +171,16 @@ TEST(ExplainGoldenTest, LoweringSectionAndFilteredProbeKernel) {
       << text;
   EXPECT_NE(text.find("kept adorned:      path@1"), std::string::npos)
       << text;
+  EXPECT_NE(text.find("demand:            path@1_n1/bf (1 seed, "
+                      "1 propagation rule, 2 guarded rules)"),
+            std::string::npos)
+      << text;
 
-  // The recursive rule: the one whose body reads its own head predicate.
+  // The magic propagation rule: the recursive rule with a magic head.
   const std::vector<Rule>& rules = prepared->program().rules();
   int recursive = -1;
   for (size_t i = 0; i < rules.size(); ++i) {
+    if (PredName(rules[i].head.pred()).rfind("m@", 0) != 0) continue;
     for (const Literal& l : rules[i].body) {
       if (l.atom.pred() == rules[i].head.pred()) {
         recursive = static_cast<int>(i);
@@ -211,6 +217,13 @@ TEST(ExplainGoldenTest, LoweringSectionAndFilteredProbeKernel) {
   EXPECT_EQ(lowering->Find("merged")->array.size(), 1u);
   ASSERT_NE(lowering->Find("kept"), nullptr);
   EXPECT_EQ(lowering->Find("kept")->array.size(), 1u);
+  const JsonValue* demand = lowering->Find("demand");
+  ASSERT_NE(demand, nullptr);
+  ASSERT_EQ(demand->array.size(), 1u);
+  ASSERT_NE(demand->array[0].Find("declined"), nullptr);
+  EXPECT_FALSE(demand->array[0].Find("declined")->boolean);
+  ASSERT_NE(demand->array[0].Find("seeds"), nullptr);
+  EXPECT_EQ(demand->array[0].Find("seeds")->number, 1);
 }
 
 // A unit outside the rewriting's theory is served as P: EXPLAIN has no

@@ -10,7 +10,8 @@
 // comparison atoms, degenerate batches (no-ops, delete+insert of the same
 // tuple, empty nets), error atomicity, the engine's MaterializedView and
 // frozen shared-EDB snapshot, the serving layer's ApplyDelta/materialized
-// request path, and — under TSan — concurrent readers against a maintainer.
+// request path, a program the demand rewrite guards with a magic predicate,
+// and — under TSan — concurrent readers against a maintainer.
 
 #include <gtest/gtest.h>
 
@@ -28,6 +29,7 @@
 #include "src/parser/parser.h"
 #include "src/service/query_service.h"
 #include "src/workload/graphs.h"
+#include "src/workload/programs.h"
 #include "tests/reference_eval.h"
 
 namespace sqod {
@@ -87,7 +89,13 @@ class IvmHarness {
             double recompute_fraction, bool force_recompute = false) {
     Result<Program> program = ParseProgram(rules);
     ASSERT_TRUE(program.ok()) << program.status().message();
-    program_ = std::move(program).value();
+    Init(std::move(program).value(), initial_edb, recompute_fraction,
+         force_recompute);
+  }
+
+  void Init(Program program, const Database& initial_edb,
+            double recompute_fraction, bool force_recompute = false) {
+    program_ = std::move(program);
 
     Result<CompiledProgram> compiled = CompileProgram(program_);
     ASSERT_TRUE(compiled.ok()) << compiled.status().message();
@@ -131,6 +139,7 @@ class IvmHarness {
   }
 
   const MaintainStats& last_stats() const { return last_stats_; }
+  const Program& program() const { return program_; }
   const CompiledProgram& compiled() const { return compiled_; }
   const MaterializedState& state() const { return state_; }
   const Database& oracle_edb() const { return oracle_edb_; }
@@ -406,6 +415,34 @@ TEST(IvmEquivTest, NegatedEdbPredicateUnderChurn) {
   }
 }
 
+// Demand's seed for a constant-bound call, q(Y) :- path(3, Y), is a rule
+// with an empty body, m(3). When a deletion over-deletes its head through
+// another rule, DRed's support check must find the empty body satisfied.
+TEST(IvmEquivTest, EmptyBodyRuleRescuesItsHead) {
+  Result<Program> parsed = ParseProgram(R"(
+    m(Z) :- m(X), edge(X, Z).
+    ?- m.
+  )");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().message();
+  Program program = parsed.take();
+  program.AddRule(Rule(Fact1("m", 3), {}));
+  Database edb;
+  edb.InsertAtom(Fact2("edge", 3, 4));
+  edb.InsertAtom(Fact2("edge", 4, 3));
+  edb.InsertAtom(Fact2("edge", 4, 5));
+  IvmHarness harness;
+  ASSERT_NO_FATAL_FAILURE(harness.Init(std::move(program), edb, 1e9));
+  FactDelta cut;
+  cut.deletes.push_back(Fact2("edge", 4, 3));
+  ASSERT_NO_FATAL_FAILURE(harness.ApplyAndCheck(cut, "cut the cycle"));
+  EXPECT_GT(harness.last_stats().over_deleted, 0);
+  EXPECT_GT(harness.last_stats().rederived, 0);
+  FactDelta restore;
+  restore.inserts.push_back(Fact2("edge", 4, 3));
+  restore.deletes.push_back(Fact2("edge", 3, 4));
+  ASSERT_NO_FATAL_FAILURE(harness.ApplyAndCheck(restore, "restore, cut"));
+}
+
 // A DRed support check seeds the head registers from the candidate tuple.
 // p(1, 2) has no derivation through p(X, X): seeding X from both positions
 // must reject it, not rescue it through p(2, 2)'s support.
@@ -559,6 +596,104 @@ TEST(IvmEquivTest, GrowFromEmptyEdb) {
     delta.inserts.push_back(Fact2("edge", rng() % 8, rng() % 8));
     ASSERT_NO_FATAL_FAILURE(harness.ApplyAndCheck(
         delta, "grow batch " + std::to_string(batch)));
+  }
+}
+
+// --- demand-rewritten programs --------------------------------------------
+
+// Section 3's goodPath under its ICs at threshold 0, where P″ guards path
+// with the magic predicate of the start points (src/sqo/lower.h, demand
+// (c)). Deltas on startPoint, step and endPoint keep the EDB consistent
+// (every step goes up). After each batch, the maintained IDB (the magic
+// predicate included) equals the reference fixpoint of P″, a recomputing
+// state agrees with it, and the query answers equal P's own.
+TEST(IvmEquivTest, DemandRewrittenGoodPathUnderChurn) {
+  Engine engine;
+  Session session =
+      engine.Open(MakeGoodPathProgram(), MakeMonotoneIcs(0)).take();
+  const PreparedProgram* prepared = session.Prepare().value();
+  const Program& served = prepared->program();
+  PredId magic = -1;
+  for (const Rule& rule : served.rules()) {
+    if (PredName(rule.head.pred()).rfind("m@", 0) == 0) {
+      magic = rule.head.pred();
+    }
+  }
+  ASSERT_GE(magic, 0) << "demand did not rewrite P''\n" << served.ToString();
+
+  // A chain 0 -> 1 -> ... -> 19 with upward shortcuts; start points 0, 2
+  // and 9, so 0's demand reaches 2 and 9 as well.
+  Database edb;
+  for (int i = 0; i + 1 < 20; ++i) edb.InsertAtom(Fact2("step", i, i + 1));
+  for (int i = 0; i + 3 < 20; i += 4) edb.InsertAtom(Fact2("step", i, i + 3));
+  for (int s : {0, 2, 9}) edb.InsertAtom(Fact1("startPoint", s));
+  for (int e : {5, 12, 19}) edb.InsertAtom(Fact1("endPoint", e));
+
+  IvmHarness maintained, recomputed;
+  ASSERT_NO_FATAL_FAILURE(maintained.Init(served, edb, 1e9));
+  ASSERT_NO_FATAL_FAILURE(
+      recomputed.Init(served, edb, 1e9, /*force_recompute=*/true));
+  ASSERT_NE(maintained.state().idb.Find(magic), nullptr);
+  EXPECT_FALSE(ReferenceQuery(MakeGoodPathProgram(), edb).empty());
+  auto apply = [&](const FactDelta& delta, const std::string& label) {
+    ASSERT_NO_FATAL_FAILURE(maintained.ApplyAndCheck(delta, label));
+    ASSERT_NO_FATAL_FAILURE(recomputed.ApplyAndCheck(delta, label));
+    EXPECT_EQ(LiveTuples(maintained.state().idb),
+              LiveTuples(recomputed.state().idb))
+        << label;
+    const Relation* answers =
+        maintained.state().idb.Find(InternPred("goodPath"));
+    std::vector<Tuple> got;
+    if (answers != nullptr) {
+      for (TupleRef t : answers->rows()) got.push_back(t.Materialize());
+    }
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got,
+              ReferenceQuery(MakeGoodPathProgram(), maintained.oracle_edb()))
+        << label;
+  };
+
+  // 2 stays demanded through 0 -> 1 -> 2: DRed over-deletes the magic
+  // tuples below 2 and rederives them.
+  FactDelta drop_start;
+  drop_start.deletes.push_back(Fact1("startPoint", 2));
+  ASSERT_NO_FATAL_FAILURE(apply(drop_start, "delete a start point 0 reaches"));
+  EXPECT_GT(maintained.last_stats().rederived, 0);
+  EXPECT_FALSE(maintained.last_stats().recomputed);
+
+  FactDelta new_start;  // outside the demanded region so far
+  new_start.inserts.push_back(Fact1("startPoint", 30));
+  new_start.inserts.push_back(Fact2("step", 30, 31));
+  new_start.inserts.push_back(Fact1("endPoint", 31));
+  ASSERT_NO_FATAL_FAILURE(apply(new_start, "insert a start point"));
+
+  FactDelta cut;  // 1 -> 2 gone: 2..3 are no longer demanded by 0
+  cut.deletes.push_back(Fact2("step", 1, 2));
+  cut.deletes.push_back(Fact1("startPoint", 0));
+  ASSERT_NO_FATAL_FAILURE(apply(cut, "cut the chain"));
+
+  FuzzRng rng(0xdead);
+  for (int batch = 0; batch < 16; ++batch) {
+    FactDelta delta;
+    const int a = static_cast<int>(rng() % 30);
+    const int b = a + 1 + static_cast<int>(rng() % 4);
+    switch (batch % 3) {
+      case 0:
+        (rng() % 2 == 0 ? delta.inserts : delta.deletes)
+            .push_back(Fact2("step", a, b));
+        break;
+      case 1:
+        (rng() % 2 == 0 ? delta.inserts : delta.deletes)
+            .push_back(Fact1("startPoint", a));
+        break;
+      default:
+        (rng() % 2 == 0 ? delta.inserts : delta.deletes)
+            .push_back(Fact1("endPoint", b));
+        break;
+    }
+    delta.inserts.push_back(
+        Fact2("step", b, b + 1 + static_cast<int>(rng() % 3)));
+    ASSERT_NO_FATAL_FAILURE(apply(delta, "churn " + std::to_string(batch)));
   }
 }
 

@@ -11,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/ast/substitution.h"
 #include "src/engine/engine.h"
 #include "src/parser/parser.h"
 #include "src/sqo/lower.h"
@@ -34,6 +35,11 @@ bool HasAdornedPredicate(const Program& program) {
   }
   return false;
 }
+
+struct LoweringInput {
+  Program program;
+  std::vector<Constraint> ics;
+};
 
 LoweredProgram Lower(const Program& program,
                      const std::vector<Constraint>& ics) {
@@ -100,20 +106,46 @@ TEST(LowerTest, GoodPathRenamesDropsAndKeepsTheThresholdResidue) {
   EXPECT_EQ(lowered.kept[0].copies[0].rfind("path@1", 0), 0u);
   EXPECT_NE(lowered.kept[0].reason.find("0 <= Q#0"), std::string::npos);
 
-  // Served: goodPath's one rule (no copy rule) and path's two, each still
-  // carrying 0 <= Q#0 and nothing else.
+  // The query binds path@1's first argument: demand (c) guards path@1's
+  // two rules with the magic predicate of its start points.
+  ASSERT_EQ(lowered.demand.size(), 1u) << lowered.ToText();
+  const LoweredProgram::Demand& demand = lowered.demand[0];
+  EXPECT_TRUE(demand.reason.empty()) << demand.reason;
+  ASSERT_EQ(demand.preds.size(), 1u);
+  EXPECT_EQ(demand.preds[0].rfind("path@1", 0), 0u);
+  EXPECT_EQ(demand.adornments, std::vector<std::string>{"bf"});
+  EXPECT_EQ(demand.seeds, 1);
+  EXPECT_EQ(demand.propagations, 1);
+  EXPECT_EQ(demand.guarded, 2);
+
+  // Served: goodPath's one rule (no copy rule), path's two, each still
+  // carrying 0 <= Q#0 and a magic guard, the seed from startPoint and the
+  // propagation rule along step, which carries the residue too.
   const Program& served = lowered.program;
-  ASSERT_EQ(served.rules().size(), 3u) << served.ToString();
-  int threshold_residues = 0;
+  ASSERT_EQ(served.rules().size(), 5u) << served.ToString();
+  int threshold_residues = 0, guarded = 0, magic = 0;
   for (const Rule& rule : served.rules()) {
-    if (PredName(rule.head.pred()) == "goodPath") {
+    const std::string& head = PredName(rule.head.pred());
+    if (head == "goodPath") {
       EXPECT_EQ(rule.body.size(), 3u);
       continue;
+    }
+    if (head.rfind("m@", 0) == 0) {
+      ++magic;
+      if (rule.body.size() == 1) {
+        EXPECT_EQ(PredName(rule.body[0].atom.pred()), "startPoint");
+        EXPECT_TRUE(rule.comparisons.empty()) << rule.ToString();
+        continue;
+      }
+    } else {
+      guarded += PredName(rule.body[0].atom.pred()).rfind("m@", 0) == 0;
     }
     ASSERT_EQ(rule.comparisons.size(), 1u) << rule.ToString();
     threshold_residues += rule.comparisons[0].ToString() == "0 <= Q#0";
   }
-  EXPECT_EQ(threshold_residues, 2);
+  EXPECT_EQ(threshold_residues, 3);
+  EXPECT_EQ(guarded, 2);
+  EXPECT_EQ(magic, 2);
 }
 
 // A mutually recursive SCC whose copies carry a residue the rules' own
@@ -283,6 +315,47 @@ TEST(LowerTest, ClearedOriginsKeepTheCopyAdorned) {
   }
 }
 
+// Demand (c) decisions, one EXPLAIN line each, on the rules as written
+// (adornment disabled, so every call site reads one predicate): one
+// adornment per predicate, the intersection of its entry calls, and a
+// decline with its reason when the calls share no bound position, a call
+// inside the component cannot bind a demanded one, or a seed projects.
+TEST(LowerTest, DemandDecisionsAndTheirReasons) {
+  const std::string path =
+      "path(X, Y) :- step(X, Y).\npath(X, Y) :- step(X, Z), path(Z, Y).\n";
+  const std::pair<std::string, std::string> cases[] = {
+      {path + "r(X, Y) :- s(X), path(X, Y).\n"
+              "t(X) :- s(X), u(X), path(X, X).\n"
+              "q(X, Y) :- r(X, Y).\nq(X, X) :- t(X).\n?- q.",
+       "demand:            path/bf (2 seeds, 1 propagation rule, "
+       "2 guarded rules)\n"},
+      {path + "q(Y) :- path(3, Y).\n?- q.",
+       "demand:            path/bf (1 seed, 1 propagation rule, "
+       "2 guarded rules)\n"},
+      {path + "q(X, Y) :- s(X), path(X, Y).\n"
+              "q(X, Y) :- u(Y), path(X, Y).\n?- q.",
+       "declined demand:   path (entry calls of path share no bound "
+       "argument)\n"},
+      {"p(X, Y) :- e(X, Y).\np(X, Y) :- p(Z, Y), e(X, Z).\n"
+       "q(Y) :- s(X), p(X, Y).\n?- q.",
+       "declined demand:   p (call cannot bind demanded argument 0: p("},
+      {"q0(X, Y) :- e0(X, Y).\nq0(X, Y) :- e0(X, Z), q0(Z, Y).\n"
+       "q1(X, Y) :- e1(X, Z), q0(Z, Y).\n?- q1.",
+       "declined demand:   q0 (seed projects away "},
+  };
+  SqoOptions as_written;
+  as_written.disabled_passes = {"adorn"};
+  for (const auto& [source, line] : cases) {
+    ParsedUnit unit = ParseUnit(source).take();
+    SqoReport report =
+        OptimizeProgram(unit.program, unit.constraints, as_written).take();
+    LoweredProgram lowered = LowerProgram(report);
+    const std::string text = lowered.ToText();
+    EXPECT_NE(text.find(line), std::string::npos) << source << "\n" << text;
+    EXPECT_EQ(lowered.demand.size(), 1u) << text;
+  }
+}
+
 TEST(LowerTest, PreparedProgramServesTheLoweredProgram) {
   Engine engine;
   Session session =
@@ -301,9 +374,10 @@ TEST(LowerTest, PreparedProgramServesTheLoweredProgram) {
 // rule_firings never exceed P's, and its answers equal P's, on the
 // consistent databases of the E1/E2/E3/E9 benches and ColoredClosure.
 
-void ExpectServedNoCostlier(const std::string& label, const Program& program,
-                            const std::vector<Constraint>& ics,
-                            const Database& edb) {
+// Returns {P's tuples_derived, the served program's}.
+std::pair<int64_t, int64_t> ExpectServedNoCostlier(
+    const std::string& label, const Program& program,
+    const std::vector<Constraint>& ics, const Database& edb) {
   Engine engine;
   Session session = engine.Open(program, ics).take();
   const PreparedProgram* prepared = session.Prepare().value();
@@ -315,6 +389,7 @@ void ExpectServedNoCostlier(const std::string& label, const Program& program,
   EXPECT_EQ(got, want) << label;
   EXPECT_LE(served.tuples_derived, original.tuples_derived) << label;
   EXPECT_LE(served.rule_firings, original.rule_firings) << label;
+  return {original.tuples_derived, served.tuples_derived};
 }
 
 Database GoodPathDb(int nodes, int threshold, uint64_t seed) {
@@ -342,6 +417,12 @@ TEST(ServedCostTest, E2SkippableFractions) {
                            MakeGoodPathProgram(), MakeMonotoneIcs(threshold),
                            GoodPathDb(400, threshold, 11));
   }
+  // BM_E2_*_Fraction/0: at 0% no residue prunes anything, and demand (c)
+  // alone confines path to what the 25 start points reach.
+  const auto [original, served] = ExpectServedNoCostlier(
+      "E2 0% at 1000 nodes", MakeGoodPathProgram(), MakeMonotoneIcs(0),
+      GoodPathDb(1000, 0, 11));
+  EXPECT_LE(served * 10, original) << served << " of " << original;
 }
 
 // E3's database: random colored edges consistent with the IC, e0 read as
@@ -378,6 +459,108 @@ TEST(ServedCostTest, ColoredClosureTwoToFourColours) {
     Database edb = MakeColoredEdges(colors, 60, 180, cc.ics, &rng);
     ExpectServedNoCostlier("colored" + std::to_string(colors), cc.program,
                            cc.ics, edb);
+  }
+}
+
+// Random programs call lower IDB predicates as  e(X, Z), q(Z, Y).  A seed
+// m(Z) :- e(X, Z) projects X away: it demands nearly every Z and costs more
+// than it saves (it raises firings above P's on these seeds), so (c)
+// declines it. Seed 13 is that shape: e1(Q#2, Z#5) seeding q0(Z#5, _).
+TEST(ServedCostTest, RandomProgramsDeclineProjectingSeeds) {
+  for (int seed : {5, 10, 13, 21, 27, 42, 59}) {
+    Rng rng(seed);
+    const int colors = 2 + seed % 2;
+    RandomProgram rp = MakeRandomProgram(colors, 2 + seed % 3, 2 + seed % 5,
+                                         1 + seed % 3, &rng);
+    Database edb = MakeColoredEdges(colors, 24, 50, rp.ics, &rng);
+    ExpectServedNoCostlier("random seed " + std::to_string(seed), rp.program,
+                           rp.ics, edb);
+  }
+}
+
+// Rules equal up to variable renaming get equal keys.
+std::string RuleKey(const Rule& rule) {
+  std::vector<VarId> vars = rule.Vars();
+  Substitution rename;
+  for (size_t i = 0; i < vars.size(); ++i) {
+    rename.Bind(vars[i], Term::Var("V" + std::to_string(i)));
+  }
+  return rename.Apply(rule).ToString();
+}
+
+std::vector<std::string> RuleSet(const Program& program) {
+  std::vector<std::string> keys;
+  for (const Rule& rule : program.rules()) keys.push_back(RuleKey(rule));
+  std::sort(keys.begin(), keys.end());
+  return keys;
+}
+
+// Demand (c) never touches a component only the query reads in full: for
+// Figure 1, ColoredClosure 2-4 and the view-churn programs tc and join2 the
+// served program is P's own rule set, with no demand decision in EXPLAIN.
+TEST(ServedCostTest, FullReadsServeTheirProgramUnchanged) {
+  std::vector<std::pair<std::string, LoweringInput>> cases;
+  cases.push_back({"figure1", {MakeAbClosureProgram(), {MakeAbIc()}}});
+  for (int colors = 2; colors <= 4; ++colors) {
+    Rng rng(20261016u + colors);
+    ColoredClosure cc = MakeColoredClosure(colors, 1, &rng);
+    cases.push_back({"colored" + std::to_string(colors), {cc.program, cc.ics}});
+  }
+  for (const char* source :
+       {"tc(X, Y) :- edge(X, Y).\ntc(X, Z) :- tc(X, Y), edge(Y, Z).\n?- tc.",
+        "q(X, Z) :- a(X, Y), b(Y, Z).\n?- q."}) {
+    ParsedUnit unit = ParseUnit(source).take();
+    cases.push_back({source, {unit.program, unit.constraints}});
+  }
+  for (const auto& [label, input] : cases) {
+    LoweredProgram lowered = Lower(input.program, input.ics);
+    EXPECT_TRUE(lowered.demand.empty()) << label << "\n" << lowered.ToText();
+    EXPECT_EQ(RuleSet(lowered.program), RuleSet(input.program))
+        << label << "\n" << lowered.program.ToString();
+  }
+}
+
+bool HasMagicPredicate(const Program& program) {
+  for (const Rule& rule : program.rules()) {
+    if (PredName(rule.head.pred()).rfind("m@", 0) == 0) return true;
+    for (const Literal& l : rule.body) {
+      if (PredName(l.atom.pred()).rfind("m@", 0) == 0) return true;
+    }
+  }
+  return false;
+}
+
+// cold-optimize's wide and colored shapes keep adorned copies that call
+// each other as  e(X, Z), p@k(Z, Y)  from copies read in full: every seed
+// projects, so demand declines them all and P″ gains no magic predicate.
+TEST(ServedCostTest, WideAndColoredCopiesDeclineDemand) {
+  std::vector<std::pair<std::string, LoweringInput>> cases;
+  for (int width = 2; width <= 4; ++width) {
+    Constraint ic;
+    for (int i = 0; i < width; ++i) {
+      const Term from = Term::Var("V" + std::to_string(i));
+      const Term to = Term::Var("V" + std::to_string(i + 1));
+      ic.body.push_back(Literal::Pos(Atom(i % 2 == 0 ? "a" : "b", {from, to})));
+    }
+    cases.push_back({"wide" + std::to_string(width),
+                     {MakeAbClosureProgram(), {ic}}});
+  }
+  for (int colors = 2; colors <= 4; ++colors) {
+    for (int ics = 1; ics <= 5; ++ics) {
+      Rng rng(20261016u + 10 * colors + ics);
+      ColoredClosure cc = MakeColoredClosure(colors, ics, &rng);
+      cases.push_back({"colored" + std::to_string(colors) + "/" +
+                           std::to_string(ics),
+                       {cc.program, cc.ics}});
+    }
+  }
+  for (const auto& [label, input] : cases) {
+    LoweredProgram lowered = Lower(input.program, input.ics);
+    EXPECT_FALSE(HasMagicPredicate(lowered.program))
+        << label << "\n" << lowered.ToText();
+    for (const LoweredProgram::Demand& d : lowered.demand) {
+      EXPECT_FALSE(d.reason.empty()) << label;
+    }
   }
 }
 

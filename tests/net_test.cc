@@ -630,24 +630,34 @@ TEST(NetTest, TenantQuotaRejectsExcessInflightRequests) {
   options.tenants = {tenant};
   Server server(options);
   ASSERT_TRUE(server.Start().ok());
-  Result<Client> connected = ConnectAs(server, "quota-token");
-  ASSERT_TRUE(connected.ok());
-  Client& client = connected.value();
+  RawConnection conn = RawConnection::Open(server.port());
+  ASSERT_TRUE(conn.fd.valid());
+  HelloParams hello;
+  hello.token = "quota-token";
+  Result<ServerMessage> greeted =
+      DecodeServerMessage(conn.Call(EncodeHello(1, hello)));
+  ASSERT_TRUE(greeted.ok());
+  ASSERT_TRUE(greeted.value().status.ok());
 
-  // Pipeline three slow queries; with an inflight quota of 1 the later
-  // ones hit the admission check while the first still evaluates.
+  // Three slow queries in one write. The poll thread reads all three
+  // frames and admits them in one pass, and it releases a quota slot only
+  // when it applies a reply at the top of its next pass, so with an
+  // inflight quota of 1 the second and third find the first still holding
+  // it, however the client thread is scheduled.
   QueryParams params;
   params.source = SlowChainSource(120);
+  std::string frames;
   std::vector<uint64_t> ids;
-  for (int i = 0; i < 3; ++i) {
-    Result<uint64_t> sent = client.SendQuery(params);
-    ASSERT_TRUE(sent.ok());
-    ids.push_back(sent.value());
+  for (uint64_t id = 2; id <= 4; ++id) {
+    frames += EncodeFrame(EncodeQuery(id, params));
+    ids.push_back(id);
   }
+  ASSERT_TRUE(WriteAll(conn.fd.get(), frames.data(), frames.size()).ok());
   int ok = 0, rejected = 0;
-  for (uint64_t id : ids) {
-    Result<ServerMessage> reply = client.WaitFor(id);
+  for (size_t i = 0; i < ids.size(); ++i) {
+    Result<ServerMessage> reply = DecodeServerMessage(conn.Next());
     ASSERT_TRUE(reply.ok());
+    EXPECT_NE(std::find(ids.begin(), ids.end(), reply.value().id), ids.end());
     if (reply.value().status.ok()) {
       ++ok;
     } else {
@@ -663,7 +673,9 @@ TEST(NetTest, TenantQuotaRejectsExcessInflightRequests) {
   EXPECT_EQ(
       server.metrics().GetCounter("tenant/quota/quota_rejected")->value(),
       rejected);
-  EXPECT_TRUE(client.Close().ok());
+  Result<ServerMessage> closed = DecodeServerMessage(conn.Call(EncodeClose(5)));
+  ASSERT_TRUE(closed.ok());
+  EXPECT_TRUE(closed.value().status.ok());
   server.Stop();
 }
 

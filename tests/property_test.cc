@@ -14,6 +14,7 @@
 #include "src/cq/ic_check.h"
 #include "src/eval/evaluator.h"
 #include "src/order/solver.h"
+#include "src/parser/parser.h"
 #include "src/sqo/lower.h"
 #include "src/sqo/optimizer.h"
 #include "src/sqo/residue.h"
@@ -367,18 +368,39 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ClassicSqoSweep,
 // ---------------------------------------------------------------------------
 // The served program P″ (src/sqo/lower.h): P′ ⊆ P″ ⊆ P on every database,
 // and P″ = P on databases satisfying the ICs. Families: random programs,
-// E4's colored closures and wide ICs, and Section 3's goodPath under both
-// of its IC sets (the comparison residues the lowering drops or keeps).
+// E4's colored closures and wide ICs, Section 3's goodPath under both of
+// its IC sets (the comparison residues the lowering drops or keeps), and
+// the shapes of the demand rewrite (c): a constant-bound call, two call
+// sites with different bound patterns, left-linear recursion and a
+// two-predicate recursive component.
 
 struct LoweringFamily {
   Program program;
   std::vector<Constraint> ics;
+  bool demanded = false;  // demand (c) must add magic predicates
 };
+
+// A demand family: `rules` over step, s and u under the ICs
+// :- step(X, Y), X >= Y.  and  :- s(X), step(X, Y), X < t  (t = k % 5),
+// whose residues keep the recursive predicate adorned.
+LoweringFamily DemandFamily(const std::string& rules, int k, bool demanded) {
+  ParsedUnit unit =
+      ParseUnit(rules + ":- step(X, Y), X >= Y.\n:- s(X), step(X, Y), X < " +
+                std::to_string(k % 5) + ".\n")
+          .take();
+  return {unit.program, unit.constraints, demanded};
+}
+
+constexpr const char* kPathRules =
+    "path(X, Y) :- step(X, Y).\n"
+    "path(X, Y) :- step(X, Z), path(Z, Y).\n";
 
 LoweringFamily MakeLoweringFamily(int index, Rng* rng) {
   std::uniform_int_distribution<int> pick(0, 1000);
   const int k = pick(*rng);
-  switch (index % 5) {
+  // Seeds 0-39 cycle through families 0-4, the rest through the demand
+  // families 5-8.
+  switch (index < 40 ? index % 5 : 5 + index % 4) {
     case 0: {
       RandomProgram rp = MakeRandomProgram(2 + k % 3, 2 + k % 3, 3 + k % 4,
                                            1 + k % 4, rng);
@@ -401,8 +423,44 @@ LoweringFamily MakeLoweringFamily(int index, Rng* rng) {
     }
     case 3:
       return {MakeGoodPathProgram(), MakeMonotoneIcs(k % 10)};
-    default:
+    case 4:
       return {MakeGoodPathProgram(), {MakeStartBeforeEndIc()}};
+    case 5:  // a constant-bound call: the seed is the fact m(3)
+      return DemandFamily(std::string(kPathRules) + "q(Y) :- path(3, Y).\n"
+                                                    "?- q.\n",
+                          k, true);
+    case 6:  // two outside call sites with different bound patterns
+      if (k % 2 == 0) {  // bf and bb: path is demanded as bf
+        return DemandFamily(std::string(kPathRules) +
+                                "r(X, Y) :- s(X), path(X, Y).\n"
+                                "t(X) :- s(X), u(X), path(X, X).\n"
+                                "q(X, Y) :- r(X, Y).\n"
+                                "q(X, X) :- t(X).\n"
+                                "?- q.\n",
+                            k, true);
+      }
+      // bf and fb: a copy both calls read shares no bound position, and
+      // its demand is declined.
+      return DemandFamily(std::string(kPathRules) +
+                              "q(X, Y) :- s(X), path(X, Y).\n"
+                              "q(X, Y) :- u(Y), path(X, Y).\n"
+                              "?- q.\n",
+                          k, false);
+    case 7:  // left-linear recursion: the call inside is bound by the head
+      return DemandFamily(
+          "path(X, Y) :- step(X, Y).\n"
+          "path(X, Y) :- path(X, Z), step(Z, Y).\n"
+          "q(X, Y) :- s(X), path(X, Y), u(Y).\n"
+          "?- q.\n",
+          k, true);
+    default:  // a two-predicate recursive component
+      return DemandFamily(
+          "even(X, Y) :- step(X, Y).\n"
+          "odd(X, Y) :- step(X, Z), even(Z, Y).\n"
+          "even(X, Y) :- step(X, Z), odd(Z, Y).\n"
+          "q(X, Y) :- s(X), odd(X, Y).\n"
+          "?- q.\n",
+          k, true);
   }
 }
 
@@ -444,9 +502,16 @@ TEST_P(LoweringSoundness, ServedProgramLiesBetweenPPrimeAndP) {
   const Program& rewritten = report.value().rewritten;
   LoweredProgram lowered = LowerProgram(report.value());
   ASSERT_TRUE(lowered.program.Validate().ok()) << lowered.program.ToString();
-  const std::string context = "family " + std::to_string(GetParam() % 5) +
+  const std::string context = "seed " + std::to_string(GetParam()) +
                               "\nP:\n" + family.program.ToString() +
-                              "P''\n" + lowered.program.ToString();
+                              "P''\n" + lowered.program.ToString() +
+                              lowered.ToText();
+  if (family.demanded) {
+    ASSERT_FALSE(lowered.demand.empty()) << context;
+    for (const LoweredProgram::Demand& d : lowered.demand) {
+      EXPECT_TRUE(d.reason.empty()) << context;
+    }
+  }
 
   for (int trial = 0; trial < 4; ++trial) {
     Database db = RandomEdb(family.program, 24, 10, nullptr, &rng);
@@ -465,7 +530,7 @@ TEST_P(LoweringSoundness, ServedProgramLiesBetweenPPrimeAndP) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, LoweringSoundness, ::testing::Range(0, 40));
+INSTANTIATE_TEST_SUITE_P(Seeds, LoweringSoundness, ::testing::Range(0, 72));
 
 }  // namespace
 }  // namespace sqod
