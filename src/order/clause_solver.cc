@@ -6,29 +6,22 @@ namespace sqod {
 
 namespace {
 
-bool Search(std::vector<Comparison>* assignment,
-            const std::vector<OrderClause>& clauses, size_t index) {
-  if (!ComparisonsConsistent(*assignment)) return false;
+// `solver` holds the base plus one chosen literal per clause before `index`.
+bool Search(const OrderSolver& solver, const std::vector<OrderClause>& clauses,
+            size_t index) {
+  if (!solver.Consistent()) return false;
   if (index == clauses.size()) return true;
 
   const OrderClause& clause = clauses[index];
   // A clause literal already entailed by the assignment satisfies the clause
   // without branching.
-  {
-    OrderSolver solver(*assignment);
-    for (const Comparison& lit : clause) {
-      if (solver.Entails(lit)) {
-        return Search(assignment, clauses, index + 1);
-      }
-    }
+  for (const Comparison& lit : clause) {
+    if (solver.Entails(lit)) return Search(solver, clauses, index + 1);
   }
   for (const Comparison& lit : clause) {
-    assignment->push_back(lit);
-    if (Search(assignment, clauses, index + 1)) {
-      assignment->pop_back();
-      return true;
-    }
-    assignment->pop_back();
+    OrderSolver branch = solver;
+    branch.Add(lit);
+    if (Search(branch, clauses, index + 1)) return true;
   }
   return false;
 }
@@ -37,12 +30,11 @@ bool Search(std::vector<Comparison>* assignment,
 
 bool SatisfiableWithClauses(const std::vector<Comparison>& base,
                             const std::vector<OrderClause>& clauses) {
-  std::vector<Comparison> assignment = base;
   // An empty clause is an immediate contradiction.
   for (const OrderClause& c : clauses) {
     if (c.empty()) return false;
   }
-  return Search(&assignment, clauses, 0);
+  return Search(OrderSolver(base), clauses, 0);
 }
 
 }  // namespace sqod

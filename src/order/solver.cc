@@ -1,222 +1,231 @@
 #include "src/order/solver.h"
 
 #include <algorithm>
-#include <map>
-#include <numeric>
 
 #include "src/base/check.h"
 
 namespace sqod {
 
-namespace {
-
-// Union-find over dense node ids.
-class UnionFind {
- public:
-  explicit UnionFind(int n) : parent_(n) {
-    std::iota(parent_.begin(), parent_.end(), 0);
-  }
-  int Find(int x) {
-    while (parent_[x] != x) {
-      parent_[x] = parent_[parent_[x]];
-      x = parent_[x];
-    }
-    return x;
-  }
-  void Union(int a, int b) { parent_[Find(a)] = Find(b); }
-
- private:
-  std::vector<int> parent_;
-};
-
-// The normalized constraint system: nodes for every distinct term, `=`
-// already merged, digraph of <= / < edges, list of != pairs.
-struct System {
-  std::vector<Term> node_term;          // node id -> a representative term
-  std::map<Term, int> term_node;        // term -> node id (Term has operator<)
-  std::vector<std::pair<int, int>> le;  // u <= v
-  std::vector<std::pair<int, int>> lt;  // u < v
-  std::vector<std::pair<int, int>> ne;  // u != v
-  UnionFind uf{0};
-  bool trivially_inconsistent = false;
-
-  int NodeFor(const Term& t) {
-    auto it = term_node.find(t);
-    if (it != term_node.end()) return it->second;
-    int id = static_cast<int>(node_term.size());
-    node_term.push_back(t);
-    term_node.emplace(t, id);
-    return id;
-  }
-};
-
-System BuildSystem(const std::vector<Comparison>& conjuncts) {
-  System sys;
-  // First pass: create nodes and collect raw relations.
-  std::vector<std::pair<int, int>> eq;
+OrderSolver::OrderSolver(const std::vector<Comparison>& conjuncts) {
+  // Nodes in order of appearance in the canonical atoms; the edges wait
+  // until the matrix has its final size.
+  struct Edge {
+    int u;
+    CmpOp op;
+    int v;
+  };
+  std::vector<Edge> edges;
+  edges.reserve(conjuncts.size());
+  auto node_for = [&](const Term& t) {
+    int node = NodeOf(t);
+    if (node >= 0) return node;
+    terms_.push_back(t);
+    if (t.is_const()) const_nodes_.push_back(size() - 1);
+    return size() - 1;
+  };
   for (const Comparison& raw : conjuncts) {
-    Comparison c = raw.Canonical();  // only kLt, kLe, kEq, kNe remain
-    int u = sys.NodeFor(c.lhs);
-    int v = sys.NodeFor(c.rhs);
-    switch (c.op) {
-      case CmpOp::kLt: sys.lt.emplace_back(u, v); break;
-      case CmpOp::kLe: sys.le.emplace_back(u, v); break;
-      case CmpOp::kEq: eq.emplace_back(u, v); break;
-      case CmpOp::kNe: sys.ne.emplace_back(u, v); break;
+    const Comparison c = raw.Canonical();  // only kLt, kLe, kEq, kNe remain
+    const int u = node_for(c.lhs);
+    edges.push_back({u, c.op, node_for(c.rhs)});
+  }
+  const int n = size();
+  closure_.assign(static_cast<size_t>(n) * n, kNone);
+  for (int i = 0; i < n; ++i) At(i, i) = kWeak;
+  auto raise = [&](int u, int v, Strength s) {
+    At(u, v) = std::max(At(u, v), s);
+  };
+  for (const Edge& e : edges) {
+    switch (e.op) {
+      case CmpOp::kLt: raise(e.u, e.v, kStrict); break;
+      case CmpOp::kLe: raise(e.u, e.v, kWeak); break;
+      case CmpOp::kEq:
+        raise(e.u, e.v, kWeak);
+        raise(e.v, e.u, kWeak);
+        break;
+      case CmpOp::kNe: ne_.emplace_back(e.u, e.v); break;
       default: SQOD_CHECK(false);
     }
   }
-  // Order the mentioned constants: equal constants share a node already
-  // (Term equality), distinct constants get a strict edge per the true order.
-  std::vector<int> const_nodes;
-  for (int i = 0; i < static_cast<int>(sys.node_term.size()); ++i) {
-    if (sys.node_term[i].is_const()) const_nodes.push_back(i);
+  // Distinct constants are distinct points: a strict edge in value order.
+  for (int a : const_nodes_) {
+    for (int b : const_nodes_) {
+      if (terms_[a].value() < terms_[b].value()) At(a, b) = kStrict;
+    }
   }
-  for (size_t i = 0; i < const_nodes.size(); ++i) {
-    for (size_t j = i + 1; j < const_nodes.size(); ++j) {
-      int a = const_nodes[i];
-      int b = const_nodes[j];
-      if (sys.node_term[a].value() < sys.node_term[b].value()) {
-        sys.lt.emplace_back(a, b);
-      } else {
-        sys.lt.emplace_back(b, a);
+  // Floyd-Warshall over (max, max): a path is as strong as its strongest
+  // edge, and the closure keeps the strongest path.
+  for (int k = 0; k < n; ++k) {
+    for (int i = 0; i < n; ++i) {
+      const Strength ik = At(i, k);
+      if (ik == kNone) continue;
+      for (int j = 0; j < n; ++j) {
+        const Strength kj = At(k, j);
+        if (kj != kNone) raise(i, j, std::max(ik, kj));
       }
     }
   }
-  // Merge equality classes.
-  sys.uf = UnionFind(static_cast<int>(sys.node_term.size()));
-  for (auto [u, v] : eq) sys.uf.Union(u, v);
-  return sys;
+  consistent_ = !Contradicted();
 }
 
-// Tarjan SCC over the merged <=/< digraph. Returns component id per class
-// representative; nodes in the same SCC must be equal in any model.
-std::vector<int> CondenseSccs(System* sys) {
-  const int n = static_cast<int>(sys->node_term.size());
-  // Build adjacency over union-find representatives.
-  std::vector<std::vector<int>> adj(n);
-  auto add_edge = [&](int u, int v) {
-    adj[sys->uf.Find(u)].push_back(sys->uf.Find(v));
-  };
-  for (auto [u, v] : sys->le) add_edge(u, v);
-  for (auto [u, v] : sys->lt) add_edge(u, v);
-
-  std::vector<int> comp(n, -1), low(n), num(n, -1), stack;
-  std::vector<bool> on_stack(n, false);
-  int counter = 0, comp_count = 0;
-  // Iterative Tarjan to avoid deep recursion on long chains.
-  struct Frame {
-    int node;
-    size_t edge;
-  };
-  for (int start = 0; start < n; ++start) {
-    if (sys->uf.Find(start) != start || num[start] != -1) continue;
-    std::vector<Frame> frames{{start, 0}};
-    num[start] = low[start] = counter++;
-    stack.push_back(start);
-    on_stack[start] = true;
-    while (!frames.empty()) {
-      Frame& f = frames.back();
-      if (f.edge < adj[f.node].size()) {
-        int next = adj[f.node][f.edge++];
-        if (num[next] == -1) {
-          num[next] = low[next] = counter++;
-          stack.push_back(next);
-          on_stack[next] = true;
-          frames.push_back({next, 0});
-        } else if (on_stack[next]) {
-          low[f.node] = std::min(low[f.node], num[next]);
-        }
-      } else {
-        if (low[f.node] == num[f.node]) {
-          for (;;) {
-            int w = stack.back();
-            stack.pop_back();
-            on_stack[w] = false;
-            comp[w] = comp_count;
-            if (w == f.node) break;
-          }
-          ++comp_count;
-        }
-        int finished = f.node;
-        frames.pop_back();
-        if (!frames.empty()) {
-          low[frames.back().node] =
-              std::min(low[frames.back().node], low[finished]);
-        }
-      }
-    }
+void OrderSolver::Add(const Comparison& raw) {
+  const Comparison c = raw.Canonical();
+  int u = NodeOf(c.lhs);
+  if (u < 0) u = AddNode(c.lhs);
+  int v = NodeOf(c.rhs);
+  if (v < 0) v = AddNode(c.rhs);
+  switch (c.op) {
+    case CmpOp::kLt: InsertEdge(u, v, kStrict); break;
+    case CmpOp::kLe: InsertEdge(u, v, kWeak); break;
+    case CmpOp::kEq:
+      InsertEdge(u, v, kWeak);
+      InsertEdge(v, u, kWeak);
+      break;
+    case CmpOp::kNe: ne_.emplace_back(u, v); break;
+    default: SQOD_CHECK(false);
   }
-  return comp;
+  consistent_ = consistent_ && !Contradicted();
 }
 
-// Full analysis: returns (consistent, component id per node). Nodes with the
-// same component id are forced equal.
-std::pair<bool, std::vector<int>> Analyze(
-    const std::vector<Comparison>& conjuncts) {
-  System sys = BuildSystem(conjuncts);
-  const int n = static_cast<int>(sys.node_term.size());
-  std::vector<int> comp_of_rep = CondenseSccs(&sys);
-  std::vector<int> comp(n);
-  for (int i = 0; i < n; ++i) comp[i] = comp_of_rep[sys.uf.Find(i)];
-
-  // A strict edge inside one component contradicts forced equality.
-  for (auto [u, v] : sys.lt) {
-    if (comp[u] == comp[v]) return {false, comp};
+int OrderSolver::NodeOf(const Term& t) const {
+  for (int i = 0; i < size(); ++i) {
+    if (terms_[i] == t) return i;
   }
-  // Two distinct constants cannot be forced equal (they are distinct points
-  // of the order). Distinct constants always have distinct nodes.
-  std::map<int, int> const_comp;  // component -> node of a constant in it
+  return -1;
+}
+
+int OrderSolver::AddNode(const Term& t) {
+  // A new variable is isolated. A new constant sits between the constants
+  // around it, which adds no path between the existing nodes.
+  const int n = size();
+  const Endpoint e{-1, &t};
+  std::vector<Strength> grown(static_cast<size_t>(n + 1) * (n + 1), kNone);
   for (int i = 0; i < n; ++i) {
-    if (!sys.node_term[i].is_const()) continue;
-    auto [it, inserted] = const_comp.emplace(comp[i], i);
-    if (!inserted && it->second != i) return {false, comp};
+    std::copy_n(&At(i, 0), n, &grown[static_cast<size_t>(i) * (n + 1)]);
+    grown[static_cast<size_t>(i) * (n + 1) + n] = To(i, e);
+    grown[static_cast<size_t>(n) * (n + 1) + i] = From(e, i);
   }
-  // A != between members of one component is a contradiction.
-  for (auto [u, v] : sys.ne) {
-    if (comp[u] == comp[v]) return {false, comp};
-  }
-  return {true, comp};
+  grown.back() = kWeak;
+  closure_ = std::move(grown);
+  terms_.push_back(t);
+  if (t.is_const()) const_nodes_.push_back(n);
+  return n;
 }
 
-}  // namespace
+void OrderSolver::InsertEdge(int x, int y, Strength s) {
+  // Every new path is i ~> x -> y ~> j.
+  const int n = size();
+  const std::vector<Strength> from_y(&At(y, 0), &At(y, 0) + n);
+  for (int i = 0; i < n; ++i) {
+    if (At(i, x) == kNone) continue;
+    const Strength via = std::max(At(i, x), s);
+    for (int j = 0; j < n; ++j) {
+      if (from_y[j] != kNone) {
+        At(i, j) = std::max(At(i, j), std::max(via, from_y[j]));
+      }
+    }
+  }
+}
 
-bool OrderSolver::Consistent() const { return Analyze(conjuncts_).first; }
+bool OrderSolver::Contradicted() const {
+  for (int i = 0; i < size(); ++i) {
+    if (At(i, i) == kStrict) return true;
+  }
+  return std::any_of(ne_.begin(), ne_.end(), [&](const auto& ne) {
+    return At(ne.first, ne.second) != kNone && At(ne.second, ne.first) != kNone;
+  });
+}
+
+OrderSolver::Strength OrderSolver::From(const Endpoint& a, int j) const {
+  if (a.node >= 0) return At(a.node, j);
+  if (a.term->is_var()) return kNone;
+  // An unmentioned constant's edges go to the larger constants.
+  for (int c : const_nodes_) {
+    if (a.term->value() < terms_[c].value() && At(c, j) != kNone) {
+      return kStrict;
+    }
+  }
+  return kNone;
+}
+
+OrderSolver::Strength OrderSolver::To(int j, const Endpoint& a) const {
+  if (a.node >= 0) return At(j, a.node);
+  if (a.term->is_var()) return kNone;
+  for (int c : const_nodes_) {
+    if (terms_[c].value() < a.term->value() && At(j, c) != kNone) {
+      return kStrict;
+    }
+  }
+  return kNone;
+}
+
+OrderSolver::Strength OrderSolver::Between(const Endpoint& a,
+                                           const Endpoint& b) const {
+  if (b.node >= 0) return From(a, b.node);
+  if (a.node >= 0) return To(a.node, b);
+  if (*a.term == *b.term) return kWeak;
+  if (a.term->is_const() && b.term->is_const() &&
+      a.term->value() < b.term->value()) {
+    return kStrict;
+  }
+  return kNone;
+}
 
 bool OrderSolver::Entails(const Comparison& c) const {
-  // Fast path: the negated literal alone may be unsatisfiable (e.g. 3 < 2).
-  std::vector<Comparison> with_negation = conjuncts_;
-  with_negation.push_back(c.Negated());
-  return !Analyze(with_negation).first;
+  if (!consistent_) return true;
+  // c is entailed iff the closure plus not(c) is inconsistent. The closure
+  // is consistent, so any contradiction runs through the new atom.
+  const Comparison neg = c.Negated().Canonical();
+  const Endpoint u{NodeOf(neg.lhs), &neg.lhs};
+  const Endpoint v{NodeOf(neg.rhs), &neg.rhs};
+  // True iff a != pair falls inside the class `in` describes.
+  auto ne_inside = [&](const auto& in) {
+    return std::any_of(ne_.begin(), ne_.end(), [&](const auto& ne) {
+      return in(ne.first) && in(ne.second);
+    });
+  };
+  switch (neg.op) {
+    case CmpOp::kNe:  // u != v fails iff u and v are already one class
+      return Between(u, v) != kNone && Between(v, u) != kNone;
+    case CmpOp::kLt:  // u < v closes a strict cycle iff v reaches u
+      return Between(v, u) != kNone;
+    case CmpOp::kLe: {
+      const Strength back = Between(v, u);
+      if (back != kWeak) return back == kStrict;
+      // The new cycle merges every w with v ~> w ~> u.
+      return ne_inside([&](int w) {
+        return From(v, w) != kNone && To(w, u) != kNone;
+      });
+    }
+    case CmpOp::kEq: {
+      if (Between(u, v) == kStrict || Between(v, u) == kStrict) return true;
+      // u = v merges every w that reaches one of them and is reached from
+      // one of them.
+      return ne_inside([&](int w) {
+        return (From(u, w) != kNone || From(v, w) != kNone) &&
+               (To(w, u) != kNone || To(w, v) != kNone);
+      });
+    }
+    default: SQOD_CHECK(false);
+  }
+  return false;
 }
 
 std::vector<std::pair<VarId, Term>> OrderSolver::ForcedEqualities() const {
+  // A class is a set of mutually reachable nodes. Its representative is a
+  // constant if it holds one, otherwise its smallest term.
   std::vector<std::pair<VarId, Term>> out;
-  System sys = BuildSystem(conjuncts_);
-  const int n = static_cast<int>(sys.node_term.size());
-  std::vector<int> comp_of_rep = CondenseSccs(&sys);
-  std::vector<int> comp(n);
-  for (int i = 0; i < n; ++i) comp[i] = comp_of_rep[sys.uf.Find(i)];
-
-  // Pick a representative per component: a constant if present, otherwise
-  // the smallest term.
-  std::map<int, Term> rep;
-  for (int i = 0; i < n; ++i) {
-    const Term& t = sys.node_term[i];
-    auto it = rep.find(comp[i]);
-    if (it == rep.end()) {
-      rep.emplace(comp[i], t);
-    } else if (t.is_const() && !it->second.is_const()) {
-      it->second = t;
-    } else if (t.is_const() == it->second.is_const() && t < it->second) {
-      it->second = t;
-    }
-  }
-  for (int i = 0; i < n; ++i) {
-    const Term& t = sys.node_term[i];
+  for (int i = 0; i < size(); ++i) {
+    const Term& t = terms_[i];
     if (!t.is_var()) continue;
-    const Term& r = rep.at(comp[i]);
-    if (t != r) out.emplace_back(t.var(), r);
+    const Term* rep = &t;
+    for (int j = 0; j < size(); ++j) {
+      if (At(i, j) == kNone || At(j, i) == kNone) continue;
+      const Term& m = terms_[j];
+      if (m.is_const() != rep->is_const() ? m.is_const() : m < *rep) {
+        rep = &m;
+      }
+    }
+    if (*rep != t) out.emplace_back(t.var(), *rep);
   }
   return out;
 }

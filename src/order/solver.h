@@ -1,6 +1,7 @@
 #ifndef SQOD_ORDER_SOLVER_H_
 #define SQOD_ORDER_SOLVER_H_
 
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -13,31 +14,36 @@ namespace sqod {
 // constants; the constants are sample points of the dense order, so strict
 // room always exists between distinct constants and beyond any constant.
 //
-// The procedure: merge `=` classes (union-find), add the true order between
-// the mentioned constants, collapse strongly connected components of the
-// `<=`/`<` digraph (an SCC forces equality of its members), and reject if a
-// strict edge lies inside an SCC, two distinct constants fall into one class,
-// or a `!=` connects members of one class. A conjunction passing these tests
-// is always realizable over a dense order.
+// The conjunction is held as one closure, built once: a dense matrix over
+// its distinct terms giving the strongest path between each ordered pair
+// (none, `<=` or `<`). `X = Y` is the two edges `X <= Y` and `Y <= X`, and
+// the mentioned constants get strict edges in value order. The `!=` pairs
+// are kept beside the matrix. The conjunction is inconsistent iff a term
+// reaches itself strictly or a `!=` pair reaches each other both ways;
+// otherwise it is realizable over a dense order, and mutually reachable
+// terms are exactly the ones it forces equal. `Entails(c)` decides whether
+// the closure plus not(c) is inconsistent by reading the matrix, without
+// copying it. A solver is immutable but for `Add`/`AddAll`, so a shared
+// const solver can be queried from several threads.
 class OrderSolver {
  public:
   OrderSolver() = default;
-  explicit OrderSolver(std::vector<Comparison> conjuncts)
-      : conjuncts_(std::move(conjuncts)) {}
+  explicit OrderSolver(const std::vector<Comparison>& conjuncts);
 
-  void Add(const Comparison& c) { conjuncts_.push_back(c); }
+  // Extend the conjunction, updating the closure in O(n^2) per atom over
+  // the n distinct terms.
+  void Add(const Comparison& c);
   void AddAll(const std::vector<Comparison>& cs) {
-    conjuncts_.insert(conjuncts_.end(), cs.begin(), cs.end());
+    for (const Comparison& c : cs) Add(c);
   }
 
-  const std::vector<Comparison>& conjuncts() const { return conjuncts_; }
-
   // True iff the conjunction is satisfiable over a dense order.
-  bool Consistent() const;
+  bool Consistent() const { return consistent_; }
 
   // True iff the conjunction logically implies `c` over a dense order
   // (i.e., conjunction AND NOT c is unsatisfiable). An inconsistent
-  // conjunction entails everything.
+  // conjunction entails everything. `c` may name terms the conjunction
+  // never mentions.
   bool Entails(const Comparison& c) const;
 
   // Variable equalities forced by the conjunction (e.g., X <= Y and Y <= X).
@@ -48,7 +54,39 @@ class OrderSolver {
   std::vector<std::pair<VarId, Term>> ForcedEqualities() const;
 
  private:
-  std::vector<Comparison> conjuncts_;
+  // The strongest path between two terms; the order of the values matters
+  // (a path's strength is its strongest edge, and paths combine by max).
+  enum Strength : uint8_t { kNone = 0, kWeak = 1, kStrict = 2 };
+
+  // A query term: its node, or -1 with the term when the conjunction never
+  // mentions it.
+  struct Endpoint {
+    int node;
+    const Term* term;
+  };
+
+  int NodeOf(const Term& t) const;
+  int AddNode(const Term& t);
+  Strength& At(int i, int j) { return closure_[i * size() + j]; }
+  Strength At(int i, int j) const { return closure_[i * size() + j]; }
+  int size() const { return static_cast<int>(terms_.size()); }
+
+  // Adds the edge x -> y of strength `s` and closes the matrix over it.
+  void InsertEdge(int x, int y, Strength s);
+  // True iff a node reaches itself strictly or a != pair is one class.
+  bool Contradicted() const;
+
+  // Strongest path from an endpoint to a node, from a node to an endpoint,
+  // and between two endpoints.
+  Strength From(const Endpoint& a, int j) const;
+  Strength To(int j, const Endpoint& a) const;
+  Strength Between(const Endpoint& a, const Endpoint& b) const;
+
+  std::vector<Term> terms_;                 // node id -> term
+  std::vector<int> const_nodes_;            // nodes holding a constant
+  std::vector<Strength> closure_;           // size() x size(), row-major
+  std::vector<std::pair<int, int>> ne_;     // u != v
+  bool consistent_ = true;
 };
 
 // Convenience wrappers.

@@ -329,6 +329,29 @@ void AddDemand(Program* program, std::vector<LoweredProgram::Demand>* out) {
                  ": " + call_text(c.rule, c.literal);
       }
     }
+    // A guard filters nothing when every entry call seeds a fact and every
+    // head already holds one of those facts (P′ specialized the component
+    // to a call's constants: path@0_n1(3, Y) :- step(3, Y) called as
+    // path@0_n1(3, Y) from a rule with no literal before the call).
+    if (reason.empty()) {
+      std::set<std::pair<PredId, std::vector<Term>>> facts;
+      bool no_op = true;
+      for (const Call& c : entries) {
+        const PredId p = rules[c.rule].body[c.literal].atom.pred();
+        const Rule seed = MagicRule(rules[c.rule], c.literal, p, adorn[p]);
+        const std::vector<Term>& args = seed.head.args();
+        no_op = no_op && seed.body.empty() && seed.comparisons.empty() &&
+                std::all_of(args.begin(), args.end(),
+                            [](const Term& t) { return t.is_const(); });
+        facts.emplace(p, args);
+      }
+      for (int r : own_rules[component]) {
+        const Atom& head = rules[r].head;
+        no_op = no_op && facts.count({head.pred(),
+                                      Demanded(head, adorn[head.pred()])}) > 0;
+      }
+      if (no_op) reason = "every head already holds a seed fact";
+    }
     if (!reason.empty()) {
       out->push_back(std::move(decision));
       continue;

@@ -18,6 +18,7 @@
 #include "src/sqo/optimizer.h"
 #include "src/workload/graphs.h"
 #include "src/workload/programs.h"
+#include "tests/reference_eval.h"
 
 namespace sqod {
 namespace {
@@ -354,6 +355,38 @@ TEST(LowerTest, DemandDecisionsAndTheirReasons) {
     EXPECT_NE(text.find(line), std::string::npos) << source << "\n" << text;
     EXPECT_EQ(lowered.demand.size(), 1u) << text;
   }
+}
+
+// P′ specializes path's copy to the query's constant, so a guard on it
+// would test the one demanded fact its heads already hold: the component is
+// declined, and the recursive copy it calls keeps its demand.
+TEST(LowerTest, ConstantDemandTheHeadsHoldIsDeclined) {
+  ParsedUnit unit = ParseUnit(
+                        "path(X, Y) :- step(X, Y).\n"
+                        "path(X, Y) :- step(X, Z), path(Z, Y).\n"
+                        "q(Y) :- path(3, Y).\n?- q.\n"
+                        "step(1, 2). step(2, 3). step(3, 4). step(4, 5).\n"
+                        "step(3, 6). step(6, 3). step(5, 7).")
+                        .take();
+  LoweredProgram lowered = Lower(unit.program, unit.constraints);
+  const std::string text = lowered.ToText();
+  EXPECT_NE(text.find("declined demand:   path@0_n1 (every head already "
+                      "holds a seed fact)\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("demand:            path@0_n2/bf"), std::string::npos)
+      << text;
+  for (const Rule& rule : lowered.program.rules()) {
+    EXPECT_NE(PredName(rule.head.pred()).rfind("m@path@0_n1", 0), 0u)
+        << lowered.program.ToString();
+  }
+  EXPECT_EQ(lowered.program.rules().size(), 7u) << lowered.program.ToString();
+
+  Database edb;
+  for (const Atom& fact : unit.facts) edb.InsertAtom(fact);
+  const std::vector<Tuple> want = ReferenceQuery(unit.program, edb);
+  EXPECT_EQ(want.size(), 5u);
+  EXPECT_EQ(ReferenceQuery(lowered.program, edb), want);
 }
 
 TEST(LowerTest, PreparedProgramServesTheLoweredProgram) {
